@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import compute_bounds
 from .harness import (
     ExperimentSpec,
     build_config,
@@ -23,9 +22,10 @@ from .harness import (
     parse_config_file,
     run_solve,
     run_sweep,
+    start_bounds,
     verify_certificate,
 )
-from .oracle import NOISE_KINDS, PROBLEM_NAMES, estimate_lipschitz, make_problem
+from .oracle import NOISE_KINDS, PROBLEM_NAMES, make_problem
 from .solver import ConfigError
 
 logger = logging.getLogger("arq")
@@ -192,11 +192,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _build_spec(args)
-    problem = spec.make_problem()
-    config = build_config(spec)
-    l_hat = estimate_lipschitz(problem, problem.x0, config.p)
-    f0 = problem.value(problem.x0)
-    report = compute_bounds(config, max(1.0, l_hat), max(0.0, f0 - problem.f_low))
+    report = start_bounds(spec.make_problem(), build_config(spec))
     for key, value in report.as_dict().items():
         print(f"{key} = {value}")
     return 0

@@ -46,6 +46,7 @@ __all__ = [
     "RunOutcome",
     "expand_seeds",
     "build_config",
+    "start_bounds",
     "run_solve",
     "run_sweep",
     "verify_certificate",
@@ -358,6 +359,16 @@ class RunOutcome:
     bounds: dict | None = None
 
 
+def start_bounds(problem: Problem, config: SolverConfig, x0=None):
+    """Theoretical bound report with L and f0 - f_low taken at the start
+    point, `x0` or the problem's own (`estimate_lipschitz` floors its
+    estimate at 1)."""
+    start = problem.x0 if x0 is None else np.asarray(x0, dtype=float)
+    l_hat = estimate_lipschitz(problem, start, config.p)
+    f0 = problem.value(start)
+    return compute_bounds(config, l_hat, max(0.0, f0 - problem.f_low))
+
+
 def run_solve(spec: ExperimentSpec) -> RunOutcome:
     """Solve one instance; write trace/certificate/bounds when `out` is set."""
     try:
@@ -376,9 +387,7 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         return RunOutcome(2, error=str(exc))
 
     verification = verify_certificate(problem, result.certificate)
-    l_hat = estimate_lipschitz(problem, problem.x0, config.p)
-    f0 = problem.value(problem.x0)
-    report = compute_bounds(config, max(1.0, l_hat), max(0.0, f0 - problem.f_low))
+    report = start_bounds(problem, config, spec.x0)
     cert_json = certificate_to_json(result.certificate, spec, config)
 
     if spec.out is not None:

@@ -20,6 +20,7 @@ against ground truth.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -287,12 +288,30 @@ def _termination_threshold(config: SolverConfig, j: int, delta_j: float) -> floa
     )
 
 
-def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar: float):
+def _radius_floor(config: SolverConfig, j: int, l_bar: float, sigma: float) -> float:
+    """Step-1 radius guard for order j: 1e-3 under the theoretical floor."""
+    return (
+        1e-3
+        * config.varsigma
+        * config.epsilons[j - 1]
+        / (4.0 * (1.0 + config.omega) * max(l_bar, sigma))
+    )
+
+
+def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     """Order-by-order optimality sweep with radius halving.
 
     Mutates ``state.delta`` in place; the caller snapshots the entry values.
     Returns termination with a certificate, a hand-off to step 2, or a
     demand for better accuracy.
+
+    ``guard_l_bar`` is the L-bar of the radius guard: a float, checked after
+    every halving, or a zero-argument callable returning at least
+    ``1 + acc_max`` (what `solve` passes).  The guard floor decreases in
+    L-bar, so a radius at or above the floor at L-bar = 1 + acc_max cannot
+    be under the real one; the callable is called only once a radius falls
+    below that cheaper floor, and the check raises exactly when an eager
+    one would.
     """
     measured = []
     for j in range(1, config.q + 1):
@@ -327,12 +346,13 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar: 
             # The halving loop provably stops before delta_j falls a factor
             # 1e-3 under its theoretical floor; crossing it is a bug, not a
             # math failure.
-            floor = (
-                1e-3
-                * config.varsigma
-                * config.epsilons[j - 1]
-                / (4.0 * (1.0 + config.omega) * max(guard_l_bar, state.sigma))
-            )
+            l_bar = guard_l_bar
+            if callable(guard_l_bar):
+                lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
+                if state.delta[j - 1] >= lowest:
+                    continue
+                l_bar = guard_l_bar()
+            floor = _radius_floor(config, j, l_bar, state.sigma)
             if state.delta[j - 1] < floor:
                 raise InternalInvariantError(
                     f"step-1 radius for order {j} fell below its guard "
@@ -451,9 +471,12 @@ def step5(state: SolverState, config: SolverConfig):
     state.delta = state.delta_start.copy()
 
 
-def _guard_bound(problem: Problem, x0, config: SolverConfig) -> float:
-    l_est = estimate_lipschitz(problem, x0, config.p)
-    return l_est + config.acc_max
+def _guard_bound(problem: Problem, x0, config: SolverConfig):
+    """L-bar of the step-1 radius guard at x0, as a memoised zero-argument
+    callable; its value is at least 1 + acc_max, since `estimate_lipschitz`
+    floors at 1."""
+    x0 = x0.copy()
+    return functools.cache(lambda: estimate_lipschitz(problem, x0, config.p) + config.acc_max)
 
 
 def solve(
@@ -462,7 +485,14 @@ def solve(
     config: SolverConfig,
     x0=None,
 ) -> SolveResult:
-    """Run the full loop until certification or budget exhaustion."""
+    """Run the full loop until certification or budget exhaustion.
+
+    The Lipschitz estimate behind the step-1 radius guard is computed at
+    most once, and only when a halved radius first falls below the guard
+    floor at its least possible L-bar (see `step1`).  The estimate draws
+    from its own rng and only arms the guard, so computing it late changes
+    neither the iterates nor the oracle's evaluations.
+    """
     oracle = Oracle(problem, noise)
     start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
     if start.shape != (problem.dim,):

@@ -8,6 +8,7 @@ than the memory.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,14 +54,28 @@ def symmetrize(tensor: np.ndarray) -> np.ndarray:
     return sum(np.transpose(t, p) for p in perms) / len(perms)
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_directions(n: int, samples: int, seed: int) -> np.ndarray:
+    """`samples` seeded random unit vectors plus the coordinate axes, read-only."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((samples, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.vstack([u, np.eye(n)])
+    u.flags.writeable = False
+    return u
+
+
 def operator_norm(tensor: np.ndarray, samples: int = 1000, seed: int = 0) -> float:
     """Euclidean-induced norm of a symmetric tensor.
 
     Exact for orders 1 and 2.  For order 3 the norm equals
     max_{||u||=1} |T[u,u,u]| (symmetric tensors attain the induced norm on
     the diagonal), which is estimated by maximizing over `samples` random
-    unit vectors plus the coordinate directions.  The estimate is a lower
-    bound and is used for diagnostics only, never to steer the algorithm.
+    unit vectors plus the coordinate directions.  The direction set depends
+    only on (n, samples, seed), so it is drawn once and cached read-only;
+    T[u,u,u] is contracted one pair of operands at a time.  The estimate is
+    a lower bound and is used for diagnostics only, never to steer the
+    algorithm.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim == 0:
@@ -70,11 +85,9 @@ def operator_norm(tensor: np.ndarray, samples: int = 1000, seed: int = 0) -> flo
     if t.ndim == 2:
         return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (t + t.T)))))
     n = t.shape[0]
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((samples, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    u = np.vstack([u, np.eye(n)])
-    vals = np.abs(np.einsum("ijk,ai,aj,ak->a", t, u, u, u))
+    u = _unit_directions(n, samples, seed)
+    tu = (u @ t.reshape(n, n * n)).reshape(-1, n, n)  # T[u, ., .] per direction
+    vals = np.abs(np.einsum("aj,aj->a", np.einsum("ajk,ak->aj", tu, u), u))
     return float(vals.max())
 
 

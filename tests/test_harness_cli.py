@@ -8,12 +8,14 @@ from arq.cli import main
 from arq.harness import (
     ExperimentSpec,
     TRACE_COLUMNS,
+    build_config,
     certificate_from_json,
     exact_phi,
     expand_seeds,
     parse_config_file,
     run_solve,
     run_sweep,
+    start_bounds,
     verify_certificate,
 )
 from arq.oracle import make_problem
@@ -63,6 +65,16 @@ class TestRunSolve:
         assert len(rows) == 2
         assert rows[1][0] == "0"
         assert rows[1][1] == ""  # kind absent
+
+    def test_bounds_are_taken_at_the_start_point(self):
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2,))
+        moved = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2,),
+                               x0=np.array([50.0, -50.0]))
+        default, far = run_solve(spec), run_solve(moved)
+        problem = spec.make_problem()
+        assert far.result.trace[0].x.tolist() == [50.0, -50.0]
+        assert far.bounds == start_bounds(problem, build_config(moved), moved.x0).as_dict()
+        assert far.bounds["n_value_evals"] > default.bounds["n_value_evals"]
 
     def test_config_error_exits_one(self):
         spec = ExperimentSpec(problem="quadratic", dim=4, overrides={"eta2": 1.2})

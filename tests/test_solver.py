@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import arq.solver
 from arq.oracle import NoiseModel, Problem, make_problem
 from arq.solver import (
     AccuracyState,
@@ -20,7 +23,7 @@ from arq.solver import (
 from arq.subsolvers import StepResult
 from arq.tensors import DerivativeBundle, RegularizedModel
 
-from conftest import bench_config
+from conftest import BENCH_NOISES, BENCH_PROBLEMS, bench_config, bench_seeds
 
 
 def half_norm_squared(dim):
@@ -143,6 +146,95 @@ class TestStep1:
         bundle = bundle_1d(2.0, 200.0)
         with pytest.raises(InternalInvariantError):
             step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, 0.001)
+
+
+def lowest_guard_floor(cfg, sigma):
+    # The step-1 guard floor at its least possible L-bar, 1 + acc_max.
+    return 1e-3 * cfg.varsigma * cfg.epsilons[0] / (
+        4.0 * (1.0 + cfg.omega) * max(1.0 + cfg.acc_max, sigma)
+    )
+
+
+@pytest.fixture
+def estimate_calls(monkeypatch):
+    """Count the solver's calls of the Lipschitz estimate behind its guard."""
+    calls = []
+    real = arq.solver.estimate_lipschitz
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arq.solver, "estimate_lipschitz", counted)
+    return calls
+
+
+class TestLazyGuard:
+    def test_callable_guard_is_left_alone_above_the_lowest_floor(self):
+        cfg = SolverConfig(epsilons=(0.9,), varsigma=1.0, sigma0=0.001)
+        state = make_state(sigma=0.001)
+        bundle = bundle_1d(2.0, 200.0)
+        calls = []
+        out = step1(
+            state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: calls.append(1)
+        )
+        assert isinstance(out, Step1ToStep2)
+        assert state.delta[0] == 2.0**-7
+        assert calls == []
+
+    def test_callable_guard_is_called_only_under_the_lowest_floor(self):
+        cfg = SolverConfig(epsilons=(0.9,), varsigma=1.0, sigma0=0.001)
+        state = make_state(sigma=0.001)
+        bundle = bundle_1d(2.0, 2e5)
+        seen = []
+
+        def guard():
+            seen.append(float(state.delta[0]))
+            return 1e6
+
+        out = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
+        assert isinstance(out, Step1ToStep2)
+        assert seen
+        assert all(d < lowest_guard_floor(cfg, 0.001) for d in seen)
+        assert 2.0 * seen[0] >= lowest_guard_floor(cfg, 0.001)
+
+    def test_callable_guard_raises_like_the_eager_check(self):
+        from arq.solver import InternalInvariantError
+
+        cfg = SolverConfig(epsilons=(0.9,), varsigma=1.0, sigma0=0.001)
+        bundle = bundle_1d(2.0, 2e5)
+        messages = []
+        for guard in (3.0, lambda: 3.0):
+            state = make_state(sigma=0.001)
+            with pytest.raises(InternalInvariantError) as err:
+                step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_grid_sized_solve_never_estimates(self, estimate_calls):
+        cfg = bench_config(2, 1e-3, "bounded_random")
+        res = solve(make_problem("quadratic", 4), NoiseModel("bounded_random", 0.9, 5), cfg)
+        assert res.iterations > 1
+        assert estimate_calls == []
+
+    def test_solve_estimates_at_most_once(self, estimate_calls):
+        # Curvature 1e6 against a unit slope: every step-1 sweep halves the
+        # radius far below the lowest floor.
+        problem = Problem(
+            "steep",
+            1,
+            lambda x: float(x[0] + 5e5 * x[0] ** 2),
+            lambda x, i: [np.array([1.0 + 1e6 * x[0]]), np.array([[1e6]]),
+                          np.zeros((1, 1, 1))][i - 1],
+            -1.0,
+            np.zeros(1),
+        )
+        cfg = SolverConfig(epsilons=(0.5,), acc0=(0.0, 0.0), acc_max=0.0)
+        res = solve(problem, NoiseModel("exact"), cfg)
+        assert min(float(np.min(r.delta_end)) for r in res.trace) < lowest_guard_floor(
+            cfg, cfg.sigma0
+        )
+        assert len(estimate_calls) == 1
 
 
 class ScriptedOracle:
@@ -340,3 +432,47 @@ class TestTraceInvariants:
                 assert nxt.acc == pytest.approx(0.25 * prev.acc)
             else:
                 assert np.array_equal(nxt.acc, prev.acc)
+
+
+def trace_key(trace):
+    """Every IterationRecord field by repr, arrays in full precision."""
+    return [
+        tuple(
+            repr(v.tolist() if isinstance(v, np.ndarray) else v)
+            for v in dataclasses.astuple(rec)
+        )
+        for rec in trace
+    ]
+
+
+def test_guard_never_steers_the_run(monkeypatch, estimate_calls):
+    """The guard only arms an invariant: computing it eagerly from the
+    real estimate, or lazily from a huge one, leaves every trace alike."""
+    seed = bench_seeds()[0]
+    runs = [
+        (make_problem(name, dim), noise)
+        for name, dim in BENCH_PROBLEMS
+        for noise in BENCH_NOISES
+    ]
+
+    def solve_all():
+        return [
+            trace_key(solve(problem, NoiseModel(noise, 0.9, seed),
+                            bench_config(2, 1e-3, noise)).trace)
+            for problem, noise in runs
+        ]
+
+    real_step1 = arq.solver.step1
+
+    def eager_step1(state, bundle, model, config, guard_l_bar):
+        guard_l_bar()
+        return real_step1(state, bundle, model, config, guard_l_bar)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arq.solver, "step1", eager_step1)
+        eager = solve_all()
+    assert len(estimate_calls) == len(runs)
+    with monkeypatch.context() as patch:
+        patch.setattr(arq.solver, "estimate_lipschitz", lambda *a, **k: 1e6)
+        huge = solve_all()
+    assert eager == huge

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arq import tensors
 from arq.tensors import (
     DerivativeBundle,
     RegularizedModel,
     model_decrement,
     model_eval,
+    operator_norm,
     regularizer_derivative,
     shifted_model_derivatives,
     symmetrize,
@@ -223,3 +225,25 @@ class TestBundleValidation:
         t = b.truncated(2)
         assert t.degree == 2
         assert t.tensors[0] is b.tensors[0]
+
+
+class TestOperatorNorm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 20, 60])
+    def test_order3_matches_the_four_operand_einsum(self, n):
+        rng = np.random.default_rng(100 + n)
+        t = random_symmetric(rng, n, 3)
+        # Reference: the sampled maximum of |T[u,u,u]| in one einsum.
+        u_rng = np.random.default_rng(0)
+        u = u_rng.standard_normal((1000, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = np.vstack([u, np.eye(n)])
+        ref = float(np.abs(np.einsum("ijk,ai,aj,ak->a", t, u, u, u)).max())
+        assert operator_norm(t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_cached_directions_are_read_only(self):
+        t = random_symmetric(np.random.default_rng(1), 3, 3)
+        operator_norm(t, samples=50, seed=4)
+        u = tensors._unit_directions(3, 50, 4)
+        assert u is tensors._unit_directions(3, 50, 4)
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
