@@ -14,6 +14,7 @@ from .solver import (
 )
 from .subsolvers import (
     MeasureResult,
+    SolveStoppedError,
     StepResult,
     SubsolverStallError,
     minimize_model,
@@ -44,6 +45,7 @@ __all__ = [
     "Problem",
     "RegularizedModel",
     "SolveResult",
+    "SolveStoppedError",
     "SolverConfig",
     "StepResult",
     "SubsolverStallError",

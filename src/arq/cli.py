@@ -1,16 +1,19 @@
 """Command-line entry points: solve, sweep, verify, bounds.
 
-Exit codes: 0 success / certified, 1 configuration error, 2 budget
-exhaustion or failed verification, 3 I/O failure.  Logging verbosity comes
+Exit codes: 0 success / certified, 1 configuration error (a malformed
+value included), 2 a stop without a certificate (budget, stall or
+invariant) or failed verification, 3 I/O failure.  Logging verbosity comes
 from the ARQ_LOG environment variable (quiet, info, trace).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +29,50 @@ from .harness import (
     verify_certificate,
 )
 from .oracle import NOISE_KINDS, PROBLEM_NAMES, make_problem
-from .solver import ConfigError
+from .solver import ConfigError, SolverConfig
 
 logger = logging.getLogger("arq")
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
 
-_INT_KEYS = {"dim", "seed", "p", "q", "jobs", "runs", "max_iters", "max_inner_iters"}
-_FLOAT_KEYS = {
-    "fill_fraction", "sigma0", "sigma_min", "eta1", "eta2", "gamma1", "gamma2",
-    "gamma3", "gamma_acc", "omega", "varsigma", "theta", "acc_max",
+
+def _float_tuple(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(",") if v.strip())
+
+
+_PARSERS = {int: int, float: float, str: str, Path: Path, tuple: _float_tuple}
+
+
+def _settings(cls) -> dict:
+    """Field name -> the type its text converts to, for each field of `cls`
+    that has one (an optional field converts to its non-None type)."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        typ = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+        if typ in _PARSERS:
+            out[f.name] = typ
+    return out
+
+
+# Every run setting a flag or config-file line may give: the ExperimentSpec
+# fields, then the SolverConfig fields the spec does not set itself
+# (build_config takes p, q and, from `eps`, the epsilons).  Fields no text
+# converts to (the in-code `overrides` and `x0`) are not settings.
+_SPEC_SETTINGS = _settings(ExperimentSpec)
+_SETTINGS = {**_SPEC_SETTINGS, **_settings(SolverConfig)}
+del _SETTINGS["epsilons"]
+
+_HELP = {
+    "problem": f"one of {', '.join(PROBLEM_NAMES)}",
+    "noise": f"one of {', '.join(NOISE_KINDS)}",
+    "eps": "comma-separated accuracy targets",
+    "out": "output directory",
+    "jobs": "parallel runs in sweeps",
+    "runs": "seeds per grid point",
+    "fill_fraction": "fraction of the permitted error the noise uses",
 }
-_LIST_KEYS = {"eps", "acc0", "delta0"}
-_STR_KEYS = {"problem", "noise", "out"}
-_SPEC_KEYS = {"problem", "dim", "noise", "seed", "eps", "p", "q", "out", "jobs",
-              "runs", "fill_fraction"}
 
 
 def _setup_logging():
@@ -50,48 +82,25 @@ def _setup_logging():
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _LIST_KEYS:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown config key {key!r}")
-
-
-def _eps_list(raw) -> tuple:
-    if raw is None:
-        return None
-    if isinstance(raw, tuple):
-        return raw
-    return tuple(float(v) for v in str(raw).split(",") if v.strip())
+    if key not in _SETTINGS:
+        raise ConfigError(f"unknown config key {key!r}")
+    return _PARSERS[_SETTINGS[key]](raw)
 
 
 def _build_spec(args) -> ExperimentSpec:
+    """Spec from the config file, then the flags over it; every value is
+    converted to its field's type (a malformed one raises ValueError)."""
     merged = {}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             merged[key] = _coerce(key, raw)
-    for key in ("problem", "dim", "noise", "seed", "p", "q", "out", "jobs", "runs",
-                "fill_fraction", "sigma0", "sigma_min", "eta1", "eta2", "gamma1",
-                "gamma2", "gamma3", "gamma_acc", "omega", "varsigma", "theta",
-                "acc_max", "acc0", "delta0", "max_iters", "max_inner_iters"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = _coerce(key, value) if isinstance(value, str) and key in (
-                _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS
-            ) else value
-    if getattr(args, "eps", None) is not None:
-        merged["eps"] = _eps_list(args.eps)
+    for key in _SETTINGS:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            merged[key] = _coerce(key, raw)
 
-    spec_kwargs = {k: v for k, v in merged.items() if k in _SPEC_KEYS}
-    overrides = {k: v for k, v in merged.items() if k not in _SPEC_KEYS}
-    if "out" in spec_kwargs and spec_kwargs["out"] is not None:
-        spec_kwargs["out"] = Path(spec_kwargs["out"])
-    spec = ExperimentSpec(**spec_kwargs)
-    spec.overrides = overrides
+    spec = ExperimentSpec(**{k: v for k, v in merged.items() if k in _SPEC_SETTINGS})
+    spec.overrides = {k: v for k, v in merged.items() if k not in _SPEC_SETTINGS}
     if spec.problem not in PROBLEM_NAMES:
         raise ConfigError(f"unknown problem {spec.problem!r}; choose from {PROBLEM_NAMES}")
     if spec.noise not in NOISE_KINDS:
@@ -99,26 +108,20 @@ def _build_spec(args) -> ExperimentSpec:
     return spec
 
 
+def _add_settings(parser, keys) -> None:
+    """One flag per setting, spelled both ``--snake_case`` and
+    ``--kebab-case``; solver settings are hidden from the help.  Values stay
+    text until `_build_spec` converts them."""
+    for key in keys:
+        kebab = f"--{key.replace('_', '-')}"
+        flags = (kebab, f"--{key}") if "_" in key else (kebab,)
+        help_text = _HELP.get(key) if key in _SPEC_SETTINGS else argparse.SUPPRESS
+        parser.add_argument(*flags, dest=key, help=help_text)
+
+
 def _add_common(parser):
-    parser.add_argument("--problem", help=f"one of {', '.join(PROBLEM_NAMES)}")
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--noise", help=f"one of {', '.join(NOISE_KINDS)}")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--eps", help="comma-separated accuracy targets")
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--q", type=int)
+    _add_settings(parser, [key for key in _SETTINGS if key != "runs"])
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, help="parallel runs in sweeps")
-    for key in sorted(_FLOAT_KEYS - {"fill_fraction"}):
-        parser.add_argument(f"--{key}", type=float, help=argparse.SUPPRESS)
-    parser.add_argument("--fill-fraction", dest="fill_fraction", type=float,
-                        help="fraction of the permitted error the noise uses")
-    parser.add_argument("--acc0", help=argparse.SUPPRESS)
-    parser.add_argument("--delta0", help=argparse.SUPPRESS)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--max-inner-iters", dest="max_inner_iters", type=int,
-                        help=argparse.SUPPRESS)
 
 
 def _print_solve_outcome(outcome) -> None:
@@ -156,10 +159,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _build_spec(args)
-    if getattr(args, "runs", None):
-        spec.runs = args.runs
-    summary = run_sweep(spec)
+    summary = run_sweep(_build_spec(args))
     for row in summary["rows"]:
         print(
             f"eps={row['eps_min']:g} seed={row['seed']} {row['status']}: "
@@ -212,7 +212,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep accuracy targets")
     _add_common(p_sweep)
-    p_sweep.add_argument("--runs", type=int, help="seeds per grid point")
+    _add_settings(p_sweep, ["runs"])
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="recheck a certificate exactly")

@@ -8,6 +8,7 @@ to confirm that a returned certificate means what it claims.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -26,7 +27,6 @@ from .oracle import (
     make_problem,
 )
 from .solver import (
-    BudgetExhaustedError,
     Certificate,
     ConfigError,
     KIND_ACCURACY,
@@ -36,7 +36,7 @@ from .solver import (
     SolverConfig,
     solve,
 )
-from .subsolvers import solve_trs
+from .subsolvers import SolveStoppedError, solve_trs
 from .tensors import taylor_decrement
 
 logger = logging.getLogger("arq")
@@ -380,11 +380,11 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
     noise = NoiseModel(spec.noise, spec.fill_fraction, spec.seed)
     try:
         result = solve(problem, noise, config, x0=spec.x0)
-    except BudgetExhaustedError as exc:
-        logger.error("budget exhausted: %s", exc)
+    except SolveStoppedError as exc:
+        logger.error("stopped without a certificate (%s): %s", exc.status, exc)
         if spec.out is not None:
             write_trace_csv(Path(spec.out) / "trace.csv", exc.trace)
-        return RunOutcome(2, error=str(exc))
+        return RunOutcome(2, error=f"{exc.status}: {exc}")
 
     verification = verify_certificate(problem, result.certificate)
     report = start_bounds(problem, config, spec.x0)
@@ -431,10 +431,10 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
         trace = result.trace
         counters = result.counters
         row["status"] = "ok"
-    except BudgetExhaustedError as exc:
+    except SolveStoppedError as exc:
         trace = exc.trace
         counters = exc.counters
-        row["status"] = "budget"
+        row["status"] = exc.status
     kinds = [rec.kind for rec in trace]
     row["iterations"] = len(trace)
     row["successful"] = kinds.count(KIND_SUCCESS)
@@ -453,28 +453,25 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
 
 
 def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
-    """Run the accuracy sweep; one row per (epsilon, seed), merged in grid order.
+    """Run the accuracy sweep on `spec.jobs` threads; one row per (epsilon,
+    seed), in grid order.
 
-    Returns ``{"rows": [...], "slope_value": s1, "slope_deriv": s2}`` and
-    writes ``summary.csv`` when the spec has an output directory.
+    A row's ``status`` is ``ok`` for a certified run, else the
+    `SolveStoppedError` status that stopped it.  Returns ``{"rows": [...],
+    "slope_value": s1, "slope_deriv": s2}`` and writes ``summary.csv`` when
+    the spec has an output directory.
     """
     grid = tuple(float(e) for e in (spec.eps if grid is None else grid))
     if len(grid) < 3:
         raise ValueError("sweep grid needs at least 3 epsilon values")
     if any(not 0.0 < e < 1.0 for e in grid):
         raise ValueError(f"sweep grid entries must lie in (0, 1), got {grid}")
-    seeds = expand_seeds(spec.seed, len(grid) * spec.runs)
-    tasks = [
-        (i, r, grid[i], seeds[i * spec.runs + r] % (2**32))
-        for i in range(len(grid))
-        for r in range(spec.runs)
-    ]
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            futures = [pool.submit(_sweep_one, spec, eps, seed) for (_, _, eps, seed) in tasks]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_sweep_one(spec, eps, seed) for (_, _, eps, seed) in tasks]
+    if spec.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
+    epsilons = [eps for eps in grid for _ in range(spec.runs)]
+    seeds = [seed % 2**32 for seed in expand_seeds(spec.seed, len(epsilons))]
+    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+        rows = list(pool.map(functools.partial(_sweep_one, spec), epsilons, seeds))
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
     slope_value = slope_deriv = float("nan")

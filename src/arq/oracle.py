@@ -12,7 +12,7 @@ counting; a strictly tighter bound at the same point re-evaluates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class NoiseModel:
 class EvalCounters:
     value_evals: int = 0
     derivative_evals: int = 0
-    per_iteration: list = field(default_factory=list)
 
     def snapshot(self) -> tuple:
         return (self.value_evals, self.derivative_evals)

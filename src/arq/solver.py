@@ -32,6 +32,7 @@ from .oracle import EvalCounters, NoiseModel, Oracle, Problem, estimate_lipschit
 from .subsolvers import (
     ORDER_GUARANTEES,
     MeasureResult,
+    SolveStoppedError,
     StepResult,
     minimize_model,
     optimality_measure,
@@ -69,17 +70,16 @@ class ConfigError(ValueError):
     """A solver parameter violates its admissible interval."""
 
 
-class BudgetExhaustedError(RuntimeError):
+class BudgetExhaustedError(SolveStoppedError):
     """Iteration budget ran out before certification."""
 
-    def __init__(self, message, trace=None, counters=None):
-        super().__init__(message)
-        self.trace = trace or []
-        self.counters = counters
+    status = "budget"
 
 
-class InternalInvariantError(RuntimeError):
+class InternalInvariantError(SolveStoppedError):
     """A bound the theory guarantees was crossed: implementation bug."""
+
+    status = "invariant"
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,9 @@ def solve(
     config: SolverConfig,
     x0=None,
 ) -> SolveResult:
-    """Run the full loop until certification or budget exhaustion.
+    """Run the full loop until certification, or raise a `SolveStoppedError`
+    (budget exhaustion, an inner-solve stall or a crossed invariant) that
+    carries the trace of the completed iterations and the counters.
 
     The Lipschitz estimate behind the step-1 radius guard is computed at
     most once, and only when a halved radius first falls below the guard
@@ -509,83 +511,82 @@ def solve(
     guard_l_bar = _guard_bound(problem, start, config)
     fbar_cache = None
 
-    for k in range(config.max_iters):
-        state.k = k
-        state.delta_start = state.delta.copy()
-        snap = oracle.counters.snapshot()
-        sigma_k = state.sigma
-        acc_k = state.accuracy.values.copy()
-        x_k = state.x.copy()
+    try:
+        for k in range(config.max_iters):
+            state.k = k
+            state.delta_start = state.delta.copy()
+            snap = oracle.counters.snapshot()
+            sigma_k = state.sigma
+            acc_k = state.accuracy.values.copy()
+            x_k = state.x.copy()
 
-        bundle = oracle.inexact_bundle(state.x, state.accuracy.values, config.p)
-        model = RegularizedModel(bundle, state.sigma)
-        record = IterationRecord(
-            k=k,
-            kind=None,
-            sigma=sigma_k,
-            acc=acc_k,
-            delta_start=state.delta_start.copy(),
-            delta_end=state.delta_start.copy(),
-            x=x_k,
-        )
+            bundle = oracle.inexact_bundle(state.x, state.accuracy.values, config.p)
+            model = RegularizedModel(bundle, state.sigma)
+            record = IterationRecord(
+                k=k,
+                kind=None,
+                sigma=sigma_k,
+                acc=acc_k,
+                delta_start=state.delta_start.copy(),
+                delta_end=state.delta_start.copy(),
+                x=x_k,
+            )
 
-        out = step1(state, bundle, model, config, guard_l_bar)
-        record.delta_end = state.delta.copy()
+            out = step1(state, bundle, model, config, guard_l_bar)
+            record.delta_end = state.delta.copy()
 
-        if isinstance(out, Step1Terminated):
-            record.f_bar_after = fbar_cache[0] if fbar_cache else None
-            _close_record(record, oracle, snap, k)
-            state.trace.append(record)
-            logger.info("terminated at iteration %d", k)
-            return SolveResult(out.certificate, oracle.counters, state.trace, state)
-
-        to_step5 = isinstance(out, Step1ToStep5)
-        if not to_step5:
-            record.j_k = out.j_k
-            out2 = step2(state, bundle, model, config, out.j_k, out.measure)
-            if isinstance(out2, Step2ToStep3):
-                rho, accepted, fbar_cache, f_before, trial = step3_step4(
-                    state, oracle, config, out2.step_result, out2.dec_p, fbar_cache
-                )
-                sres = out2.step_result
-                record.kind = KIND_SUCCESS if accepted else KIND_UNSUCCESS
-                record.rho = rho
-                record.step = sres.step.copy()
-                record.step_norm = float(np.linalg.norm(sres.step))
-                record.dec_bar = out2.dec_p
-                record.model_dec = model_decrement(model, sres.step)
-                record.long_step = sres.long_step
-                record.radii = None if sres.radii is None else sres.radii.copy()
-                record.f_bar_before = f_before
-                record.f_bar_after = fbar_cache[0]
-                record.accepted = accepted
-                _close_record(record, oracle, snap, k)
+            if isinstance(out, Step1Terminated):
+                record.f_bar_after = fbar_cache[0] if fbar_cache else None
+                _close_record(record, oracle, snap)
                 state.trace.append(record)
-                logger.debug(
-                    "k=%d %s rho=%.3g sigma=%.3g |s|=%.3g",
-                    k, record.kind, rho, sigma_k, record.step_norm,
-                )
-                continue
-            to_step5 = True
+                logger.info("terminated at iteration %d", k)
+                return SolveResult(out.certificate, oracle.counters, state.trace, state)
 
-        step5(state, config)
-        record.kind = KIND_ACCURACY
-        _close_record(record, oracle, snap, k)
-        state.trace.append(record)
-        logger.debug(
-            "k=%d accuracy improved to %.3g", k, float(np.max(state.accuracy.values))
+            to_step5 = isinstance(out, Step1ToStep5)
+            if not to_step5:
+                record.j_k = out.j_k
+                out2 = step2(state, bundle, model, config, out.j_k, out.measure)
+                if isinstance(out2, Step2ToStep3):
+                    rho, accepted, fbar_cache, f_before, trial = step3_step4(
+                        state, oracle, config, out2.step_result, out2.dec_p, fbar_cache
+                    )
+                    sres = out2.step_result
+                    record.kind = KIND_SUCCESS if accepted else KIND_UNSUCCESS
+                    record.rho = rho
+                    record.step = sres.step.copy()
+                    record.step_norm = float(np.linalg.norm(sres.step))
+                    record.dec_bar = out2.dec_p
+                    record.model_dec = model_decrement(model, sres.step)
+                    record.long_step = sres.long_step
+                    record.radii = None if sres.radii is None else sres.radii.copy()
+                    record.f_bar_before = f_before
+                    record.f_bar_after = fbar_cache[0]
+                    record.accepted = accepted
+                    _close_record(record, oracle, snap)
+                    state.trace.append(record)
+                    logger.debug(
+                        "k=%d %s rho=%.3g sigma=%.3g |s|=%.3g",
+                        k, record.kind, rho, sigma_k, record.step_norm,
+                    )
+                    continue
+                to_step5 = True
+
+            step5(state, config)
+            record.kind = KIND_ACCURACY
+            _close_record(record, oracle, snap)
+            state.trace.append(record)
+            logger.debug(
+                "k=%d accuracy improved to %.3g", k, float(np.max(state.accuracy.values))
+            )
+
+        raise BudgetExhaustedError(
+            f"no certificate within {config.max_iters} iterations"
         )
-
-    raise BudgetExhaustedError(
-        f"no certificate within {config.max_iters} iterations",
-        trace=state.trace,
-        counters=oracle.counters,
-    )
+    except SolveStoppedError as exc:
+        exc.trace, exc.counters = state.trace, oracle.counters
+        raise
 
 
-def _close_record(record: IterationRecord, oracle: Oracle, snap, k: int):
-    dv = oracle.counters.value_evals - snap[0]
-    dd = oracle.counters.derivative_evals - snap[1]
-    record.value_evals = dv
-    record.derivative_evals = dd
-    oracle.counters.per_iteration.append((k, dv, dd))
+def _close_record(record: IterationRecord, oracle: Oracle, snap):
+    record.value_evals = oracle.counters.value_evals - snap[0]
+    record.derivative_evals = oracle.counters.derivative_evals - snap[1]

@@ -37,6 +37,7 @@ from .tensors import (
 __all__ = [
     "MeasureResult",
     "StepResult",
+    "SolveStoppedError",
     "SubsolverStallError",
     "ORDER_GUARANTEES",
     "solve_trs",
@@ -52,8 +53,27 @@ _ORDER3_STARTS = 50
 _ORDER3_ITERS = 80
 
 
-class SubsolverStallError(RuntimeError):
+class SolveStoppedError(RuntimeError):
+    """A solve stopped without a certificate.
+
+    ``status`` says why: ``budget`` (iterations ran out), ``stall`` (an inner
+    solve hit its iteration or radius floor) or ``invariant`` (a bound the
+    theory guarantees was crossed).  `solve` attaches the ``trace`` of the
+    completed iterations and the run's ``counters`` before it re-raises.
+    """
+
+    status = ""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.trace = []
+        self.counters = None
+
+
+class SubsolverStallError(SolveStoppedError):
     """Inner solve hit its iteration or radius floor; carries diagnostics."""
+
+    status = "stall"
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

@@ -276,14 +276,12 @@ def shifted_model_derivatives(model: RegularizedModel, s, j: int) -> np.ndarray:
     return out
 
 
-def shifted_model_bundle(
-    model: RegularizedModel, s, j_max: int, accuracy=None
-) -> DerivativeBundle:
-    """Bundle of the model's derivatives at s, orders 1..j_max.
+def shifted_model_bundle(model: RegularizedModel, s, j_max: int) -> DerivativeBundle:
+    """Bundle of the model's derivatives at s, orders 1..j_max, at zero
+    accuracy.
 
     The value slot is set to the model value at s; decrements and ball
     measures never read it.
     """
     tensors = [shifted_model_derivatives(model, s, j) for j in range(1, j_max + 1)]
-    acc = tuple(accuracy) if accuracy is not None else (0.0,) * j_max
-    return DerivativeBundle(model_eval(model, s), tensors, acc)
+    return DerivativeBundle(model_eval(model, s), tensors, (0.0,) * j_max)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from arq import NoiseModel, SolverConfig, make_problem, solve
-from arq.harness import expand_seeds
+from arq import NoiseModel, Problem, SolverConfig, make_problem, solve
+from arq.harness import ExperimentSpec, build_config, expand_seeds
 
 BENCH_PROBLEMS = (("quadratic", 4), ("rosenbrock", 2), ("quartic", 3), ("sineq", 4))
 BENCH_NOISES = ("exact", "truncation", "bounded_random")
@@ -29,10 +29,21 @@ def bench_seeds():
 
 
 def bench_config(q: int, eps_min: float, noise: str) -> SolverConfig:
-    kwargs = dict(p=2, q=q, epsilons=(eps_min,) * q)
-    if noise == "exact":
-        kwargs.update(acc0=(0.0, 0.0), acc_max=0.0)
-    return SolverConfig(**kwargs)
+    return build_config(ExperimentSpec(noise=noise, eps=(eps_min,), p=2, q=q))
+
+
+def steep_problem():
+    """Curvature 1e6 against a unit slope: every step-1 sweep halves the
+    radius far below the lowest guard floor."""
+    return Problem(
+        "steep",
+        1,
+        lambda x: float(x[0] + 5e5 * x[0] ** 2),
+        lambda x, i: [np.array([1.0 + 1e6 * x[0]]), np.array([[1e6]]),
+                      np.zeros((1, 1, 1))][i - 1],
+        -1.0,
+        np.zeros(1),
+    )
 
 
 @dataclass

@@ -1,10 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arq.cli import main
+import arq.harness
+import arq.solver
+from arq.cli import _SETTINGS, _build_spec, main, make_parser
 from arq.harness import (
     ExperimentSpec,
     TRACE_COLUMNS,
@@ -21,7 +24,7 @@ from arq.harness import (
 from arq.oracle import make_problem
 from arq.solver import Certificate
 
-from conftest import polar_grid_phi
+from conftest import polar_grid_phi, steep_problem
 
 
 def read_csv(path):
@@ -146,6 +149,57 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(spec)
 
+    def test_jobs_below_one_rejected(self):
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), jobs=0)
+        with pytest.raises(ValueError):
+            run_sweep(spec)
+        assert main(["sweep", "--problem", "quadratic", "--eps", "1e-2,1e-3,1e-4",
+                     "--jobs", "0"]) == 1
+
+
+@pytest.fixture(params=["stall", "invariant"])
+def forced_stop(request, monkeypatch):
+    """(status, spec fields, CLI flags) of a run that stops without a certificate."""
+    if request.param == "stall":
+        fields = dict(problem="rosenbrock", dim=2, noise="bounded_random", seed=3,
+                      eps=(1e-3,), overrides={"max_inner_iters": 1})
+        flags = ["--problem", "rosenbrock", "--dim", "2", "--noise", "bounded_random",
+                 "--seed", "3", "--eps", "1e-3", "--max-inner-iters", "1"]
+    else:
+        # An estimate far below the steep problem's true L (1e6), with a small
+        # sigma, lifts the guard floor over the radius step 1 halves to.
+        monkeypatch.setattr(arq.harness, "make_problem", lambda name, dim: steep_problem())
+        monkeypatch.setattr(arq.solver, "estimate_lipschitz", lambda *args: 1e-3)
+        fields = dict(problem="quadratic", dim=1, noise="exact", eps=(0.5,),
+                      overrides={"sigma0": 1e-3})
+        flags = ["--problem", "quadratic", "--dim", "1", "--noise", "exact",
+                 "--eps", "0.5", "--sigma0", "1e-3"]
+    return request.param, fields, flags
+
+
+class TestStopsWithoutCertificate:
+    def test_run_solve_exits_two(self, forced_stop, tmp_path):
+        status, fields, _ = forced_stop
+        outcome = run_solve(ExperimentSpec(**fields, out=tmp_path))
+        assert outcome.exit_code == 2
+        assert outcome.error.startswith(f"{status}: ")
+        assert read_csv(tmp_path / "trace.csv") == [list(TRACE_COLUMNS)]
+
+    def test_sweep_row_carries_the_status(self, forced_stop):
+        status, fields, _ = forced_stop
+        eps = fields["eps"][0]
+        spec = ExperimentSpec(**{**fields, "eps": (eps, 0.8 * eps, 0.6 * eps)})
+        rows = run_sweep(spec)["rows"]
+        assert [row["status"] for row in rows] == [status] * 3
+        assert all(row["iterations"] == 0 and row["deriv_evals"] == 1 for row in rows)
+
+    def test_cli_exits_two_without_traceback(self, forced_stop, capsys):
+        status, _, flags = forced_stop
+        assert main(["solve", *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {status}: " in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestVerifyCertificate:
     def make_cert(self, tmp_path):
@@ -219,6 +273,36 @@ class TestConfigFile:
         cfg.write_text("problem quartic\n")
         with pytest.raises(Exception):
             parse_config_file(cfg)
+
+
+# A value of each setting type; problem and noise must name a choice.
+SAMPLES = {int: ("3", 3), float: ("0.25", 0.25), tuple: ("0.5,0.25", (0.5, 0.25)),
+           Path: ("runs/x", Path("runs/x"))}
+NAMED = {"problem": ("sineq", "sineq"), "noise": ("truncation", "truncation")}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("key", list(_SETTINGS))
+    def test_flags_and_config_file_agree(self, key, tmp_path):
+        raw, expected = NAMED.get(key) or SAMPLES[_SETTINGS[key]]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        specs = [
+            _build_spec(make_parser().parse_args(["sweep", *argv]))
+            for argv in ([f"--{key}", raw], [f"--{key.replace('_', '-')}", raw],
+                         ["--config", str(cfg)])
+        ]
+        assert specs[0] == specs[1] == specs[2]
+        spec = specs[0]
+        value = spec.overrides[key] if key in spec.overrides else getattr(spec, key)
+        assert value == expected
+        assert isinstance(value, _SETTINGS[key])
+
+    def test_malformed_values_exit_one(self, tmp_path):
+        assert main(["solve", "--dim", "abc"]) == 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("eps = x\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
 
 
 class TestCliMain:

@@ -84,6 +84,7 @@ def test_certificates_satisfy_the_exit_inequality(benchmark_suite):
 def test_per_iteration_counter_breakdown(benchmark_suite):
     for run in benchmark_suite.runs:
         counters = run.result.counters
-        assert len(counters.per_iteration) == run.result.iterations
-        assert sum(v for _, v, _ in counters.per_iteration) == counters.value_evals
-        assert sum(d for _, _, d in counters.per_iteration) == counters.derivative_evals
+        per_iteration = [(r.k, r.value_evals, r.derivative_evals) for r in run.result.trace]
+        assert [k for k, _, _ in per_iteration] == list(range(run.result.iterations))
+        assert sum(v for _, v, _ in per_iteration) == counters.value_evals
+        assert sum(d for _, _, d in per_iteration) == counters.derivative_evals

@@ -9,6 +9,7 @@ from arq.solver import (
     AccuracyState,
     BudgetExhaustedError,
     ConfigError,
+    InternalInvariantError,
     SolverConfig,
     SolverState,
     Step1Terminated,
@@ -20,10 +21,10 @@ from arq.solver import (
     step3_step4,
     step5,
 )
-from arq.subsolvers import StepResult
+from arq.subsolvers import StepResult, SubsolverStallError
 from arq.tensors import DerivativeBundle, RegularizedModel
 
-from conftest import BENCH_NOISES, BENCH_PROBLEMS, bench_config, bench_seeds
+from conftest import BENCH_NOISES, BENCH_PROBLEMS, bench_config, bench_seeds, steep_problem
 
 
 def half_norm_squared(dim):
@@ -218,19 +219,8 @@ class TestLazyGuard:
         assert estimate_calls == []
 
     def test_solve_estimates_at_most_once(self, estimate_calls):
-        # Curvature 1e6 against a unit slope: every step-1 sweep halves the
-        # radius far below the lowest floor.
-        problem = Problem(
-            "steep",
-            1,
-            lambda x: float(x[0] + 5e5 * x[0] ** 2),
-            lambda x, i: [np.array([1.0 + 1e6 * x[0]]), np.array([[1e6]]),
-                          np.zeros((1, 1, 1))][i - 1],
-            -1.0,
-            np.zeros(1),
-        )
         cfg = SolverConfig(epsilons=(0.5,), acc0=(0.0, 0.0), acc_max=0.0)
-        res = solve(problem, NoiseModel("exact"), cfg)
+        res = solve(steep_problem(), NoiseModel("exact"), cfg)
         assert min(float(np.min(r.delta_end)) for r in res.trace) < lowest_guard_floor(
             cfg, cfg.sigma0
         )
@@ -387,6 +377,26 @@ class TestSolve:
             solve(problem, NoiseModel("bounded_random", 0.9, 3), cfg)
         assert len(err.value.trace) == 3
         assert err.value.counters is not None
+
+    def test_stall_carries_status_trace_and_counters(self):
+        problem = make_problem("rosenbrock", 2)
+        cfg = SolverConfig(epsilons=(1e-3,), max_inner_iters=1)
+        with pytest.raises(SubsolverStallError) as err:
+            solve(problem, NoiseModel("bounded_random", 0.9, 3), cfg)
+        assert err.value.status == "stall"
+        assert err.value.trace == []  # the first step-2 inner solve stalls
+        assert err.value.counters.derivative_evals == 1
+
+    def test_invariant_carries_status_trace_and_counters(self, monkeypatch):
+        # An estimate far below the steep problem's true L (1e6), with a small
+        # sigma, lifts the guard floor over the radius step 1 halves to.
+        monkeypatch.setattr(arq.solver, "estimate_lipschitz", lambda *args: 1e-3)
+        cfg = SolverConfig(epsilons=(0.5,), acc0=(0.0, 0.0), acc_max=0.0, sigma0=1e-3)
+        with pytest.raises(InternalInvariantError) as err:
+            solve(steep_problem(), NoiseModel("exact"), cfg)
+        assert err.value.status == "invariant"
+        assert err.value.trace == []
+        assert err.value.counters.derivative_evals == 1
 
     def test_bad_start_shape_rejected(self):
         problem = half_norm_squared(3)
