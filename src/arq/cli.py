@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / certified, 1 configuration error (a malformed
 value included), 2 a stop without a certificate (budget, stall or
-invariant) or failed verification, 3 I/O failure.  Logging verbosity comes
-from the ARQ_LOG environment variable (quiet, info, trace).
+invariant; for sweep, in any of its rows) or failed verification, 3 I/O
+failure.  Logging verbosity comes from the ARQ_LOG environment variable
+(quiet, info, trace).
 """
 from __future__ import annotations
 
@@ -169,7 +170,7 @@ def cmd_sweep(args) -> int:
         )
     print(f"slope log(value evals) vs log(1/eps)      = {summary['slope_value']:.3f}")
     print(f"slope log(derivative evals) vs log(1/eps) = {summary['slope_deriv']:.3f}")
-    return 0
+    return 0 if all(row["status"] == "ok" for row in summary["rows"]) else 2
 
 
 def cmd_verify(args) -> int:

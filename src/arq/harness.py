@@ -170,22 +170,25 @@ def exact_phi(problem: Problem, x, j: int, delta: float) -> float:
         g = problem.derivative(x, 1)
         h = problem.derivative(x, 2)
         t = problem.derivative(x, 3)
-        dirs = _sphere_grid(problem.dim, 4000 if problem.dim == 3 else 2000)
+        n = problem.dim
+        dirs = _sphere_grid(n, 4000 if n == 3 else 2000)
+        # Along direction u the decrement at radius r is
+        # -(r g.u + r^2/2 u'Hu + r^3/6 T[u,u,u]): three numbers per direction.
+        a1 = dirs @ g
+        a2 = np.einsum("ai,ai->a", dirs @ h, dirs)
+        tu = (dirs @ t.reshape(n, n * n)).reshape(-1, n, n)
+        a3 = np.einsum("aj,aj->a", np.einsum("ajk,ak->aj", tu, dirs), dirs)
 
-        def decrements(d):
-            return -(
-                d @ g
-                + 0.5 * np.einsum("ai,ij,aj->a", d, h, d)
-                + np.einsum("ijk,ai,aj,ak->a", t, d, d, d) / 6.0
-            )
+        def decrements(radii):  # radius-major: index // len(dirs) is the radius
+            r = radii[:, None]
+            return (-(r * a1 + r**2 / 2 * a2 + r**3 / 6 * a3)).ravel()
 
         n_radius = 64
         lo, hi = delta / n_radius, delta
         best, best_r = 0.0, delta
         for _ in range(3):  # radial refinement resolves interior maximizers
             radii = np.linspace(lo, hi, n_radius)
-            d = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, problem.dim)
-            dec = decrements(d)
+            dec = decrements(radii)
             idx = int(np.argmax(dec))
             if float(dec[idx]) > best:
                 best = float(dec[idx])

@@ -100,6 +100,22 @@ def _truncate_scalar(exact: float, bound: float) -> float:
     return exact
 
 
+def _matrix_error_fits(err: np.ndarray, bound: float) -> bool:
+    """Whether ``operator_norm(err) <= bound``, deciding without the
+    eigensolve where an entry bound settles it: the spectral norm of the
+    symmetric part lies between its largest |entry| and its Frobenius norm.
+    The 1e-9 relative margin leaves the rounding-close cases to the
+    eigensolve, so every decision is the one it would make.
+    """
+    sym = 0.5 * (err + err.T)
+    margin = 1e-9 * bound
+    if float(np.max(np.abs(sym))) > bound + margin:
+        return False
+    if float(np.linalg.norm(sym)) <= bound - margin:
+        return True
+    return operator_norm(err) <= bound
+
+
 def _truncate_tensor(exact: np.ndarray, bound: float) -> np.ndarray:
     # Error measured in a norm that upper-bounds the induced norm, so the
     # contract holds whatever the order.
@@ -109,12 +125,12 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> np.ndarray:
         v = np.round(exact, d)
         err = v - exact
         if exact.ndim == 1:
-            size = float(np.linalg.norm(err))
+            fits = float(np.linalg.norm(err)) <= bound
         elif exact.ndim == 2:
-            size = operator_norm(err)
+            fits = _matrix_error_fits(err, bound)
         else:
-            size = frobenius_norm(err)
-        if size <= bound:
+            fits = frobenius_norm(err) <= bound
+        if fits:
             return v
     return exact.copy()
 

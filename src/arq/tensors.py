@@ -2,9 +2,10 @@
 
 Everything here is a pure function of value-type inputs.  Derivative
 tensors of order ``i`` over R^n are stored as dense numpy arrays of shape
-``(n,) * i`` with full symmetry (no packed storage); at the scales this
-package targets (n <= 20, degree <= 3) the simplicity is worth far more
-than the memory.
+``(n,) * i`` with full symmetry (no packed storage).  At the scales this
+package targets (degree <= 3; n in the tens for order-3 tensors, up to a
+few hundred for degree-2 runs) the simplicity is worth more than the
+memory.
 """
 from __future__ import annotations
 

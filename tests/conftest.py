@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from arq import NoiseModel, Problem, SolverConfig, make_problem, solve
-from arq.harness import ExperimentSpec, build_config, expand_seeds
+from arq.harness import ExperimentSpec, _sphere_grid, build_config, expand_seeds
 
 BENCH_PROBLEMS = (("quadratic", 4), ("rosenbrock", 2), ("quartic", 3), ("sineq", 4))
 BENCH_NOISES = ("exact", "truncation", "bounded_random")
@@ -119,28 +119,43 @@ def _grid_decrements(tensors, d):
     return dec
 
 
-def polar_grid_phi(tensors, delta, n_angle=4000, n_radius=100, refine=2):
-    """Ball-maximized decrement of a degree-<=3 polynomial on a polar grid (n=2).
+def grid_phi(tensors, delta, dirs, n_radius, refine):
+    """Ball-maximized decrement of a degree-<=3 polynomial over the unit
+    directions `dirs` times `n_radius` radii in (0, delta].
 
-    The radius grid is rescanned around the incumbent a couple of times so
+    The radius grid is rescanned `refine` times around the incumbent so
     interior maximizers are resolved well below the comparison tolerances.
     """
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angle, endpoint=False)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     lo, hi = delta / n_radius, delta
     best = 0.0
     best_r = delta
     for _ in range(1 + refine):
         radii = np.linspace(lo, hi, n_radius)
-        d = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
+        d = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
         dec = _grid_decrements(tensors, d)
         idx = int(np.argmax(dec))
         if float(dec[idx]) > best:
             best = float(dec[idx])
-            best_r = radii[idx // n_angle]
+            best_r = radii[idx // dirs.shape[0]]
         step = (hi - lo) / (n_radius - 1)
         lo, hi = max(1e-12, best_r - step), min(delta, best_r + step)
     return best
+
+
+def polar_grid_phi(tensors, delta, n_angle=4000, n_radius=100, refine=2):
+    """`grid_phi` on `n_angle` equally spaced directions of the plane (n=2)."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n_angle, endpoint=False)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return grid_phi(tensors, delta, dirs, n_radius, refine)
+
+
+def sphere_grid_phi(tensors, delta):
+    """`grid_phi` on the grid `harness.exact_phi` scans at order 3 (n <= 3):
+    its direction set, 64 radii and two rescans, with the decrement summed
+    point by point."""
+    n = len(tensors[0])
+    dirs = _sphere_grid(n, 4000 if n == 3 else 2000)
+    return grid_phi(tensors, delta, dirs, 64, 2)
 
 
 def central_diff_gradient(fun, x, h=1e-6):

@@ -21,10 +21,10 @@ from arq.harness import (
     start_bounds,
     verify_certificate,
 )
-from arq.oracle import make_problem
+from arq.oracle import Problem, make_problem
 from arq.solver import Certificate
 
-from conftest import polar_grid_phi, steep_problem
+from conftest import polar_grid_phi, random_symmetric, sphere_grid_phi, steep_problem
 
 
 def read_csv(path):
@@ -200,6 +200,15 @@ class TestStopsWithoutCertificate:
         assert f"error: {status}: " in captured.out
         assert "Traceback" not in captured.err
 
+    def test_sweep_cli_exits_two_and_prints_every_row(self, forced_stop, capsys):
+        status, fields, flags = forced_stop
+        eps = fields["eps"][0]
+        assert main(["sweep", *flags, "--eps", f"{eps},{0.8 * eps},{0.6 * eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count(f" {status}: ") == 3
+        assert "slope log(derivative evals) vs log(1/eps)" in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestVerifyCertificate:
     def make_cert(self, tmp_path):
@@ -255,6 +264,20 @@ class TestExactPhi:
         tensors = [problem.derivative(x, i) for i in (1, 2, 3)]
         ref = polar_grid_phi(tensors, 0.6)
         assert exact_phi(problem, x, 3, 0.6) == pytest.approx(ref, rel=1e-2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_order_three_per_direction_form_matches_pointwise_grid(self, n):
+        # exact_phi sums g.u, u'Hu and T[u,u,u] once per direction; the
+        # reference evaluates the same grid point by point.
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            tensors = [float(rng.uniform(0.01, 10.0)) * random_symmetric(rng, n, i)
+                       for i in (1, 2, 3)]
+            problem = Problem("cubic", n, lambda x: 0.0, lambda x, i, ts=tensors: ts[i - 1],
+                              0.0, np.zeros(n))
+            delta = float(rng.uniform(0.05, 1.0))
+            ref = sphere_grid_phi(tensors, delta)
+            assert exact_phi(problem, np.zeros(n), 3, delta) == pytest.approx(ref, rel=1e-12)
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ from arq.oracle import (
     NoiseModel,
     Oracle,
     PROBLEM_NAMES,
+    _truncate_tensor,
     estimate_lipschitz,
     lipschitz_over_points,
     make_problem,
@@ -119,6 +120,31 @@ class TestBundleContract:
         oracle = Oracle(problem, NoiseModel("exact", seed=0))
         with pytest.raises(ValueError):
             oracle.inexact_bundle(problem.x0, np.array([0.1]), 2)
+
+
+def eigensolve_truncation(exact, bound):
+    """Coarsest decimal rounding of a matrix whose error passes `operator_norm`."""
+    for d in range(17):
+        v = np.round(exact, d)
+        if operator_norm(v - exact) <= bound:
+            return v
+    return exact.copy()
+
+
+class TestMatrixTruncation:
+    def test_same_rounding_as_the_eigensolve_for_every_bound(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 8, 30):
+            for _ in range(10):
+                m = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, n))
+                m = m + m.T
+                # Bounds on both sides of each rounding's error, and at it.
+                sizes = [operator_norm(np.round(m, d) - m) for d in range(17)]
+                bounds = [10.0 ** rng.uniform(-14, 2) for _ in range(5)]
+                bounds += [s for s in sizes if s > 0] + [s * (1 + 1e-12) for s in sizes if s > 0]
+                for bound in bounds:
+                    assert np.array_equal(_truncate_tensor(m, bound),
+                                          eigensolve_truncation(m, bound))
 
 
 class TestDeterminism:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arq.subsolvers import (
     ORDER_GUARANTEES,
@@ -19,7 +21,7 @@ from arq.tensors import (
     taylor_decrement,
 )
 
-from conftest import polar_grid_phi, random_symmetric
+from conftest import polar_grid_phi, random_symmetric, sphere_grid_phi
 
 
 def bundle2(g, h, acc=(0.0, 0.0)):
@@ -88,7 +90,90 @@ class TestOrderTwo:
             assert m.phi_bar == taylor_decrement(b, m.displacement, 2)
 
 
+def scalar_measure_order3(bundle, delta):
+    """The order-3 measure one start at a time, each move checked with
+    `taylor_decrement`: the reference the batched ascent must match bit for
+    bit."""
+    g, h, t = bundle.tensors
+    n = bundle.dim
+    rng = np.random.default_rng(101)
+
+    def project(d):
+        nd = float(np.linalg.norm(d))
+        return d if nd <= delta else d * (delta / nd)
+
+    starts = []
+    ng = float(np.linalg.norm(g))
+    if ng > 0:
+        starts.append(-(delta / ng) * g)
+    starts.append(solve_trs(g, h, delta))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = delta
+        starts.extend([e, -e])
+    while len(starts) < 50:
+        v = rng.standard_normal(n)
+        v *= delta * rng.random() ** (1.0 / n) / np.linalg.norm(v)
+        starts.append(v)
+
+    best_d, best_v = np.zeros(n), 0.0
+    for d in starts[:50]:
+        d = project(np.asarray(d, dtype=float))
+        step = 0.5 * delta
+        v = taylor_decrement(bundle, d, 3)
+        for _ in range(80):
+            gr = -(g + h @ d + 0.5 * (t @ d) @ d)
+            ngr = float(np.linalg.norm(gr))
+            if ngr < 1e-14:
+                break
+            cand = project(d + step * gr / ngr)
+            cv = taylor_decrement(bundle, cand, 3)
+            if cv > v:
+                d, v = cand, cv
+                step *= 1.3
+            else:
+                step *= 0.5
+                if step < 1e-12 * delta:
+                    break
+        if v > best_v or (v == best_v and tuple(d) >= tuple(best_d)):
+            best_d, best_v = d, v
+    if best_v <= 0.0:
+        return 0.0, np.zeros(n)
+    return best_v, best_d
+
+
 class TestOrderThree:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("zeroed", [None, 0, 2])
+    def test_batched_ascent_matches_one_start_at_a_time(self, n, zeroed):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(6):
+            tensors = [float(rng.uniform(0.01, 10.0)) * random_symmetric(rng, n, i)
+                       for i in (1, 2, 3)]
+            if zeroed is not None:
+                tensors[zeroed] = np.zeros((n,) * (zeroed + 1))
+            b = DerivativeBundle(0.0, tensors)
+            delta = float(rng.uniform(0.05, 1.0))
+            m = optimality_measure(b, 3, delta)
+            ref_phi, ref_d = scalar_measure_order3(b, delta)
+            assert type(m.phi_bar) is float
+            assert m.phi_bar == ref_phi
+            assert np.array_equal(m.displacement, ref_d)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scales=st.tuples(*[st.floats(1e-2, 10.0)] * 3),
+           delta=st.floats(0.05, 1.0))
+    def test_half_guarantee_against_grid_search(self, n, seed, scales, delta):
+        rng = np.random.default_rng(seed)
+        tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), scales)]
+        m = optimality_measure(DerivativeBundle(0.0, tensors), 3, delta)
+        if n == 2:
+            ref = polar_grid_phi(tensors, delta, n_angle=2000, n_radius=60)
+        else:
+            ref = sphere_grid_phi(tensors, delta)
+        assert m.phi_bar >= ORDER_GUARANTEES[3] * ref
+
     def test_tracks_polar_grid_well_beyond_its_guarantee(self):
         rng = np.random.default_rng(31)
         for _ in range(8):
