@@ -445,8 +445,8 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
     row["accuracy_improving"] = kinds.count(KIND_ACCURACY)
     row["value_evals"] = counters.value_evals
     row["deriv_evals"] = counters.derivative_evals
-    l_hat = max(1.0, visited_lipschitz(problem, trace, config.p))
-    f0 = problem.value(trace[0].x if trace else problem.x0)
+    l_hat = visited_lipschitz(problem, trace, config.p)
+    f0 = problem.value(trace[0].x)
     report = compute_bounds(config, l_hat, max(0.0, f0 - problem.f_low))
     row["bound_value_evals"] = report.n_value_evals
     row["bound_deriv_evals"] = report.n_derivative_evals

@@ -116,20 +116,27 @@ def _matrix_error_fits(err: np.ndarray, bound: float) -> bool:
     return operator_norm(err) <= bound
 
 
+def _contract_norm(tensor: np.ndarray) -> float:
+    """Norm an injected error is sized in: the exact induced norm at orders
+    1 and 2, and the Frobenius norm, an upper bound on it, at order 3, so
+    the induced-norm contract holds whatever the order."""
+    if tensor.ndim == 1:
+        return float(np.linalg.norm(tensor))
+    if tensor.ndim == 2:
+        return operator_norm(tensor)
+    return frobenius_norm(tensor)
+
+
 def _truncate_tensor(exact: np.ndarray, bound: float) -> np.ndarray:
-    # Error measured in a norm that upper-bounds the induced norm, so the
-    # contract holds whatever the order.
     if bound <= 0:
         return exact.copy()
     for d in range(0, 17):
         v = np.round(exact, d)
         err = v - exact
-        if exact.ndim == 1:
-            fits = float(np.linalg.norm(err)) <= bound
-        elif exact.ndim == 2:
+        if exact.ndim == 2:
             fits = _matrix_error_fits(err, bound)
         else:
-            fits = frobenius_norm(err) <= bound
+            fits = _contract_norm(err) <= bound
         if fits:
             return v
     return exact.copy()
@@ -170,13 +177,7 @@ class Oracle:
         if self.noise.kind == "truncation":
             return _truncate_tensor(exact, bound)
         direction = symmetrize(self._rng.standard_normal(exact.shape))
-        # Scale against a norm that is exact for orders 1-2 and an upper
-        # bound (Frobenius) for order 3, so the induced-norm contract can
-        # never be violated.
-        if exact.ndim <= 2:
-            size = operator_norm(direction)
-        else:
-            size = frobenius_norm(direction)
+        size = _contract_norm(direction)
         if size == 0.0:
             return exact.copy()
         return exact + (self.noise.fill_fraction * bound / size) * direction
@@ -330,27 +331,25 @@ def make_problem(name: str, dim: int) -> Problem:
     return factories[name](dim)
 
 
-def estimate_lipschitz(
-    problem: Problem,
-    x0,
-    p: int,
-    radius: float | None = None,
-    samples: int = 48,
-    seed: int = 7,
-) -> float:
+_LIPSCHITZ_SAMPLES = 48
+_LIPSCHITZ_SEED = 7
+
+
+def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     """Sampled estimate of max_j L_{f,j}, j = 0..p, near the start point.
 
-    Uses derivative-norm bounds where the next-order tensor is available and
-    difference quotients of the order-p tensor otherwise; floored at 1.
-    A user-supplied `lipschitz_hint` wins outright.
+    Samples x0 and seeded points in the box of half-width
+    max(1, ||x0|| + 1) around it.  Uses derivative-norm bounds where the
+    next-order tensor is available and difference quotients of the order-p
+    tensor otherwise; floored at 1.  A user-supplied `lipschitz_hint` wins
+    outright.
     """
     if problem.lipschitz_hint is not None:
         return max(1.0, float(problem.lipschitz_hint))
     x0 = np.asarray(x0, dtype=float)
-    if radius is None:
-        radius = max(1.0, float(np.linalg.norm(x0)) + 1.0)
-    rng = np.random.default_rng(seed)
-    pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(samples, x0.size))
+    radius = max(1.0, float(np.linalg.norm(x0)) + 1.0)
+    rng = np.random.default_rng(_LIPSCHITZ_SEED)
+    pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(_LIPSCHITZ_SAMPLES, x0.size))
     pts = np.vstack([x0[None, :], pts])
     best = 1.0
     for x in pts:
@@ -367,7 +366,8 @@ def estimate_lipschitz(
 
 
 def lipschitz_over_points(problem: Problem, points, order: int) -> float:
-    """Estimate of L_{f,order} over a visited region (trace points/segments)."""
+    """Estimate of L_{f,order} over a visited region (trace points/segments);
+    floored at 1."""
     pts = [np.asarray(x, dtype=float) for x in points]
     best = 1.0
     for x in pts:

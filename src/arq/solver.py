@@ -169,6 +169,8 @@ class SolverConfig:
             fail(f"acc0 entries must lie in [0, acc_max], got {acc0}")
         if self.max_iters < 1:
             fail(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.max_inner_iters < 1:
+            fail(f"max_inner_iters must be >= 1, got {self.max_inner_iters}")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "delta0", delta0)
         object.__setattr__(self, "acc0", acc0)
@@ -305,13 +307,12 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     Returns termination with a certificate, a hand-off to step 2, or a
     demand for better accuracy.
 
-    ``guard_l_bar`` is the L-bar of the radius guard: a float, checked after
-    every halving, or a zero-argument callable returning at least
-    ``1 + acc_max`` (what `solve` passes).  The guard floor decreases in
+    ``guard_l_bar`` is a zero-argument callable returning the L-bar of the
+    radius guard, at least ``1 + acc_max``.  The guard floor decreases in
     L-bar, so a radius at or above the floor at L-bar = 1 + acc_max cannot
     be under the real one; the callable is called only once a radius falls
-    below that cheaper floor, and the check raises exactly when an eager
-    one would.
+    below that cheaper floor, and the check raises exactly when one made
+    after every halving would.
     """
     measured = []
     for j in range(1, config.q + 1):
@@ -346,13 +347,10 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
             # The halving loop provably stops before delta_j falls a factor
             # 1e-3 under its theoretical floor; crossing it is a bug, not a
             # math failure.
-            l_bar = guard_l_bar
-            if callable(guard_l_bar):
-                lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
-                if state.delta[j - 1] >= lowest:
-                    continue
-                l_bar = guard_l_bar()
-            floor = _radius_floor(config, j, l_bar, state.sigma)
+            lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
+            if state.delta[j - 1] >= lowest:
+                continue
+            floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
             if state.delta[j - 1] < floor:
                 raise InternalInvariantError(
                     f"step-1 radius for order {j} fell below its guard "
@@ -371,16 +369,18 @@ def step2(
     j_k: int,
     d_measure: MeasureResult,
 ):
-    """Step computation plus the accuracy vetting of its decrement."""
+    """Step computation plus the accuracy vetting of its decrement.
+
+    The step's own model measures must be small: order ell against the
+    target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``.
+    """
+    coef = config.varsigma * config.theta * (1.0 - config.omega) / (2.0 * (1.0 + config.omega))
+    targets = [coef * eps for eps in config.epsilons]
     caps = np.minimum(1.0, state.delta_start)
     step_res = minimize_model(
         model,
         d_measure.displacement,
-        config.q,
-        config.theta,
-        config.omega,
-        config.varsigma,
-        np.asarray(config.epsilons),
+        targets,
         delta_caps=caps,
         max_inner=config.max_inner_iters,
     )
@@ -487,7 +487,9 @@ def solve(
 ) -> SolveResult:
     """Run the full loop until certification, or raise a `SolveStoppedError`
     (budget exhaustion, an inner-solve stall or a crossed invariant) that
-    carries the trace of the completed iterations and the counters.
+    carries the trace and the counters.  A stall or invariant interrupts an
+    iteration; its record, with ``kind`` None, ends the trace, so the
+    per-record evaluations sum to the counters.
 
     The Lipschitz estimate behind the step-1 radius guard is computed at
     most once, and only when a halved radius first falls below the guard
@@ -583,6 +585,12 @@ def solve(
             f"no certificate within {config.max_iters} iterations"
         )
     except SolveStoppedError as exc:
+        if not isinstance(exc, BudgetExhaustedError):
+            # A stall or invariant interrupts iteration k after its
+            # evaluations were counted: its record ends the trace.
+            record.delta_end = state.delta.copy()
+            _close_record(record, oracle, snap)
+            state.trace.append(record)
         exc.trace, exc.counters = state.trace, oracle.counters
         raise
 

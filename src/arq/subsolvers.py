@@ -15,7 +15,9 @@ as its optimality measure and as its progress certificate:
 `minimize_model` drives a safeguarded trust-region Newton iteration on the
 regularized Taylor model until the step is either long (norm >= 1) or the
 model's own ball measures at the step are provably small, the two exits the
-outer algorithm accepts.
+outer algorithm accepts.  "Small" is per order: the caller (step 2 of the
+solver) passes one smallness target per order, and the measure of order
+ell at radius delta must not exceed ``target * delta**ell / ell!``.
 """
 from __future__ import annotations
 
@@ -30,8 +32,6 @@ from .tensors import (
     RegularizedModel,
     model_decrement,
     model_eval,
-    regularizer_derivative,
-    shifted_model_bundle,
     shifted_model_derivatives,
     taylor_decrement,
 )
@@ -60,8 +60,9 @@ class SolveStoppedError(RuntimeError):
 
     ``status`` says why: ``budget`` (iterations ran out), ``stall`` (an inner
     solve hit its iteration or radius floor) or ``invariant`` (a bound the
-    theory guarantees was crossed).  `solve` attaches the ``trace`` of the
-    completed iterations and the run's ``counters`` before it re-raises.
+    theory guarantees was crossed).  `solve` attaches the run's ``trace``
+    (ending with the interrupted iteration, unless the budget ran out) and
+    its ``counters`` before it re-raises.
     """
 
     status = ""
@@ -324,74 +325,52 @@ def optimality_measure(bundle: DerivativeBundle, j: int, delta: float) -> Measur
     return _measure_order3(bundle, delta)
 
 
-def _measure_coef(theta: float, omega: float, varsigma: float) -> float:
-    return varsigma * theta * (1.0 - omega) / (2.0 * (1.0 + omega))
+_RADIUS_FLOOR = 1e-8
 
 
-def radius_search(
-    model: RegularizedModel,
-    s: np.ndarray,
-    ell: int,
-    epsilon_ell: float,
-    theta: float,
-    omega: float,
-    varsigma: float,
-    delta_cap: float,
-    floor: float = 1e-8,
-):
-    """Largest radius on a halving grid from delta_cap at which the model's
-    order-ell ball measure at s is below its smallness target.
+def radius_search(bundle: DerivativeBundle, ell: int, target: float, delta_cap: float):
+    """Largest radius on a halving grid from delta_cap, down to 1e-8, at
+    which the order-ell ball measure of `bundle` (the model's derivatives at
+    the step, orders 1..ell) is at most ``target * delta**ell / ell!``.
 
     Only orders >= 3 are searched; orders 1 and 2 keep radius 1.
     """
     if ell < 3:
         raise ValueError("radius is fixed at 1 for orders 1 and 2")
-    coef = _measure_coef(theta, omega, varsigma)
-    sb = shifted_model_bundle(model, s, ell)
     delta = min(1.0, float(delta_cap))
-    while delta >= floor:
-        m = optimality_measure(sb, ell, delta)
-        if m.phi_bar <= coef * epsilon_ell * delta**ell / math.factorial(ell):
+    while delta >= _RADIUS_FLOOR:
+        m = optimality_measure(bundle, ell, delta)
+        if m.phi_bar <= target * delta**ell / math.factorial(ell):
             return delta, m
         delta *= 0.5
     raise SubsolverStallError(
         "radius search hit its floor",
-        {"order": ell, "floor": floor, "epsilon": epsilon_ell},
+        {"order": ell, "floor": _RADIUS_FLOOR, "target": target},
     )
 
 
-def _newton_hessian(model: RegularizedModel, s: np.ndarray) -> np.ndarray:
-    """Second derivative of the model at s for the inner Newton iteration.
+def _certify_step(model, s, targets, delta_caps):
+    """Radii/displacements with every order-1..q model measure at s within
+    its target, or None if some order fails (checked cheapest first).
 
-    For degree-1 models the Taylor part is affine, so only the regularizer
-    curves; the shifted-derivative helper is capped at the model degree and
-    cannot serve that case.
+    The model's derivatives at s are computed once each, order ell only
+    when the checks reach it.  The bundle's value slot is never read.
     """
-    if model.degree >= 2:
-        return shifted_model_derivatives(model, s, 2)
-    p = model.degree
-    return model.sigma / math.factorial(p + 1) * regularizer_derivative(s, p, 2)
-
-
-def _certify_step(model, s, q, theta, omega, varsigma, epsilons, delta_caps):
-    """Radii/displacements with all order-1..q model measures at s below
-    target, or None if some order fails (checked cheapest first)."""
-    coef = _measure_coef(theta, omega, varsigma)
+    q = len(targets)
     radii = np.ones(q)
     measures = []
+    tensors = []
     for ell in range(1, q + 1):
+        tensors.append(shifted_model_derivatives(model, s, ell))
+        sb = DerivativeBundle(0.0, tensors, (0.0,) * ell)
         if ell <= 2:
             delta = 1.0
-            sb = shifted_model_bundle(model, s, ell)
             m = optimality_measure(sb, ell, delta)
-            if m.phi_bar > coef * epsilons[ell - 1] * delta**ell / math.factorial(ell):
+            if m.phi_bar > targets[ell - 1] * delta**ell / math.factorial(ell):
                 return None
         else:
             try:
-                delta, m = radius_search(
-                    model, s, ell, epsilons[ell - 1], theta, omega, varsigma,
-                    delta_caps[ell - 1],
-                )
+                delta, m = radius_search(sb, ell, targets[ell - 1], delta_caps[ell - 1])
             except SubsolverStallError:
                 return None
         radii[ell - 1] = delta
@@ -402,16 +381,18 @@ def _certify_step(model, s, q, theta, omega, varsigma, epsilons, delta_caps):
 def minimize_model(
     model: RegularizedModel,
     warm_start: np.ndarray,
-    q: int,
-    theta: float,
-    omega: float,
-    varsigma: float,
-    epsilons,
+    targets,
     delta_caps=None,
     max_inner: int = 500,
 ) -> StepResult:
     """Step for the outer algorithm: never worse than the warm start, and
     either long (norm >= 1) or certified nearly optimal for the model.
+
+    A short step is certified when, for each order ell = 1..q with
+    q = len(targets), the model's order-ell ball measure at the step is at
+    most ``targets[ell-1] * delta**ell / ell!``: at delta = 1 for orders 1
+    and 2, and at a radius found by `radius_search`, at most
+    ``delta_caps[ell-1]``, for order 3.
 
     A trust-region Newton iteration descends on the model from the warm
     start (steepest descent is implicit: the trust-region step degrades to
@@ -420,11 +401,8 @@ def minimize_model(
     holds by monotonicity.
     """
     s = np.asarray(warm_start, dtype=float).copy()
-    epsilons = np.asarray(epsilons, dtype=float)
-    if epsilons.shape != (q,):
-        raise ValueError(f"need {q} epsilon entries, got {epsilons.shape}")
     if delta_caps is None:
-        delta_caps = np.ones(q)
+        delta_caps = np.ones(len(targets))
     target = model_decrement(model, s)
     if not target > 0:
         raise ValueError("warm start must strictly decrease the model")
@@ -432,7 +410,7 @@ def minimize_model(
     def finish(current, iterations):
         if np.linalg.norm(current) >= 1.0:
             return StepResult(current, None, None, True, iterations)
-        cert = _certify_step(model, current, q, theta, omega, varsigma, epsilons, delta_caps)
+        cert = _certify_step(model, current, targets, delta_caps)
         if cert is not None:
             radii, measures = cert
             return StepResult(current, radii, measures, False, iterations)
@@ -446,15 +424,13 @@ def minimize_model(
     m_cur = model_eval(model, s)
     for it in range(1, max_inner + 1):
         g1 = shifted_model_derivatives(model, s, 1)
-        h1 = _newton_hessian(model, s)
+        h1 = shifted_model_derivatives(model, s, 2)
         d = solve_trs(g1, h1, tr)
         pred = -(g1 @ d + 0.5 * d @ h1 @ d)
         if pred <= 0 or np.linalg.norm(d) < 1e-16:
             # No descent available at this radius: the iterate is a numerical
-            # second-order point of the model.
-            out = finish(s, it)
-            if out is not None:
-                return out
+            # second-order point of the model, and `finish` already failed
+            # to certify it.
             raise SubsolverStallError(
                 "model minimizer converged but step certification failed",
                 {"iterations": it, "grad_norm": float(np.linalg.norm(g1))},
@@ -472,9 +448,6 @@ def minimize_model(
         else:
             tr *= 0.25
             if tr < 1e-14:
-                out = finish(s, it)
-                if out is not None:
-                    return out
                 raise SubsolverStallError(
                     "trust region collapsed before certification",
                     {"iterations": it, "grad_norm": float(np.linalg.norm(g1))},

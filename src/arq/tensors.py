@@ -24,7 +24,6 @@ __all__ = [
     "model_eval",
     "model_decrement",
     "shifted_model_derivatives",
-    "shifted_model_bundle",
     "regularizer_derivative",
     "contract",
     "contract_full",
@@ -257,15 +256,17 @@ def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
 
 
 def shifted_model_derivatives(model: RegularizedModel, s, j: int) -> np.ndarray:
-    """Order-j derivative tensor of the regularized model at displacement s.
+    """Order-j derivative tensor of the regularized model at displacement s,
+    for j in 1..max(p, 2).
 
     The Taylor part re-centers the bundle tensors at s; the regularizer part
     uses the exact closed form, so only the bundle-derived part carries any
-    inexactness.
+    inexactness.  Above the model degree p the Taylor part is zero and only
+    the regularizer curves (the Newton Hessian of a degree-1 model).
     """
     p = model.degree
-    if not 1 <= j <= p:
-        raise ValueError(f"order {j} outside 1..{p}")
+    if not 1 <= j <= max(p, 2):
+        raise ValueError(f"order {j} outside 1..{max(p, 2)}")
     s = _check_displacement(model.bundle.dim, s)
     n = model.bundle.dim
     out = np.zeros((n,) * j)
@@ -275,14 +276,3 @@ def shifted_model_derivatives(model: RegularizedModel, s, j: int) -> np.ndarray:
         )
     out = out + model.sigma / math.factorial(p + 1) * regularizer_derivative(s, p, j)
     return out
-
-
-def shifted_model_bundle(model: RegularizedModel, s, j_max: int) -> DerivativeBundle:
-    """Bundle of the model's derivatives at s, orders 1..j_max, at zero
-    accuracy.
-
-    The value slot is set to the model value at s; decrements and ball
-    measures never read it.
-    """
-    tensors = [shifted_model_derivatives(model, s, j) for j in range(1, j_max + 1)]
-    return DerivativeBundle(model_eval(model, s), tensors, (0.0,) * j_max)

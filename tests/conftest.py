@@ -110,7 +110,8 @@ def reference_taylor_eval(value, tensors, s, j):
     return total
 
 
-def _grid_decrements(tensors, d):
+def row_decrements(tensors, d):
+    """Degree-len(tensors) Taylor decrement at each row of d."""
     dec = -(d @ tensors[0])
     if len(tensors) >= 2:
         dec -= 0.5 * np.einsum("ai,ij,aj->a", d, tensors[1], d)
@@ -132,7 +133,7 @@ def grid_phi(tensors, delta, dirs, n_radius, refine):
     for _ in range(1 + refine):
         radii = np.linspace(lo, hi, n_radius)
         d = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
-        dec = _grid_decrements(tensors, d)
+        dec = row_decrements(tensors, d)
         idx = int(np.argmax(dec))
         if float(dec[idx]) > best:
             best = float(dec[idx])

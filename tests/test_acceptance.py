@@ -18,7 +18,7 @@ from arq.solver import solve
 from arq.subsolvers import optimality_measure
 from arq.tensors import DerivativeBundle
 
-from conftest import bench_config, polar_grid_phi, random_symmetric
+from conftest import bench_config, polar_grid_phi, random_symmetric, row_decrements
 
 
 def _report(num, name, n_checks, violations):
@@ -39,22 +39,13 @@ def _ball_samples(rng, n, delta, count=256):
     return w
 
 
-def _decrements(tensors, w):
-    dec = -(w @ tensors[0])
-    if len(tensors) >= 2:
-        dec -= 0.5 * np.einsum("ai,ij,aj->a", w, tensors[1], w)
-    if len(tensors) >= 3:
-        dec -= np.einsum("ijk,ai,aj,ak->a", tensors[2], w, w, w) / 6.0
-    return dec
-
-
 _RUN_CACHE = {}
 
 
 def _run_report(run):
     key = ("report", id(run))
     if key not in _RUN_CACHE:
-        l_p = max(1.0, _visited_l(run))
+        l_p = _visited_l(run)
         problem = run.problem
         f0 = problem.value(run.result.trace[0].x)
         _RUN_CACHE[key] = compute_bounds(run.config, l_p, max(0.0, f0 - problem.f_low))
@@ -90,8 +81,8 @@ class TestCriterion1CheckGuarantees:
                 noisy.append(t + e)
             delta = float(rng.uniform(0.2, 1.2))
             w = _ball_samples(rng, n, delta)
-            dec_noisy = _decrements(noisy, w)
-            dec_exact = _decrements(exact, w)
+            dec_noisy = row_decrements(noisy, w)
+            dec_exact = row_decrements(exact, w)
             decrement = float(dec_noisy.max())  # best sampled displacement
             xi = 10.0 ** rng.uniform(-3.0, 0.5)
             omega = float(rng.uniform(0.01, 0.6))
@@ -169,7 +160,7 @@ class TestCriterion4SigmaBound:
         n_checks = 0
         for run in benchmark_suite.runs:
             cfg = run.config
-            l_p = max(1.0, _visited_l(run))
+            l_p = _visited_l(run)
             cap = max(cfg.sigma0, cfg.gamma3 * 4.0 * l_p / (1.0 - cfg.eta2))
             for rec in run.result.trace:
                 n_checks += 1

@@ -183,7 +183,14 @@ class TestStopsWithoutCertificate:
         outcome = run_solve(ExperimentSpec(**fields, out=tmp_path))
         assert outcome.exit_code == 2
         assert outcome.error.startswith(f"{status}: ")
-        assert read_csv(tmp_path / "trace.csv") == [list(TRACE_COLUMNS)]
+        header, *rows = read_csv(tmp_path / "trace.csv")
+        assert header == list(TRACE_COLUMNS)
+        # the interrupted first iteration, with the run's one derivative
+        # evaluation and no value evaluation
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        assert row["kind"] == ""
+        assert (row["value_evals_cum"], row["deriv_evals_cum"]) == ("0", "1")
 
     def test_sweep_row_carries_the_status(self, forced_stop):
         status, fields, _ = forced_stop
@@ -191,7 +198,7 @@ class TestStopsWithoutCertificate:
         spec = ExperimentSpec(**{**fields, "eps": (eps, 0.8 * eps, 0.6 * eps)})
         rows = run_sweep(spec)["rows"]
         assert [row["status"] for row in rows] == [status] * 3
-        assert all(row["iterations"] == 0 and row["deriv_evals"] == 1 for row in rows)
+        assert all(row["iterations"] == 1 and row["deriv_evals"] == 1 for row in rows)
 
     def test_cli_exits_two_without_traceback(self, forced_stop, capsys):
         status, _, flags = forced_stop
@@ -355,6 +362,11 @@ class TestCliMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("problem = quadratic\ndim = 4\neps = 0.001\neta2 = 1.2\n")
         assert main(["solve", "--config", str(cfg)]) == 1
+
+    def test_inner_iteration_cap_below_one_exits_one(self):
+        assert main(["solve", "--problem", "rosenbrock", "--dim", "2", "--noise",
+                     "bounded_random", "--seed", "3", "--eps", "1e-3",
+                     "--max-inner-iters", "0"]) == 1
 
     def test_corrupted_certificate_exits_two(self, tmp_path):
         out = tmp_path / "run"

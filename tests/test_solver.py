@@ -79,6 +79,7 @@ class TestConfigValidation:
             dict(acc0=(2.0, 2.0)),
             dict(acc_max=-1.0),
             dict(max_iters=0),
+            dict(max_inner_iters=0),
         ],
     )
     def test_constraint_violations_rejected(self, kwargs):
@@ -105,7 +106,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1.0, 0.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, 3.0)
+        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
         assert isinstance(out, Step1ToStep2)
         assert out.j_k == 1
         assert state.delta[0] == 1.0
@@ -115,14 +116,14 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state(acc=(10.0, 10.0))
         bundle = bundle_1d(1.0, 0.0, acc=(10.0, 10.0))
-        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, 12.0)
+        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 12.0)
         assert isinstance(out, Step1ToStep5)
 
     def test_small_measures_terminate_with_certificate(self):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1e-6, 0.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, 3.0)
+        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
         assert isinstance(out, Step1Terminated)
         cert = out.certificate
         assert cert.measured[0]["order"] == 1
@@ -133,27 +134,23 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
         state = make_state(sigma=0.1)
         bundle = bundle_1d(0.15, 3.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, 3.0)
+        out = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert isinstance(out, Step1ToStep2)
         # four halvings: at delta = 0.0625 the order-2 drop at the probe
         # displacement finally clears half the exit threshold
         assert state.delta[0] == pytest.approx(0.0625)
 
-    def test_wildly_underestimated_guard_is_flagged_as_a_bug(self):
-        from arq.solver import InternalInvariantError
 
-        cfg = SolverConfig(epsilons=(0.9,), varsigma=1.0, sigma0=0.001)
-        state = make_state(sigma=0.001)
-        bundle = bundle_1d(2.0, 200.0)
-        with pytest.raises(InternalInvariantError):
-            step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, 0.001)
+def guard_floor(cfg, sigma, l_bar):
+    # The order-1 step-1 guard floor at this L-bar.
+    return 1e-3 * cfg.varsigma * cfg.epsilons[0] / (
+        4.0 * (1.0 + cfg.omega) * max(l_bar, sigma)
+    )
 
 
 def lowest_guard_floor(cfg, sigma):
-    # The step-1 guard floor at its least possible L-bar, 1 + acc_max.
-    return 1e-3 * cfg.varsigma * cfg.epsilons[0] / (
-        4.0 * (1.0 + cfg.omega) * max(1.0 + cfg.acc_max, sigma)
-    )
+    # The guard floor at its least possible L-bar, 1 + acc_max.
+    return guard_floor(cfg, sigma, 1.0 + cfg.acc_max)
 
 
 @pytest.fixture
@@ -204,13 +201,14 @@ class TestLazyGuard:
 
         cfg = SolverConfig(epsilons=(0.9,), varsigma=1.0, sigma0=0.001)
         bundle = bundle_1d(2.0, 2e5)
-        messages = []
-        for guard in (3.0, lambda: 3.0):
-            state = make_state(sigma=0.001)
-            with pytest.raises(InternalInvariantError) as err:
-                step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        state = make_state(sigma=0.001)
+        with pytest.raises(InternalInvariantError) as err:
+            step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: 3.0)
+        # A check after every halving would raise at the first radius under
+        # the floor at L-bar = 3, the one the lazy check raised at.
+        floor = guard_floor(cfg, 0.001, 3.0)
+        assert state.delta[0] < floor <= 2.0 * state.delta[0]
+        assert f"({state.delta[0]:.3e} < {floor:.3e})" in str(err.value)
 
     def test_grid_sized_solve_never_estimates(self, estimate_calls):
         cfg = bench_config(2, 1e-3, "bounded_random")
@@ -376,7 +374,7 @@ class TestSolve:
         with pytest.raises(BudgetExhaustedError) as err:
             solve(problem, NoiseModel("bounded_random", 0.9, 3), cfg)
         assert len(err.value.trace) == 3
-        assert err.value.counters is not None
+        assert_evals_sum_to_counters(err.value)
 
     def test_stall_carries_status_trace_and_counters(self):
         problem = make_problem("rosenbrock", 2)
@@ -384,8 +382,10 @@ class TestSolve:
         with pytest.raises(SubsolverStallError) as err:
             solve(problem, NoiseModel("bounded_random", 0.9, 3), cfg)
         assert err.value.status == "stall"
-        assert err.value.trace == []  # the first step-2 inner solve stalls
+        # the first step-2 inner solve stalls; its iteration ends the trace
+        assert [rec.kind for rec in err.value.trace] == [None]
         assert err.value.counters.derivative_evals == 1
+        assert_evals_sum_to_counters(err.value)
 
     def test_invariant_carries_status_trace_and_counters(self, monkeypatch):
         # An estimate far below the steep problem's true L (1e6), with a small
@@ -395,14 +395,20 @@ class TestSolve:
         with pytest.raises(InternalInvariantError) as err:
             solve(steep_problem(), NoiseModel("exact"), cfg)
         assert err.value.status == "invariant"
-        assert err.value.trace == []
+        assert [rec.kind for rec in err.value.trace] == [None]
         assert err.value.counters.derivative_evals == 1
+        assert_evals_sum_to_counters(err.value)
 
     def test_bad_start_shape_rejected(self):
         problem = half_norm_squared(3)
         cfg = SolverConfig(epsilons=(0.5,))
         with pytest.raises(ConfigError):
             solve(problem, NoiseModel("exact"), cfg, x0=np.zeros(2))
+
+
+def assert_evals_sum_to_counters(run):
+    assert run.counters.value_evals == sum(r.value_evals for r in run.trace)
+    assert run.counters.derivative_evals == sum(r.derivative_evals for r in run.trace)
 
 
 @pytest.fixture(scope="module")
@@ -431,9 +437,7 @@ class TestTraceInvariants:
             else:
                 assert rec.value_evals == 0
             assert rec.derivative_evals in (0, 1)
-        counters = noisy_run.counters
-        assert counters.value_evals == sum(r.value_evals for r in noisy_run.trace)
-        assert counters.derivative_evals == sum(r.derivative_evals for r in noisy_run.trace)
+        assert_evals_sum_to_counters(noisy_run)
 
     def test_accuracy_only_decreases_by_gamma(self, noisy_run):
         trace = noisy_run.trace

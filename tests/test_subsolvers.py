@@ -18,6 +18,7 @@ from arq.tensors import (
     RegularizedModel,
     model_decrement,
     model_eval,
+    shifted_model_derivatives,
     taylor_decrement,
 )
 
@@ -241,6 +242,19 @@ def convex_model():
     return RegularizedModel(b, 1.0)
 
 
+def targets(theta, omega, varsigma, epsilons):
+    """Step 2's per-order smallness targets for these solver constants."""
+    coef = varsigma * theta * (1.0 - omega) / (2.0 * (1.0 + omega))
+    return [coef * e for e in epsilons]
+
+
+def shifted_bundle(model, s, order):
+    """The model's derivatives at s, orders 1..order."""
+    return DerivativeBundle(
+        0.0, [shifted_model_derivatives(model, s, j) for j in range(1, order + 1)]
+    )
+
+
 def cauchy_point(model, radius=1.0):
     g = model.bundle.tensors[0]
     ts = np.linspace(1e-4, radius / np.linalg.norm(g), 400)
@@ -252,7 +266,7 @@ class TestMinimizeModel:
     def test_convex_quadratic_matches_dense_grid(self):
         model = convex_model()
         d0 = cauchy_point(model)
-        res = minimize_model(model, d0, 1, 0.5, 0.02, 1.0, np.array([1e-6]))
+        res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-6]))
         assert not res.long_step
         assert model_decrement(model, res.step) >= model_decrement(model, d0)
         grid = np.linspace(-2, 2, 401)
@@ -264,7 +278,7 @@ class TestMinimizeModel:
         model = convex_model()
         # true minimizer: -t + t^2/2 + t^3/6 along -g has its root at sqrt(3)-1
         s_star = np.array([1.0 - math.sqrt(3.0), 0.0])
-        res = minimize_model(model, s_star, 1, 0.5, 0.02, 1.0, np.array([0.5]))
+        res = minimize_model(model, s_star, targets(0.5, 0.02, 1.0, [0.5]))
         assert np.array_equal(res.step, s_star)
         assert res.inner_iterations == 0
         assert res.radii is not None and res.radii[0] == 1.0
@@ -274,7 +288,7 @@ class TestMinimizeModel:
         # |s| = 2 |h| / sigma = 6.67 >= 1
         b = DerivativeBundle(0.0, [np.array([0.0]), np.array([[-2.0]])])
         model = RegularizedModel(b, 0.6)
-        res = minimize_model(model, np.array([0.5]), 1, 0.5, 0.02, 1.0, np.array([0.5]))
+        res = minimize_model(model, np.array([0.5]), targets(0.5, 0.02, 1.0, [0.5]))
         assert res.long_step
         assert np.linalg.norm(res.step) >= 1.0
         assert res.radii is None
@@ -290,20 +304,20 @@ class TestMinimizeModel:
             d0 = -0.2 * g / np.linalg.norm(g)
             if model_decrement(model, d0) <= 0:
                 continue
-            res = minimize_model(model, d0, 1, 0.5, 0.02, 1.0, np.array([1e-4]))
+            res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-4]))
             assert model_decrement(model, res.step) >= model_decrement(model, d0)
 
     def test_warm_start_without_decrease_rejected(self):
         model = convex_model()
         with pytest.raises(ValueError):
-            minimize_model(model, np.array([1.0, 0.0]), 1, 0.5, 0.02, 1.0, np.array([0.5]))
+            minimize_model(model, np.array([1.0, 0.0]), targets(0.5, 0.02, 1.0, [0.5]))
 
     def test_inner_cap_raises_stall(self):
         model = convex_model()
         d0 = cauchy_point(model)
         with pytest.raises(SubsolverStallError):
             minimize_model(
-                model, d0, 1, 0.5, 0.02, 1.0, np.array([1e-13]), max_inner=1
+                model, d0, targets(0.5, 0.02, 1.0, [1e-13]), max_inner=1
             )
 
 
@@ -311,7 +325,10 @@ class TestRadiusSearch:
     def test_low_orders_rejected(self):
         model = convex_model()
         with pytest.raises(ValueError):
-            radius_search(model, np.zeros(2), 2, 0.1, 0.5, 0.02, 1.0, 1.0)
+            radius_search(
+                shifted_bundle(model, np.zeros(2), 2), 2,
+                targets(0.5, 0.02, 1.0, [0.1])[0], 1.0,
+            )
 
     def test_vanishing_third_order_returns_cap(self):
         # order-3 part of the model is identically zero at the quadratic's
@@ -322,7 +339,9 @@ class TestRadiusSearch:
         b = DerivativeBundle(0.0, [g, h, t])
         model = RegularizedModel(b, 0.0)
         s_star = -g
-        delta, m = radius_search(model, s_star, 3, 0.1, 0.5, 0.02, 0.5, 0.7)
+        delta, m = radius_search(
+            shifted_bundle(model, s_star, 3), 3, targets(0.5, 0.02, 0.5, [0.1])[0], 0.7
+        )
         assert delta == 0.7
         assert m.phi_bar <= 1e-10
 
@@ -343,7 +362,7 @@ class TestRadiusSearch:
             d0 = -0.1 * g / np.linalg.norm(g)
             if model_decrement(model, d0) <= 0:
                 continue
-            res = minimize_model(model, d0, 3, theta, omega, varsigma, eps)
+            res = minimize_model(model, d0, targets(theta, omega, varsigma, eps))
             if res.long_step:
                 continue
             from arq.tensors import operator_norm
