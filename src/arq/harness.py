@@ -37,7 +37,6 @@ from .solver import (
     solve,
 )
 from .subsolvers import SolveStoppedError, solve_trs
-from .tensors import taylor_decrement
 
 logger = logging.getLogger("arq")
 
@@ -51,7 +50,6 @@ __all__ = [
     "run_sweep",
     "verify_certificate",
     "exact_phi",
-    "exact_taylor_decrement",
     "visited_lipschitz",
     "write_trace_csv",
     "certificate_to_json",
@@ -128,11 +126,6 @@ def build_config(spec: ExperimentSpec, epsilons=None) -> SolverConfig:
 # ---------------------------------------------------------------------------
 # Ground-truth measures.
 # ---------------------------------------------------------------------------
-
-
-def exact_taylor_decrement(problem: Problem, x, s, p: int) -> float:
-    """Degree-p Taylor decrement at x along s, from exact derivatives."""
-    return taylor_decrement(problem.exact_bundle(x, p), s, p)
 
 
 def _sphere_grid(n: int, count: int) -> np.ndarray:
@@ -312,18 +305,27 @@ def certificate_to_json(
 
 
 def certificate_from_json(data: dict) -> tuple:
-    cert = Certificate(
-        x_eps=np.asarray(data["x_eps"], dtype=float),
-        delta_eps=np.asarray(data["delta_eps"], dtype=float),
-        measured=tuple(data["measured"]),
-        verified_exact=None
-        if data.get("verified_exact") is None
-        else tuple(data["verified_exact"]),
-        verified_phi=None
-        if data.get("verified_phi") is None
-        else tuple(data["verified_phi"]),
-    )
-    return cert, data["problem"], int(data["dim"])
+    """(certificate, problem name, dim); a missing key is a `ConfigError`."""
+    try:
+        measured = tuple(data["measured"])
+        for entry in measured:
+            for key in ("order", "delta", "threshold"):  # read by verify_certificate
+                if key not in entry:
+                    raise KeyError(key)
+        cert = Certificate(
+            x_eps=np.asarray(data["x_eps"], dtype=float),
+            delta_eps=np.asarray(data["delta_eps"], dtype=float),
+            measured=measured,
+            verified_exact=None
+            if data.get("verified_exact") is None
+            else tuple(data["verified_exact"]),
+            verified_phi=None
+            if data.get("verified_phi") is None
+            else tuple(data["verified_phi"]),
+        )
+        return cert, data["problem"], int(data["dim"])
+    except KeyError as exc:
+        raise ConfigError(f"certificate is missing the key {exc.args[0]!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -377,10 +379,10 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
     try:
         problem = spec.make_problem()
         config = build_config(spec)
+        noise = NoiseModel(spec.noise, spec.fill_fraction, spec.seed)
     except (ConfigError, ValueError, TypeError) as exc:
         logger.error("configuration rejected: %s", exc)
         return RunOutcome(1, error=str(exc))
-    noise = NoiseModel(spec.noise, spec.fill_fraction, spec.seed)
     try:
         result = solve(problem, noise, config, x0=spec.x0)
     except SolveStoppedError as exc:
@@ -471,6 +473,8 @@ def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
         raise ValueError(f"sweep grid entries must lie in (0, 1), got {grid}")
     if spec.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
+    if spec.runs < 1:
+        raise ValueError(f"runs must be >= 1, got {spec.runs}")
     epsilons = [eps for eps in grid for _ in range(spec.runs)]
     seeds = [seed % 2**32 for seed in expand_seeds(spec.seed, len(epsilons))]
     with ThreadPoolExecutor(max_workers=spec.jobs) as pool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "BudgetExhaustedError",
     "InternalInvariantError",
     "SolverConfig",
-    "AccuracyState",
     "SolverState",
     "IterationRecord",
     "Certificate",
@@ -178,27 +177,13 @@ class SolverConfig:
 
 
 @dataclass
-class AccuracyState:
-    """Current absolute accuracy demands and the improvement counter."""
-
-    values: np.ndarray
-    j_sharp: int
-    gamma: float
-
-    def tighten(self):
-        self.values = self.gamma * self.values
-        self.j_sharp += 1
-
-
-@dataclass
 class SolverState:
     x: np.ndarray
     sigma: float
     delta: np.ndarray
     delta_start: np.ndarray
-    accuracy: AccuracyState
+    acc: np.ndarray  # absolute accuracy demand per derivative order 1..p
     k: int = 0
-    trace: list = field(default_factory=list)
 
 
 @dataclass
@@ -217,12 +202,9 @@ class IterationRecord:
     step: np.ndarray | None = None
     step_norm: float | None = None
     dec_bar: float | None = None
-    model_dec: float | None = None
     long_step: bool | None = None
     radii: np.ndarray | None = None
-    f_bar_before: float | None = None
     f_bar_after: float | None = None
-    accepted: bool | None = None
 
 
 @dataclass
@@ -245,39 +227,10 @@ class SolveResult:
     certificate: Certificate
     counters: EvalCounters
     trace: list
-    state: SolverState
 
     @property
     def iterations(self) -> int:
         return len(self.trace)
-
-
-# --- step outcomes ---------------------------------------------------------
-
-
-@dataclass
-class Step1Terminated:
-    certificate: Certificate
-
-
-@dataclass
-class Step1ToStep2:
-    j_k: int
-    measure: MeasureResult
-
-
-class Step1ToStep5:
-    pass
-
-
-@dataclass
-class Step2ToStep3:
-    step_result: StepResult
-    dec_p: float
-
-
-class Step2ToStep5:
-    pass
 
 
 def _termination_threshold(config: SolverConfig, j: int, delta_j: float) -> float:
@@ -304,8 +257,9 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     """Order-by-order optimality sweep with radius halving.
 
     Mutates ``state.delta`` in place; the caller snapshots the entry values.
-    Returns termination with a certificate, a hand-off to step 2, or a
-    demand for better accuracy.
+    Returns the `Certificate` when every order is small enough (terminate),
+    ``(j_k, measure)`` for the order step 2 works on, or None when an
+    accuracy check came back insufficient (go to step 5).
 
     ``guard_l_bar`` is a zero-argument callable returning the L-bar of the
     radius guard, at least ``1 + acc_max``.  The guard floor decreases in
@@ -322,12 +276,12 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
             verdict = check(
                 delta_j,
                 meas.phi_bar,
-                state.accuracy.values[:j],
+                state.acc[:j],
                 0.5 * config.epsilons[j - 1],
                 config.omega,
             )
             if verdict is CheckOutcome.INSUFFICIENT:
-                return Step1ToStep5()
+                return None
             if meas.phi_bar <= _termination_threshold(config, j, delta_j):
                 measured.append(
                     {
@@ -342,7 +296,7 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
                 break
             dm = model_decrement(model, meas.displacement)
             if dm >= 0.5 * _termination_threshold(config, j, delta_j):
-                return Step1ToStep2(j, meas)
+                return j, meas
             state.delta[j - 1] = 0.5 * delta_j
             # The halving loop provably stops before delta_j falls a factor
             # 1e-3 under its theoretical floor; crossing it is a bug, not a
@@ -356,9 +310,7 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
                     f"step-1 radius for order {j} fell below its guard "
                     f"({state.delta[j - 1]:.3e} < {floor:.3e}) at iteration {state.k}"
                 )
-    return Step1Terminated(
-        Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
-    )
+    return Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
 
 
 def step2(
@@ -372,7 +324,10 @@ def step2(
     """Step computation plus the accuracy vetting of its decrement.
 
     The step's own model measures must be small: order ell against the
-    target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``.
+    target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``,
+    and for a short step each is rechecked for accuracy against that target
+    over ``1 + omega``.  Returns ``(step_result, dec_p)`` for step 3, or None
+    when a check came back insufficient (go to step 5).
     """
     coef = config.varsigma * config.theta * (1.0 - config.omega) / (2.0 * (1.0 + config.omega))
     targets = [coef * eps for eps in config.epsilons]
@@ -397,7 +352,7 @@ def step2(
         * delta_1**j_k
         / (math.factorial(j_k) * max(delta_1, step_norm) ** config.p)
     )
-    verdict = check(step_norm, dec_p, state.accuracy.values, xi_first, config.omega)
+    verdict = check(step_norm, dec_p, state.acc, xi_first, config.omega)
     if verdict is CheckOutcome.ABSOLUTE:
         # Ruled out by the lower bound on the model decrease carried over
         # from step 1; reaching here means that bound was broken.
@@ -405,30 +360,21 @@ def step2(
             f"step-2 decrement check returned absolute at iteration {state.k}"
         )
     if verdict is CheckOutcome.INSUFFICIENT:
-        return Step2ToStep5()
+        return None
 
     if step_norm < 1.0:
-        acc = state.accuracy.values
         for ell in range(1, config.q + 1):
-            acc_model = 3.0 * float(np.max(acc[ell - 1 : config.p]))
-            xi_ell = (
-                config.varsigma
-                * config.theta
-                * (1.0 - config.omega)
-                * config.epsilons[ell - 1]
-                / (2.0 * (1.0 + config.omega) ** 2)
-            )
-            inner = step_res.inner_displacements[ell - 1]
+            acc_model = 3.0 * float(np.max(state.acc[ell - 1 : config.p]))
             verdict = check(
                 float(step_res.radii[ell - 1]),
-                inner.phi_bar,
+                step_res.inner_displacements[ell - 1].phi_bar,
                 [acc_model] * ell,
-                xi_ell,
+                targets[ell - 1] / (1.0 + config.omega),
                 config.omega,
             )
             if verdict is CheckOutcome.INSUFFICIENT:
-                return Step2ToStep5()
-    return Step2ToStep3(step_res, dec_p)
+                return None
+    return step_res, dec_p
 
 
 def step3_step4(
@@ -444,15 +390,15 @@ def step3_step4(
     ``fbar_cache`` is ``(value, bound)`` for the inexact objective at the
     current iterate, reused when its recorded bound is already tight enough;
     otherwise the value is recomputed (the second evaluation this iteration).
+    Returns ``(rho, fbar_cache)``, the cache now holding the value at the
+    next iterate; the step was accepted when ``rho >= eta1``.
     """
     bound = config.omega * dec_p
     trial = oracle.inexact_value(state.x + step_res.step, bound)
     if fbar_cache is None or fbar_cache[1] > bound:
         fbar_cache = (oracle.inexact_value(state.x, bound), bound)
-    f_before = fbar_cache[0]
-    rho = (f_before - trial) / dec_p
-    accepted = rho >= config.eta1
-    if accepted:
+    rho = (fbar_cache[0] - trial) / dec_p
+    if rho >= config.eta1:
         state.x = state.x + step_res.step
         fbar_cache = (trial, bound)
         if not step_res.long_step:
@@ -462,12 +408,12 @@ def step3_step4(
         state.sigma = max(config.sigma_min, config.gamma1 * state.sigma)
     elif rho < config.eta1:
         state.sigma = config.gamma2 * state.sigma
-    return rho, accepted, fbar_cache, f_before, trial
+    return rho, fbar_cache
 
 
 def step5(state: SolverState, config: SolverConfig):
     """Tighten all accuracy demands; rewind the radii; keep x and sigma."""
-    state.accuracy.tighten()
+    state.acc = config.gamma_acc * state.acc
     state.delta = state.delta_start.copy()
 
 
@@ -485,11 +431,12 @@ def solve(
     config: SolverConfig,
     x0=None,
 ) -> SolveResult:
-    """Run the full loop until certification, or raise a `SolveStoppedError`
-    (budget exhaustion, an inner-solve stall or a crossed invariant) that
-    carries the trace and the counters.  A stall or invariant interrupts an
-    iteration; its record, with ``kind`` None, ends the trace, so the
-    per-record evaluations sum to the counters.
+    """Run steps 1-5 until step 1 returns a certificate, or raise a
+    `SolveStoppedError` (budget exhaustion, an inner-solve stall or a crossed
+    invariant) that carries the trace and the counters.  Each iteration
+    appends one record; a stall or invariant interrupts an iteration, and
+    its record, with ``kind`` None, ends the trace, so the per-record
+    evaluations sum to the counters.
 
     The Lipschitz estimate behind the step-1 radius guard is computed at
     most once, and only when a halved radius first falls below the guard
@@ -506,80 +453,62 @@ def solve(
         sigma=config.sigma0,
         delta=np.asarray(config.delta0, dtype=float).copy(),
         delta_start=np.asarray(config.delta0, dtype=float).copy(),
-        accuracy=AccuracyState(
-            np.asarray(config.acc0, dtype=float).copy(), 0, config.gamma_acc
-        ),
+        acc=np.asarray(config.acc0, dtype=float).copy(),
     )
     guard_l_bar = _guard_bound(problem, start, config)
     fbar_cache = None
+    trace = []
 
     try:
         for k in range(config.max_iters):
             state.k = k
             state.delta_start = state.delta.copy()
             snap = oracle.counters.snapshot()
-            sigma_k = state.sigma
-            acc_k = state.accuracy.values.copy()
-            x_k = state.x.copy()
-
-            bundle = oracle.inexact_bundle(state.x, state.accuracy.values, config.p)
-            model = RegularizedModel(bundle, state.sigma)
             record = IterationRecord(
                 k=k,
                 kind=None,
-                sigma=sigma_k,
-                acc=acc_k,
+                sigma=state.sigma,
+                acc=state.acc.copy(),
                 delta_start=state.delta_start.copy(),
                 delta_end=state.delta_start.copy(),
-                x=x_k,
+                x=state.x.copy(),
             )
+            bundle = oracle.inexact_bundle(state.x, state.acc, config.p)
+            model = RegularizedModel(bundle, state.sigma)
 
             out = step1(state, bundle, model, config, guard_l_bar)
             record.delta_end = state.delta.copy()
-
-            if isinstance(out, Step1Terminated):
+            if isinstance(out, Certificate):
                 record.f_bar_after = fbar_cache[0] if fbar_cache else None
-                _close_record(record, oracle, snap)
-                state.trace.append(record)
-                logger.info("terminated at iteration %d", k)
-                return SolveResult(out.certificate, oracle.counters, state.trace, state)
-
-            to_step5 = isinstance(out, Step1ToStep5)
-            if not to_step5:
-                record.j_k = out.j_k
-                out2 = step2(state, bundle, model, config, out.j_k, out.measure)
-                if isinstance(out2, Step2ToStep3):
-                    rho, accepted, fbar_cache, f_before, trial = step3_step4(
-                        state, oracle, config, out2.step_result, out2.dec_p, fbar_cache
+            else:
+                stepped = None
+                if out is not None:
+                    record.j_k = out[0]
+                    stepped = step2(state, bundle, model, config, *out)
+                if stepped is None:
+                    step5(state, config)
+                    record.kind = KIND_ACCURACY
+                else:
+                    step_res, dec_p = stepped
+                    rho, fbar_cache = step3_step4(
+                        state, oracle, config, step_res, dec_p, fbar_cache
                     )
-                    sres = out2.step_result
-                    record.kind = KIND_SUCCESS if accepted else KIND_UNSUCCESS
+                    record.kind = KIND_SUCCESS if rho >= config.eta1 else KIND_UNSUCCESS
                     record.rho = rho
-                    record.step = sres.step.copy()
-                    record.step_norm = float(np.linalg.norm(sres.step))
-                    record.dec_bar = out2.dec_p
-                    record.model_dec = model_decrement(model, sres.step)
-                    record.long_step = sres.long_step
-                    record.radii = None if sres.radii is None else sres.radii.copy()
-                    record.f_bar_before = f_before
+                    record.step = step_res.step.copy()
+                    record.step_norm = float(np.linalg.norm(step_res.step))
+                    record.dec_bar = dec_p
+                    record.long_step = step_res.long_step
+                    record.radii = None if step_res.radii is None else step_res.radii.copy()
                     record.f_bar_after = fbar_cache[0]
-                    record.accepted = accepted
-                    _close_record(record, oracle, snap)
-                    state.trace.append(record)
-                    logger.debug(
-                        "k=%d %s rho=%.3g sigma=%.3g |s|=%.3g",
-                        k, record.kind, rho, sigma_k, record.step_norm,
-                    )
-                    continue
-                to_step5 = True
-
-            step5(state, config)
-            record.kind = KIND_ACCURACY
             _close_record(record, oracle, snap)
-            state.trace.append(record)
+            trace.append(record)
             logger.debug(
-                "k=%d accuracy improved to %.3g", k, float(np.max(state.accuracy.values))
+                "k=%d %s rho=%s sigma=%.3g", k, record.kind, record.rho, record.sigma
             )
+            if isinstance(out, Certificate):
+                logger.info("terminated at iteration %d", k)
+                return SolveResult(out, oracle.counters, trace)
 
         raise BudgetExhaustedError(
             f"no certificate within {config.max_iters} iterations"
@@ -590,8 +519,8 @@ def solve(
             # evaluations were counted: its record ends the trace.
             record.delta_end = state.delta.copy()
             _close_record(record, oracle, snap)
-            state.trace.append(record)
-        exc.trace, exc.counters = state.trace, oracle.counters
+            trace.append(record)
+        exc.trace, exc.counters = trace, oracle.counters
         raise
 
 

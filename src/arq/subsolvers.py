@@ -89,7 +89,6 @@ class MeasureResult:
 
     phi_bar: float
     displacement: np.ndarray
-    guarantee: float
 
 
 @dataclass(frozen=True)
@@ -211,17 +210,17 @@ def _measure_order1(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     g = bundle.tensors[0]
     ng = float(np.linalg.norm(g))
     if ng == 0.0:
-        return MeasureResult(0.0, np.zeros(bundle.dim), 1.0)
+        return MeasureResult(0.0, np.zeros(bundle.dim))
     d = -(delta / ng) * g
-    return MeasureResult(taylor_decrement(bundle, d, 1), d, 1.0)
+    return MeasureResult(taylor_decrement(bundle, d, 1), d)
 
 
 def _measure_order2(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     d = solve_trs(bundle.tensors[0], bundle.tensors[1], delta)
     dec = taylor_decrement(bundle, d, 2)
     if dec <= 0.0:
-        return MeasureResult(0.0, np.zeros(bundle.dim), ORDER_GUARANTEES[2])
-    return MeasureResult(dec, d, ORDER_GUARANTEES[2])
+        return MeasureResult(0.0, np.zeros(bundle.dim))
+    return MeasureResult(dec, d)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,8 +305,8 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
         if vi > best_v or (vi == best_v and _lex_ge(di, best_d)):
             best_d, best_v = di, vi
     if best_v <= 0.0:
-        return MeasureResult(0.0, np.zeros(n), ORDER_GUARANTEES[3])
-    return MeasureResult(best_v, best_d.copy(), ORDER_GUARANTEES[3])
+        return MeasureResult(0.0, np.zeros(n))
+    return MeasureResult(best_v, best_d.copy())
 
 
 def optimality_measure(bundle: DerivativeBundle, j: int, delta: float) -> MeasureResult:

@@ -144,12 +144,6 @@ class DerivativeBundle:
     def dim(self) -> int:
         return self.tensors[0].shape[0]
 
-    def truncated(self, j: int) -> "DerivativeBundle":
-        """Bundle restricted to orders 1..j."""
-        if not 1 <= j <= self.degree:
-            raise ValueError(f"truncation order {j} outside 1..{self.degree}")
-        return DerivativeBundle(self.value, self.tensors[:j], self.accuracy[:j])
-
 
 @dataclass(frozen=True)
 class RegularizedModel:

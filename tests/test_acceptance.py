@@ -12,11 +12,11 @@ import numpy as np
 import arq.solver as solver_mod
 from arq.check import CheckOutcome, check
 from arq.diagnostics import compute_bounds
-from arq.harness import exact_taylor_decrement, run_sweep, verify_certificate, ExperimentSpec
+from arq.harness import run_sweep, verify_certificate, ExperimentSpec
 from arq.oracle import NoiseModel, make_problem
 from arq.solver import solve
 from arq.subsolvers import optimality_measure
-from arq.tensors import DerivativeBundle
+from arq.tensors import DerivativeBundle, taylor_decrement
 
 from conftest import bench_config, polar_grid_phi, random_symmetric, row_decrements
 
@@ -144,7 +144,8 @@ class TestCriterion3RelativeErrorHeadline:
         for run in benchmark_suite.runs:
             omega = run.config.omega
             for rec in run.t_records:
-                exact = exact_taylor_decrement(run.problem, rec.x, rec.step, run.config.p)
+                exact = taylor_decrement(run.problem.exact_bundle(rec.x, run.config.p), rec.step,
+                                         run.config.p)
                 n_checks += 1
                 if not abs(rec.dec_bar - exact) <= omega * rec.dec_bar:
                     violations.append((run.problem_name, run.noise, rec.k))

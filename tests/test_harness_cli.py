@@ -85,6 +85,11 @@ class TestRunSolve:
         assert outcome.exit_code == 1
         assert "eta" in outcome.error
 
+    def test_bad_fill_fraction_exits_one(self):
+        outcome = run_solve(ExperimentSpec(fill_fraction=2.0))
+        assert outcome.exit_code == 1
+        assert outcome.result is None
+
     def test_budget_exhaustion_exits_two(self, tmp_path):
         spec = ExperimentSpec(
             problem="rosenbrock", dim=2, noise="bounded_random", seed=3,
@@ -149,12 +154,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(spec)
 
-    def test_jobs_below_one_rejected(self):
-        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), jobs=0)
+    @pytest.mark.parametrize("field", ["jobs", "runs"])
+    def test_jobs_below_one_rejected(self, field):
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), **{field: 0})
         with pytest.raises(ValueError):
             run_sweep(spec)
         assert main(["sweep", "--problem", "quadratic", "--eps", "1e-2,1e-3,1e-4",
-                     "--jobs", "0"]) == 1
+                     f"--{field}", "0"]) == 1
 
 
 @pytest.fixture(params=["stall", "invariant"])
@@ -379,6 +385,18 @@ class TestCliMain:
         data["x_eps"] = [v + 1.0 for v in data["x_eps"]]
         path.write_text(json.dumps(data))
         assert main(["verify", "--cert", str(path)]) == 2
+
+    @pytest.mark.parametrize("data, key", [
+        ({}, "measured"),
+        ({"measured": [{"delta": 1.0, "threshold": 0.1}]}, "order"),
+    ])
+    def test_certificate_missing_key_exits_one(self, data, key, tmp_path, capsys):
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--cert", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: certificate is missing the key '{key}'" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_bounds_prints_report(self, capsys):
         code = main([

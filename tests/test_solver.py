@@ -6,16 +6,12 @@ import pytest
 import arq.solver
 from arq.oracle import NoiseModel, Problem, make_problem
 from arq.solver import (
-    AccuracyState,
     BudgetExhaustedError,
+    Certificate,
     ConfigError,
     InternalInvariantError,
     SolverConfig,
     SolverState,
-    Step1Terminated,
-    Step1ToStep2,
-    Step1ToStep5,
-    StepResult,
     solve,
     step1,
     step3_step4,
@@ -93,7 +89,7 @@ def make_state(dim=1, sigma=1.0, q=1, acc=(0.0, 0.0)):
         sigma=sigma,
         delta=np.ones(q),
         delta_start=np.ones(q),
-        accuracy=AccuracyState(np.asarray(acc, float), 0, 0.25),
+        acc=np.asarray(acc, float),
     )
 
 
@@ -106,26 +102,25 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1.0, 0.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
-        assert isinstance(out, Step1ToStep2)
-        assert out.j_k == 1
+        j_k, measure = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+        assert j_k == 1
         assert state.delta[0] == 1.0
-        assert out.measure.phi_bar == pytest.approx(1.0)
+        assert measure.phi_bar == pytest.approx(1.0)
 
     def test_insufficient_accuracy_goes_to_step5(self):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state(acc=(10.0, 10.0))
         bundle = bundle_1d(1.0, 0.0, acc=(10.0, 10.0))
         out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 12.0)
-        assert isinstance(out, Step1ToStep5)
+        assert out is None
 
     def test_small_measures_terminate_with_certificate(self):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1e-6, 0.0)
         out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
-        assert isinstance(out, Step1Terminated)
-        cert = out.certificate
+        assert isinstance(out, Certificate)
+        cert = out
         assert cert.measured[0]["order"] == 1
         assert cert.measured[0]["phi_bar"] == pytest.approx(1e-6)
         assert cert.measured[0]["threshold"] == pytest.approx(0.1)
@@ -134,8 +129,8 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
         state = make_state(sigma=0.1)
         bundle = bundle_1d(0.15, 3.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
-        assert isinstance(out, Step1ToStep2)
+        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        assert j_k == 1
         # four halvings: at delta = 0.0625 the order-2 drop at the probe
         # displacement finally clears half the exit threshold
         assert state.delta[0] == pytest.approx(0.0625)
@@ -173,10 +168,10 @@ class TestLazyGuard:
         state = make_state(sigma=0.001)
         bundle = bundle_1d(2.0, 200.0)
         calls = []
-        out = step1(
+        j_k, _ = step1(
             state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: calls.append(1)
         )
-        assert isinstance(out, Step1ToStep2)
+        assert j_k == 1
         assert state.delta[0] == 2.0**-7
         assert calls == []
 
@@ -190,8 +185,8 @@ class TestLazyGuard:
             seen.append(float(state.delta[0]))
             return 1e6
 
-        out = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
-        assert isinstance(out, Step1ToStep2)
+        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
+        assert j_k == 1
         assert seen
         assert all(d < lowest_guard_floor(cfg, 0.001) for d in seen)
         assert 2.0 * seen[0] >= lowest_guard_floor(cfg, 0.001)
@@ -244,11 +239,9 @@ class TestStep3Step4:
         cfg = SolverConfig(epsilons=(0.1,))
         state = make_state(sigma=2.0)
         oracle = ScriptedOracle([0.5])
-        rho, accepted, cache, f_before, trial = step3_step4(
-            state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0)
-        )
+        rho, cache = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0))
         assert rho == pytest.approx(0.5)
-        assert accepted
+        assert rho >= cfg.eta1
         assert state.sigma == 2.0
         assert state.x == pytest.approx([0.5])
         assert cache == (0.5, cfg.omega)
@@ -257,22 +250,18 @@ class TestStep3Step4:
         cfg = SolverConfig(epsilons=(0.1,))
         state = make_state(sigma=2.0)
         oracle = ScriptedOracle([0.05])
-        rho, accepted, *_ = step3_step4(
-            state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0)
-        )
+        rho, _ = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0))
         assert rho == pytest.approx(0.95)
-        assert accepted
+        assert rho >= cfg.eta1
         assert state.sigma == pytest.approx(1.0)  # max(sigma_min, gamma1 * 2)
 
     def test_rejection_grows_sigma_and_keeps_x(self):
         cfg = SolverConfig(epsilons=(0.1,))
         state = make_state(sigma=2.0)
         oracle = ScriptedOracle([1.2])
-        rho, accepted, *_ = step3_step4(
-            state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0)
-        )
+        rho, _ = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0))
         assert rho == pytest.approx(-0.2)
-        assert not accepted
+        assert rho < cfg.eta1
         assert state.sigma == pytest.approx(4.0)
         assert state.x == pytest.approx([0.0])
 
@@ -280,9 +269,7 @@ class TestStep3Step4:
         cfg = SolverConfig(epsilons=(0.1,))
         state = make_state(sigma=2.0)
         oracle = ScriptedOracle([0.5, 0.9])
-        rho, *_ = step3_step4(
-            state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 100.0)
-        )
+        rho, _ = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 100.0))
         # cached bound 100 is looser than omega * dec: both points evaluated
         assert len(oracle.calls) == 2
         assert rho == pytest.approx(0.4)
@@ -304,8 +291,7 @@ class TestStep5:
         state.delta[0] = 0.25  # halved during step 1
         sigma_before = state.sigma
         step5(state, cfg)
-        assert np.all(state.accuracy.values == pytest.approx([0.025, 0.025]))
-        assert state.accuracy.j_sharp == 1
+        assert np.all(state.acc == pytest.approx([0.025, 0.025]))
         assert state.delta[0] == 1.0
         assert state.sigma == sigma_before
 
@@ -438,6 +424,18 @@ class TestTraceInvariants:
                 assert rec.value_evals == 0
             assert rec.derivative_evals in (0, 1)
         assert_evals_sum_to_counters(noisy_run)
+
+    def test_trial_kind_follows_rho_and_rejection_keeps_x(self, noisy_run):
+        trace = noisy_run.trace
+        eta1 = bench_config(2, 1e-3, "bounded_random").eta1
+        assert {rec.kind for rec in trace} >= {"successful", "unsuccessful"}
+        for rec in trace:
+            assert (rec.rho is not None) == (rec.kind in ("successful", "unsuccessful"))
+            if rec.rho is not None:
+                assert (rec.kind == "successful") == (rec.rho >= eta1)
+        for prev, nxt in zip(trace[:-1], trace[1:]):
+            if prev.kind == "unsuccessful":
+                assert np.array_equal(nxt.x, prev.x)
 
     def test_accuracy_only_decreases_by_gamma(self, noisy_run):
         trace = noisy_run.trace

@@ -35,7 +35,6 @@ class TestOrderOne:
         m = optimality_measure(b, 1, 0.5)
         assert m.phi_bar == pytest.approx(2.5, rel=1e-12)
         assert m.displacement == pytest.approx([-0.3, -0.4], rel=1e-12)
-        assert m.guarantee == 1.0
 
     def test_zero_gradient(self):
         b = bundle2([0.0, 0.0], np.eye(2))

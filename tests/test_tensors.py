@@ -219,13 +219,6 @@ class TestBundleValidation:
         with pytest.raises(ValueError):
             DerivativeBundle(0.0, [np.zeros(2), np.zeros((3, 3))])
 
-    def test_truncated(self):
-        rng = np.random.default_rng(9)
-        b = random_bundle(rng, 2, 3)
-        t = b.truncated(2)
-        assert t.degree == 2
-        assert t.tensors[0] is b.tensors[0]
-
 
 class TestOperatorNorm:
     @pytest.mark.parametrize("n", [2, 3, 4, 20, 60])
