@@ -305,7 +305,8 @@ def certificate_to_json(
 
 
 def certificate_from_json(data: dict) -> tuple:
-    """(certificate, problem name, dim); a missing key is a `ConfigError`."""
+    """(certificate, problem name, dim); a missing key, or an ``x_eps``
+    whose length is not ``dim``, is a `ConfigError`."""
     try:
         measured = tuple(data["measured"])
         for entry in measured:
@@ -323,9 +324,14 @@ def certificate_from_json(data: dict) -> tuple:
             if data.get("verified_phi") is None
             else tuple(data["verified_phi"]),
         )
-        return cert, data["problem"], int(data["dim"])
+        name, dim = data["problem"], int(data["dim"])
     except KeyError as exc:
         raise ConfigError(f"certificate is missing the key {exc.args[0]!r}") from None
+    if cert.x_eps.shape != (dim,):
+        raise ConfigError(
+            f"certificate x_eps has {cert.x_eps.size} entries but dim is {dim}"
+        )
+    return cert, name, dim
 
 
 def parse_config_file(path) -> dict:

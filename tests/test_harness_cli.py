@@ -398,6 +398,17 @@ class TestCliMain:
         assert f"configuration error: certificate is missing the key '{key}'" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_certificate_point_of_wrong_length_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps({
+            "x_eps": [1, 2, 3], "delta_eps": [1], "problem": "quadratic", "dim": 2,
+            "measured": [{"order": 1, "delta": 1.0, "threshold": 0.1}],
+        }))
+        assert main(["verify", "--cert", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert ("configuration error: certificate x_eps has 3 entries but dim is 2"
+                in captured.err)
+
     def test_bounds_prints_report(self, capsys):
         code = main([
             "bounds", "--problem", "sineq", "--dim", "3", "--eps", "1e-2",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arq import subsolvers
 from arq.subsolvers import (
     ORDER_GUARANTEES,
     SubsolverStallError,
@@ -93,7 +94,8 @@ class TestOrderTwo:
 def scalar_measure_order3(bundle, delta):
     """The order-3 measure one start at a time, each move checked with
     `taylor_decrement`: the reference the batched ascent must match bit for
-    bit."""
+    bit.  The one-start loops advance in lockstep so that the stall stop
+    can read the best decrement over all starts after each iteration."""
     g, h, t = bundle.tensors
     n = bundle.dim
     rng = np.random.default_rng(101)
@@ -116,25 +118,36 @@ def scalar_measure_order3(bundle, delta):
         v *= delta * rng.random() ** (1.0 / n) / np.linalg.norm(v)
         starts.append(v)
 
-    best_d, best_v = np.zeros(n), 0.0
-    for d in starts[:50]:
-        d = project(np.asarray(d, dtype=float))
-        step = 0.5 * delta
-        v = taylor_decrement(bundle, d, 3)
-        for _ in range(80):
+    ds = [project(np.asarray(d, dtype=float)) for d in starts[:50]]
+    vs = [taylor_decrement(bundle, d, 3) for d in ds]
+    steps = [0.5 * delta] * len(ds)
+    live = [True] * len(ds)
+    best = [max(vs)]
+    for _ in range(80):
+        for i, d in enumerate(ds):
+            if not live[i]:
+                continue
             gr = -(g + h @ d + 0.5 * (t @ d) @ d)
             ngr = float(np.linalg.norm(gr))
             if ngr < 1e-14:
-                break
-            cand = project(d + step * gr / ngr)
+                live[i] = False
+                continue
+            cand = project(d + steps[i] * gr / ngr)
             cv = taylor_decrement(bundle, cand, 3)
-            if cv > v:
-                d, v = cand, cv
-                step *= 1.3
+            if cv > vs[i]:
+                ds[i], vs[i] = cand, cv
+                steps[i] *= 1.3
             else:
-                step *= 0.5
-                if step < 1e-12 * delta:
-                    break
+                steps[i] *= 0.5
+                live[i] = steps[i] >= 1e-12 * delta
+        if not any(live):
+            break
+        best.append(max(vs))
+        if len(best) > 15 and best[-1] - best[-16] <= 1e-12 * abs(best[-1]):
+            break
+
+    best_d, best_v = np.zeros(n), 0.0
+    for d, v in zip(ds, vs):
         if v > best_v or (v == best_v and tuple(d) >= tuple(best_d)):
             best_d, best_v = d, v
     if best_v <= 0.0:
@@ -185,6 +198,21 @@ class TestOrderThree:
             assert m.phi_bar >= ORDER_GUARANTEES[3] * ref
             assert m.phi_bar <= ref * (1.0 + 1e-3) + 1e-9
             assert np.linalg.norm(m.displacement) <= delta + 1e-12
+
+    def test_stall_stop_loses_under_a_millionth(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            scales = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+            tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), scales)]
+            cases.append((DerivativeBundle(0.0, tensors), float(rng.uniform(0.01, 1.0))))
+        stopped = [optimality_measure(b, 3, delta).phi_bar for b, delta in cases]
+        monkeypatch.setattr(subsolvers, "_ORDER3_STALL_WINDOW", subsolvers._ORDER3_ITERS + 1)
+        full = [optimality_measure(b, 3, delta).phi_bar for b, delta in cases]
+        for got, ref in zip(stopped, full):
+            assert got <= ref
+            assert got >= (1.0 - 1e-6) * ref
 
     def test_rejects_order_above_degree(self):
         b = bundle2([1.0, 0.0], np.eye(2))
