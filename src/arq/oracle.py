@@ -367,15 +367,28 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
 
 def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     """Estimate of L_{f,order} over a visited region (trace points/segments);
-    floored at 1."""
+    floored at 1.
+
+    The next-order norm is taken at each distinct point, and the difference
+    quotient over each consecutive pair (a point repeated after a rejected
+    step still pairs with its neighbours); each distinct point's derivatives
+    are computed once.
+    """
     pts = [np.asarray(x, dtype=float) for x in points]
     best = 1.0
-    for x in pts:
-        if order + 1 <= problem.p_max:
+    if order + 1 <= problem.p_max:
+        for x in {x.tobytes(): x for x in pts}.values():
             best = max(best, operator_norm(problem.derivative(x, order + 1)))
+    derivs = {}
+
+    def deriv(x):
+        key = x.tobytes()
+        if key not in derivs:
+            derivs[key] = problem.derivative(x, order)
+        return derivs[key]
+
     for a, b in zip(pts[:-1], pts[1:]):
         gap = float(np.linalg.norm(a - b))
         if gap > 1e-12:
-            diff = problem.derivative(a, order) - problem.derivative(b, order)
-            best = max(best, frobenius_norm(diff) / gap)
+            best = max(best, frobenius_norm(deriv(a) - deriv(b)) / gap)
     return float(best)

@@ -5,8 +5,10 @@ decrement over a Euclidean ball, the quantity the outer algorithm uses both
 as its optimality measure and as its progress certificate:
 
     order 1  closed form (scaled steepest descent), exact;
-    order 2  global trust-region subproblem via eigendecomposition and a
-             secular-equation root find, near-exact;
+    order 2  global trust-region subproblem, near-exact: one Cholesky
+             factorization settles a positive definite Hessian whose Newton
+             step lies in the ball; otherwise an eigendecomposition and a
+             secular-equation root find;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
              stop rules) for at most 80 iterations, and stopped early once
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import brentq
 
 from .tensors import (
@@ -153,20 +156,35 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     """Global solution of min g.d + 0.5 d'Hd subject to ||d|| <= delta.
 
     The global minimizer d* satisfies (H + mu I) d* = -g with
-    H + mu I >= 0, mu >= 0 and mu (delta - ||d*||) = 0.  Working in the
-    eigenbasis of H, the boundary multiplier solves the secular equation
-    ||d(mu)|| = delta, here root-found on the better-conditioned form
-    1/||d(mu)|| = 1/delta.  The hard case (gradient orthogonal to the
-    minimal eigenspace with the pseudo-solution interior) is completed by
-    moving along a minimal eigenvector to the boundary.
+    H + mu I >= 0, mu >= 0 and mu (delta - ||d*||) = 0.  As in the first
+    step of Moré & Sorensen (1983), a Cholesky factorization of the
+    symmetrized H comes first: when it succeeds, H is positive definite,
+    and a Newton step d = -H^-1 g with ||d|| <= delta is the solution
+    (mu = 0).  Every other case (H not positive definite, or the Newton
+    step outside the ball) is solved in the eigenbasis of H: the boundary
+    multiplier solves the secular equation ||d(mu)|| = delta, here
+    root-found on the better-conditioned form 1/||d(mu)|| = 1/delta.  The
+    hard case (gradient orthogonal to the minimal eigenspace with the
+    pseudo-solution interior) is completed by moving along a minimal
+    eigenvector to the boundary.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g holds a non-finite entry")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h holds a non-finite entry")
     n = g.size
-    lam, q = np.linalg.eigh(0.5 * (h + h.T))
+    hs = 0.5 * (h + h.T)
+    chol, info = dpotrf(hs)
+    if info == 0:
+        d, _ = dpotrs(chol, -g)
+        if np.linalg.norm(d) <= delta:
+            return d
+    lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
     lam1 = float(lam[0])
     scale = max(1.0, float(np.max(np.abs(lam))), float(np.linalg.norm(gh)) / delta)
@@ -174,7 +192,8 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     def qval(d):
         return float(g @ d + 0.5 * d @ h @ d)
 
-    # Strictly convex interior solution.
+    # Strictly convex interior solution the factorization missed (H at the
+    # edge of definiteness, or a Newton step on the sphere within rounding).
     if lam1 > 0:
         d = q @ (-gh / lam)
         if np.linalg.norm(d) <= delta:

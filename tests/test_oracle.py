@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from arq.oracle import (
     lipschitz_over_points,
     make_problem,
 )
-from arq.tensors import operator_norm
+from arq.tensors import frobenius_norm, operator_norm
 
 from conftest import central_diff_gradient
 
@@ -196,6 +198,30 @@ class TestLipschitzEstimates:
         pts = [np.zeros(2), np.ones(2)]
         # order-2 derivative of a quadratic is constant: floor applies
         assert lipschitz_over_points(problem, pts, 2) == 1.0
+
+    def test_visited_points_evaluated_once_each(self):
+        problem = make_problem("rosenbrock", 3)
+        calls = []
+
+        def counted(x, i):
+            calls.append((x.tobytes(), i))
+            return problem.eval_derivative(x, i)
+
+        counting = dataclasses.replace(problem, eval_derivative=counted)
+        rng = np.random.default_rng(4)
+        a, b, c = (problem.x0 + rng.uniform(-0.5, 0.5, 3) for _ in range(3))
+        # repeats (as after rejected steps) and a pair closer than 1e-12
+        pts = [a, b, b, c, a, a + 1e-14, c]
+        ref = 1.0  # the pairwise estimate, every point evaluated afresh
+        for x in pts:
+            ref = max(ref, operator_norm(problem.derivative(x, 3)))
+        for x, y in zip(pts[:-1], pts[1:]):
+            gap = float(np.linalg.norm(x - y))
+            if gap > 1e-12:
+                diff = problem.derivative(x, 2) - problem.derivative(y, 2)
+                ref = max(ref, frobenius_norm(diff) / gap)
+        assert lipschitz_over_points(counting, pts, 2) == ref
+        assert len(calls) == len(set(calls)) == 8  # 4 distinct points x orders 2, 3
 
     def test_sampled_estimate_covers_quadratic_hessian(self):
         problem = make_problem("quadratic", 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from arq import subsolvers
 from arq.subsolvers import (
@@ -225,6 +226,46 @@ class TestOrderThree:
             optimality_measure(b, 1, 1.5)
 
 
+def eigh_trs_reference(g, h, delta):
+    """The trust-region step for a positive definite h by eigendecomposition
+    alone: the interior Newton step in the eigenbasis, else the boundary
+    step whose multiplier solves 1/||d(mu)|| = 1/delta."""
+    lam, q = np.linalg.eigh(0.5 * (h + h.T))
+    gh = q.T @ g
+    d = q @ (-gh / lam)
+    if np.linalg.norm(d) <= delta:
+        return d
+
+    def gap(mu):
+        return 1.0 / np.linalg.norm(gh / (lam + mu)) - 1.0 / delta
+
+    hi = 1.0
+    while gap(hi) < 0.0:
+        hi *= 2.0
+    mu = brentq(gap, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
+    d = q @ (-gh / (lam + mu))
+    return d * (delta / np.linalg.norm(d))
+
+
+def random_positive_definite(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.5 * np.eye(n)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes passed to `np.linalg.eigh` so far in the test, one per call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 class TestSolveTrs:
     def test_boundary_norm_is_exact(self):
         rng = np.random.default_rng(5)
@@ -261,6 +302,60 @@ class TestSolveTrs:
                 assert np.all(np.isfinite(d))
                 assert np.linalg.norm(d) <= delta * (1.0 + 1e-12)
                 assert g @ d + 0.5 * d @ h @ d <= 1e-12 * (scale_g + scale_h)
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 60])
+    def test_positive_definite_interior_takes_one_factorization(self, n, eigh_calls):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            h = random_positive_definite(rng, n)
+            g = rng.standard_normal(n)
+            delta = 1.5 * float(np.linalg.norm(np.linalg.solve(h, g)))
+            ref = eigh_trs_reference(g, h, delta)
+            assert np.linalg.norm(ref) < delta
+            n_eigh = len(eigh_calls)
+            d = solve_trs(g, h, delta)
+            assert len(eigh_calls) == n_eigh  # no eigendecomposition
+            assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 60])
+    def test_positive_definite_boundary_matches_eigen_reference(self, n, eigh_calls):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            h = random_positive_definite(rng, n)
+            g = rng.standard_normal(n)
+            delta = 0.5 * float(np.linalg.norm(np.linalg.solve(h, g)))
+            ref = eigh_trs_reference(g, h, delta)
+            n_eigh = len(eigh_calls)
+            d = solve_trs(g, h, delta)
+            assert len(eigh_calls) == n_eigh + 1
+            assert np.linalg.norm(d) == pytest.approx(delta, rel=1e-12)
+            model, model_ref = g @ d + 0.5 * d @ h @ d, g @ ref + 0.5 * ref @ h @ ref
+            assert model == pytest.approx(model_ref, rel=1e-12)
+
+    def test_indefinite_hessian_with_interior_saddle_goes_to_boundary(self, eigh_calls):
+        # -H^-1 g = (0.1, -0.05) lies in the ball but is a saddle, not the
+        # minimizer: a solve that does not prove definiteness would return it.
+        g = np.array([0.1, 0.1])
+        h = np.diag([-1.0, 2.0])
+        d = solve_trs(g, h, 1.0)
+        assert len(eigh_calls) == 1
+        assert np.linalg.norm(d) == pytest.approx(1.0, rel=1e-12)
+        dec = -(g @ d + 0.5 * d @ h @ d)
+        ref = polar_grid_phi([g, h], 1.0)
+        assert dec == pytest.approx(ref, rel=1e-4)
+        assert dec >= ref * (1.0 - 1e-6)
+
+    @pytest.mark.parametrize(
+        "g, h, delta, match",
+        [
+            ([1.0, 1.0], [[1.0, 0.0], [0.0, 2.0]], float("nan"), "^delta must be > 0"),
+            ([float("nan"), 1.0], [[1.0, 0.0], [0.0, 2.0]], 1.0, "^g holds a non-finite entry"),
+            ([1.0, 1.0], [[float("inf"), 0.0], [0.0, 1.0]], 1.0, "^h holds a non-finite entry"),
+        ],
+    )
+    def test_non_finite_input_rejected_by_name(self, g, h, delta, match):
+        with pytest.raises(ValueError, match=match):
+            solve_trs(np.array(g), np.array(h), delta)
 
 
 def convex_model():
