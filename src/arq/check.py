@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+import numpy as np
+
 __all__ = ["CheckOutcome", "check"]
 
 
@@ -53,19 +55,22 @@ def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
     decrement = float(decrement)
     xi = float(xi)
     omega = float(omega)
+    if isinstance(accuracies, np.ndarray):
+        accuracies = accuracies.tolist()  # much faster than iterating the array
     accuracies = [float(a) for a in accuracies]
-    if decrement < 0:
+    # Written as `not x >= 0` so that NaN fails every check.
+    if not decrement >= 0:
         raise ValueError(f"decrement must be >= 0, got {decrement}")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if xi <= 0:
+    if not xi > 0:
         raise ValueError(f"xi must be > 0, got {xi}")
     if not 0 < omega < 1:
         raise ValueError(f"omega must be in (0, 1), got {omega}")
     if not accuracies:
         raise ValueError("accuracies must be nonempty")
-    if any(a < 0 for a in accuracies):
-        raise ValueError("accuracies must be >= 0")
+    if not all(a >= 0 for a in accuracies):
+        raise ValueError(f"accuracies must be >= 0, got {accuracies}")
 
     r = len(accuracies)
     error_sum = sum(

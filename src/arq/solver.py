@@ -164,7 +164,7 @@ class SolverConfig:
         acc0 = tuple(float(a) for a in np.atleast_1d(acc0))
         if len(acc0) != self.p:
             fail(f"acc0 must have {self.p} entries, got {len(acc0)}")
-        if any(a < 0 or a > self.acc_max for a in acc0):
+        if not all(0.0 <= a <= self.acc_max for a in acc0):
             fail(f"acc0 entries must lie in [0, acc_max], got {acc0}")
         if self.max_iters < 1:
             fail(f"max_iters must be >= 1, got {self.max_iters}")

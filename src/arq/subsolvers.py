@@ -23,6 +23,14 @@ model's own ball measures at the step are provably small, the two exits the
 outer algorithm accepts.  "Small" is per order: the caller (step 2 of the
 solver) passes one smallness target per order, and the measure of order
 ell at radius delta must not exceed ``target * delta**ell / ell!``.
+
+The public functions validate their arguments; below them one kernel
+computes.  `minimize_model` holds the model at each iterate and trial as
+one `tensors._ModelPoint`, so a trial's value and, once it is accepted, its
+shifted derivatives share ||s|| and the products T @ s.  Its step
+certification settles order 1 from the model gradient with the arithmetic
+of the order-1 measure and builds a derivative bundle only once the checks
+reach order 2.
 """
 from __future__ import annotations
 
@@ -36,10 +44,9 @@ from scipy.optimize import brentq
 from .tensors import (
     DerivativeBundle,
     RegularizedModel,
-    model_decrement,
-    model_eval,
-    shifted_model_derivatives,
-    taylor_decrement,
+    _ModelPoint,
+    _norm,
+    _taylor_decrement,
 )
 
 __all__ = [
@@ -173,21 +180,21 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     delta = float(delta)
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("g holds a non-finite entry")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("h holds a non-finite entry")
     n = g.size
     hs = 0.5 * (h + h.T)
     chol, info = dpotrf(hs)
     if info == 0:
         d, _ = dpotrs(chol, -g)
-        if np.linalg.norm(d) <= delta:
+        if _norm(d) <= delta:
             return d
     lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
     lam1 = float(lam[0])
-    scale = max(1.0, float(np.max(np.abs(lam))), float(np.linalg.norm(gh)) / delta)
+    scale = max(1.0, float(np.max(np.abs(lam))), _norm(gh) / delta)
 
     def qval(d):
         return float(g @ d + 0.5 * d @ h @ d)
@@ -196,7 +203,7 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     # edge of definiteness, or a Newton step on the sphere within rounding).
     if lam1 > 0:
         d = q @ (-gh / lam)
-        if np.linalg.norm(d) <= delta:
+        if _norm(d) <= delta:
             return d
 
     mu_floor = max(0.0, -lam1)
@@ -206,13 +213,13 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     nz = ~min_mask
     d0 = np.zeros(n)
     d0[nz] = -gh[nz] / (lam[nz] + mu_floor)
-    nd0 = float(np.linalg.norm(d0))
+    nd0 = _norm(d0)
 
     if gh_min <= 1e-11 * scale and nd0 <= delta:
         return _complete_to_boundary(q @ d0, q[:, 0], delta, qval)
 
     def inv_norm_gap(mu):
-        return 1.0 / float(np.linalg.norm(gh / (lam + mu))) - 1.0 / delta
+        return 1.0 / _norm(gh / (lam + mu)) - 1.0 / delta
 
     lo = mu_floor + max(1e-14, 1e-13 * scale)
     if inv_norm_gap(lo) >= 0.0:
@@ -227,24 +234,29 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
             raise RuntimeError("secular-equation bracket failed")
     mu = brentq(inv_norm_gap, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
     d = q @ (-gh / (lam + mu))
-    nd = float(np.linalg.norm(d))
+    nd = _norm(d)
     if nd > 0:
         d *= delta / nd
     return d
 
 
-def _measure_order1(bundle: DerivativeBundle, delta: float) -> MeasureResult:
-    g = bundle.tensors[0]
-    ng = float(np.linalg.norm(g))
+def _steepest_descent(g: np.ndarray, delta: float):
+    """(decrement, displacement) of the order-1 ball measure of gradient g:
+    the step -delta g / ||g||, or zero when g vanishes."""
+    ng = _norm(g)
     if ng == 0.0:
-        return MeasureResult(0.0, np.zeros(bundle.dim))
+        return 0.0, np.zeros(g.shape[0])
     d = -(delta / ng) * g
-    return MeasureResult(taylor_decrement(bundle, d, 1), d)
+    return _taylor_decrement((g,), d, 1), d
+
+
+def _measure_order1(bundle: DerivativeBundle, delta: float) -> MeasureResult:
+    return MeasureResult(*_steepest_descent(bundle.tensors[0], delta))
 
 
 def _measure_order2(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     d = solve_trs(bundle.tensors[0], bundle.tensors[1], delta)
-    dec = taylor_decrement(bundle, d, 2)
+    dec = _taylor_decrement(bundle.tensors, d, 2)
     if dec <= 0.0:
         return MeasureResult(0.0, np.zeros(bundle.dim))
     return MeasureResult(dec, d)
@@ -294,7 +306,7 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
         return ((0.0 - _row_dots(d, g)) - _row_dots(hd, d) / 2) - _row_dots(tdd, d) / 6
 
     starts = []
-    ng = float(np.linalg.norm(g))
+    ng = _norm(g)
     if ng > 0:
         starts.append(-(delta / ng) * g)
     starts.append(solve_trs(g, h, delta))
@@ -304,7 +316,7 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
         starts.extend([e, -e])
     while len(starts) < _ORDER3_STARTS:
         v = rng.standard_normal(n)
-        v *= delta * rng.random() ** (1.0 / n) / np.linalg.norm(v)
+        v *= delta * rng.random() ** (1.0 / n) / _norm(v)
         starts.append(v)
 
     d = _project_rows(np.array(starts[:_ORDER3_STARTS], dtype=float), delta)
@@ -384,34 +396,37 @@ def radius_search(bundle: DerivativeBundle, ell: int, target: float, delta_cap: 
     )
 
 
-def _certify_step(model, s, targets, delta_caps):
-    """(radii, displacements) with every order-1..q model measure at s
-    within its target, or None if some order fails (checked cheapest
-    first); and the model's derivatives at s built on the way.
+def _certify_step(point: _ModelPoint, targets, delta_caps):
+    """(radii, displacements) with every order-1..q model measure at the
+    point within its target, or None if some order fails (checked cheapest
+    first).
 
-    The model's derivatives at s are computed once each, order ell only
-    when the checks reach it.  The bundle's value slot is never read.
+    The model's derivatives at the point are built once each, order ell
+    only when the checks reach it.  Order 1 is settled from the gradient
+    alone; a bundle (whose value slot is never read) is built from order 2.
     """
     q = len(targets)
     radii = np.ones(q)
-    measures = []
-    tensors = []
-    for ell in range(1, q + 1):
-        tensors.append(shifted_model_derivatives(model, s, ell))
+    phi, d = _steepest_descent(point.derivative(1), 1.0)
+    if phi > targets[0]:  # the order-1 target at delta = 1
+        return None
+    measures = [MeasureResult(phi, d)]
+    for ell in range(2, q + 1):
+        tensors = [point.derivative(i) for i in range(1, ell + 1)]
         sb = DerivativeBundle(0.0, tensors, (0.0,) * ell)
-        if ell <= 2:
+        if ell == 2:
             delta = 1.0
             m = optimality_measure(sb, ell, delta)
             if m.phi_bar > targets[ell - 1] * delta**ell / math.factorial(ell):
-                return None, tensors
+                return None
         else:
             try:
                 delta, m = radius_search(sb, ell, targets[ell - 1], delta_caps[ell - 1])
             except SubsolverStallError:
-                return None, tensors
+                return None
         radii[ell - 1] = delta
         measures.append(m)
-    return (radii, tuple(measures)), tensors
+    return radii, tuple(measures)
 
 
 def minimize_model(
@@ -436,64 +451,60 @@ def minimize_model(
     decrement at least that of the warm start, so the descent postcondition
     holds by monotonicity.
     """
-    s = np.asarray(warm_start, dtype=float).copy()
+    point = _ModelPoint(model, np.asarray(warm_start, dtype=float).copy())
     if delta_caps is None:
         delta_caps = np.ones(len(targets))
-    target = model_decrement(model, s)
-    if not target > 0:
+    if not point.decrement() > 0:
         raise ValueError("warm start must strictly decrease the model")
 
     def finish(current, iterations):
-        """(StepResult or None, the model derivatives at `current` that
-        certification built, order 1 first)."""
-        if np.linalg.norm(current) >= 1.0:
-            return StepResult(current, None, None, True, iterations), []
-        cert, derivs = _certify_step(model, current, targets, delta_caps)
+        """StepResult at the point `current`, or None if it fails certification."""
+        if current.norm >= 1.0:
+            return StepResult(current.s, None, None, True, iterations)
+        cert = _certify_step(current, targets, delta_caps)
         if cert is None:
-            return None, derivs
-        radii, measures = cert
-        return StepResult(current, radii, measures, False, iterations), derivs
+            return None
+        return StepResult(current.s, *cert, False, iterations)
 
-    out, derivs = finish(s, 0)
+    out = finish(point, 0)
     if out is not None:
         return out
 
-    tr = max(0.25, min(1.0, float(np.linalg.norm(s))))
-    m_cur = model_eval(model, s)
+    tr = max(0.25, min(1.0, point.norm))
+    m_cur = point.value()
     for it in range(1, max_inner + 1):
-        # Newton needs the order-1 and order-2 derivatives at s; reuse those
-        # `finish` (or an earlier rejected trial at the same s) built.
-        while len(derivs) < 2:
-            derivs.append(shifted_model_derivatives(model, s, len(derivs) + 1))
-        g1, h1 = derivs[0], derivs[1]
+        # The point keeps the derivatives `finish` built, so a rejected
+        # trial costs no recomputation at the next Newton step.
+        g1, h1 = point.derivative(1), point.derivative(2)
         d = solve_trs(g1, h1, tr)
+        nd = _norm(d)
         pred = -(g1 @ d + 0.5 * d @ h1 @ d)
-        if pred <= 0 or np.linalg.norm(d) < 1e-16:
+        if pred <= 0 or nd < 1e-16:
             # No descent available at this radius: the iterate is a numerical
             # second-order point of the model, and `finish` already failed
             # to certify it.
             raise SubsolverStallError(
                 "model minimizer converged but step certification failed",
-                {"iterations": it, "grad_norm": float(np.linalg.norm(g1))},
+                {"iterations": it, "grad_norm": _norm(g1)},
             )
-        cand = s + d
-        m_new = model_eval(model, cand)
+        trial = _ModelPoint(model, point.s + d)
+        m_new = trial.value()
         actual = m_cur - m_new
         if actual > 0:
-            s, m_cur = cand, m_new
-            out, derivs = finish(s, it)
+            point, m_cur = trial, m_new
+            out = finish(point, it)
             if out is not None:
                 return out
-            if actual >= 0.75 * pred and np.linalg.norm(d) >= 0.9 * tr:
+            if actual >= 0.75 * pred and nd >= 0.9 * tr:
                 tr = min(2.0 * tr, 1e3)
         else:
             tr *= 0.25
             if tr < 1e-14:
                 raise SubsolverStallError(
                     "trust region collapsed before certification",
-                    {"iterations": it, "grad_norm": float(np.linalg.norm(g1))},
+                    {"iterations": it, "grad_norm": _norm(g1)},
                 )
     raise SubsolverStallError(
         "inner iteration cap exceeded",
-        {"iterations": max_inner, "step_norm": float(np.linalg.norm(s))},
+        {"iterations": max_inner, "step_norm": point.norm},
     )

@@ -6,6 +6,14 @@ tensors of order ``i`` over R^n are stored as dense numpy arrays of shape
 package targets (degree <= 3; n in the tens for order-3 tensors, up to a
 few hundred for degree-2 runs) the simplicity is worth more than the
 memory.
+
+Each public function validates its inputs and then calls one private
+kernel on float arrays; the package's inner loops, which already hold such
+arrays, call the kernels directly.  `_ModelPoint` is the kernel of the
+regularized model at one displacement s: it computes ||s|| and each product
+of a bundle tensor with s once and shares them between the model value,
+its decrement and its derivatives at s.  It lives as long as its caller
+holds it.  `_norm` is numpy's own 1-D norm formula without its dispatch.
 """
 from __future__ import annotations
 
@@ -42,7 +50,7 @@ def contract(tensor: np.ndarray, s: np.ndarray, times: int) -> np.ndarray:
 
 def contract_full(tensor: np.ndarray, s: np.ndarray) -> float:
     """Apply an order-i tensor to i copies of `s`, yielding a scalar."""
-    return float(contract(tensor, s, np.ndim(tensor)))
+    return _full_contraction(np.asarray(tensor, dtype=float), s)
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
@@ -106,7 +114,7 @@ class DerivativeBundle:
         Exact or inexact function value at the base point.
     tensors : tuple of ndarray
         Symmetric tensors; entry ``i-1`` has order ``i`` and shape
-        ``(dim,) * i``.
+        ``(dim,) * i``.  Stored as C-contiguous float arrays.
     accuracy : tuple of float
         Per-order absolute error bounds on the tensors; 0 means exact.
     """
@@ -116,7 +124,7 @@ class DerivativeBundle:
     accuracy: tuple = ()
 
     def __post_init__(self):
-        tensors = tuple(np.asarray(t, dtype=float) for t in self.tensors)
+        tensors = tuple(np.asarray(t, dtype=float, order="C") for t in self.tensors)
         if not tensors:
             raise ValueError("bundle needs at least the order-1 tensor")
         n = tensors[0].shape[0]
@@ -125,13 +133,13 @@ class DerivativeBundle:
                 raise ValueError(
                     f"order-{i} tensor has shape {t.shape}, expected {(n,) * i}"
                 )
-        acc = tuple(float(a) for a in self.accuracy)
+        acc = tuple(map(float, self.accuracy))
         if not acc:
             acc = (0.0,) * len(tensors)
         if len(acc) != len(tensors):
             raise ValueError("accuracy list must have one entry per order")
-        if any(a < 0 for a in acc):
-            raise ValueError("accuracy entries must be >= 0")
+        if not all(a >= 0 for a in acc):
+            raise ValueError(f"accuracy entries must be >= 0, got {acc}")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "tensors", tensors)
         object.__setattr__(self, "accuracy", acc)
@@ -163,21 +171,59 @@ class RegularizedModel:
 
 
 def _check_displacement(dim: int, s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=float, order="C")
     if s.shape != (dim,):
         raise ValueError(f"displacement has shape {s.shape}, expected ({dim},)")
     return s
 
 
+def _check_order(j: int, top: int) -> None:
+    if not 1 <= j <= top:
+        raise ValueError(f"order {j} outside 1..{top}")
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D float array, by the formula
+    `np.linalg.norm` uses (sqrt of ``v.dot(v)``), so bit for bit the same."""
+    return math.sqrt(v.dot(v))
+
+
+def _full_contraction(tensor: np.ndarray, s: np.ndarray) -> float:
+    """Kernel of `contract_full` on a float tensor."""
+    out = tensor
+    for _ in range(tensor.ndim):
+        out = out @ s
+    return float(out)
+
+
+def _taylor_value(value: float, fulls) -> float:
+    """value + sum_i fulls[i-1] / i!, where fulls[i-1] = T_i[s, ..., s]."""
+    total = value
+    for i, c in enumerate(fulls, start=1):
+        total += c / math.factorial(i)
+    return float(total)
+
+
+def _taylor_drop(fulls) -> float:
+    """-sum_i fulls[i-1] / i!, the Taylor decrement from the same terms."""
+    total = 0.0
+    for i, c in enumerate(fulls, start=1):
+        total -= c / math.factorial(i)
+    return float(total)
+
+
+def _taylor_decrement(tensors, s: np.ndarray, j: int) -> float:
+    """Kernel of `taylor_decrement` on float tensors and displacement."""
+    return _taylor_drop([_full_contraction(t, s) for t in tensors[:j]])
+
+
 def taylor_eval(bundle: DerivativeBundle, s, j: int) -> float:
     """Evaluate the degree-j Taylor polynomial of the bundle at displacement s."""
     s = _check_displacement(bundle.dim, s)
-    if not 1 <= j <= bundle.degree:
-        raise ValueError(f"order {j} outside 1..{bundle.degree}")
-    total = bundle.value
-    for i in range(1, j + 1):
-        total += contract_full(bundle.tensors[i - 1], s) / math.factorial(i)
-    return float(total)
+    _check_order(j, bundle.degree)
+    return _taylor_value(
+        bundle.value, [_full_contraction(t, s) for t in bundle.tensors[:j]]
+    )
 
 
 def taylor_decrement(bundle: DerivativeBundle, s, j: int) -> float:
@@ -187,28 +233,78 @@ def taylor_decrement(bundle: DerivativeBundle, s, j: int) -> float:
     bundle value cancels, so it is computed directly from the tensors.
     """
     s = _check_displacement(bundle.dim, s)
-    if not 1 <= j <= bundle.degree:
-        raise ValueError(f"order {j} outside 1..{bundle.degree}")
-    total = 0.0
-    for i in range(1, j + 1):
-        total -= contract_full(bundle.tensors[i - 1], s) / math.factorial(i)
-    return float(total)
+    _check_order(j, bundle.degree)
+    return _taylor_decrement(bundle.tensors, s, j)
+
+
+class _ModelPoint:
+    """The regularized model at one displacement s.
+
+    ||s|| and the chain T_ell, T_ell @ s, (T_ell @ s) @ s, ... of each
+    bundle tensor are computed once and shared: the model value takes the
+    end of each chain, the order-j derivative the entry after ell - j
+    contractions (so ``H @ s`` feeds both ``(H @ s) @ s`` and the gradient).
+    Derivatives are kept once built.  A point lives as long as its caller
+    holds it; nothing is kept across calls.
+    """
+
+    __slots__ = ("model", "s", "norm", "_chains", "_derivs")
+
+    def __init__(self, model: RegularizedModel, s: np.ndarray):
+        self.model = model
+        self.s = s
+        self.norm = _norm(s)
+        chains = []
+        for t in model.bundle.tensors:
+            chain = [t]
+            for _ in range(t.ndim):
+                chain.append(chain[-1] @ s)
+            chains.append(chain)
+        self._chains = chains
+        self._derivs = {}
+
+    def _fulls(self) -> list:
+        return [float(chain[-1]) for chain in self._chains]
+
+    def _regularizer(self) -> float:
+        p = len(self._chains)
+        return self.model.sigma / math.factorial(p + 1) * self.norm ** (p + 1)
+
+    def value(self) -> float:
+        return _taylor_value(self.model.bundle.value, self._fulls()) + self._regularizer()
+
+    def decrement(self) -> float:
+        return _taylor_drop(self._fulls()) - self._regularizer()
+
+    def derivative(self, j: int) -> np.ndarray:
+        """Order-j derivative tensor of the model at s (see
+        `shifted_model_derivatives`)."""
+        out = self._derivs.get(j)
+        if out is None:
+            p = len(self._chains)
+            # Summed onto 0.0, so no entry is -0.0.
+            out = 0.0
+            for ell in range(j, p + 1):
+                term = self._chains[ell - 1][ell - j]
+                if ell - j > 1:
+                    term = term / math.factorial(ell - j)
+                out = out + term
+            reg = _regularizer_derivative(self.s, self.norm, p, j)
+            out = out + self.model.sigma / math.factorial(p + 1) * reg
+            self._derivs[j] = out
+        return out
 
 
 def model_eval(model: RegularizedModel, s) -> float:
     """Value of the regularized model at s."""
-    p = model.degree
     s = _check_displacement(model.bundle.dim, s)
-    reg = model.sigma / math.factorial(p + 1) * np.linalg.norm(s) ** (p + 1)
-    return taylor_eval(model.bundle, s, p) + reg
+    return _ModelPoint(model, s).value()
 
 
 def model_decrement(model: RegularizedModel, s) -> float:
     """Drop of the regularized model from 0 to s (never above the Taylor drop)."""
-    p = model.degree
     s = _check_displacement(model.bundle.dim, s)
-    reg = model.sigma / math.factorial(p + 1) * np.linalg.norm(s) ** (p + 1)
-    return taylor_decrement(model.bundle, s, p) - reg
+    return _ModelPoint(model, s).decrement()
 
 
 def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
@@ -222,27 +318,40 @@ def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
         third  = b(b-2) r^(b-4) sym(I (x) s) + b(b-2)(b-4) r^(b-6) s(x)s(x)s
 
     where sym(I (x) s)_{abc} = delta_ab s_c + delta_ac s_b + delta_bc s_a.
-    All terms vanish as s -> 0 for j <= p, and the zero tensor is returned
-    at s = 0.
+    A term whose coefficient is zero is skipped (its power of r may not be
+    representable).  All terms vanish as s -> 0 for j <= p, and the zero
+    tensor is returned at s = 0; above p the value at s = 0 is exact: 2I
+    for the Hessian of ||s||^2, and zero otherwise (for p = 2, j = 3, where
+    the tensor has no limit at 0, zero by convention).
     """
     s = np.asarray(s, dtype=float)
-    n = s.shape[0]
     if j not in (1, 2, 3):
         raise ValueError("closed forms implemented for orders 1..3 only")
-    r = float(np.linalg.norm(s))
-    if r == 0.0:
-        return np.zeros((n,) * j)
+    return _regularizer_derivative(s, _norm(s.ravel()), p, j)
+
+
+def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarray:
+    """Kernel of `regularizer_derivative`, given r = ||s||."""
+    n = s.shape[0]
     b = float(p + 1)
+    if r == 0.0:
+        out = np.zeros((n,) * j)
+        if j == 2 and b == 2.0:
+            out.reshape(-1)[:: n + 1] = 2.0
+        return out
     if j == 1:
         return b * r ** (b - 2) * s
     if j == 2:
-        return b * r ** (b - 2) * np.eye(n) + b * (b - 2) * r ** (b - 4) * np.outer(s, s)
-    eye = np.eye(n)
-    mixed = (
-        np.einsum("ab,c->abc", eye, s)
-        + np.einsum("ac,b->abc", eye, s)
-        + np.einsum("bc,a->abc", eye, s)
-    )
+        out = np.zeros((n, n)) if b == 2.0 else b * (b - 2) * r ** (b - 4) * (s[:, None] * s)
+        out.reshape(-1)[:: n + 1] += b * r ** (b - 2)
+        return out
+    if b == 2.0:
+        return np.zeros((n, n, n))
+    idx = np.arange(n)
+    mixed = np.zeros((n, n, n))
+    mixed[idx, idx, :] += s
+    mixed[idx, :, idx] += s
+    mixed[:, idx, idx] += s[:, None]
     out = b * (b - 2) * r ** (b - 4) * mixed
     if b != 4.0:
         out += b * (b - 2) * (b - 4) * r ** (b - 6) * np.einsum("a,b,c->abc", s, s, s)
@@ -258,15 +367,6 @@ def shifted_model_derivatives(model: RegularizedModel, s, j: int) -> np.ndarray:
     inexactness.  Above the model degree p the Taylor part is zero and only
     the regularizer curves (the Newton Hessian of a degree-1 model).
     """
-    p = model.degree
-    if not 1 <= j <= max(p, 2):
-        raise ValueError(f"order {j} outside 1..{max(p, 2)}")
+    _check_order(j, max(model.degree, 2))
     s = _check_displacement(model.bundle.dim, s)
-    n = model.bundle.dim
-    out = np.zeros((n,) * j)
-    for ell in range(j, p + 1):
-        out = out + contract(model.bundle.tensors[ell - 1], s, ell - j) / math.factorial(
-            ell - j
-        )
-    out = out + model.sigma / math.factorial(p + 1) * regularizer_derivative(s, p, j)
-    return out
+    return _ModelPoint(model, s).derivative(j)

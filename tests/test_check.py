@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,22 @@ class TestValidation:
     def test_empty_accuracies(self):
         with pytest.raises(ValueError):
             check(0.5, 1.0, [], xi=0.05, omega=0.02)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("decrement", (0.5, math.nan, [0.01], 0.05, 0.02)),
+            ("delta", (math.nan, 1.0, [0.01], 0.05, 0.02)),
+            ("xi", (0.5, 1.0, [0.01], math.nan, 0.02)),
+            ("omega", (0.5, 1.0, [0.01], 0.05, math.nan)),
+            ("accuracies", (0.5, 1.0, [0.01, math.nan], 0.05, 0.02)),
+            ("accuracies", (0.5, 1.0, np.array([math.nan]), 0.05, 0.02)),
+        ],
+    )
+    def test_nan_rejected_by_name(self, name, args):
+        # A NaN decrement used to be certified as small (ABSOLUTE).
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            check(*args)
 
 
 class TestZeroAccuracies:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from arq import oracle as oracle_module
 from arq.oracle import (
     NoiseModel,
     Oracle,
@@ -123,6 +124,14 @@ class TestBundleContract:
         with pytest.raises(ValueError):
             oracle.inexact_bundle(problem.x0, np.array([0.1]), 2)
 
+    def test_nan_accuracy_rejected(self, problem):
+        oracle = Oracle(problem, NoiseModel("truncation", seed=0))
+        with pytest.raises(ValueError, match="accuracy entries"):
+            oracle.inexact_bundle(problem.x0, np.array([0.1, np.nan]), 2)
+        with pytest.raises(ValueError, match="bound"):
+            oracle.inexact_value(problem.x0, float("nan"))
+        assert oracle.counters.snapshot() == (0, 0)
+
 
 def eigensolve_truncation(exact, bound):
     """Coarsest decimal rounding of a matrix whose error passes `operator_norm`."""
@@ -228,3 +237,50 @@ class TestLipschitzEstimates:
         est = estimate_lipschitz(problem, problem.x0, 2)
         # max |A x| over the sampled box is at least the top eigenvalue scale
         assert est >= 1.0
+
+
+def ref_truncate_tensor(exact, bound):
+    """The truncation as it was before the candidate grids were rounded in
+    blocks: one `np.round` and one norm check per decimal count."""
+    if bound <= 0:
+        return exact.copy()
+    for d in range(0, 17):
+        v = np.round(exact, d)
+        err = v - exact
+        if exact.ndim == 2:
+            sym = 0.5 * (err + err.T)
+            margin = 1e-9 * bound
+            if float(np.max(np.abs(sym))) > bound + margin:
+                fits = False
+            elif float(np.linalg.norm(sym)) <= bound - margin:
+                fits = True
+            else:
+                fits = operator_norm(err) <= bound
+        elif exact.ndim == 1:
+            fits = float(np.linalg.norm(err)) <= bound
+        else:
+            fits = frobenius_norm(err) <= bound
+        if fits:
+            return v
+    return exact.copy()
+
+
+class TestTruncationMatchesTheReference:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_bit_for_bit(self, order):
+        rng = np.random.default_rng(20240809 + order)
+        dims = (1, 2, 4) if order == 3 else (1, 2, 4, 20)
+        for n in dims:
+            for _ in range(8):
+                t = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n,) * order)
+                if order == 2:
+                    t = t + t.T
+                for bound in [0.0] + [10.0 ** rng.uniform(-16, 1) for _ in range(6)]:
+                    ours, ref = _truncate_tensor(t, bound), ref_truncate_tensor(t, bound)
+                    assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+    def test_one_rounding_formula(self):
+        # `_DECIMAL_SCALES` reproduces `np.round` at every decimal count.
+        x = np.random.default_rng(1).standard_normal(1000) * 10.0 ** np.linspace(-12, 8, 1000)
+        for d, scale in enumerate(oracle_module._DECIMAL_SCALES):
+            assert (np.rint(x * scale) / scale).tobytes() == np.round(x, d).tobytes()

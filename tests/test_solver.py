@@ -82,6 +82,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
 
+    def test_nan_accuracy_rejected(self):
+        # Accepted before, after which a solve ran out its 1 000 iterations.
+        with pytest.raises(ConfigError, match="acc0"):
+            SolverConfig(p=2, q=1, epsilons=(1e-2,), acc0=(float("nan"), 0.1))
+
 
 def make_state(dim=1, sigma=1.0, q=1, acc=(0.0, 0.0)):
     return SolverState(

@@ -143,6 +143,12 @@ class TestRegularizerDerivative:
     def test_zero_point(self):
         assert np.all(regularizer_derivative(np.zeros(3), 2, 2) == 0.0)
 
+    @pytest.mark.parametrize("s", [[0.0, 0.0], [1e-160, 0.0], [1e-154, -3e-155], [0.3, -2.0]])
+    def test_hessian_of_the_squared_norm_is_twice_the_identity(self, s):
+        # p = 1: the Newton Hessian of a degree-1 model, 2I at every s.
+        assert np.array_equal(regularizer_derivative(np.array(s), 1, 2), 2.0 * np.eye(2))
+        assert np.array_equal(regularizer_derivative(np.array(s), 1, 3), np.zeros((2, 2, 2)))
+
 
 class TestShiftedModelDerivatives:
     def test_unshifted_without_regularizer_is_gradient(self):
@@ -215,6 +221,10 @@ class TestBundleValidation:
         with pytest.raises(ValueError):
             DerivativeBundle(0.0, [np.zeros(2)], (-0.1,))
 
+    def test_nan_accuracy_rejected(self):
+        with pytest.raises(ValueError, match="accuracy entries"):
+            DerivativeBundle(0.0, [np.zeros(2), np.zeros((2, 2))], (0.1, float("nan")))
+
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             DerivativeBundle(0.0, [np.zeros(2), np.zeros((3, 3))])
@@ -240,3 +250,155 @@ class TestOperatorNorm:
         assert u is tensors._unit_directions(3, 50, 4)
         with pytest.raises(ValueError):
             u[0, 0] = 1.0
+
+
+# The model arithmetic before the public functions were split into a
+# validating wrapper and a kernel that shares ||s|| and each product T @ s
+# between the model value and its derivatives.  The kernels must reproduce
+# it bit for bit.
+def ref_contract(tensor, s, times):
+    out = np.asarray(tensor, dtype=float)
+    for _ in range(times):
+        out = out @ s
+    return out
+
+
+def ref_taylor_eval(bundle, s, j):
+    total = bundle.value
+    for i in range(1, j + 1):
+        total += float(ref_contract(bundle.tensors[i - 1], s, i)) / math.factorial(i)
+    return float(total)
+
+
+def ref_taylor_decrement(bundle, s, j, contract=ref_contract):
+    total = 0.0
+    for i in range(1, j + 1):
+        total -= float(contract(bundle.tensors[i - 1], s, i)) / math.factorial(i)
+    return float(total)
+
+
+def ref_model_eval(model, s):
+    p = model.degree
+    reg = model.sigma / math.factorial(p + 1) * np.linalg.norm(s) ** (p + 1)
+    return ref_taylor_eval(model.bundle, s, p) + reg
+
+
+def ref_model_decrement(model, s):
+    p = model.degree
+    reg = model.sigma / math.factorial(p + 1) * np.linalg.norm(s) ** (p + 1)
+    return ref_taylor_decrement(model.bundle, s, p) - reg
+
+
+def ref_regularizer_derivative(s, p, j):
+    n = s.shape[0]
+    r = float(np.linalg.norm(s))
+    if r == 0.0:
+        return np.zeros((n,) * j)
+    b = float(p + 1)
+    if j == 1:
+        return b * r ** (b - 2) * s
+    if j == 2:
+        return b * r ** (b - 2) * np.eye(n) + b * (b - 2) * r ** (b - 4) * np.outer(s, s)
+    eye = np.eye(n)
+    mixed = (
+        np.einsum("ab,c->abc", eye, s)
+        + np.einsum("ac,b->abc", eye, s)
+        + np.einsum("bc,a->abc", eye, s)
+    )
+    out = b * (b - 2) * r ** (b - 4) * mixed
+    if b != 4.0:
+        out += b * (b - 2) * (b - 4) * r ** (b - 6) * np.einsum("a,b,c->abc", s, s, s)
+    return out
+
+
+def ref_shifted_model_derivatives(model, s, j):
+    p = model.degree
+    n = model.bundle.dim
+    out = np.zeros((n,) * j)
+    for ell in range(j, p + 1):
+        out = out + ref_contract(model.bundle.tensors[ell - 1], s, ell - j) / math.factorial(
+            ell - j
+        )
+    return out + model.sigma / math.factorial(p + 1) * ref_regularizer_derivative(s, p, j)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and bytes: stricter than ==, it also tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_cases():
+    """Seeded random models and displacements: p in 1..3, n in {1, 2, 4, 20},
+    steps from 1e-3 to 3 in norm."""
+    rng = np.random.default_rng(20240809)
+    cases = []
+    for p in (1, 2, 3):
+        for n in (1, 2, 4, 20):
+            for _ in range(6):
+                bundle = random_bundle(rng, n, p)
+                model = RegularizedModel(bundle, float(rng.uniform(0.0, 5.0)))
+                s = rng.standard_normal(n)
+                s *= 10.0 ** rng.uniform(-3, 0.5) / np.linalg.norm(s)
+                cases.append((model, s))
+    return cases
+
+
+def mismatches(ours, reference):
+    """Cases of `kernel_cases` (with every order j of the model) on which
+    ``ours(model, s, j)`` and ``reference(model, s, j)`` differ in a bit."""
+    return [
+        (model.degree, model.bundle.dim, j)
+        for model, s in kernel_cases()
+        for j in range(1, model.degree + 1)
+        if not same_bits(ours(model, s, j), reference(model, s, j))
+    ]
+
+
+class TestKernelsMatchTheReference:
+    def test_taylor_eval(self):
+        assert mismatches(lambda m, s, j: taylor_eval(m.bundle, s, j),
+                          lambda m, s, j: ref_taylor_eval(m.bundle, s, j)) == []
+
+    def test_taylor_decrement(self):
+        assert mismatches(lambda m, s, j: taylor_decrement(m.bundle, s, j),
+                          lambda m, s, j: ref_taylor_decrement(m.bundle, s, j)) == []
+
+    def test_model_eval_and_decrement(self):
+        assert mismatches(lambda m, s, j: model_eval(m, s),
+                          lambda m, s, j: ref_model_eval(m, s)) == []
+        assert mismatches(lambda m, s, j: model_decrement(m, s),
+                          lambda m, s, j: ref_model_decrement(m, s)) == []
+
+    def test_shifted_model_derivatives(self):
+        assert mismatches(shifted_model_derivatives, ref_shifted_model_derivatives) == []
+
+    def test_one_point_serves_value_and_derivatives(self):
+        # The solver's order: value first, then derivatives from the same
+        # point's products.
+        for model, s in kernel_cases():
+            point = tensors._ModelPoint(model, s)
+            assert same_bits(point.value(), ref_model_eval(model, s))
+            for j in range(1, max(model.degree, 2) + 1):
+                assert same_bits(point.derivative(j), ref_shifted_model_derivatives(model, s, j))
+            assert same_bits(point.decrement(), ref_model_decrement(model, s))
+
+    def test_a_reordered_contraction_is_caught(self):
+        # T[s, ..., s] contracted from the leading axis: the same number up
+        # to rounding, so only a bitwise comparison notices.
+        def leading_first(tensor, s, times):
+            out = np.asarray(tensor, dtype=float)
+            for _ in range(times):
+                out = s @ out
+            return out
+
+        found = mismatches(lambda m, s, j: ref_taylor_decrement(m.bundle, s, j, leading_first),
+                           lambda m, s, j: taylor_decrement(m.bundle, s, j))
+        assert found
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 20, 64, 200])
+    def test_lean_norm_is_numpys(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (0.0, 1e-160, 1e-20, 1.0, 1e20, 1e150):
+            v = scale * rng.standard_normal(n)
+            assert same_bits(tensors._norm(v), np.linalg.norm(v))
