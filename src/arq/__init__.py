@@ -27,7 +27,6 @@ from .tensors import (
     model_decrement,
     shifted_model_derivatives,
     taylor_decrement,
-    taylor_eval,
 )
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "shifted_model_derivatives",
     "solve",
     "taylor_decrement",
-    "taylor_eval",
 ]
 
 __version__ = "0.1.0"

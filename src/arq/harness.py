@@ -391,6 +391,9 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         return RunOutcome(1, error=str(exc))
     try:
         result = solve(problem, noise, config, x0=spec.x0)
+    except ConfigError as exc:  # a start point of the wrong shape or not finite
+        logger.error("configuration rejected: %s", exc)
+        return RunOutcome(1, error=str(exc))
     except SolveStoppedError as exc:
         logger.error("stopped without a certificate (%s): %s", exc.status, exc)
         if spec.out is not None:

@@ -2,7 +2,9 @@
 
 The solver never sees exact problem data directly: it asks an `Oracle` for
 a value or a derivative bundle together with an absolute error bound per
-quantity, and the oracle must return something within that bound.  Noise
+quantity, and the oracle must return something within that bound.  A
+bundle request computes derivatives only, never f, so objective values
+reach the solver through `inexact_value` alone, each one counted.  Noise
 injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.
 
@@ -53,8 +55,7 @@ class Problem:
         return np.asarray(self.eval_derivative(np.asarray(x, dtype=float), i), dtype=float)
 
     def exact_bundle(self, x, p: int) -> DerivativeBundle:
-        tensors = [self.derivative(x, i) for i in range(1, p + 1)]
-        return DerivativeBundle(self.value(x), tensors, (0.0,) * p)
+        return DerivativeBundle([self.derivative(x, i) for i in range(1, p + 1)])
 
 
 @dataclass(frozen=True)
@@ -226,15 +227,12 @@ class Oracle:
                 and np.all(accuracies >= cacc)
             ):
                 return cbundle
-        tensors = []
-        for i in range(1, p + 1):
-            exact = self.problem.derivative(x, i)
-            tensors.append(self._perturb_tensor(exact, float(accuracies[i - 1])))
-        # The value slot is informational: decrements and measures are
-        # value-independent, so it never steers the algorithm and is not
-        # counted as an objective evaluation.
-        value = self.problem.value(x)
-        bundle = DerivativeBundle(value, tensors, tuple(accuracies))
+        bundle = DerivativeBundle(
+            [
+                self._perturb_tensor(self.problem.derivative(x, i), float(acc))
+                for i, acc in enumerate(accuracies, start=1)
+            ]
+        )
         self.counters.derivative_evals += 1
         self._cached = (x.copy(), accuracies.copy(), bundle)
         return bundle

@@ -367,7 +367,7 @@ def step2(
             acc_model = 3.0 * float(np.max(state.acc[ell - 1 : config.p]))
             verdict = check(
                 float(step_res.radii[ell - 1]),
-                step_res.inner_displacements[ell - 1].phi_bar,
+                step_res.phi_bars[ell - 1],
                 [acc_model] * ell,
                 targets[ell - 1] / (1.0 + config.omega),
                 config.omega,
@@ -448,6 +448,8 @@ def solve(
     start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
     if start.shape != (problem.dim,):
         raise ConfigError(f"x0 has shape {start.shape}, expected ({problem.dim},)")
+    if not np.isfinite(start).all():
+        raise ConfigError("x0 holds a non-finite entry")
     state = SolverState(
         x=start,
         sigma=config.sigma0,

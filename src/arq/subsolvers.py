@@ -26,8 +26,8 @@ ell at radius delta must not exceed ``target * delta**ell / ell!``.
 
 The public functions validate their arguments; below them one kernel
 computes.  `minimize_model` holds the model at each iterate and trial as
-one `tensors._ModelPoint`, so a trial's value and, once it is accepted, its
-shifted derivatives share ||s|| and the products T @ s.  Its step
+one `tensors._ModelPoint`, so a trial's decrement and, once it is accepted,
+its shifted derivatives share ||s|| and the products T @ s.  Its step
 certification settles order 1 from the model gradient with the arithmetic
 of the order-1 measure and builds a derivative bundle only once the checks
 reach order 2.
@@ -92,13 +92,10 @@ class SolveStoppedError(RuntimeError):
 
 
 class SubsolverStallError(SolveStoppedError):
-    """Inner solve hit its iteration or radius floor; carries diagnostics."""
+    """Inner solve hit its iteration or radius floor; the message carries
+    the numbers (iterations, step or gradient norm, radius floor)."""
 
     status = "stall"
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -114,13 +111,13 @@ class StepResult:
     """Outcome of approximately minimizing the regularized model.
 
     Either ``long_step`` (norm >= 1, no radii needed) or a short step with
-    per-order radii and the displacements certifying that the model's ball
-    measures at the step are small.
+    per-order radii and ``phi_bars``, the model's ball measure at the step
+    for each order at its radius, certified small.
     """
 
     step: np.ndarray
     radii: np.ndarray | None
-    inner_displacements: tuple | None
+    phi_bars: tuple | None
     long_step: bool
     inner_iterations: int = 0
 
@@ -391,29 +388,28 @@ def radius_search(bundle: DerivativeBundle, ell: int, target: float, delta_cap: 
             return delta, m
         delta *= 0.5
     raise SubsolverStallError(
-        "radius search hit its floor",
-        {"order": ell, "floor": _RADIUS_FLOOR, "target": target},
+        f"radius search hit its floor {_RADIUS_FLOOR:.0e} "
+        f"(order {ell}, target {target:.3e})"
     )
 
 
 def _certify_step(point: _ModelPoint, targets, delta_caps):
-    """(radii, displacements) with every order-1..q model measure at the
-    point within its target, or None if some order fails (checked cheapest
+    """(radii, phi_bars) with every order-1..q model measure at the point
+    within its target, or None if some order fails (checked cheapest
     first).
 
     The model's derivatives at the point are built once each, order ell
     only when the checks reach it.  Order 1 is settled from the gradient
-    alone; a bundle (whose value slot is never read) is built from order 2.
+    alone; a bundle is built from order 2.
     """
     q = len(targets)
     radii = np.ones(q)
-    phi, d = _steepest_descent(point.derivative(1), 1.0)
+    phi, _ = _steepest_descent(point.derivative(1), 1.0)
     if phi > targets[0]:  # the order-1 target at delta = 1
         return None
-    measures = [MeasureResult(phi, d)]
+    phi_bars = [phi]
     for ell in range(2, q + 1):
-        tensors = [point.derivative(i) for i in range(1, ell + 1)]
-        sb = DerivativeBundle(0.0, tensors, (0.0,) * ell)
+        sb = DerivativeBundle([point.derivative(i) for i in range(1, ell + 1)])
         if ell == 2:
             delta = 1.0
             m = optimality_measure(sb, ell, delta)
@@ -425,8 +421,8 @@ def _certify_step(point: _ModelPoint, targets, delta_caps):
             except SubsolverStallError:
                 return None
         radii[ell - 1] = delta
-        measures.append(m)
-    return radii, tuple(measures)
+        phi_bars.append(m.phi_bar)
+    return radii, tuple(phi_bars)
 
 
 def minimize_model(
@@ -471,7 +467,7 @@ def minimize_model(
         return out
 
     tr = max(0.25, min(1.0, point.norm))
-    m_cur = point.value()
+    dec_cur = point.decrement()
     for it in range(1, max_inner + 1):
         # The point keeps the derivatives `finish` built, so a rejected
         # trial costs no recomputation at the next Newton step.
@@ -484,14 +480,14 @@ def minimize_model(
             # second-order point of the model, and `finish` already failed
             # to certify it.
             raise SubsolverStallError(
-                "model minimizer converged but step certification failed",
-                {"iterations": it, "grad_norm": _norm(g1)},
+                "model minimizer converged but step certification failed "
+                f"(iteration {it}, gradient norm {_norm(g1):.3e})"
             )
         trial = _ModelPoint(model, point.s + d)
-        m_new = trial.value()
-        actual = m_cur - m_new
+        dec_new = trial.decrement()
+        actual = dec_new - dec_cur
         if actual > 0:
-            point, m_cur = trial, m_new
+            point, dec_cur = trial, dec_new
             out = finish(point, it)
             if out is not None:
                 return out
@@ -501,10 +497,10 @@ def minimize_model(
             tr *= 0.25
             if tr < 1e-14:
                 raise SubsolverStallError(
-                    "trust region collapsed before certification",
-                    {"iterations": it, "grad_norm": _norm(g1)},
+                    "trust region collapsed before certification "
+                    f"(iteration {it}, gradient norm {_norm(g1):.3e})"
                 )
     raise SubsolverStallError(
-        "inner iteration cap exceeded",
-        {"iterations": max_inner, "step_norm": point.norm},
+        f"inner iteration cap exceeded (iterations {max_inner}, "
+        f"step norm {point.norm:.3e})"
     )

@@ -7,12 +7,17 @@ package targets (degree <= 3; n in the tens for order-3 tensors, up to a
 few hundred for degree-2 runs) the simplicity is worth more than the
 memory.
 
+The model is only ever read through differences: a Taylor or model
+*decrement* (the drop from 0 to s) and derivatives at s.  The function value
+at the base point cancels from all of them, so a `DerivativeBundle` holds
+the derivative tensors only.
+
 Each public function validates its inputs and then calls one private
 kernel on float arrays; the package's inner loops, which already hold such
 arrays, call the kernels directly.  `_ModelPoint` is the kernel of the
 regularized model at one displacement s: it computes ||s|| and each product
-of a bundle tensor with s once and shares them between the model value,
-its decrement and its derivatives at s.  It lives as long as its caller
+of a bundle tensor with s once and shares them between the model decrement
+and its derivatives at s.  It lives as long as its caller
 holds it.  `_norm` is numpy's own 1-D norm formula without its dispatch.
 """
 from __future__ import annotations
@@ -27,30 +32,13 @@ import numpy as np
 __all__ = [
     "DerivativeBundle",
     "RegularizedModel",
-    "taylor_eval",
     "taylor_decrement",
-    "model_eval",
     "model_decrement",
     "shifted_model_derivatives",
     "regularizer_derivative",
-    "contract",
-    "contract_full",
     "symmetrize",
     "operator_norm",
 ]
-
-
-def contract(tensor: np.ndarray, s: np.ndarray, times: int) -> np.ndarray:
-    """Contract `times` copies of the vector `s` into the trailing axes."""
-    out = np.asarray(tensor, dtype=float)
-    for _ in range(times):
-        out = out @ s
-    return out
-
-
-def contract_full(tensor: np.ndarray, s: np.ndarray) -> float:
-    """Apply an order-i tensor to i copies of `s`, yielding a scalar."""
-    return _full_contraction(np.asarray(tensor, dtype=float), s)
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
@@ -106,22 +94,15 @@ def frobenius_norm(tensor: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Function value plus derivative tensors of orders 1..degree at a point.
+    """Derivative tensors of orders 1..degree at a point, and nothing else.
 
-    Parameters
-    ----------
-    value : float
-        Exact or inexact function value at the base point.
-    tensors : tuple of ndarray
-        Symmetric tensors; entry ``i-1`` has order ``i`` and shape
-        ``(dim,) * i``.  Stored as C-contiguous float arrays.
-    accuracy : tuple of float
-        Per-order absolute error bounds on the tensors; 0 means exact.
+    ``tensors[i-1]`` is the symmetric order-``i`` tensor, of shape
+    ``(dim,) * i``, stored as a C-contiguous float array.  A bundle holds no
+    function value: the algorithm reads only decrements, in which f(x)
+    cancels, and takes objective values from the value oracle alone.
     """
 
-    value: float
-    tensors: tuple = ()
-    accuracy: tuple = ()
+    tensors: tuple
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=float, order="C") for t in self.tensors)
@@ -133,16 +114,7 @@ class DerivativeBundle:
                 raise ValueError(
                     f"order-{i} tensor has shape {t.shape}, expected {(n,) * i}"
                 )
-        acc = tuple(map(float, self.accuracy))
-        if not acc:
-            acc = (0.0,) * len(tensors)
-        if len(acc) != len(tensors):
-            raise ValueError("accuracy list must have one entry per order")
-        if not all(a >= 0 for a in acc):
-            raise ValueError(f"accuracy entries must be >= 0, got {acc}")
-        object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "tensors", tensors)
-        object.__setattr__(self, "accuracy", acc)
 
     @property
     def degree(self) -> int:
@@ -189,23 +161,17 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _full_contraction(tensor: np.ndarray, s: np.ndarray) -> float:
-    """Kernel of `contract_full` on a float tensor."""
+    """T[s, ..., s] of an order-i float tensor T, contracted from the
+    trailing axis."""
     out = tensor
     for _ in range(tensor.ndim):
         out = out @ s
     return float(out)
 
 
-def _taylor_value(value: float, fulls) -> float:
-    """value + sum_i fulls[i-1] / i!, where fulls[i-1] = T_i[s, ..., s]."""
-    total = value
-    for i, c in enumerate(fulls, start=1):
-        total += c / math.factorial(i)
-    return float(total)
-
-
 def _taylor_drop(fulls) -> float:
-    """-sum_i fulls[i-1] / i!, the Taylor decrement from the same terms."""
+    """-sum_i fulls[i-1] / i!, where fulls[i-1] = T_i[s, ..., s]: the drop
+    of the Taylor polynomial from 0 to s."""
     total = 0.0
     for i, c in enumerate(fulls, start=1):
         total -= c / math.factorial(i)
@@ -217,21 +183,9 @@ def _taylor_decrement(tensors, s: np.ndarray, j: int) -> float:
     return _taylor_drop([_full_contraction(t, s) for t in tensors[:j]])
 
 
-def taylor_eval(bundle: DerivativeBundle, s, j: int) -> float:
-    """Evaluate the degree-j Taylor polynomial of the bundle at displacement s."""
-    s = _check_displacement(bundle.dim, s)
-    _check_order(j, bundle.degree)
-    return _taylor_value(
-        bundle.value, [_full_contraction(t, s) for t in bundle.tensors[:j]]
-    )
-
-
 def taylor_decrement(bundle: DerivativeBundle, s, j: int) -> float:
-    """Drop of the degree-j Taylor polynomial from 0 to s.
-
-    Equals ``taylor_eval(bundle, 0, j) - taylor_eval(bundle, s, j)``; the
-    bundle value cancels, so it is computed directly from the tensors.
-    """
+    """Drop of the degree-j Taylor polynomial from 0 to s,
+    ``-sum_{i<=j} T_i[s, ..., s] / i!``."""
     s = _check_displacement(bundle.dim, s)
     _check_order(j, bundle.degree)
     return _taylor_decrement(bundle.tensors, s, j)
@@ -241,7 +195,7 @@ class _ModelPoint:
     """The regularized model at one displacement s.
 
     ||s|| and the chain T_ell, T_ell @ s, (T_ell @ s) @ s, ... of each
-    bundle tensor are computed once and shared: the model value takes the
+    bundle tensor are computed once and shared: the decrement takes the
     end of each chain, the order-j derivative the entry after ell - j
     contractions (so ``H @ s`` feeds both ``(H @ s) @ s`` and the gradient).
     Derivatives are kept once built.  A point lives as long as its caller
@@ -263,18 +217,10 @@ class _ModelPoint:
         self._chains = chains
         self._derivs = {}
 
-    def _fulls(self) -> list:
-        return [float(chain[-1]) for chain in self._chains]
-
-    def _regularizer(self) -> float:
-        p = len(self._chains)
-        return self.model.sigma / math.factorial(p + 1) * self.norm ** (p + 1)
-
-    def value(self) -> float:
-        return _taylor_value(self.model.bundle.value, self._fulls()) + self._regularizer()
-
     def decrement(self) -> float:
-        return _taylor_drop(self._fulls()) - self._regularizer()
+        p = len(self._chains)
+        reg = self.model.sigma / math.factorial(p + 1) * self.norm ** (p + 1)
+        return _taylor_drop([float(chain[-1]) for chain in self._chains]) - reg
 
     def derivative(self, j: int) -> np.ndarray:
         """Order-j derivative tensor of the model at s (see
@@ -295,12 +241,6 @@ class _ModelPoint:
         return out
 
 
-def model_eval(model: RegularizedModel, s) -> float:
-    """Value of the regularized model at s."""
-    s = _check_displacement(model.bundle.dim, s)
-    return _ModelPoint(model, s).value()
-
-
 def model_decrement(model: RegularizedModel, s) -> float:
     """Drop of the regularized model from 0 to s (never above the Taylor drop)."""
     s = _check_displacement(model.bundle.dim, s)
@@ -315,9 +255,10 @@ def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
 
         grad   = b r^(b-2) s
         hess   = b r^(b-2) I + b(b-2) r^(b-4) s s^T
-        third  = b(b-2) r^(b-4) sym(I (x) s) + b(b-2)(b-4) r^(b-6) s(x)s(x)s
+        third  = b(b-2) r^(b-4) sym(I (x) s) + b(b-2)(b-4) r^(b-3) u(x)u(x)u
 
-    where sym(I (x) s)_{abc} = delta_ab s_c + delta_ac s_b + delta_bc s_a.
+    where u = s / r and sym(I (x) s)_{abc} = delta_ab s_c + delta_ac s_b
+    + delta_bc s_a.
     A term whose coefficient is zero is skipped (its power of r may not be
     representable).  All terms vanish as s -> 0 for j <= p, and the zero
     tensor is returned at s = 0; above p the value at s = 0 is exact: 2I
@@ -354,7 +295,11 @@ def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarr
     mixed[:, idx, idx] += s[:, None]
     out = b * (b - 2) * r ** (b - 4) * mixed
     if b != 4.0:
-        out += b * (b - 2) * (b - 4) * r ** (b - 6) * np.einsum("a,b,c->abc", s, s, s)
+        # r^(b-6) s(x)s(x)s written as r^(b-3) u(x)u(x)u with u = s / r: at
+        # b = 3 the tensor is homogeneous of degree 0, and r^(b-6) overflows
+        # for tiny s.
+        u = s / r
+        out += b * (b - 2) * (b - 4) * r ** (b - 3) * np.einsum("a,b,c->abc", u, u, u)
     return out
 
 

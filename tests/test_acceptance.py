@@ -116,7 +116,7 @@ class TestCriterion2SubsolverOracleEquivalence:
             g = rng.standard_normal(2) * 10.0 ** rng.uniform(-1, 1)
             h = random_symmetric(rng, 2, 2) * 10.0 ** rng.uniform(-1, 1)
             delta = float(rng.uniform(0.1, 1.0))
-            bundle = DerivativeBundle(0.0, [g, h])
+            bundle = DerivativeBundle([g, h])
             m = optimality_measure(bundle, 2, delta)
             ref = polar_grid_phi([g, h], delta)
             if abs(m.phi_bar - ref) > 1e-4 * max(ref, 1e-300):
@@ -125,7 +125,7 @@ class TestCriterion2SubsolverOracleEquivalence:
             n = int(rng.integers(1, 6))
             g = rng.standard_normal(n)
             delta = float(rng.uniform(0.1, 1.0))
-            bundle = DerivativeBundle(0.0, [g, np.zeros((n, n))])
+            bundle = DerivativeBundle([g, np.zeros((n, n))])
             m = optimality_measure(bundle, 1, delta)
             ref = delta * float(np.linalg.norm(g))
             if abs(m.phi_bar - ref) > 1e-12 * max(ref, 1.0):

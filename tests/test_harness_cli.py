@@ -85,6 +85,13 @@ class TestRunSolve:
         assert outcome.exit_code == 1
         assert "eta" in outcome.error
 
+    @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [np.nan, 1.0]])
+    def test_bad_start_point_exits_one(self, x0):
+        outcome = run_solve(ExperimentSpec(problem="quadratic", dim=2, x0=x0))
+        assert outcome.exit_code == 1
+        assert outcome.result is None
+        assert "x0" in outcome.error
+
     def test_bad_fill_fraction_exits_one(self):
         outcome = run_solve(ExperimentSpec(fill_fraction=2.0))
         assert outcome.exit_code == 1
@@ -212,6 +219,13 @@ class TestStopsWithoutCertificate:
         captured = capsys.readouterr()
         assert f"error: {status}: " in captured.out
         assert "Traceback" not in captured.err
+
+    def test_cli_stall_message_carries_its_numbers(self, capsys):
+        flags = ["--problem", "rosenbrock", "--dim", "2", "--noise", "bounded_random",
+                 "--seed", "3", "--eps", "1e-3", "--max-inner-iters", "1"]
+        assert main(["solve", *flags]) == 2
+        out = capsys.readouterr().out
+        assert "error: stall: inner iteration cap exceeded (iterations 1, step norm " in out
 
     def test_sweep_cli_exits_two_and_prints_every_row(self, forced_stop, capsys):
         status, fields, flags = forced_stop

@@ -98,8 +98,8 @@ def make_state(dim=1, sigma=1.0, q=1, acc=(0.0, 0.0)):
     )
 
 
-def bundle_1d(g, h, acc=(0.0, 0.0)):
-    return DerivativeBundle(0.0, [np.array([g]), np.array([[h]])], acc)
+def bundle_1d(g, h):
+    return DerivativeBundle([np.array([g]), np.array([[h]])])
 
 
 class TestStep1:
@@ -115,7 +115,7 @@ class TestStep1:
     def test_insufficient_accuracy_goes_to_step5(self):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state(acc=(10.0, 10.0))
-        bundle = bundle_1d(1.0, 0.0, acc=(10.0, 10.0))
+        bundle = bundle_1d(1.0, 0.0)
         out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 12.0)
         assert out is None
 
@@ -395,6 +395,13 @@ class TestSolve:
         cfg = SolverConfig(epsilons=(0.5,))
         with pytest.raises(ConfigError):
             solve(problem, NoiseModel("exact"), cfg, x0=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected_by_name(self, bad):
+        problem = half_norm_squared(2)
+        cfg = SolverConfig(epsilons=(0.5,))
+        with pytest.raises(ConfigError, match="x0 holds a non-finite entry"):
+            solve(problem, NoiseModel("exact"), cfg, x0=np.array([bad, 1.0]))
 
 
 def assert_evals_sum_to_counters(run):

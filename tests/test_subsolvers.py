@@ -19,7 +19,6 @@ from arq.tensors import (
     DerivativeBundle,
     RegularizedModel,
     model_decrement,
-    model_eval,
     shifted_model_derivatives,
     taylor_decrement,
 )
@@ -27,8 +26,8 @@ from arq.tensors import (
 from conftest import polar_grid_phi, random_symmetric, sphere_grid_phi
 
 
-def bundle2(g, h, acc=(0.0, 0.0)):
-    return DerivativeBundle(0.0, [np.asarray(g, float), np.asarray(h, float)], acc)
+def bundle2(g, h):
+    return DerivativeBundle([np.asarray(g, float), np.asarray(h, float)])
 
 
 class TestOrderOne:
@@ -166,7 +165,7 @@ class TestOrderThree:
                        for i in (1, 2, 3)]
             if zeroed is not None:
                 tensors[zeroed] = np.zeros((n,) * (zeroed + 1))
-            b = DerivativeBundle(0.0, tensors)
+            b = DerivativeBundle(tensors)
             delta = float(rng.uniform(0.05, 1.0))
             m = optimality_measure(b, 3, delta)
             ref_phi, ref_d = scalar_measure_order3(b, delta)
@@ -181,7 +180,7 @@ class TestOrderThree:
     def test_half_guarantee_against_grid_search(self, n, seed, scales, delta):
         rng = np.random.default_rng(seed)
         tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), scales)]
-        m = optimality_measure(DerivativeBundle(0.0, tensors), 3, delta)
+        m = optimality_measure(DerivativeBundle(tensors), 3, delta)
         if n == 2:
             ref = polar_grid_phi(tensors, delta, n_angle=2000, n_radius=60)
         else:
@@ -192,7 +191,7 @@ class TestOrderThree:
         rng = np.random.default_rng(31)
         for _ in range(8):
             tensors = [random_symmetric(rng, 2, i) for i in (1, 2, 3)]
-            b = DerivativeBundle(0.0, tensors)
+            b = DerivativeBundle(tensors)
             delta = float(rng.uniform(0.3, 1.0))
             m = optimality_measure(b, 3, delta)
             ref = polar_grid_phi(tensors, delta, n_angle=2000, n_radius=60)
@@ -207,7 +206,7 @@ class TestOrderThree:
             n = int(rng.integers(1, 9))
             scales = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
             tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), scales)]
-            cases.append((DerivativeBundle(0.0, tensors), float(rng.uniform(0.01, 1.0))))
+            cases.append((DerivativeBundle(tensors), float(rng.uniform(0.01, 1.0))))
         stopped = [optimality_measure(b, 3, delta).phi_bar for b, delta in cases]
         monkeypatch.setattr(subsolvers, "_ORDER3_STALL_WINDOW", subsolvers._ORDER3_ITERS + 1)
         full = [optimality_measure(b, 3, delta).phi_bar for b, delta in cases]
@@ -372,15 +371,13 @@ def targets(theta, omega, varsigma, epsilons):
 
 def shifted_bundle(model, s, order):
     """The model's derivatives at s, orders 1..order."""
-    return DerivativeBundle(
-        0.0, [shifted_model_derivatives(model, s, j) for j in range(1, order + 1)]
-    )
+    return DerivativeBundle([shifted_model_derivatives(model, s, j) for j in range(1, order + 1)])
 
 
 def cauchy_point(model, radius=1.0):
     g = model.bundle.tensors[0]
     ts = np.linspace(1e-4, radius / np.linalg.norm(g), 400)
-    vals = [model_eval(model, -t * g) for t in ts]
+    vals = [-model_decrement(model, -t * g) for t in ts]
     return -ts[int(np.argmin(vals))] * g
 
 
@@ -393,7 +390,7 @@ class TestMinimizeModel:
         assert model_decrement(model, res.step) >= model_decrement(model, d0)
         grid = np.linspace(-2, 2, 401)
         pts = np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2)
-        best = pts[np.argmin([model_eval(model, p) for p in pts])]
+        best = pts[np.argmin([-model_decrement(model, p) for p in pts])]
         assert res.step == pytest.approx(best, abs=2e-2)
 
     def test_warm_start_already_certified_returned_unchanged(self):
@@ -408,7 +405,7 @@ class TestMinimizeModel:
     def test_negative_curvature_gives_long_step(self):
         # one-dimensional model -x^2 + sigma x^3 / 3! with its minimizer at
         # |s| = 2 |h| / sigma = 6.67 >= 1
-        b = DerivativeBundle(0.0, [np.array([0.0]), np.array([[-2.0]])])
+        b = DerivativeBundle([np.array([0.0]), np.array([[-2.0]])])
         model = RegularizedModel(b, 0.6)
         res = minimize_model(model, np.array([0.5]), targets(0.5, 0.02, 1.0, [0.5]))
         assert res.long_step
@@ -420,7 +417,7 @@ class TestMinimizeModel:
         rng = np.random.default_rng(77)
         for _ in range(10):
             tensors = [rng.standard_normal(3), random_symmetric(rng, 3, 2)]
-            b = DerivativeBundle(0.0, tensors)
+            b = DerivativeBundle(tensors)
             model = RegularizedModel(b, float(rng.uniform(0.5, 4.0)))
             g = tensors[0]
             d0 = -0.2 * g / np.linalg.norm(g)
@@ -458,7 +455,7 @@ class TestRadiusSearch:
         g = np.array([1.0, 0.0])
         h = np.eye(2)
         t = np.zeros((2, 2, 2))
-        b = DerivativeBundle(0.0, [g, h, t])
+        b = DerivativeBundle([g, h, t])
         model = RegularizedModel(b, 0.0)
         s_star = -g
         delta, m = radius_search(
@@ -476,7 +473,7 @@ class TestRadiusSearch:
                 random_symmetric(rng, 2, 2) + 2.0 * np.eye(2),
                 0.5 * random_symmetric(rng, 2, 3),
             ]
-            b = DerivativeBundle(0.0, tensors)
+            b = DerivativeBundle(tensors)
             sigma = 1.0
             model = RegularizedModel(b, sigma)
             eps = np.array([0.1, 0.1, 0.1])
