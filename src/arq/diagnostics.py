@@ -8,7 +8,7 @@ into the algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,22 +48,9 @@ class BoundReport:
 
     def as_dict(self) -> dict:
         out = {
-            "l_f": self.l_f,
-            "l_bar_f": self.l_bar_f,
-            "sigma_max": self.sigma_max,
-            "kappa_s": self.kappa_s,
-            "kappa_delta_min": self.kappa_delta_min,
-            "kappa_dm": self.kappa_dm,
-            "kappa_sharp2_max": self.kappa_sharp2_max,
-            "kappa_acc": self.kappa_acc,
-            "k_acc_min": self.k_acc_min,
-            "kappa_s_evals": self.kappa_s_evals,
-            "kappa_a_evals": self.kappa_a_evals,
-            "kappa_c_evals": self.kappa_c_evals,
-            "kappa_e_evals": self.kappa_e_evals,
-            "kappa_f_evals": self.kappa_f_evals,
-            "n_value_evals": self.n_value_evals,
-            "n_derivative_evals": self.n_derivative_evals,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("kappa_delta", "pi", "step_lower_bounds")
         }
         for j, (pi_j, slb) in enumerate(zip(self.pi, self.step_lower_bounds), start=1):
             out[f"pi_{j}"] = pi_j

@@ -386,11 +386,15 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         problem = spec.make_problem()
         config = build_config(spec)
         noise = NoiseModel(spec.noise, spec.fill_fraction, spec.seed)
+        try:
+            x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"x0 is not a float vector: {exc}") from exc
     except (ConfigError, ValueError, TypeError) as exc:
         logger.error("configuration rejected: %s", exc)
         return RunOutcome(1, error=str(exc))
     try:
-        result = solve(problem, noise, config, x0=spec.x0)
+        result = solve(problem, noise, config, x0=x0)
     except ConfigError as exc:  # a start point of the wrong shape or not finite
         logger.error("configuration rejected: %s", exc)
         return RunOutcome(1, error=str(exc))
@@ -401,7 +405,7 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         return RunOutcome(2, error=f"{exc.status}: {exc}")
 
     verification = verify_certificate(problem, result.certificate)
-    report = start_bounds(problem, config, spec.x0)
+    report = start_bounds(problem, config, x0)
     cert_json = certificate_to_json(result.certificate, spec, config)
 
     if spec.out is not None:

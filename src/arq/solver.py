@@ -202,8 +202,6 @@ class IterationRecord:
     step: np.ndarray | None = None
     step_norm: float | None = None
     dec_bar: float | None = None
-    long_step: bool | None = None
-    radii: np.ndarray | None = None
     f_bar_after: float | None = None
 
 
@@ -500,8 +498,6 @@ def solve(
                     record.step = step_res.step.copy()
                     record.step_norm = float(np.linalg.norm(step_res.step))
                     record.dec_bar = dec_p
-                    record.long_step = step_res.long_step
-                    record.radii = None if step_res.radii is None else step_res.radii.copy()
                     record.f_bar_after = fbar_cache[0]
             _close_record(record, oracle, snap)
             trace.append(record)

@@ -19,6 +19,9 @@ regularized model at one displacement s: it computes ||s|| and each product
 of a bundle tensor with s once and shares them between the model decrement
 and its derivatives at s.  It lives as long as its caller
 holds it.  `_norm` is numpy's own 1-D norm formula without its dispatch.
+
+The regularizer ||s||^(p+1) is differentiated in closed form only to the
+orders the model's derivatives need, 1..max(p, 2).
 """
 from __future__ import annotations
 
@@ -50,38 +53,38 @@ def symmetrize(tensor: np.ndarray) -> np.ndarray:
     return sum(np.transpose(t, p) for p in perms) / len(perms)
 
 
+NORM_SAMPLES = 1000  # random directions of the order-3 norm estimate
+
+
 @functools.lru_cache(maxsize=32)
-def _unit_directions(n: int, samples: int, seed: int) -> np.ndarray:
-    """`samples` seeded random unit vectors plus the coordinate axes, read-only."""
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((samples, n))
+def _unit_directions(n: int) -> np.ndarray:
+    """`NORM_SAMPLES` random unit vectors (seed 0) plus the axes, read-only."""
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((NORM_SAMPLES, n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     u = np.vstack([u, np.eye(n)])
     u.flags.writeable = False
     return u
 
 
-def operator_norm(tensor: np.ndarray, samples: int = 1000, seed: int = 0) -> float:
-    """Euclidean-induced norm of a symmetric tensor.
+def operator_norm(tensor: np.ndarray) -> float:
+    """Euclidean-induced norm of a symmetric tensor of order 1, 2 or 3.
 
     Exact for orders 1 and 2.  For order 3 the norm equals
     max_{||u||=1} |T[u,u,u]| (symmetric tensors attain the induced norm on
-    the diagonal), which is estimated by maximizing over `samples` random
-    unit vectors plus the coordinate directions.  The direction set depends
-    only on (n, samples, seed), so it is drawn once and cached read-only;
-    T[u,u,u] is contracted one pair of operands at a time.  The estimate is
-    a lower bound and is used for diagnostics only, never to steer the
-    algorithm.
+    the diagonal), which is estimated by maximizing over `NORM_SAMPLES`
+    random unit vectors plus the coordinate directions.  The direction set
+    depends only on n, so it is drawn once and cached read-only; T[u,u,u]
+    is contracted one pair of operands at a time.  The estimate is a lower
+    bound and is used for diagnostics only, never to steer the algorithm.
     """
     t = np.asarray(tensor, dtype=float)
-    if t.ndim == 0:
-        return abs(float(t))
     if t.ndim == 1:
         return float(np.linalg.norm(t))
     if t.ndim == 2:
         return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (t + t.T)))))
     n = t.shape[0]
-    u = _unit_directions(n, samples, seed)
+    u = _unit_directions(n)
     tu = (u @ t.reshape(n, n * n)).reshape(-1, n, n)  # T[u, ., .] per direction
     vals = np.abs(np.einsum("aj,aj->a", np.einsum("ajk,ak->aj", tu, u), u))
     return float(vals.max())
@@ -248,26 +251,23 @@ def model_decrement(model: RegularizedModel, s) -> float:
 
 
 def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
-    """Order-j derivative tensor of ||s||^(p+1), by closed form.
-
-    Implemented for j in {1, 2, 3}; the degree cap p <= 3 elsewhere in the
-    package follows from this.  With r = ||s|| and b = p + 1:
+    """Order-j derivative tensor of ||s||^(p+1), by closed form, for degree
+    p in 1..3 and j in 1..max(p, 2): the orders the regularized model's
+    derivatives need.  With r = ||s|| and b = p + 1:
 
         grad   = b r^(b-2) s
         hess   = b r^(b-2) I + b(b-2) r^(b-4) s s^T
-        third  = b(b-2) r^(b-4) sym(I (x) s) + b(b-2)(b-4) r^(b-3) u(x)u(x)u
+        third  = 8 sym(I (x) s)          (order 3 occurs only at b = 4)
 
-    where u = s / r and sym(I (x) s)_{abc} = delta_ab s_c + delta_ac s_b
-    + delta_bc s_a.
-    A term whose coefficient is zero is skipped (its power of r may not be
-    representable).  All terms vanish as s -> 0 for j <= p, and the zero
-    tensor is returned at s = 0; above p the value at s = 0 is exact: 2I
-    for the Hessian of ||s||^2, and zero otherwise (for p = 2, j = 3, where
-    the tensor has no limit at 0, zero by convention).
+    where sym(I (x) s)_{abc} = delta_ab s_c + delta_ac s_b + delta_bc s_a.
+    At b = 2 the Hessian's s s^T term, whose coefficient is zero, is skipped
+    (its power of r may not be representable).  At s = 0 the zero tensor is
+    returned, except for the Hessian of ||s||^2, which is 2I everywhere.
     """
+    if p not in (1, 2, 3):
+        raise ValueError(f"degree {p} outside 1..3")
+    _check_order(j, max(p, 2))
     s = np.asarray(s, dtype=float)
-    if j not in (1, 2, 3):
-        raise ValueError("closed forms implemented for orders 1..3 only")
     return _regularizer_derivative(s, _norm(s.ravel()), p, j)
 
 
@@ -286,21 +286,12 @@ def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarr
         out = np.zeros((n, n)) if b == 2.0 else b * (b - 2) * r ** (b - 4) * (s[:, None] * s)
         out.reshape(-1)[:: n + 1] += b * r ** (b - 2)
         return out
-    if b == 2.0:
-        return np.zeros((n, n, n))
     idx = np.arange(n)
     mixed = np.zeros((n, n, n))
     mixed[idx, idx, :] += s
     mixed[idx, :, idx] += s
     mixed[:, idx, idx] += s[:, None]
-    out = b * (b - 2) * r ** (b - 4) * mixed
-    if b != 4.0:
-        # r^(b-6) s(x)s(x)s written as r^(b-3) u(x)u(x)u with u = s / r: at
-        # b = 3 the tensor is homogeneous of degree 0, and r^(b-6) overflows
-        # for tiny s.
-        u = s / r
-        out += b * (b - 2) * (b - 4) * r ** (b - 3) * np.einsum("a,b,c->abc", u, u, u)
-    return out
+    return 8.0 * mixed
 
 
 def shifted_model_derivatives(model: RegularizedModel, s, j: int) -> np.ndarray:

@@ -85,7 +85,7 @@ class TestRunSolve:
         assert outcome.exit_code == 1
         assert "eta" in outcome.error
 
-    @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [np.nan, 1.0]])
+    @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [np.nan, 1.0], "abc"])
     def test_bad_start_point_exits_one(self, x0):
         outcome = run_solve(ExperimentSpec(problem="quadratic", dim=2, x0=x0))
         assert outcome.exit_code == 1
