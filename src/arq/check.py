@@ -4,16 +4,19 @@ Given the absolute error bounds in force for the derivative tensors behind
 a degree-r Taylor decrement, decide whether the decrement is trustworthy in
 relative terms, certifiably small in absolute terms, or neither.  The
 decision is a pure comparison; callers own the consequences (typically:
-``insufficient`` triggers a global accuracy tightening).
+``insufficient`` triggers a global accuracy tightening, whose size the
+failed check's `Shortfall` sets).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CheckOutcome", "check"]
+__all__ = ["CheckOutcome", "Margins", "Shortfall", "check", "margins"]
 
 
 class CheckOutcome(Enum):
@@ -24,6 +27,48 @@ class CheckOutcome(Enum):
     @property
     def sufficient(self) -> bool:
         return self is not CheckOutcome.INSUFFICIENT
+
+
+class Margins(NamedTuple):
+    """The numbers a check compares: the error sum and its two thresholds."""
+
+    error_sum: float  # sum_i accuracies[i] * delta^i / i!
+    relative: float  # omega * decrement
+    absolute: float  # omega * xi * delta^r / r!
+
+
+def margins(delta, decrement, accuracies, xi, omega) -> Margins:
+    """Validate a check's arguments (see `check`) and return its `Margins`.
+
+    The error sum is linear in the accuracies, so scaling every accuracy by
+    c scales it by c and leaves both thresholds alone.
+    """
+    delta = float(delta)
+    decrement = float(decrement)
+    xi = float(xi)
+    omega = float(omega)
+    if isinstance(accuracies, np.ndarray):
+        accuracies = accuracies.tolist()  # much faster than iterating the array
+    accuracies = [float(a) for a in accuracies]
+    # Written as `not x >= 0` so that NaN fails every check.
+    if not decrement >= 0:
+        raise ValueError(f"decrement must be >= 0, got {decrement}")
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not xi > 0:
+        raise ValueError(f"xi must be > 0, got {xi}")
+    if not 0 < omega < 1:
+        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    if not accuracies:
+        raise ValueError("accuracies must be nonempty")
+    if not all(a >= 0 for a in accuracies):
+        raise ValueError(f"accuracies must be >= 0, got {accuracies}")
+
+    r = len(accuracies)
+    error_sum = sum(
+        a * delta**i / math.factorial(i) for i, a in enumerate(accuracies, start=1)
+    )
+    return Margins(error_sum, omega * decrement, omega * xi * delta**r / math.factorial(r))
 
 
 def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
@@ -51,33 +96,39 @@ def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
         ``omega * xi * delta^r / r!``; otherwise INSUFFICIENT.  The relative
         branch is evaluated first and boundary equality qualifies.
     """
-    delta = float(delta)
-    decrement = float(decrement)
-    xi = float(xi)
-    omega = float(omega)
-    if isinstance(accuracies, np.ndarray):
-        accuracies = accuracies.tolist()  # much faster than iterating the array
-    accuracies = [float(a) for a in accuracies]
-    # Written as `not x >= 0` so that NaN fails every check.
-    if not decrement >= 0:
-        raise ValueError(f"decrement must be >= 0, got {decrement}")
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if not xi > 0:
-        raise ValueError(f"xi must be > 0, got {xi}")
-    if not 0 < omega < 1:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
-    if not accuracies:
-        raise ValueError("accuracies must be nonempty")
-    if not all(a >= 0 for a in accuracies):
-        raise ValueError(f"accuracies must be >= 0, got {accuracies}")
-
-    r = len(accuracies)
-    error_sum = sum(
-        a * delta**i / math.factorial(i) for i, a in enumerate(accuracies, start=1)
-    )
-    if decrement > 0 and error_sum <= omega * decrement:
+    m = margins(delta, decrement, accuracies, xi, omega)
+    if decrement > 0 and m.error_sum <= m.relative:
         return CheckOutcome.RELATIVE
-    if error_sum <= omega * xi * delta**r / math.factorial(r):
+    if m.error_sum <= m.absolute:
         return CheckOutcome.ABSOLUTE
     return CheckOutcome.INSUFFICIENT
+
+
+@dataclass(frozen=True)
+class Shortfall:
+    """An insufficient check: where it was made (``cause``), its error sum
+    and the larger of its two thresholds, which the error sum must not
+    exceed for the check to pass."""
+
+    cause: str
+    error_sum: float
+    threshold: float
+
+    @classmethod
+    def of(cls, cause: str, delta, decrement, accuracies, xi, omega) -> Shortfall:
+        m = margins(delta, decrement, accuracies, xi, omega)
+        return cls(cause, m.error_sum, max(m.relative, m.absolute))
+
+    def steps(self, gamma: float, cap: int) -> int:
+        """Least k in 1..cap with ``gamma**k * error_sum <= threshold``
+        (boundary equality passes, as in `check`), or `cap` when none is.
+
+        Scaling every accuracy by ``gamma**k`` scales the error sum by it,
+        so k is how many accuracy tightenings the check needs at its
+        current decrement.  A threshold of 0 (say, ``delta**r`` underflowed
+        with a zero decrement) gives `cap`.
+        """
+        for k in range(1, cap):
+            if gamma**k * self.error_sum <= self.threshold:
+                return k
+        return cap

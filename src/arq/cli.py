@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import digits_demanded
 from .harness import (
     ExperimentSpec,
     build_config,
@@ -150,6 +151,11 @@ def _print_solve_outcome(outcome) -> None:
         f"  evaluations  = {result.counters.value_evals} values, "
         f"{result.counters.derivative_evals} derivative bundles"
     )
+    digits = digits_demanded(result.trace)
+    if digits is None:
+        print("  digits demanded = n/a (exact derivatives)")
+    else:
+        print(f"  digits demanded = {digits:.2f} per derivative bundle")
 
 
 def cmd_solve(args) -> int:

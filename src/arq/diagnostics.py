@@ -14,7 +14,22 @@ import numpy as np
 
 from .solver import ConfigError, SolverConfig
 
-__all__ = ["BoundReport", "compute_bounds"]
+__all__ = ["BoundReport", "compute_bounds", "digits_demanded"]
+
+
+def digits_demanded(trace) -> float | None:
+    """Decimal digits of accuracy demanded per derivative evaluation.
+
+    The mean, over the records that evaluated a derivative bundle, of
+    ``sum_i -log10(acc_i)`` over the positive accuracies; None when no such
+    record demands a positive accuracy (an exact run).  Under a cost model
+    where a tighter demand costs more, this shows whether fewer evaluations
+    were bought with tighter ones.
+    """
+    demands = [rec.acc[rec.acc > 0] for rec in trace if rec.derivative_evals > 0]
+    if not any(d.size for d in demands):
+        return None
+    return float(np.mean([-np.log10(d).sum() for d in demands]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import compute_bounds
+from .diagnostics import compute_bounds, digits_demanded
 from .oracle import (
     NoiseModel,
     Problem,
@@ -70,6 +70,10 @@ TRACE_COLUMNS = (
     "f_bar",
     "value_evals_cum",
     "deriv_evals_cum",
+    "cause",
+    "cause_error_sum",
+    "cause_threshold",
+    "acc_steps",
 )
 
 _MASK64 = (1 << 64) - 1
@@ -261,6 +265,7 @@ def write_trace_csv(path: Path, trace) -> None:
         for rec in trace:
             v_cum += rec.value_evals
             d_cum += rec.derivative_evals
+            cause = rec.cause
             writer.writerow(
                 [
                     rec.k,
@@ -275,6 +280,10 @@ def write_trace_csv(path: Path, trace) -> None:
                     _fmt(rec.f_bar_after),
                     v_cum,
                     d_cum,
+                    _fmt(cause and cause.cause),
+                    _fmt(cause and cause.error_sum),
+                    _fmt(cause and cause.threshold),
+                    _fmt(rec.acc_steps),
                 ]
             )
 
@@ -432,6 +441,7 @@ SWEEP_COLUMNS = (
     "accuracy_improving",
     "value_evals",
     "deriv_evals",
+    "digits_demanded",
     "bound_value_evals",
     "bound_deriv_evals",
     "value_bound_ok",
@@ -460,6 +470,7 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
     row["accuracy_improving"] = kinds.count(KIND_ACCURACY)
     row["value_evals"] = counters.value_evals
     row["deriv_evals"] = counters.derivative_evals
+    row["digits_demanded"] = digits_demanded(trace)
     l_hat = visited_lipschitz(problem, trace, config.p)
     f0 = problem.value(trace[0].x)
     report = compute_bounds(config, l_hat, max(0.0, f0 - problem.f_low))

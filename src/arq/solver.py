@@ -11,8 +11,16 @@ The driver alternates five phases per iteration k:
   step 3   evaluate the objective at the trial point to within a fraction
            of the predicted decrease and accept/reject by the usual ratio;
   step 4   update the regularization weight from the ratio;
-  step 5   tighten every derivative accuracy demand by a fixed factor when
-           any accuracy check came back insufficient.
+  step 5   when an accuracy check came back insufficient, tighten every
+           derivative accuracy demand by gamma_acc^k, where k >= 1 is the
+           least exponent, capped, that clears the failed check's
+           threshold at its current decrement.
+
+Every check's error sum is linear in the accuracies, so gamma_acc^k is k
+fixed-factor step 5s at the same x without the derivative evaluations in
+between.  The theory's accuracy-improvement bound counts factors: once
+the exponents add up to its k_acc_min no check fails, so a run's total
+exponent is at most k_acc_min - 1 plus the cap.
 
 Iterations are classified successful / unsuccessful / accuracy-improving;
 the trace records everything the property suite needs to recheck the run
@@ -23,11 +31,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .check import CheckOutcome, check
+from .check import CheckOutcome, Shortfall, check
 from .oracle import EvalCounters, NoiseModel, Oracle, Problem, estimate_lipschitz
 from .subsolvers import (
     ORDER_GUARANTEES,
@@ -63,6 +72,9 @@ __all__ = [
 KIND_SUCCESS = "successful"
 KIND_UNSUCCESS = "unsuccessful"
 KIND_ACCURACY = "accuracy_improving"
+
+# Most gamma_acc factors one step 5 applies.
+_ACC_STEPS_CAP = 8
 
 
 class ConfigError(ValueError):
@@ -203,6 +215,8 @@ class IterationRecord:
     step_norm: float | None = None
     dec_bar: float | None = None
     f_bar_after: float | None = None
+    cause: Shortfall | None = None  # accuracy-improving rows: the failed check
+    acc_steps: int | None = None  # accuracy-improving rows: the k step 5 applied
 
 
 @dataclass
@@ -256,8 +270,9 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
 
     Mutates ``state.delta`` in place; the caller snapshots the entry values.
     Returns the `Certificate` when every order is small enough (terminate),
-    ``(j_k, measure)`` for the order step 2 works on, or None when an
-    accuracy check came back insufficient (go to step 5).
+    ``(j_k, measure)`` for the order step 2 works on, or the `Shortfall` of
+    an accuracy check that came back insufficient (go to step 5), with
+    cause ``step1 j=<j>``.
 
     ``guard_l_bar`` is a zero-argument callable returning the L-bar of the
     radius guard, at least ``1 + acc_max``.  The guard floor decreases in
@@ -271,15 +286,15 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
         while True:
             delta_j = float(state.delta[j - 1])
             meas = optimality_measure(bundle, j, delta_j)
-            verdict = check(
+            args = (
                 delta_j,
                 meas.phi_bar,
                 state.acc[:j],
                 0.5 * config.epsilons[j - 1],
                 config.omega,
             )
-            if verdict is CheckOutcome.INSUFFICIENT:
-                return None
+            if check(*args) is CheckOutcome.INSUFFICIENT:
+                return Shortfall.of(f"step1 j={j}", *args)
             if meas.phi_bar <= _termination_threshold(config, j, delta_j):
                 measured.append(
                     {
@@ -324,8 +339,9 @@ def step2(
     The step's own model measures must be small: order ell against the
     target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``,
     and for a short step each is rechecked for accuracy against that target
-    over ``1 + omega``.  Returns ``(step_result, dec_p)`` for step 3, or None
-    when a check came back insufficient (go to step 5).
+    over ``1 + omega``.  Returns ``(step_result, dec_p)`` for step 3, or the
+    `Shortfall` of a check that came back insufficient (go to step 5), with
+    cause ``step2 decrement`` or ``step2 ell=<ell>``.
     """
     coef = config.varsigma * config.theta * (1.0 - config.omega) / (2.0 * (1.0 + config.omega))
     targets = [coef * eps for eps in config.epsilons]
@@ -350,7 +366,8 @@ def step2(
         * delta_1**j_k
         / (math.factorial(j_k) * max(delta_1, step_norm) ** config.p)
     )
-    verdict = check(step_norm, dec_p, state.acc, xi_first, config.omega)
+    args = (step_norm, dec_p, state.acc, xi_first, config.omega)
+    verdict = check(*args)
     if verdict is CheckOutcome.ABSOLUTE:
         # Ruled out by the lower bound on the model decrease carried over
         # from step 1; reaching here means that bound was broken.
@@ -358,20 +375,20 @@ def step2(
             f"step-2 decrement check returned absolute at iteration {state.k}"
         )
     if verdict is CheckOutcome.INSUFFICIENT:
-        return None
+        return Shortfall.of("step2 decrement", *args)
 
     if step_norm < 1.0:
         for ell in range(1, config.q + 1):
             acc_model = 3.0 * float(np.max(state.acc[ell - 1 : config.p]))
-            verdict = check(
+            args = (
                 float(step_res.radii[ell - 1]),
                 step_res.phi_bars[ell - 1],
                 [acc_model] * ell,
                 targets[ell - 1] / (1.0 + config.omega),
                 config.omega,
             )
-            if verdict is CheckOutcome.INSUFFICIENT:
-                return None
+            if check(*args) is CheckOutcome.INSUFFICIENT:
+                return Shortfall.of(f"step2 ell={ell}", *args)
     return step_res, dec_p
 
 
@@ -409,10 +426,20 @@ def step3_step4(
     return rho, fbar_cache
 
 
-def step5(state: SolverState, config: SolverConfig):
-    """Tighten all accuracy demands; rewind the radii; keep x and sigma."""
-    state.acc = config.gamma_acc * state.acc
+def step5(state: SolverState, config: SolverConfig, shortfall: Shortfall | None = None) -> int:
+    """Tighten all accuracy demands by ``gamma_acc**k``; rewind the radii;
+    keep x and sigma.  Returns k.
+
+    k is ``shortfall.steps(gamma_acc, cap)``: the least k >= 1, capped, that
+    clears the failed check at its current decrement; 1 without a
+    shortfall, which is the fixed-factor step.  A larger k saves the
+    derivative evaluations of the k - 1 accuracy-improving iterations at
+    the same x that k fixed-factor steps would take.
+    """
+    k = 1 if shortfall is None else shortfall.steps(config.gamma_acc, _ACC_STEPS_CAP)
+    state.acc = config.gamma_acc**k * state.acc
     state.delta = state.delta_start.copy()
+    return k
 
 
 def _guard_bound(problem: Problem, x0, config: SolverConfig):
@@ -478,34 +505,33 @@ def solve(
 
             out = step1(state, bundle, model, config, guard_l_bar)
             record.delta_end = state.delta.copy()
+            if isinstance(out, tuple):  # (j_k, measure): compute a step
+                record.j_k = out[0]
+                out = step2(state, bundle, model, config, *out)
             if isinstance(out, Certificate):
                 record.f_bar_after = fbar_cache[0] if fbar_cache else None
+            elif isinstance(out, Shortfall):
+                record.kind = KIND_ACCURACY
+                record.cause = out
+                record.acc_steps = step5(state, config, out)
             else:
-                stepped = None
-                if out is not None:
-                    record.j_k = out[0]
-                    stepped = step2(state, bundle, model, config, *out)
-                if stepped is None:
-                    step5(state, config)
-                    record.kind = KIND_ACCURACY
-                else:
-                    step_res, dec_p = stepped
-                    rho, fbar_cache = step3_step4(
-                        state, oracle, config, step_res, dec_p, fbar_cache
-                    )
-                    record.kind = KIND_SUCCESS if rho >= config.eta1 else KIND_UNSUCCESS
-                    record.rho = rho
-                    record.step = step_res.step.copy()
-                    record.step_norm = float(np.linalg.norm(step_res.step))
-                    record.dec_bar = dec_p
-                    record.f_bar_after = fbar_cache[0]
+                step_res, dec_p = out
+                rho, fbar_cache = step3_step4(
+                    state, oracle, config, step_res, dec_p, fbar_cache
+                )
+                record.kind = KIND_SUCCESS if rho >= config.eta1 else KIND_UNSUCCESS
+                record.rho = rho
+                record.step = step_res.step.copy()
+                record.step_norm = float(np.linalg.norm(step_res.step))
+                record.dec_bar = dec_p
+                record.f_bar_after = fbar_cache[0]
             _close_record(record, oracle, snap)
             trace.append(record)
             logger.debug(
                 "k=%d %s rho=%s sigma=%.3g", k, record.kind, record.rho, record.sigma
             )
             if isinstance(out, Certificate):
-                logger.info("terminated at iteration %d", k)
+                _log_run("terminated", trace, oracle.counters)
                 return SolveResult(out, oracle.counters, trace)
 
         raise BudgetExhaustedError(
@@ -519,7 +545,29 @@ def solve(
             _close_record(record, oracle, snap)
             trace.append(record)
         exc.trace, exc.counters = trace, oracle.counters
+        _log_run(f"stopped ({exc.status})", trace, oracle.counters)
         raise
+
+
+def _log_run(ending: str, trace, counters: EvalCounters) -> None:
+    """The end-of-run info line: iterations per kind, the step-5 cause
+    histogram and the evaluation totals."""
+    if not logger.isEnabledFor(logging.INFO):
+        return
+    kinds = Counter(rec.kind for rec in trace)
+    causes = Counter(rec.cause.cause for rec in trace if rec.cause is not None)
+    logger.info(
+        "%s after %d iterations (S/U/A = %d/%d/%d); step-5 causes: %s; "
+        "%d value evaluations, %d derivative bundles",
+        ending,
+        len(trace),
+        kinds[KIND_SUCCESS],
+        kinds[KIND_UNSUCCESS],
+        kinds[KIND_ACCURACY],
+        ", ".join(f"{cause} x{n}" for cause, n in sorted(causes.items())) or "none",
+        counters.value_evals,
+        counters.derivative_evals,
+    )
 
 
 def _close_record(record: IterationRecord, oracle: Oracle, snap):

@@ -233,6 +233,19 @@ class TestCriterion8AccuracyImprovementBudget:
                 violations.append((run.problem_name, run.noise, n_a, report.k_acc_min))
         _report(8, "accuracy-improvement budget", len(benchmark_suite.runs), violations)
 
+    def test_total_exponent_stays_under_its_bound(self, benchmark_suite):
+        # Before its last tightening a run's total exponent is under
+        # k_acc_min, after which no check fails; one step 5 adds at most
+        # the cap.
+        cap = solver_mod._ACC_STEPS_CAP
+        violations = []
+        for run in benchmark_suite.runs:
+            report = _run_report(run)
+            total = sum(r.acc_steps for r in run.result.trace if r.acc_steps is not None)
+            if total > report.k_acc_min - 1 + cap:
+                violations.append((run.problem_name, run.noise, total, report.k_acc_min))
+        _report(8, "accuracy exponent budget", len(benchmark_suite.runs), violations)
+
 
 class TestCriterion9EvaluationBounds:
     def test_counts_within_theory_and_slope_shallow(self, benchmark_suite):

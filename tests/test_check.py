@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arq.check import CheckOutcome, check
+from arq.check import CheckOutcome, Shortfall, check, margins
 
 
 class TestExamples:
@@ -118,3 +119,69 @@ class TestProperties:
             assert out is CheckOutcome.ABSOLUTE
         else:
             assert out is CheckOutcome.INSUFFICIENT
+
+
+def _scaled(args, factor):
+    delta, decrement, accs, xi, omega = args
+    return delta, decrement, [factor * a for a in accs], xi, omega
+
+
+class TestShortfallSteps:
+    """k is the least exponent with gamma**k * error_sum <= threshold."""
+
+    def test_one_factor_suffices(self):
+        # error sum 0.1 against omega * decrement = 0.04: one quarter clears it
+        args = (1.0, 2.0, [0.1], 0.05, 0.02)
+        assert check(*args) is CheckOutcome.INSUFFICIENT
+        assert Shortfall.of("c", *args).steps(0.25, 8) == 1
+        assert check(*_scaled(args, 0.25)) is CheckOutcome.RELATIVE
+
+    def test_boundary_equality_passes(self):
+        # error sum 1 against omega * decrement = 0.25, with gamma = 0.25 and
+        # 0.5 landing on the threshold exactly (powers of two)
+        args = (1.0, 1.0, [1.0], 0.05, 0.25)
+        short = Shortfall.of("c", *args)
+        assert (short.error_sum, short.threshold) == (1.0, 0.25)
+        assert short.steps(0.25, 8) == 1
+        assert short.steps(0.5, 8) == 2
+        assert check(*_scaled(args, 0.25)) is CheckOutcome.RELATIVE
+
+    def test_zero_decrement_uses_the_absolute_threshold(self):
+        # threshold omega * xi * delta = 5e-4 against error sum 0.5:
+        # 0.25**4 * 0.5 = 2.0e-3 fails, 0.25**5 * 0.5 = 4.9e-4 passes
+        args = (0.5, 0.0, [1.0], 0.05, 0.02)
+        short = Shortfall.of("c", *args)
+        assert short.threshold == margins(*args).absolute > margins(*args).relative
+        assert short.steps(0.25, 8) == 5
+        assert check(*_scaled(args, 0.25**4)) is CheckOutcome.INSUFFICIENT
+        assert check(*_scaled(args, 0.25**5)) is CheckOutcome.ABSOLUTE
+
+    def test_cap_is_hit(self):
+        args = (1.0, 1.0, [1e6], 0.05, 0.02)
+        assert Shortfall.of("c", *args).steps(0.25, 8) == 8
+        assert Shortfall.of("c", *args).steps(0.25, 3) == 3
+
+    def test_underflowed_threshold_gives_the_cap(self):
+        # delta**2 underflows to 0, so with a zero decrement both thresholds
+        # are 0 while the order-1 error term stays positive
+        args = (1e-200, 0.0, [1.0, 1.0], 0.05, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            short = Shortfall.of("c", *args)
+            k = short.steps(0.25, 8)
+        assert short.threshold == 0.0 and short.error_sum > 0.0
+        assert k == 8
+
+    @given(check_inputs())
+    @settings(max_examples=500, deadline=None)
+    def test_steps_agree_with_check(self, inputs):
+        # gamma = 0.25 scales the error sum exactly, so `check` on the
+        # scaled accuracies passes at k and fails at k - 1
+        if check(*inputs) is not CheckOutcome.INSUFFICIENT:
+            return
+        k = Shortfall.of("c", *inputs).steps(0.25, 8)
+        assert 1 <= k <= 8
+        if k > 1:
+            assert check(*_scaled(inputs, 0.25 ** (k - 1))) is CheckOutcome.INSUFFICIENT
+        if k < 8:
+            assert check(*_scaled(inputs, 0.25**k)).sufficient

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from arq.diagnostics import compute_bounds
-from arq.solver import ConfigError, SolverConfig
+from arq.diagnostics import compute_bounds, digits_demanded
+from arq.solver import ConfigError, IterationRecord, SolverConfig
 
 
 def reference_bounds(cfg, l_f, gap):
@@ -162,3 +162,22 @@ class TestValidation:
         cfg = SolverConfig(epsilons=(1e-2,), theta=1.0)
         with pytest.raises(ConfigError):
             compute_bounds(cfg, 1.0, 1.0)
+
+
+def _record(acc, derivative_evals):
+    return IterationRecord(0, None, 1.0, np.asarray(acc, float), np.ones(1), np.ones(1),
+                           np.zeros(1), derivative_evals=derivative_evals)
+
+
+class TestDigitsDemanded:
+    def test_mean_over_evaluating_records_of_positive_accuracies(self):
+        trace = [
+            _record([1e-2, 1e-3], 1),  # 5 digits
+            _record([1e-9, 1e-9], 0),  # no evaluation: not counted
+            _record([1e-4, 0.0], 1),  # 4 digits, the exact order skipped
+        ]
+        assert digits_demanded(trace) == pytest.approx(4.5)
+
+    def test_exact_runs_have_none(self):
+        assert digits_demanded([_record([0.0, 0.0], 1)]) is None
+        assert digits_demanded([]) is None

@@ -57,6 +57,28 @@ class TestRunSolve:
         assert cert["verified_exact"] == [True]
         assert (tmp_path / "bounds.txt").read_text().startswith("l_f = ")
 
+    def test_accuracy_rows_say_why_they_tightened(self, tmp_path):
+        spec = ExperimentSpec(
+            problem="rosenbrock", dim=2, noise="bounded_random", seed=5,
+            eps=(1e-4,), out=tmp_path,
+        )
+        outcome = run_solve(spec)
+        assert outcome.exit_code == 0
+        header, *rows = read_csv(tmp_path / "trace.csv")
+        cause_columns = ("cause", "cause_error_sum", "cause_threshold", "acc_steps")
+        improving = 0
+        for values, rec in zip(rows, outcome.result.trace):
+            row = dict(zip(header, values))
+            if row["kind"] != "accuracy_improving":
+                assert all(row[c] == "" for c in cause_columns)
+                continue
+            improving += 1
+            assert row["cause"] == rec.cause.cause
+            assert row["cause"].startswith(("step1 j=", "step2 decrement", "step2 ell="))
+            assert float(row["cause_error_sum"]) > float(row["cause_threshold"])
+            assert int(row["acc_steps"]) == rec.acc_steps >= 1
+        assert improving > 0
+
     def test_immediate_termination_leaves_single_kindless_row(self, tmp_path):
         spec = ExperimentSpec(
             problem="quadratic", dim=3, noise="exact", eps=(0.5,), out=tmp_path,
@@ -125,6 +147,20 @@ class TestSweep:
         assert len(rows) == 7
         text = (tmp_path / "summary.csv").read_text()
         assert "# slope_value_evals" in text
+
+    @pytest.mark.parametrize("noise", ["exact", "bounded_random"])
+    def test_rows_report_digits_demanded(self, noise, tmp_path):
+        spec = ExperimentSpec(problem="quadratic", dim=3, noise=noise, seed=9,
+                              eps=(1e-2, 1e-3, 1e-4), out=tmp_path)
+        rows = run_sweep(spec)["rows"]
+        header, *lines = read_csv(tmp_path / "summary.csv")
+        written = [line[header.index("digits_demanded")] for line in lines]
+        if noise == "exact":
+            assert [row["digits_demanded"] for row in rows] == [None] * 3
+            assert written == [""] * 3
+        else:
+            assert all(row["digits_demanded"] > 0 for row in rows)
+            assert written == [repr(row["digits_demanded"]) for row in rows]
 
     def test_exact_oracle_sweep_satisfies_every_bound(self):
         spec = ExperimentSpec(
@@ -365,6 +401,15 @@ class TestCliMain:
         assert code == 0
         assert "exact-check: ok" in capsys.readouterr().out
         assert main(["verify", "--cert", str(out / "certificate.json")]) == 0
+
+    @pytest.mark.parametrize("noise, line", [
+        ("exact", "digits demanded = n/a (exact derivatives)"),
+        ("bounded_random", "per derivative bundle"),
+    ])
+    def test_solve_prints_digits_demanded(self, noise, line, capsys):
+        assert main(["solve", "--problem", "quadratic", "--dim", "3", "--noise", noise,
+                     "--eps", "1e-3", "--seed", "1"]) == 0
+        assert line in capsys.readouterr().out
 
     def test_cli_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

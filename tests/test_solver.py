@@ -1,9 +1,11 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
 import arq.solver
+from arq.check import Shortfall
 from arq.oracle import NoiseModel, Problem, make_problem
 from arq.solver import (
     BudgetExhaustedError,
@@ -117,7 +119,8 @@ class TestStep1:
         state = make_state(acc=(10.0, 10.0))
         bundle = bundle_1d(1.0, 0.0)
         out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 12.0)
-        assert out is None
+        # error sum 10 * 1 against max(omega * phi_bar, omega * xi) = 0.02
+        assert out == Shortfall("step1 j=1", 10.0, 0.02)
 
     def test_small_measures_terminate_with_certificate(self):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
@@ -300,6 +303,13 @@ class TestStep5:
         assert state.delta[0] == 1.0
         assert state.sigma == sigma_before
 
+    def test_applies_the_shortfall_exponent(self):
+        cfg = SolverConfig(epsilons=(0.1,))
+        state = make_state(acc=(0.1, 0.1))
+        # 0.25**3 * 1.0 = 0.0156 <= 0.02 < 0.25**2 * 1.0
+        assert step5(state, cfg, Shortfall("step2 decrement", 1.0, 0.02)) == 3
+        assert np.array_equal(state.acc, 0.25**3 * np.array([0.1, 0.1]))
+
 
 class TestSolve:
     def test_quadratic_exact_certifies_gradient_norm(self):
@@ -450,12 +460,80 @@ class TestTraceInvariants:
                 assert np.array_equal(nxt.x, prev.x)
 
     def test_accuracy_only_decreases_by_gamma(self, noisy_run):
+        """The next acc is exactly gamma_acc**k * acc, k in 1..cap being the
+        record's acc_steps: the least k that clears its cause's threshold."""
+        gamma = bench_config(2, 1e-3, "bounded_random").gamma_acc
+        cap = arq.solver._ACC_STEPS_CAP
         trace = noisy_run.trace
+        steps = []
         for prev, nxt in zip(trace[:-1], trace[1:]):
             if prev.kind == "accuracy_improving":
-                assert nxt.acc == pytest.approx(0.25 * prev.acc)
+                k, cause = prev.acc_steps, prev.cause
+                steps.append(k)
+                assert isinstance(k, int) and 1 <= k <= cap
+                assert np.array_equal(nxt.acc, gamma**k * prev.acc)
+                assert k == cap or gamma**k * cause.error_sum <= cause.threshold
+                assert all(gamma**i * cause.error_sum > cause.threshold for i in range(1, k))
             else:
+                assert prev.cause is None and prev.acc_steps is None
                 assert np.array_equal(nxt.acc, prev.acc)
+        assert max(steps) > 1  # the run exercises a multi-factor step
+
+
+def test_end_of_run_info_line(caplog):
+    problem = make_problem("quartic", 3)
+    cfg = bench_config(2, 1e-3, "bounded_random")
+    with caplog.at_level(logging.INFO, logger="arq"):
+        res = solve(problem, NoiseModel("bounded_random", 0.9, 12345), cfg)
+    [line] = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    kinds = [r.kind for r in res.trace]
+    causes = sorted(r.cause.cause for r in res.trace if r.cause is not None)
+    assert len(causes) == kinds.count("accuracy_improving") > 0
+    assert line == (
+        f"terminated after {len(res.trace)} iterations (S/U/A = "
+        f"{kinds.count('successful')}/{kinds.count('unsuccessful')}/{len(causes)}); "
+        f"step-5 causes: {', '.join(f'{c} x{causes.count(c)}' for c in sorted(set(causes)))}; "
+        f"{res.counters.value_evals} value evaluations, "
+        f"{res.counters.derivative_evals} derivative bundles"
+    )
+
+
+def fixed_factor_step5(state, config, shortfall=None):
+    """Step 5 as a fixed factor: one gamma_acc per accuracy-improving
+    iteration, whatever the shortfall."""
+    state.acc = config.gamma_acc * state.acc
+    state.delta = state.delta_start.copy()
+
+
+def test_cap_one_is_the_fixed_factor(monkeypatch, noisy_run):
+    """With the exponent capped at 1, every trace matches the fixed-factor
+    step 5 field for field, on the noisy run and one seed of the grid."""
+    seed = bench_seeds()[0]
+    runs = [(make_problem("quartic", 3), NoiseModel("bounded_random", 0.9, 12345),
+             bench_config(2, 1e-3, "bounded_random"))]
+    runs += [
+        (make_problem(name, dim), NoiseModel(noise, 0.9, seed), bench_config(2, 1e-3, noise))
+        for name, dim in BENCH_PROBLEMS
+        for noise in BENCH_NOISES
+    ]
+
+    def solve_all():
+        return [solve(problem, noise, cfg).trace for problem, noise, cfg in runs]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arq.solver, "_ACC_STEPS_CAP", 1)
+        capped = solve_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(arq.solver, "step5", fixed_factor_step5)
+        fixed = solve_all()
+    for trace in capped:
+        for rec in trace:
+            assert rec.acc_steps == (1 if rec.kind == "accuracy_improving" else None)
+            rec.acc_steps = None  # the fixed-factor step 5 records no exponent
+    assert [trace_key(t) for t in capped] == [trace_key(t) for t in fixed]
+    assert sum(r.kind == "accuracy_improving" for t in fixed for r in t) > 0
+    # uncapped, the noisy run takes fewer accuracy-improving iterations
+    assert len(noisy_run.trace) < len(capped[0])
 
 
 def trace_key(trace):
