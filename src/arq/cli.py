@@ -31,7 +31,7 @@ from .harness import (
     verify_certificate,
 )
 from .oracle import NOISE_KINDS, PROBLEM_NAMES, make_problem
-from .solver import ConfigError, SolverConfig
+from .solver import ConfigError, SolverConfig, kind_counts
 
 logger = logging.getLogger("arq")
 
@@ -130,22 +130,20 @@ def _print_solve_outcome(outcome) -> None:
     if outcome.exit_code != 0:
         print(f"error: {outcome.error}")
         return
-    cert = outcome.certificate_json
+    result = outcome.result
+    cert = result.certificate
     print("certificate")
-    print(f"  x_eps        = {np.array2string(np.asarray(cert['x_eps']), precision=8)}")
-    print(f"  delta_eps    = {np.array2string(np.asarray(cert['delta_eps']), precision=8)}")
-    for entry, ver in zip(cert["measured"], outcome.verification):
+    print(f"  x_eps        = {np.array2string(cert.x_eps, precision=8)}")
+    print(f"  delta_eps    = {np.array2string(cert.delta_eps, precision=8)}")
+    for entry, ver in zip(cert.measured, outcome.verification):
         ok = {True: "ok", False: "FAILED", None: "unsupported"}[ver["ok"]]
         print(
             f"  order {entry['order']}: measured {entry['phi_bar']:.3e} "
             f"<= threshold {entry['threshold']:.3e}  exact-check: {ok}"
         )
-    result = outcome.result
     print(
         f"  iterations   = {result.iterations} "
-        f"(S/U/A = {sum(r.kind == 'successful' for r in result.trace)}/"
-        f"{sum(r.kind == 'unsuccessful' for r in result.trace)}/"
-        f"{sum(r.kind == 'accuracy_improving' for r in result.trace)})"
+        f"(S/U/A = {'/'.join(map(str, kind_counts(result.trace).values()))})"
     )
     print(
         f"  evaluations  = {result.counters.value_evals} values, "

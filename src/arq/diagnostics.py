@@ -90,8 +90,6 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
         raise ConfigError(f"l_f must be >= 1, got {l_f}")
     if not f0_minus_flow >= 0.0:
         raise ConfigError(f"f0_minus_flow must be >= 0, got {f0_minus_flow}")
-    if not config.theta < 1.0:
-        raise ConfigError("theta must be < 1 for the bound constants to be positive")
 
     p, q = config.p, config.q
     omega = config.omega

@@ -29,11 +29,9 @@ from .oracle import (
 from .solver import (
     Certificate,
     ConfigError,
-    KIND_ACCURACY,
-    KIND_SUCCESS,
-    KIND_UNSUCCESS,
     SolveResult,
     SolverConfig,
+    kind_counts,
     solve,
 )
 from .subsolvers import SolveStoppedError, solve_trs
@@ -199,9 +197,11 @@ def exact_phi(problem: Problem, x, j: int, delta: float) -> float:
 def verify_certificate(problem: Problem, certificate: Certificate) -> list:
     """Recheck a certificate against the exact oracle, order by order.
 
-    Returns one dict per order with the recomputed measure, the threshold
-    and an ``ok`` flag; orders whose exact measure is not computable at this
-    dimension are reported as unsupported rather than failed.
+    Returns the recheck's only record, one dict per order: ``order``, the
+    recomputed measure ``phi_exact``, the ``threshold`` and an ``ok`` flag.
+    An order whose exact measure is not computable at this dimension has
+    ``phi_exact`` and ``ok`` None and ``note`` "unsupported", rather than
+    failing.  The certificate is not modified.
     """
     results = []
     for entry in certificate.measured:
@@ -219,8 +219,6 @@ def verify_certificate(problem: Problem, certificate: Certificate) -> list:
         results.append(
             {"order": j, "phi_exact": phi, "threshold": threshold, "ok": bool(phi <= threshold)}
         )
-    certificate.verified_exact = tuple(r["ok"] for r in results)
-    certificate.verified_phi = tuple(r["phi_exact"] for r in results)
     return results
 
 
@@ -289,8 +287,10 @@ def write_trace_csv(path: Path, trace) -> None:
 
 
 def certificate_to_json(
-    certificate: Certificate, spec: ExperimentSpec, config: SolverConfig
+    certificate: Certificate, verification: list, spec: ExperimentSpec, config: SolverConfig
 ) -> dict:
+    """The certificate with its `verify_certificate` record, written as the
+    per-order flags ``verified_exact`` and measures ``verified_phi``."""
     return {
         "problem": spec.problem,
         "dim": spec.dim,
@@ -304,18 +304,15 @@ def certificate_to_json(
              for k, v in entry.items()}
             for entry in certificate.measured
         ],
-        "verified_exact": None
-        if certificate.verified_exact is None
-        else list(certificate.verified_exact),
-        "verified_phi": None
-        if certificate.verified_phi is None
-        else list(certificate.verified_phi),
+        "verified_exact": [r["ok"] for r in verification],
+        "verified_phi": [r["phi_exact"] for r in verification],
     }
 
 
 def certificate_from_json(data: dict) -> tuple:
     """(certificate, problem name, dim); a missing key, or an ``x_eps``
-    whose length is not ``dim``, is a `ConfigError`."""
+    whose length is not ``dim``, is a `ConfigError`.  The stored
+    verification is not read: `verify_certificate` recomputes it."""
     try:
         measured = tuple(data["measured"])
         for entry in measured:
@@ -326,12 +323,6 @@ def certificate_from_json(data: dict) -> tuple:
             x_eps=np.asarray(data["x_eps"], dtype=float),
             delta_eps=np.asarray(data["delta_eps"], dtype=float),
             measured=measured,
-            verified_exact=None
-            if data.get("verified_exact") is None
-            else tuple(data["verified_exact"]),
-            verified_phi=None
-            if data.get("verified_phi") is None
-            else tuple(data["verified_phi"]),
         )
         name, dim = data["problem"], int(data["dim"])
     except KeyError as exc:
@@ -374,7 +365,6 @@ class RunOutcome:
     exit_code: int
     result: SolveResult | None = None
     error: str | None = None
-    certificate_json: dict | None = None
     verification: list | None = None
     bounds: dict | None = None
 
@@ -404,7 +394,7 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         return RunOutcome(1, error=str(exc))
     try:
         result = solve(problem, noise, config, x0=x0)
-    except ConfigError as exc:  # a start point of the wrong shape or not finite
+    except ConfigError as exc:  # a bad start point, or p above the problem's orders
         logger.error("configuration rejected: %s", exc)
         return RunOutcome(1, error=str(exc))
     except SolveStoppedError as exc:
@@ -415,20 +405,14 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
 
     verification = verify_certificate(problem, result.certificate)
     report = start_bounds(problem, config, x0)
-    cert_json = certificate_to_json(result.certificate, spec, config)
 
     if spec.out is not None:
         out = Path(spec.out)
+        cert_json = certificate_to_json(result.certificate, verification, spec, config)
         write_trace_csv(out / "trace.csv", result.trace)
         (out / "certificate.json").write_text(json.dumps(cert_json, indent=2) + "\n")
         write_bounds_txt(out / "bounds.txt", report)
-    return RunOutcome(
-        0,
-        result=result,
-        certificate_json=cert_json,
-        verification=verification,
-        bounds=report.as_dict(),
-    )
+    return RunOutcome(0, result=result, verification=verification, bounds=report.as_dict())
 
 
 SWEEP_COLUMNS = (
@@ -463,11 +447,8 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
         trace = exc.trace
         counters = exc.counters
         row["status"] = exc.status
-    kinds = [rec.kind for rec in trace]
     row["iterations"] = len(trace)
-    row["successful"] = kinds.count(KIND_SUCCESS)
-    row["unsuccessful"] = kinds.count(KIND_UNSUCCESS)
-    row["accuracy_improving"] = kinds.count(KIND_ACCURACY)
+    row.update(kind_counts(trace))  # the KIND_* values name the columns
     row["value_evals"] = counters.value_evals
     row["deriv_evals"] = counters.derivative_evals
     row["digits_demanded"] = digits_demanded(trace)

@@ -67,6 +67,7 @@ __all__ = [
     "KIND_SUCCESS",
     "KIND_UNSUCCESS",
     "KIND_ACCURACY",
+    "kind_counts",
 ]
 
 KIND_SUCCESS = "successful"
@@ -130,15 +131,15 @@ class SolverConfig:
             fail(f"epsilons must have {self.q} entries, got {len(eps)}")
         if any(not 0.0 < e < 1.0 for e in eps):
             fail(f"epsilons must lie in (0, 1), got {eps}")
-        if not self.sigma0 > 0:
-            fail(f"sigma0 must be > 0, got {self.sigma0}")
+        if not 0.0 < self.sigma0 < math.inf:
+            fail(f"sigma0 must be finite and > 0, got {self.sigma0}")
         if not 0.0 < self.sigma_min <= self.sigma0:
             fail(f"sigma_min must be in (0, sigma0], got {self.sigma_min}")
         if not 0.0 < self.eta1 <= self.eta2 < 1.0:
             fail(f"need 0 < eta1 <= eta2 < 1, got {self.eta1}, {self.eta2}")
-        if not 0.0 < self.gamma1 < 1.0 < self.gamma2 < self.gamma3:
+        if not 0.0 < self.gamma1 < 1.0 < self.gamma2 < self.gamma3 < math.inf:
             fail(
-                "need 0 < gamma1 < 1 < gamma2 < gamma3, got "
+                "need 0 < gamma1 < 1 < gamma2 < gamma3 < inf, got "
                 f"{self.gamma1}, {self.gamma2}, {self.gamma3}"
             )
         if not 0.0 < self.gamma_acc < 1.0:
@@ -146,8 +147,8 @@ class SolverConfig:
         omega_cap = min(0.5 * self.eta1, 0.25 * (1.0 - self.eta2))
         if not 0.0 < self.omega < omega_cap:
             fail(f"omega must be in (0, {omega_cap}), got {self.omega}")
-        if not self.theta > 0:
-            fail(f"theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < 1.0:
+            fail(f"theta must be in (0, 1), got {self.theta}")
         varsigma = self.varsigma
         guaranteed = min(ORDER_GUARANTEES[j] for j in range(1, self.q + 1))
         if varsigma is None:
@@ -168,8 +169,8 @@ class SolverConfig:
             fail(f"delta0 must have {self.q} entries, got {len(delta0)}")
         if any(not e < d <= 1.0 for d, e in zip(delta0, eps)):
             fail(f"delta0 entries must lie in (epsilon_j, 1], got {delta0}")
-        if not self.acc_max >= 0:
-            fail(f"acc_max must be >= 0, got {self.acc_max}")
+        if not 0.0 <= self.acc_max < math.inf:
+            fail(f"acc_max must be finite and >= 0, got {self.acc_max}")
         acc0 = self.acc0
         if acc0 is None:
             acc0 = (min(0.1, self.acc_max),) * self.p
@@ -219,19 +220,16 @@ class IterationRecord:
     acc_steps: int | None = None  # accuracy-improving rows: the k step 5 applied
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """Termination evidence: the point, the radii, and the measured drops.
-
-    The harness fills the two verification fields after recomputing the
-    measures with exact derivatives.
+    """What step 1 proved at termination: the point, the radii, and the
+    measured drops.  Its exact recheck is `arq.harness.verify_certificate`'s
+    record, kept apart from it.
     """
 
     x_eps: np.ndarray
     delta_eps: np.ndarray
     measured: tuple  # per order: dict(order, phi_bar, delta, threshold)
-    verified_exact: tuple | None = None  # per-order pass flags
-    verified_phi: tuple | None = None  # per-order recomputed measures
 
 
 @dataclass
@@ -426,17 +424,16 @@ def step3_step4(
     return rho, fbar_cache
 
 
-def step5(state: SolverState, config: SolverConfig, shortfall: Shortfall | None = None) -> int:
+def step5(state: SolverState, config: SolverConfig, shortfall: Shortfall) -> int:
     """Tighten all accuracy demands by ``gamma_acc**k``; rewind the radii;
     keep x and sigma.  Returns k.
 
     k is ``shortfall.steps(gamma_acc, cap)``: the least k >= 1, capped, that
-    clears the failed check at its current decrement; 1 without a
-    shortfall, which is the fixed-factor step.  A larger k saves the
+    clears the failed check at its current decrement.  A larger k saves the
     derivative evaluations of the k - 1 accuracy-improving iterations at
     the same x that k fixed-factor steps would take.
     """
-    k = 1 if shortfall is None else shortfall.steps(config.gamma_acc, _ACC_STEPS_CAP)
+    k = shortfall.steps(config.gamma_acc, _ACC_STEPS_CAP)
     state.acc = config.gamma_acc**k * state.acc
     state.delta = state.delta_start.copy()
     return k
@@ -475,6 +472,11 @@ def solve(
         raise ConfigError(f"x0 has shape {start.shape}, expected ({problem.dim},)")
     if not np.isfinite(start).all():
         raise ConfigError("x0 holds a non-finite entry")
+    if config.p > problem.p_max:
+        raise ConfigError(
+            f"p={config.p} exceeds the derivative orders of {problem.name!r} "
+            f"(p_max={problem.p_max})"
+        )
     state = SolverState(
         x=start,
         sigma=config.sigma0,
@@ -554,20 +556,24 @@ def _log_run(ending: str, trace, counters: EvalCounters) -> None:
     histogram and the evaluation totals."""
     if not logger.isEnabledFor(logging.INFO):
         return
-    kinds = Counter(rec.kind for rec in trace)
     causes = Counter(rec.cause.cause for rec in trace if rec.cause is not None)
     logger.info(
         "%s after %d iterations (S/U/A = %d/%d/%d); step-5 causes: %s; "
         "%d value evaluations, %d derivative bundles",
         ending,
         len(trace),
-        kinds[KIND_SUCCESS],
-        kinds[KIND_UNSUCCESS],
-        kinds[KIND_ACCURACY],
+        *kind_counts(trace).values(),
         ", ".join(f"{cause} x{n}" for cause, n in sorted(causes.items())) or "none",
         counters.value_evals,
         counters.derivative_evals,
     )
+
+
+def kind_counts(trace) -> dict:
+    """Iterations per kind, keyed by the ``KIND_*`` constants in S/U/A
+    order; the terminating record, whose kind is None, is not counted."""
+    counts = Counter(rec.kind for rec in trace)
+    return {kind: counts[kind] for kind in (KIND_SUCCESS, KIND_UNSUCCESS, KIND_ACCURACY)}
 
 
 def _close_record(record: IterationRecord, oracle: Oracle, snap):

@@ -159,9 +159,9 @@ class TestValidation:
             compute_bounds(SolverConfig(epsilons=(1e-2,)), 1.0, -1.0)
 
     def test_theta_at_or_above_one_rejected(self):
-        cfg = SolverConfig(epsilons=(1e-2,), theta=1.0)
-        with pytest.raises(ConfigError):
-            compute_bounds(cfg, 1.0, 1.0)
+        # SolverConfig owns the interval, so compute_bounds never sees it.
+        with pytest.raises(ConfigError, match="theta"):
+            SolverConfig(epsilons=(1e-2,), theta=1.0)
 
 
 def _record(acc, derivative_evals):

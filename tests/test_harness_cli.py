@@ -411,6 +411,30 @@ class TestCliMain:
                      "--eps", "1e-3", "--seed", "1"]) == 0
         assert line in capsys.readouterr().out
 
+    def test_unsupported_order_writes_null_verification(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve", "--problem", "sineq", "--dim", "4", "--p", "3", "--q", "3",
+                     "--eps", "1e-3", "--out", str(out)]) == 0
+        assert "exact-check: unsupported" in capsys.readouterr().out
+        data = json.loads((out / "certificate.json").read_text())
+        assert data["verified_exact"] == [True, True, None]
+        assert data["verified_phi"][2] is None
+        assert all(phi <= entry["threshold"]
+                   for phi, entry in zip(data["verified_phi"][:2], data["measured"]))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta", "2"), ("--sigma0", "inf"), ("--gamma3", "inf"), ("--acc-max", "inf"),
+    ])
+    def test_setting_outside_the_bound_intervals_exits_one_before_solving(
+        self, flag, value, tmp_path, capsys
+    ):
+        # Before, each ran the whole solve and then failed in start_bounds.
+        out = tmp_path / "run"
+        assert main(["solve", "--problem", "quadratic", "--dim", "2", "--eps", "1e-2",
+                     flag, value, "--out", str(out)]) == 1
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().out
+        assert not out.exists()
+
     def test_cli_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = quadratic\ndim = 4\neps = 0.9\n")

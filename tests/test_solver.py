@@ -78,6 +78,11 @@ class TestConfigValidation:
             dict(acc_max=-1.0),
             dict(max_iters=0),
             dict(max_inner_iters=0),
+            # compute_bounds needs theta < 1 and these finite
+            dict(theta=2.0),
+            dict(sigma0=float("inf")),
+            dict(gamma3=float("inf")),
+            dict(acc_max=float("inf")),
         ],
     )
     def test_constraint_violations_rejected(self, kwargs):
@@ -298,7 +303,8 @@ class TestStep5:
         state = make_state(acc=(0.1, 0.1))
         state.delta[0] = 0.25  # halved during step 1
         sigma_before = state.sigma
-        step5(state, cfg)
+        # 0.25 * 1.0 <= 0.5: one factor clears the shortfall
+        assert step5(state, cfg, Shortfall("step2 decrement", 1.0, 0.5)) == 1
         assert np.all(state.acc == pytest.approx([0.025, 0.025]))
         assert state.delta[0] == 1.0
         assert state.sigma == sigma_before
@@ -335,9 +341,26 @@ class TestSolve:
         cfg = SolverConfig(epsilons=(1e-4,))
         res = solve(problem, NoiseModel("bounded_random", 0.9, 3), cfg)
         checks = verify_certificate(problem, res.certificate)
-        assert all(c["ok"] for c in checks)
-        assert res.certificate.verified_exact == (True,)
-        assert res.certificate.verified_phi[0] <= 1e-4
+        assert [c["ok"] for c in checks] == [True]
+        assert checks[0]["phi_exact"] <= 1e-4
+
+    def test_certificate_is_frozen(self):
+        cfg = SolverConfig(epsilons=(1e-3,), acc0=(0.0, 0.0), acc_max=0.0)
+        cert = solve(half_norm_squared(2), NoiseModel("exact"), cfg).certificate
+        assert [f.name for f in dataclasses.fields(cert)] == ["x_eps", "delta_eps", "measured"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.x_eps = np.zeros(2)
+
+    def test_order_above_the_problems_derivatives_rejected(self):
+        # Before, the oracle's bare ValueError escaped from the first bundle.
+        calls = []
+        problem = dataclasses.replace(
+            half_norm_squared(2), p_max=2,
+            eval_derivative=lambda x, i: calls.append(i) or np.zeros((2,) * i),
+        )
+        with pytest.raises(ConfigError, match="p=3"):
+            solve(problem, NoiseModel("exact"), SolverConfig(p=3, q=1))
+        assert calls == []
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_degree_three_model_with_lower_order_targets(self, q):
