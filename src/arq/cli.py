@@ -22,6 +22,7 @@ import numpy as np
 from .diagnostics import digits_demanded
 from .harness import (
     ExperimentSpec,
+    bounds_text,
     build_config,
     certificate_from_json,
     parse_config_file,
@@ -198,8 +199,7 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     spec = _build_spec(args)
     report = start_bounds(spec.make_problem(), build_config(spec))
-    for key, value in report.as_dict().items():
-        print(f"{key} = {value}")
+    print(bounds_text(report), end="")
     return 0
 
 

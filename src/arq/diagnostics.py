@@ -184,6 +184,8 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
         k_acc_min = 0
     else:
         ratio = kappa_acc * eps_min ** (q + 1) / acc_max
+        if ratio == 0.0:  # underflowed: no finite power of gamma_acc reaches it
+            raise ConfigError(f"bound constant k_acc_min is not finite at acc_max={acc_max}")
         if ratio >= 1.0:
             k_acc_min = 0
         else:

@@ -348,11 +348,10 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def write_bounds_txt(path: Path, report) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k} = {_fmt(v)}" for k, v in report.as_dict().items()]
-    path.write_text("\n".join(lines) + "\n")
+def bounds_text(report) -> str:
+    """The bound report as flat ``key = value`` lines: the text of
+    ``bounds.txt`` and of ``arq bounds``."""
+    return "".join(f"{k} = {_fmt(v)}\n" for k, v in report.as_dict().items())
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +379,17 @@ def start_bounds(problem: Problem, config: SolverConfig, x0=None):
 
 
 def run_solve(spec: ExperimentSpec) -> RunOutcome:
-    """Solve one instance; write trace/certificate/bounds when `out` is set."""
+    """Solve one instance; write trace/certificate/bounds when `out` is set.
+    Settings too large for the bound report give exit code 1 and no bounds."""
     try:
         problem = spec.make_problem()
         config = build_config(spec)
         noise = NoiseModel(spec.noise, spec.fill_fraction, spec.seed)
-        try:
-            x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"x0 is not a float vector: {exc}") from exc
     except (ConfigError, ValueError, TypeError) as exc:
         logger.error("configuration rejected: %s", exc)
         return RunOutcome(1, error=str(exc))
     try:
-        result = solve(problem, noise, config, x0=x0)
+        result = solve(problem, noise, config, x0=spec.x0)
     except ConfigError as exc:  # a bad start point, or p above the problem's orders
         logger.error("configuration rejected: %s", exc)
         return RunOutcome(1, error=str(exc))
@@ -404,14 +400,19 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         return RunOutcome(2, error=f"{exc.status}: {exc}")
 
     verification = verify_certificate(problem, result.certificate)
-    report = start_bounds(problem, config, x0)
-
     if spec.out is not None:
-        out = Path(spec.out)
         cert_json = certificate_to_json(result.certificate, verification, spec, config)
-        write_trace_csv(out / "trace.csv", result.trace)
-        (out / "certificate.json").write_text(json.dumps(cert_json, indent=2) + "\n")
-        write_bounds_txt(out / "bounds.txt", report)
+        write_trace_csv(Path(spec.out) / "trace.csv", result.trace)
+        (Path(spec.out) / "certificate.json").write_text(json.dumps(cert_json, indent=2) + "\n")
+    # The run's own files are written first: a setting too large for the
+    # bound formulas costs the report, not the certified run.
+    try:
+        report = start_bounds(problem, config, spec.x0)
+    except ConfigError as exc:
+        logger.error("bound report not computed: %s", exc)
+        return RunOutcome(1, result=result, error=str(exc), verification=verification)
+    if spec.out is not None:
+        (Path(spec.out) / "bounds.txt").write_text(bounds_text(report))
     return RunOutcome(0, result=result, verification=verification, bounds=report.as_dict())
 
 

@@ -8,9 +8,8 @@ reach the solver through `inexact_value` alone, each one counted.  Noise
 injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.
 
-Evaluations are counted (`EvalCounters`).  Bundle requests at an unchanged
-point with non-decreasing bounds are served from a one-slot cache without
-counting; a strictly tighter bound at the same point re-evaluates.
+Every request is evaluated afresh and counted (`EvalCounters`); reusing a
+bundle is the solver's decision, not the oracle's.
 """
 from __future__ import annotations
 
@@ -167,7 +166,7 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> np.ndarray:
 
 
 class Oracle:
-    """Owns the noise stream, evaluation counters and the bundle cache.
+    """Owns the noise stream and the evaluation counters.
 
     One solver run owns one oracle; independent runs may hold independent
     oracles concurrently.  With a fixed seed the injected noise is a pure
@@ -179,7 +178,6 @@ class Oracle:
         self.noise = noise
         self.counters = EvalCounters()
         self._rng = np.random.default_rng(noise.seed)
-        self._cached = None  # (x, accuracy array, bundle)
 
     def inexact_value(self, x, bound: float) -> float:
         """f at x with absolute error at most `bound` (>= 0). Counts one eval."""
@@ -208,25 +206,13 @@ class Oracle:
 
     def inexact_bundle(self, x, accuracies, p: int) -> DerivativeBundle:
         """Derivative bundle at x with per-order error bounds `accuracies`.
-
-        Counts one derivative evaluation unless served from the cache (same
-        point, bounds no tighter than the cached ones).
-        """
+        Counts one derivative evaluation."""
         x = np.asarray(x, dtype=float)
         accuracies = np.asarray(accuracies, dtype=float)
         if accuracies.shape != (p,):
             raise ValueError(f"need {p} accuracy entries, got {accuracies.shape}")
         if not (accuracies >= 0).all():
             raise ValueError(f"accuracy entries must be >= 0, got {accuracies}")
-        if self._cached is not None:
-            cx, cacc, cbundle = self._cached
-            if (
-                cx.shape == x.shape
-                and np.array_equal(cx, x)
-                and len(cacc) == p
-                and np.all(accuracies >= cacc)
-            ):
-                return cbundle
         bundle = DerivativeBundle(
             [
                 self._perturb_tensor(self.problem.derivative(x, i), float(acc))
@@ -234,7 +220,6 @@ class Oracle:
             ]
         )
         self.counters.derivative_evals += 1
-        self._cached = (x.copy(), accuracies.copy(), bundle)
         return bundle
 
 
@@ -243,8 +228,6 @@ class Oracle:
 # and a certified lower bound on f, which is what certificate verification
 # and the theoretical eval bounds need.
 # ---------------------------------------------------------------------------
-
-PROBLEM_NAMES = ("quadratic", "rosenbrock", "quartic", "sineq")
 
 
 def _quadratic(dim: int) -> Problem:
@@ -338,18 +321,22 @@ def _sineq(dim: int) -> Problem:
     return Problem("sineq", dim, value, deriv, float(-dim), np.ones(dim), 3, 2.0)
 
 
+# Built-in problems by name, in the order `PROBLEM_NAMES` and the CLI list them.
+_PROBLEMS = {
+    "quadratic": _quadratic,
+    "rosenbrock": _rosenbrock,
+    "quartic": _quartic,
+    "sineq": _sineq,
+}
+PROBLEM_NAMES = tuple(_PROBLEMS)
+
+
 def make_problem(name: str, dim: int) -> Problem:
-    factories = {
-        "quadratic": _quadratic,
-        "rosenbrock": _rosenbrock,
-        "quartic": _quartic,
-        "sineq": _sineq,
-    }
-    if name not in factories:
+    if name not in _PROBLEMS:
         raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return factories[name](dim)
+    return _PROBLEMS[name](dim)
 
 
 _LIPSCHITZ_SAMPLES = 48

@@ -22,6 +22,11 @@ between.  The theory's accuracy-improvement bound counts factors: once
 the exponents add up to its k_acc_min no check fails, so a run's total
 exponent is at most k_acc_min - 1 plus the cap.
 
+Two evaluations are reused, as the theory's evaluation bounds assume:
+
+  derivatives  after an unsuccessful iteration (same x_k, same accuracies);
+  f-bar(x_k)   in step 3, while its stored bound is as tight as demanded.
+
 Iterations are classified successful / unsuccessful / accuracy-improving;
 the trace records everything the property suite needs to recheck the run
 against ground truth.
@@ -197,6 +202,7 @@ class SolverState:
     delta_start: np.ndarray
     acc: np.ndarray  # absolute accuracy demand per derivative order 1..p
     k: int = 0
+    f_bar: tuple | None = None  # (value, bound) of the inexact f at x
 
 
 @dataclass
@@ -396,24 +402,22 @@ def step3_step4(
     config: SolverConfig,
     step_res: StepResult,
     dec_p: float,
-    fbar_cache,
-):
-    """Trial-point acceptance and regularization update.
+) -> float:
+    """Trial-point acceptance and regularization update; returns rho, and
+    the step was accepted when ``rho >= eta1``.
 
-    ``fbar_cache`` is ``(value, bound)`` for the inexact objective at the
-    current iterate, reused when its recorded bound is already tight enough;
-    otherwise the value is recomputed (the second evaluation this iteration).
-    Returns ``(rho, fbar_cache)``, the cache now holding the value at the
-    next iterate; the step was accepted when ``rho >= eta1``.
+    ``state.f_bar`` is reused when its bound is already tight enough;
+    otherwise f at x is evaluated again (the second value evaluation this
+    iteration).  On acceptance it becomes the trial value.
     """
     bound = config.omega * dec_p
     trial = oracle.inexact_value(state.x + step_res.step, bound)
-    if fbar_cache is None or fbar_cache[1] > bound:
-        fbar_cache = (oracle.inexact_value(state.x, bound), bound)
-    rho = (fbar_cache[0] - trial) / dec_p
+    if state.f_bar is None or state.f_bar[1] > bound:
+        state.f_bar = (oracle.inexact_value(state.x, bound), bound)
+    rho = (state.f_bar[0] - trial) / dec_p
     if rho >= config.eta1:
         state.x = state.x + step_res.step
-        fbar_cache = (trial, bound)
+        state.f_bar = (trial, bound)
         if not step_res.long_step:
             state.delta = step_res.radii.copy()
         # long step: keep the end-of-step-1 radii already in state.delta
@@ -421,7 +425,7 @@ def step3_step4(
         state.sigma = max(config.sigma_min, config.gamma1 * state.sigma)
     elif rho < config.eta1:
         state.sigma = config.gamma2 * state.sigma
-    return rho, fbar_cache
+    return rho
 
 
 def step5(state: SolverState, config: SolverConfig, shortfall: Shortfall) -> int:
@@ -467,7 +471,10 @@ def solve(
     neither the iterates nor the oracle's evaluations.
     """
     oracle = Oracle(problem, noise)
-    start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
+    try:
+        start = np.array(problem.x0 if x0 is None else x0, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"x0 is not a float vector: {exc}") from exc
     if start.shape != (problem.dim,):
         raise ConfigError(f"x0 has shape {start.shape}, expected ({problem.dim},)")
     if not np.isfinite(start).all():
@@ -485,7 +492,6 @@ def solve(
         acc=np.asarray(config.acc0, dtype=float).copy(),
     )
     guard_l_bar = _guard_bound(problem, start, config)
-    fbar_cache = None
     trace = []
 
     try:
@@ -502,7 +508,10 @@ def solve(
                 delta_end=state.delta_start.copy(),
                 x=state.x.copy(),
             )
-            bundle = oracle.inexact_bundle(state.x, state.acc, config.p)
+            # An unsuccessful iteration leaves x_k and the accuracies as they
+            # were, so its derivatives serve again.
+            if not trace or trace[-1].kind != KIND_UNSUCCESS:
+                bundle = oracle.inexact_bundle(state.x, state.acc, config.p)
             model = RegularizedModel(bundle, state.sigma)
 
             out = step1(state, bundle, model, config, guard_l_bar)
@@ -511,22 +520,20 @@ def solve(
                 record.j_k = out[0]
                 out = step2(state, bundle, model, config, *out)
             if isinstance(out, Certificate):
-                record.f_bar_after = fbar_cache[0] if fbar_cache else None
+                record.f_bar_after = state.f_bar[0] if state.f_bar else None
             elif isinstance(out, Shortfall):
                 record.kind = KIND_ACCURACY
                 record.cause = out
                 record.acc_steps = step5(state, config, out)
             else:
                 step_res, dec_p = out
-                rho, fbar_cache = step3_step4(
-                    state, oracle, config, step_res, dec_p, fbar_cache
-                )
+                rho = step3_step4(state, oracle, config, step_res, dec_p)
                 record.kind = KIND_SUCCESS if rho >= config.eta1 else KIND_UNSUCCESS
                 record.rho = rho
                 record.step = step_res.step.copy()
                 record.step_norm = float(np.linalg.norm(step_res.step))
                 record.dec_bar = dec_p
-                record.f_bar_after = fbar_cache[0]
+                record.f_bar_after = state.f_bar[0]
             _close_record(record, oracle, snap)
             trace.append(record)
             logger.debug(

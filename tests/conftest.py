@@ -89,6 +89,15 @@ def benchmark_suite():
     return BenchSuite(runs, time.perf_counter() - start)
 
 
+def assert_bundle_reuse(trace):
+    """A record evaluates no derivative bundle exactly when the previous
+    record is unsuccessful, and one otherwise."""
+    previous = [None] + [rec.kind for rec in trace[:-1]]
+    assert [rec.derivative_evals for rec in trace] == [
+        0 if kind == "unsuccessful" else 1 for kind in previous
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Independent reference evaluators.
 # ---------------------------------------------------------------------------

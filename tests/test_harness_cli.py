@@ -197,6 +197,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(spec)
 
+    def test_unconvertible_start_point_rejected_by_name(self):
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), x0="abc")
+        with pytest.raises(arq.solver.ConfigError, match="x0 is not a float vector"):
+            run_sweep(spec)
+
     @pytest.mark.parametrize("field", ["jobs", "runs"])
     def test_jobs_below_one_rejected(self, field):
         spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), **{field: 0})
@@ -500,6 +505,27 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "sigma_max = " in out
         assert "n_derivative_evals = " in out
+
+    @pytest.mark.parametrize("flag, constant", [
+        ("--acc-max", "k_acc_min"), ("--gamma3", "kappa_dm"),
+    ])
+    def test_bound_report_failure_keeps_the_certified_run(
+        self, flag, constant, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        assert main(["solve", "--problem", "quadratic", "--dim", "2", "--eps", "1e-2",
+                     flag, "1e300", "--out", str(out)]) == 1
+        assert constant in capsys.readouterr().out
+        assert (out / "trace.csv").exists()
+        assert json.loads((out / "certificate.json").read_text())["verified_exact"] == [True]
+        assert not (out / "bounds.txt").exists()
+
+    def test_bounds_prints_the_bounds_file(self, tmp_path, capsys):
+        settings = ["--problem", "sineq", "--dim", "4", "--q", "2", "--eps", "1e-3"]
+        assert main(["bounds", *settings]) == 0
+        printed = capsys.readouterr().out
+        assert main(["solve", *settings, "--out", str(tmp_path)]) == 0
+        assert printed == (tmp_path / "bounds.txt").read_text()
 
     def test_sweep_cli(self, tmp_path, capsys):
         out = tmp_path / "sw"

@@ -10,6 +10,8 @@ import numpy as np
 
 from arq.tensors import operator_norm
 
+from conftest import assert_bundle_reuse
+
 
 def _local_norm_bound(run, rec):
     """Upper bound on the norms of the derivative bundle used at rec.x."""
@@ -79,6 +81,13 @@ def test_certificates_satisfy_the_exit_inequality(benchmark_suite):
             )
             assert entry["phi_bar"] <= exit_cap
             assert exit_cap <= entry["threshold"]
+
+
+def test_derivatives_are_reused_after_an_unsuccessful_iteration(benchmark_suite):
+    for run in benchmark_suite.runs:
+        assert_bundle_reuse(run.result.trace)
+    assert any(rec.kind == "unsuccessful" for run in benchmark_suite.runs
+               for rec in run.result.trace)
 
 
 def test_per_iteration_counter_breakdown(benchmark_suite):

@@ -22,7 +22,14 @@ from arq.solver import (
 from arq.subsolvers import StepResult, SubsolverStallError
 from arq.tensors import DerivativeBundle, RegularizedModel
 
-from conftest import BENCH_NOISES, BENCH_PROBLEMS, bench_config, bench_seeds, steep_problem
+from conftest import (
+    BENCH_NOISES,
+    BENCH_PROBLEMS,
+    assert_bundle_reuse,
+    bench_config,
+    bench_seeds,
+    steep_problem,
+)
 
 
 def half_norm_squared(dim):
@@ -95,13 +102,14 @@ class TestConfigValidation:
             SolverConfig(p=2, q=1, epsilons=(1e-2,), acc0=(float("nan"), 0.1))
 
 
-def make_state(dim=1, sigma=1.0, q=1, acc=(0.0, 0.0)):
+def make_state(dim=1, sigma=1.0, q=1, acc=(0.0, 0.0), f_bar=None):
     return SolverState(
         x=np.zeros(dim),
         sigma=sigma,
         delta=np.ones(q),
         delta_start=np.ones(q),
         acc=np.asarray(acc, float),
+        f_bar=f_bar,
     )
 
 
@@ -250,29 +258,29 @@ def plain_step(s, q=1):
 class TestStep3Step4:
     def test_plain_success_keeps_sigma(self):
         cfg = SolverConfig(epsilons=(0.1,))
-        state = make_state(sigma=2.0)
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
         oracle = ScriptedOracle([0.5])
-        rho, cache = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0))
+        rho = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0)
         assert rho == pytest.approx(0.5)
         assert rho >= cfg.eta1
         assert state.sigma == 2.0
         assert state.x == pytest.approx([0.5])
-        assert cache == (0.5, cfg.omega)
+        assert state.f_bar == (0.5, cfg.omega)
 
     def test_very_successful_shrinks_sigma_to_lower_endpoint(self):
         cfg = SolverConfig(epsilons=(0.1,))
-        state = make_state(sigma=2.0)
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
         oracle = ScriptedOracle([0.05])
-        rho, _ = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0))
+        rho = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0)
         assert rho == pytest.approx(0.95)
         assert rho >= cfg.eta1
         assert state.sigma == pytest.approx(1.0)  # max(sigma_min, gamma1 * 2)
 
     def test_rejection_grows_sigma_and_keeps_x(self):
         cfg = SolverConfig(epsilons=(0.1,))
-        state = make_state(sigma=2.0)
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
         oracle = ScriptedOracle([1.2])
-        rho, _ = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 0.0))
+        rho = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0)
         assert rho == pytest.approx(-0.2)
         assert rho < cfg.eta1
         assert state.sigma == pytest.approx(4.0)
@@ -280,20 +288,20 @@ class TestStep3Step4:
 
     def test_stale_cache_triggers_recompute(self):
         cfg = SolverConfig(epsilons=(0.1,))
-        state = make_state(sigma=2.0)
+        state = make_state(sigma=2.0, f_bar=(1.0, 100.0))
         oracle = ScriptedOracle([0.5, 0.9])
-        rho, _ = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0, (1.0, 100.0))
-        # cached bound 100 is looser than omega * dec: both points evaluated
+        rho = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0)
+        # stored bound 100 is looser than omega * dec: both points evaluated
         assert len(oracle.calls) == 2
         assert rho == pytest.approx(0.4)
 
     def test_short_step_installs_searched_radii(self):
         cfg = SolverConfig(epsilons=(0.1,))
-        state = make_state(sigma=2.0)
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
         state.delta[0] = 0.25
         oracle = ScriptedOracle([0.5])
         res = StepResult(np.array([0.5]), np.array([1.0]), (), False, 0)
-        step3_step4(state, oracle, cfg, res, 1.0, (1.0, 0.0))
+        step3_step4(state, oracle, cfg, res, 1.0)
         assert state.delta[0] == 1.0
 
 
@@ -436,6 +444,12 @@ class TestSolve:
         with pytest.raises(ConfigError, match="x0 holds a non-finite entry"):
             solve(problem, NoiseModel("exact"), cfg, x0=np.array([bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", ["abc", [1.0, "x"], {"a": 1}])
+    def test_unconvertible_start_rejected_by_name(self, bad):
+        cfg = SolverConfig(epsilons=(0.5,))
+        with pytest.raises(ConfigError, match="x0 is not a float vector"):
+            solve(half_norm_squared(2), NoiseModel("exact"), cfg, x0=bad)
+
 
 def assert_evals_sum_to_counters(run):
     assert run.counters.value_evals == sum(r.value_evals for r in run.trace)
@@ -469,6 +483,9 @@ class TestTraceInvariants:
                 assert rec.value_evals == 0
             assert rec.derivative_evals in (0, 1)
         assert_evals_sum_to_counters(noisy_run)
+
+    def test_derivatives_are_reused_after_an_unsuccessful_iteration(self, noisy_run):
+        assert_bundle_reuse(noisy_run.trace)
 
     def test_trial_kind_follows_rho_and_rejection_keeps_x(self, noisy_run):
         trace = noisy_run.trace
