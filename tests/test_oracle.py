@@ -183,24 +183,32 @@ class TestDeterminism:
                 assert np.array_equal(ta, tb)
 
 
-class TestEvaluationCount:
-    def test_every_bundle_request_counts_one_evaluation(self, problem):
-        """Repeated, looser, tighter and new-point requests are each
-        evaluated, and a repeated request draws fresh noise."""
+class TestCaching:
+    """The oracle keeps no cache: every bundle request is one evaluation."""
+
+    def test_repeat_and_looser_requests_reevaluate(self, problem):
         oracle = Oracle(problem, NoiseModel("bounded_random", 0.9, seed=1))
-        requests = [
-            (problem.x0, [0.1, 0.1]),
-            (problem.x0, [0.1, 0.1]),
-            (problem.x0, [0.2, 0.5]),
-            (problem.x0, [0.1, 0.025]),
-            (problem.x0 + 1.0, [0.1, 0.1]),
-        ]
-        bundles = []
-        for count, (x, acc) in enumerate(requests, start=1):
-            bundles.append(oracle.inexact_bundle(x, np.array(acc), 2))
-            assert oracle.counters.derivative_evals == count
-        for first, repeat in zip(bundles[0].tensors, bundles[1].tensors):
+        acc = np.array([0.1, 0.1])
+        b1 = oracle.inexact_bundle(problem.x0, acc, 2)
+        assert oracle.counters.derivative_evals == 1
+        b2 = oracle.inexact_bundle(problem.x0, acc.copy(), 2)
+        assert oracle.counters.derivative_evals == 2
+        for first, repeat in zip(b1.tensors, b2.tensors):
             assert not np.array_equal(first, repeat)
+        oracle.inexact_bundle(problem.x0, np.array([0.2, 0.5]), 2)
+        assert oracle.counters.derivative_evals == 3
+
+    def test_tighter_request_reevaluates(self, problem):
+        oracle = Oracle(problem, NoiseModel("bounded_random", 0.9, seed=1))
+        oracle.inexact_bundle(problem.x0, np.array([0.1, 0.1]), 2)
+        oracle.inexact_bundle(problem.x0, np.array([0.1, 0.025]), 2)
+        assert oracle.counters.derivative_evals == 2
+
+    def test_new_point_reevaluates(self, problem):
+        oracle = Oracle(problem, NoiseModel("bounded_random", 0.9, seed=1))
+        oracle.inexact_bundle(problem.x0, np.array([0.1, 0.1]), 2)
+        oracle.inexact_bundle(problem.x0 + 1.0, np.array([0.1, 0.1]), 2)
+        assert oracle.counters.derivative_evals == 2
 
 
 class TestLipschitzEstimates:
