@@ -72,6 +72,7 @@ TRACE_COLUMNS = (
     "cause_error_sum",
     "cause_threshold",
     "acc_steps",
+    "inner_iterations",
 )
 
 _MASK64 = (1 << 64) - 1
@@ -282,6 +283,7 @@ def write_trace_csv(path: Path, trace) -> None:
                     _fmt(cause and cause.error_sum),
                     _fmt(cause and cause.threshold),
                     _fmt(rec.acc_steps),
+                    _fmt(rec.inner_iterations),
                 ]
             )
 
@@ -481,6 +483,10 @@ def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
         raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
     if spec.runs < 1:
         raise ValueError(f"runs must be >= 1, got {spec.runs}")
+    # A setting too large for the bound formulas fails here, before any
+    # solve: the constants that can fail are loosest at l_f = 1.
+    for eps in grid:
+        compute_bounds(build_config(spec, (eps,) * spec.q), 1.0, 0.0)
     epsilons = [eps for eps in grid for _ in range(spec.runs)]
     seeds = [seed % 2**32 for seed in expand_seeds(spec.seed, len(epsilons))]
     with ThreadPoolExecutor(max_workers=spec.jobs) as pool:

@@ -14,13 +14,16 @@ The driver alternates five phases per iteration k:
   step 5   when an accuracy check came back insufficient, tighten every
            derivative accuracy demand by gamma_acc^k, where k >= 1 is the
            least exponent, capped, that clears the failed check's
-           threshold at its current decrement.
+           threshold at its current decrement.  Step 2 makes all of its
+           checks on the one bundle and step and hands on the insufficient
+           one with the largest k; step 1 stops at its first.
 
 Every check's error sum is linear in the accuracies, so gamma_acc^k is k
 fixed-factor step 5s at the same x without the derivative evaluations in
 between.  The theory's accuracy-improvement bound counts factors: once
 the exponents add up to its k_acc_min no check fails, so a run's total
-exponent is at most k_acc_min - 1 plus the cap.
+exponent is at most k_acc_min - 1 plus the cap, however k is chosen in
+1..cap.
 
 Two evaluations are reused, as the theory's evaluation bounds assume:
 
@@ -224,6 +227,7 @@ class IterationRecord:
     f_bar_after: float | None = None
     cause: Shortfall | None = None  # accuracy-improving rows: the failed check
     acc_steps: int | None = None  # accuracy-improving rows: the k step 5 applied
+    inner_iterations: int | None = None  # trial rows: the step's model-minimizer iterations
 
 
 @dataclass(frozen=True)
@@ -343,9 +347,15 @@ def step2(
     The step's own model measures must be small: order ell against the
     target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``,
     and for a short step each is rechecked for accuracy against that target
-    over ``1 + omega``.  Returns ``(step_result, dec_p)`` for step 3, or the
-    `Shortfall` of a check that came back insufficient (go to step 5), with
-    cause ``step2 decrement`` or ``step2 ell=<ell>``.
+    over ``1 + omega``.  Returns ``(step_result, dec_p)`` for step 3, or,
+    when a check came back insufficient (go to step 5), the `Shortfall`
+    that needs the most accuracy tightenings, with cause ``step2
+    decrement`` or ``step2 ell=<ell>``.
+
+    Every check reads the same bundle and step, so all are made: step 5 is
+    sized by the largest k among the insufficient ones, which spares the
+    accuracy-improving iteration a later check would cost at the same x.
+    On a tie the earliest check is returned.
     """
     coef = config.varsigma * config.theta * (1.0 - config.omega) / (2.0 * (1.0 + config.omega))
     targets = [coef * eps for eps in config.epsilons]
@@ -378,8 +388,9 @@ def step2(
         raise InternalInvariantError(
             f"step-2 decrement check returned absolute at iteration {state.k}"
         )
+    shortfalls = []
     if verdict is CheckOutcome.INSUFFICIENT:
-        return Shortfall.of("step2 decrement", *args)
+        shortfalls.append(Shortfall.of("step2 decrement", *args))
 
     if step_norm < 1.0:
         for ell in range(1, config.q + 1):
@@ -392,7 +403,10 @@ def step2(
                 config.omega,
             )
             if check(*args) is CheckOutcome.INSUFFICIENT:
-                return Shortfall.of(f"step2 ell={ell}", *args)
+                shortfalls.append(Shortfall.of(f"step2 ell={ell}", *args))
+    if shortfalls:
+        # max keeps the first of equal keys: the earliest check wins a tie.
+        return max(shortfalls, key=lambda sf: sf.steps(config.gamma_acc, _ACC_STEPS_CAP))
     return step_res, dec_p
 
 
@@ -433,9 +447,10 @@ def step5(state: SolverState, config: SolverConfig, shortfall: Shortfall) -> int
     keep x and sigma.  Returns k.
 
     k is ``shortfall.steps(gamma_acc, cap)``: the least k >= 1, capped, that
-    clears the failed check at its current decrement.  A larger k saves the
-    derivative evaluations of the k - 1 accuracy-improving iterations at
-    the same x that k fixed-factor steps would take.
+    clears the failed check at its current decrement; from step 2 it is the
+    largest such k among the checks that failed there.  A larger k saves
+    the derivative evaluations of the k - 1 accuracy-improving iterations
+    at the same x that k fixed-factor steps would take.
     """
     k = shortfall.steps(config.gamma_acc, _ACC_STEPS_CAP)
     state.acc = config.gamma_acc**k * state.acc
@@ -533,6 +548,7 @@ def solve(
                 record.step = step_res.step.copy()
                 record.step_norm = float(np.linalg.norm(step_res.step))
                 record.dec_bar = dec_p
+                record.inner_iterations = step_res.inner_iterations
                 record.f_bar_after = state.f_bar[0]
             _close_record(record, oracle, snap)
             trace.append(record)

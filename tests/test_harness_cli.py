@@ -69,6 +69,10 @@ class TestRunSolve:
         improving = 0
         for values, rec in zip(rows, outcome.result.trace):
             row = dict(zip(header, values))
+            if row["kind"] in ("successful", "unsuccessful"):
+                assert int(row["inner_iterations"]) == rec.inner_iterations >= 0
+            else:
+                assert row["inner_iterations"] == "" and rec.inner_iterations is None
             if row["kind"] != "accuracy_improving":
                 assert all(row[c] == "" for c in cause_columns)
                 continue
@@ -78,6 +82,12 @@ class TestRunSolve:
             assert float(row["cause_error_sum"]) > float(row["cause_threshold"])
             assert int(row["acc_steps"]) == rec.acc_steps >= 1
         assert improving > 0
+
+    def test_readme_lists_the_trace_columns(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = readme.split("`trace.csv` — one row per iteration, columns", 1)[1]
+        listed = listed.split("`", 2)[1]
+        assert [c.strip() for c in listed.split(",")] == list(TRACE_COLUMNS)
 
     def test_immediate_termination_leaves_single_kindless_row(self, tmp_path):
         spec = ExperimentSpec(
@@ -519,6 +529,23 @@ class TestCliMain:
         assert (out / "trace.csv").exists()
         assert json.loads((out / "certificate.json").read_text())["verified_exact"] == [True]
         assert not (out / "bounds.txt").exists()
+
+    @pytest.mark.parametrize("flag, constant", [
+        ("--acc-max", "k_acc_min"), ("--gamma3", "kappa_dm"),
+    ])
+    def test_sweep_rejects_a_setting_the_bounds_cannot_take_before_solving(
+        self, flag, constant, monkeypatch, tmp_path, capsys
+    ):
+        # Before, every row was solved and the sweep then exited 1.
+        solves = []
+        monkeypatch.setattr(arq.harness, "solve", lambda *args, **kw: solves.append(args))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--problem", "quadratic", "--dim", "2",
+                     "--eps", "1e-2,1e-3,1e-4", flag, "1e300", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: bound constant {constant} " in err
+        assert solves == []
+        assert not out.exists()
 
     def test_bounds_prints_the_bounds_file(self, tmp_path, capsys):
         settings = ["--problem", "sineq", "--dim", "4", "--q", "2", "--eps", "1e-3"]

@@ -16,10 +16,11 @@ from arq.solver import (
     SolverState,
     solve,
     step1,
+    step2,
     step3_step4,
     step5,
 )
-from arq.subsolvers import StepResult, SubsolverStallError
+from arq.subsolvers import MeasureResult, StepResult, SubsolverStallError
 from arq.tensors import DerivativeBundle, RegularizedModel
 
 from conftest import (
@@ -239,6 +240,49 @@ class TestLazyGuard:
             cfg, cfg.sigma0
         )
         assert len(estimate_calls) == 1
+
+
+class TestStep2:
+    """Step 2 makes the decrement check and the ell check on one bundle and
+    step.  Here f' = 1, the step is -0.5 (dec_p = 0.5, so the decrement
+    threshold is omega * 0.5 = 0.01) and acc = (a, a): the decrement error
+    sum is 0.625 a, and the ell=1 check compares 3 a with omega * phi_bar."""
+
+    def run(self, monkeypatch, a, phi_bar):
+        step = StepResult(np.array([-0.5]), np.ones(1), (phi_bar,), False, 0)
+        monkeypatch.setattr(arq.solver, "minimize_model", lambda *args, **kw: step)
+        cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
+        bundle = bundle_1d(1.0, 0.0)
+        measure = MeasureResult(1.0, np.array([-1.0]))
+        return step2(make_state(acc=(a, a)), bundle, RegularizedModel(bundle, 1.0),
+                     cfg, 1, measure)
+
+    def test_largest_exponent_wins(self, monkeypatch):
+        # decrement: 0.0625 against 0.01, k = 2; ell=1: 0.3 against 0.002, k = 4
+        out = self.run(monkeypatch, 0.1, 0.1)
+        assert out == Shortfall("step2 ell=1", pytest.approx(0.3), pytest.approx(0.002))
+        assert out.steps(0.25, arq.solver._ACC_STEPS_CAP) == 4
+        # ell=1: 0.3 against 0.2, k = 1, so the decrement's k = 2 wins
+        out = self.run(monkeypatch, 0.1, 10.0)
+        assert out == Shortfall("step2 decrement", pytest.approx(0.0625), pytest.approx(0.01))
+
+    def test_tie_returns_the_earlier_check(self, monkeypatch):
+        # ell=1: 0.3 against 0.02, k = 2, as for the decrement
+        out = self.run(monkeypatch, 0.1, 1.0)
+        assert out == Shortfall("step2 decrement", pytest.approx(0.0625), pytest.approx(0.01))
+
+    def test_one_failing_check_is_returned_as_before(self, monkeypatch):
+        # ell=1 passes (0.3 <= 2): only the decrement fails
+        out = self.run(monkeypatch, 0.1, 100.0)
+        assert out == Shortfall("step2 decrement", pytest.approx(0.0625), pytest.approx(0.01))
+        # the decrement passes (0.00625 <= 0.01): only ell=1 fails
+        out = self.run(monkeypatch, 0.01, 0.1)
+        assert out == Shortfall("step2 ell=1", pytest.approx(0.03), pytest.approx(0.002))
+
+    def test_no_failing_check_returns_the_step(self, monkeypatch):
+        step_res, dec_p = self.run(monkeypatch, 0.001, 1.0)
+        assert step_res.step == pytest.approx([-0.5])
+        assert dec_p == pytest.approx(0.5)
 
 
 class ScriptedOracle:
@@ -547,7 +591,10 @@ def fixed_factor_step5(state, config, shortfall=None):
 
 def test_cap_one_is_the_fixed_factor(monkeypatch, noisy_run):
     """With the exponent capped at 1, every trace matches the fixed-factor
-    step 5 field for field, on the noisy run and one seed of the grid."""
+    step 5 field for field, on the noisy run and one seed of the grid.
+    Both sides run at cap 1, since step 2 picks its recorded cause by the
+    capped exponent: at cap 1 every check ties, and the first failed one
+    is recorded, as a fixed-factor step 5 would be told."""
     seed = bench_seeds()[0]
     runs = [(make_problem("quartic", 3), NoiseModel("bounded_random", 0.9, 12345),
              bench_config(2, 1e-3, "bounded_random"))]
@@ -564,6 +611,7 @@ def test_cap_one_is_the_fixed_factor(monkeypatch, noisy_run):
         patch.setattr(arq.solver, "_ACC_STEPS_CAP", 1)
         capped = solve_all()
     with monkeypatch.context() as patch:
+        patch.setattr(arq.solver, "_ACC_STEPS_CAP", 1)
         patch.setattr(arq.solver, "step5", fixed_factor_step5)
         fixed = solve_all()
     for trace in capped:
