@@ -8,6 +8,7 @@ into the algorithm.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,6 +31,16 @@ def digits_demanded(trace) -> float | None:
     if not any(d.size for d in demands):
         return None
     return float(np.mean([-np.log10(d).sum() for d in demands]))
+
+
+@contextmanager
+def _float_range(name: str):
+    """Report an overflow or a division by an underflowed zero while
+    computing the bound constant `name` as a `ConfigError` naming it."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bound constant {name} is out of float range: {exc.args[-1]}") from None
 
 
 @dataclass(frozen=True)
@@ -85,6 +96,10 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
         both as the overall derivative bound and for the order-p constant.
     f0_minus_flow : float
         Gap between the starting value and the problem's lower bound, >= 0.
+
+    A constant that is not positive, or whose formula overflows (to inf
+    or with an `OverflowError`) or divides by an underflowed zero, raises
+    `ConfigError` naming it.
     """
     if not l_f >= 1.0:
         raise ConfigError(f"l_f must be >= 1, got {l_f}")
@@ -173,7 +188,8 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
             / (4.0 * math.factorial(q) * (1.0 + omega))
         ) * min(1.0 / max(1.0, kappa_s**p), theta * (1.0 - omega) / (3.0 * (1.0 + omega)))
 
-    kappa_sharp2_max = kappa_sharp2(sigma_max)
+    with _float_range("kappa_sharp2_max"):
+        kappa_sharp2_max = kappa_sharp2(sigma_max)
     kappa_acc = min(
         varsigma * omega / (4.0 * math.factorial(q)) * kappa_delta_min ** (q - 1),
         kappa_sharp2_max,
@@ -191,37 +207,38 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
         else:
             k_acc_min = int(math.ceil(math.log(ratio) / math.log(config.gamma_acc)))
 
-    if q <= 2:
-        kappa_s_evals = (
-            math.factorial(p + 1)
-            / ((config.eta1 - 2.0 * omega) * config.sigma_min)
-            * (
-                2.0
-                * math.factorial(q)
-                * (l_f + acc_max + sigma_max)
-                * (1.0 + omega)
-                / ((1.0 - theta) * (1.0 - omega))
+    with _float_range("kappa_s_evals"):
+        if q <= 2:
+            kappa_s_evals = (
+                math.factorial(p + 1)
+                / ((config.eta1 - 2.0 * omega) * config.sigma_min)
+                * (
+                    2.0
+                    * math.factorial(q)
+                    * (l_f + acc_max + sigma_max)
+                    * (1.0 + omega)
+                    / ((1.0 - theta) * (1.0 - omega))
+                )
             )
-        )
-        kappa_a_evals = 2.0 * kappa_s_evals * (
-            1.0 + abs(math.log(config.gamma1)) / math.log(config.gamma2)
-        )
-    else:
-        kappa_s_evals = (
-            math.factorial(p + 1)
-            / ((config.eta1 - 2.0 * omega) * config.sigma_min)
-            * (
-                2.0
-                * math.factorial(q)
-                * (l_f + sigma_max)
-                * (1.0 + omega)
-                / ((1.0 - theta) * (1.0 - omega) * kappa_delta_min ** (q - 1))
+            kappa_a_evals = 2.0 * kappa_s_evals * (
+                1.0 + abs(math.log(config.gamma1)) / math.log(config.gamma2)
             )
-            ** ((p + 1.0) / p)
-        )
-        kappa_a_evals = kappa_s_evals * (
-            1.0 + abs(math.log(config.gamma1)) / math.log(config.gamma2)
-        )
+        else:
+            kappa_s_evals = (
+                math.factorial(p + 1)
+                / ((config.eta1 - 2.0 * omega) * config.sigma_min)
+                * (
+                    2.0
+                    * math.factorial(q)
+                    * (l_f + sigma_max)
+                    * (1.0 + omega)
+                    / ((1.0 - theta) * (1.0 - omega) * kappa_delta_min ** (q - 1))
+                )
+                ** ((p + 1.0) / p)
+            )
+            kappa_a_evals = kappa_s_evals * (
+                1.0 + abs(math.log(config.gamma1)) / math.log(config.gamma2)
+            )
     kappa_c_evals = (
         2.0 / math.log(config.gamma2) * math.log(sigma_max / config.sigma0) + 2.0
     )
@@ -234,15 +251,17 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
         )
 
     eps_power = float(np.min([eps[j - 1] ** pi[j - 1] for j in range(1, q + 1)]))
-    n_value = kappa_a_evals * f0_minus_flow / eps_power + kappa_c_evals
-    if acc_max == 0.0:
-        n_deriv = kappa_s_evals * f0_minus_flow / eps_power + kappa_f_evals
-    else:
-        n_deriv = (
-            kappa_s_evals * f0_minus_flow / eps_power
-            + kappa_e_evals * abs(math.log(eps_min))
-            + kappa_f_evals
-        )
+    with _float_range("n_value_evals"):
+        n_value = kappa_a_evals * f0_minus_flow / eps_power + kappa_c_evals
+    with _float_range("n_derivative_evals"):
+        if acc_max == 0.0:
+            n_deriv = kappa_s_evals * f0_minus_flow / eps_power + kappa_f_evals
+        else:
+            n_deriv = (
+                kappa_s_evals * f0_minus_flow / eps_power
+                + kappa_e_evals * abs(math.log(eps_min))
+                + kappa_f_evals
+            )
 
     report = BoundReport(
         l_f=float(l_f),
@@ -271,4 +290,6 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
                 raise ConfigError(f"bound constant {name} is negative: {value}")
         elif not value > 0.0:
             raise ConfigError(f"bound constant {name} is not positive: {value}")
+        elif value == math.inf:
+            raise ConfigError(f"bound constant {name} is out of float range: {value}")
     return report

@@ -8,11 +8,18 @@ reach the solver through `inexact_value` alone, each one counted.  Noise
 injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.
 
+`inexact_value` also reports the error it achieved, a bound no larger
+than the one requested: 0 for exact noise, half a unit of the last kept
+decimal plus one ulp for truncation, and the requested bound for bounded
+noise.  The solver reuses a value for as long as that achieved bound
+meets its demand.
+
 Every request is evaluated afresh and counted (`EvalCounters`); reusing a
 bundle is the solver's decision, not the oracle's.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +96,19 @@ class EvalCounters:
         return (self.value_evals, self.derivative_evals)
 
 
-def _truncate_scalar(exact: float, bound: float) -> float:
-    # Coarsest number of decimals whose actual rounding error fits the bound.
+def _truncate_scalar(exact: float, bound: float) -> tuple:
+    """`exact` rounded to the coarsest of 0..16 decimals whose actual error
+    fits `bound`, with the error that grid guarantees: ``round(x, d)`` is
+    the decimal rounding (error at most half of 10**-d) converted back to
+    the nearest float (at most half an ulp of the result, which is at most
+    one ulp of x).  When no grid fits, the value is exact."""
     if bound <= 0:
-        return exact
+        return exact, 0.0
     for d in range(0, 17):
         v = round(exact, d)
         if abs(v - exact) <= bound:
-            return v
-    return exact
+            return v, min(bound, 0.5 / 10.0**d + math.ulp(exact))
+    return exact, 0.0
 
 
 def _matrix_errors_fit(errs: np.ndarray, bound: float):
@@ -179,19 +190,27 @@ class Oracle:
         self.counters = EvalCounters()
         self._rng = np.random.default_rng(noise.seed)
 
-    def inexact_value(self, x, bound: float) -> float:
-        """f at x with absolute error at most `bound` (>= 0). Counts one eval."""
+    def inexact_value(self, x, bound: float) -> tuple:
+        """``(value, achieved)``: f at x with ``|value - f(x)| <= achieved
+        <= bound`` (bound >= 0).  Counts one eval.
+
+        ``achieved`` is the error the noise model guarantees: 0 for exact
+        noise or a zero bound; for truncation to d decimals
+        ``min(bound, 0.5 * 10**-d + ulp(f(x)))``, and 0 when no grid of
+        0..16 decimals fits (the value is then exact); the requested bound
+        for bounded noise.
+        """
         if not bound >= 0:
             raise ValueError(f"bound must be >= 0, got {bound}")
         x = np.asarray(x, dtype=float)
         exact = self.problem.value(x)
         self.counters.value_evals += 1
         if self.noise.kind == "exact" or bound == 0.0:
-            return exact
+            return exact, 0.0
         if self.noise.kind == "truncation":
             return _truncate_scalar(exact, bound)
         sign = 1.0 if self._rng.random() < 0.5 else -1.0
-        return exact + sign * self.noise.fill_fraction * bound
+        return exact + sign * self.noise.fill_fraction * bound, float(bound)
 
     def _perturb_tensor(self, exact: np.ndarray, bound: float) -> np.ndarray:
         if self.noise.kind == "exact" or bound == 0.0:

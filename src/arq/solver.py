@@ -28,7 +28,9 @@ exponent is at most k_acc_min - 1 plus the cap, however k is chosen in
 Two evaluations are reused, as the theory's evaluation bounds assume:
 
   derivatives  after an unsuccessful iteration (same x_k, same accuracies);
-  f-bar(x_k)   in step 3, while its stored bound is as tight as demanded.
+  f-bar(x_k)   in step 3, while the error the oracle achieved for it (at
+               most the bound it was requested at, often less) is within
+               the step's demand omega * dec_p.
 
 Iterations are classified successful / unsuccessful / accuracy-improving;
 the trace records everything the property suite needs to recheck the run
@@ -205,7 +207,7 @@ class SolverState:
     delta_start: np.ndarray
     acc: np.ndarray  # absolute accuracy demand per derivative order 1..p
     k: int = 0
-    f_bar: tuple | None = None  # (value, bound) of the inexact f at x
+    f_bar: tuple | None = None  # (value, achieved error) of the inexact f at x
 
 
 @dataclass
@@ -420,18 +422,20 @@ def step3_step4(
     """Trial-point acceptance and regularization update; returns rho, and
     the step was accepted when ``rho >= eta1``.
 
-    ``state.f_bar`` is reused when its bound is already tight enough;
-    otherwise f at x is evaluated again (the second value evaluation this
-    iteration).  On acceptance it becomes the trial value.
+    Both values must lie within ``omega * dec_p`` of f.  ``state.f_bar``
+    holds f-bar(x_k) with the error the oracle achieved for it, and is
+    reused when that error is already within the bound; otherwise f at x
+    is evaluated again (the second value evaluation this iteration).  On
+    acceptance the trial value, with its achieved error, takes its place.
     """
     bound = config.omega * dec_p
     trial = oracle.inexact_value(state.x + step_res.step, bound)
     if state.f_bar is None or state.f_bar[1] > bound:
-        state.f_bar = (oracle.inexact_value(state.x, bound), bound)
-    rho = (state.f_bar[0] - trial) / dec_p
+        state.f_bar = oracle.inexact_value(state.x, bound)
+    rho = (state.f_bar[0] - trial[0]) / dec_p
     if rho >= config.eta1:
         state.x = state.x + step_res.step
-        state.f_bar = (trial, bound)
+        state.f_bar = trial
         if not step_res.long_step:
             state.delta = step_res.radii.copy()
         # long step: keep the end-of-step-1 radii already in state.delta
@@ -576,18 +580,21 @@ def solve(
 
 def _log_run(ending: str, trace, counters: EvalCounters) -> None:
     """The end-of-run info line: iterations per kind, the step-5 cause
-    histogram and the evaluation totals."""
+    histogram and the evaluation totals, with the value evaluations that
+    re-evaluated f(x_k) in step 3 (the trial rows with two)."""
     if not logger.isEnabledFor(logging.INFO):
         return
     causes = Counter(rec.cause.cause for rec in trace if rec.cause is not None)
     logger.info(
         "%s after %d iterations (S/U/A = %d/%d/%d); step-5 causes: %s; "
-        "%d value evaluations, %d derivative bundles",
+        "%d value evaluations (%d re-evaluating f(x_k) in step 3), "
+        "%d derivative bundles",
         ending,
         len(trace),
         *kind_counts(trace).values(),
         ", ".join(f"{cause} x{n}" for cause, n in sorted(causes.items())) or "none",
         counters.value_evals,
+        sum(rec.value_evals == 2 for rec in trace),
         counters.derivative_evals,
     )
 

@@ -154,6 +154,34 @@ class TestCriterion3RelativeErrorHeadline:
             violations.append(("runtime", elapsed))
         _report(3, "relative decrement accuracy", n_checks, violations)
 
+    def test_step3_values_are_within_omega_of_the_decrement(self, benchmark_suite):
+        """Step 3 needs f-bar(x_k) and f-bar(x_k + s_k) each within
+        omega * dec_bar of f, whether it evaluated f-bar(x_k) afresh or
+        reused it.  From the trace alone: an unsuccessful row's f_bar is
+        f-bar(x_k); a successful row's is the trial value, and f-bar(x_k)
+        is trial + rho * dec_bar, checked with 1e-9 relative slack for that
+        reconstruction."""
+        violations = []
+        n_checks = 0
+        for run in benchmark_suite.runs:
+            omega = run.config.omega
+            for rec in run.t_records:
+                bound = omega * rec.dec_bar
+                f_x = run.problem.value(rec.x)
+                if rec.kind == "unsuccessful":
+                    checks = [("f_bar(x_k)", rec.f_bar_after, f_x, bound)]
+                else:
+                    checks = [
+                        ("trial", rec.f_bar_after, run.problem.value(rec.x + rec.step), bound),
+                        ("f_bar(x_k)", rec.f_bar_after + rec.rho * rec.dec_bar, f_x,
+                         bound * (1.0 + 1e-9)),
+                    ]
+                for name, inexact, exact, tol in checks:
+                    n_checks += 1
+                    if not abs(inexact - exact) <= tol:
+                        violations.append((run.problem_name, run.noise, run.seed, rec.k, name))
+        _report(3, "step-3 value accuracy", n_checks, violations)
+
 
 class TestCriterion4SigmaBound:
     def test_regularization_stays_under_its_cap(self, benchmark_suite):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arq.diagnostics import compute_bounds, digits_demanded
 from arq.solver import ConfigError, IterationRecord, SolverConfig
@@ -162,6 +164,43 @@ class TestValidation:
         # SolverConfig owns the interval, so compute_bounds never sees it.
         with pytest.raises(ConfigError, match="theta"):
             SolverConfig(epsilons=(1e-2,), theta=1.0)
+
+    @pytest.mark.parametrize("sigma_min, constant", [
+        (1e-200, "kappa_sharp2_max"),  # kappa_s**p overflowed
+        (5e-324, "kappa_s_evals"),  # divided by an underflowed zero
+    ])
+    def test_tiny_sigma_min_names_the_constant(self, sigma_min, constant):
+        cfg = SolverConfig(epsilons=(1e-2,), sigma_min=sigma_min, acc0=(0.0, 0.0), acc_max=0.0)
+        with pytest.raises(ConfigError, match=f"bound constant {constant} "):
+            compute_bounds(cfg, 20.0, 1.0)
+
+    def test_overflow_to_inf_names_the_constant(self):
+        cfg = SolverConfig(epsilons=(1e-2,), sigma_min=1e-100, acc0=(0.0, 0.0), acc_max=0.0)
+        with pytest.raises(ConfigError, match="bound constant n_value_evals is out of float range"):
+            compute_bounds(cfg, 1.0, 1e300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        orders=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]),
+        sigma_min=st.floats(5e-324, 1.0),
+        eps=st.floats(5e-324, 0.5),
+        acc_max=st.sampled_from([0.0, 1.0, 1e100, 1e300]),
+        gamma3=st.sampled_from([4.0, 1e100, 1e300]),
+        l_f=st.floats(1.0, 1e300),
+        gap=st.floats(0.0, 1e300),
+    )
+    def test_extreme_settings_fail_only_by_config_error(
+        self, orders, sigma_min, eps, acc_max, gamma3, l_f, gap
+    ):
+        p, q = orders
+        cfg = SolverConfig(p=p, q=q, epsilons=(eps,) * q, sigma_min=sigma_min,
+                           gamma3=gamma3, acc_max=acc_max, acc0=(0.0,) * p)
+        try:
+            report = compute_bounds(cfg, l_f, gap)
+        except ConfigError as exc:
+            assert str(exc).startswith("bound constant ")
+        else:
+            assert all(math.isfinite(value) for value in report.as_dict().values())
 
 
 def _record(acc, derivative_evals):

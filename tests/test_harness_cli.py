@@ -530,6 +530,24 @@ class TestCliMain:
         assert json.loads((out / "certificate.json").read_text())["verified_exact"] == [True]
         assert not (out / "bounds.txt").exists()
 
+    @pytest.mark.parametrize("sigma_min, constant", [
+        ("1e-200", "kappa_sharp2_max"), ("5e-324", "kappa_s_evals"),
+    ])
+    def test_tiny_sigma_min_exits_1_and_keeps_the_certified_run(
+        self, sigma_min, constant, tmp_path, capsys
+    ):
+        settings = ["--problem", "quadratic", "--dim", "2", "--eps", "1e-2",
+                    "--sigma-min", sigma_min]
+        assert main(["bounds", *settings]) == 1
+        assert (f"configuration error: bound constant {constant} is out of float range"
+                in capsys.readouterr().err)
+        out = tmp_path / "run"
+        assert main(["solve", *settings, "--out", str(out)]) == 1
+        assert f"bound constant {constant} is out of float range" in capsys.readouterr().out
+        assert (out / "trace.csv").exists()
+        assert json.loads((out / "certificate.json").read_text())["verified_exact"] == [True]
+        assert not (out / "bounds.txt").exists()
+
     @pytest.mark.parametrize("flag, constant", [
         ("--acc-max", "k_acc_min"), ("--gamma3", "kappa_dm"),
     ])

@@ -1,13 +1,18 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arq import oracle as oracle_module
 from arq.oracle import (
+    NOISE_KINDS,
     NoiseModel,
     Oracle,
     PROBLEM_NAMES,
+    Problem,
     _truncate_tensor,
     estimate_lipschitz,
     lipschitz_over_points,
@@ -65,25 +70,27 @@ class TestValueContract:
     def test_exact_kind(self, problem):
         oracle = Oracle(problem, NoiseModel("exact", seed=0))
         x = problem.x0
-        assert oracle.inexact_value(x, 123.0) == problem.value(x)
+        assert oracle.inexact_value(x, 123.0) == (problem.value(x), 0.0)
 
     def test_bounded_random_fills_most_of_the_budget(self, problem):
         oracle = Oracle(problem, NoiseModel("bounded_random", 0.9, seed=5))
         x = problem.x0
-        errs = [abs(oracle.inexact_value(x, 0.1) - problem.value(x)) for _ in range(20)]
+        pairs = [oracle.inexact_value(x, 0.1) for _ in range(20)]
+        errs = [abs(value - problem.value(x)) for value, _ in pairs]
         assert all(e <= 0.1 for e in errs)
         assert all(e == pytest.approx(0.09, rel=1e-12) for e in errs)
+        assert all(achieved == 0.1 for _, achieved in pairs)
 
     def test_zero_bound_returns_exact(self, problem):
         oracle = Oracle(problem, NoiseModel("bounded_random", 0.9, seed=5))
-        assert oracle.inexact_value(problem.x0, 0.0) == problem.value(problem.x0)
+        assert oracle.inexact_value(problem.x0, 0.0) == (problem.value(problem.x0), 0.0)
 
     def test_truncation_rounds_to_coarsest_admissible_grid(self, problem):
         oracle = Oracle(problem, NoiseModel("truncation", seed=0))
         exact = problem.value(problem.x0)
         for bound in (0.5, 1e-2, 1e-5):
-            got = oracle.inexact_value(problem.x0, bound)
-            assert abs(got - exact) <= bound
+            got, achieved = oracle.inexact_value(problem.x0, bound)
+            assert abs(got - exact) <= achieved <= bound
             # coarsest: one fewer decimal either violates the bound or is
             # already identical (value lies on the coarser grid)
             decimals = 0
@@ -94,7 +101,63 @@ class TestValueContract:
 
     def test_fill_fraction_zero_is_exact(self, problem):
         oracle = Oracle(problem, NoiseModel("bounded_random", 0.0, seed=5))
-        assert oracle.inexact_value(problem.x0, 0.3) == problem.value(problem.x0)
+        assert oracle.inexact_value(problem.x0, 0.3) == (problem.value(problem.x0), 0.3)
+
+
+def constant_problem(value):
+    """A 1-D problem whose objective is `value` everywhere."""
+    return Problem("constant", 1, lambda x: value, lambda x, i: np.zeros((1,) * i),
+                   value, np.zeros(1))
+
+
+class TestAchievedBound:
+    """``inexact_value`` returns ``(value, achieved)`` with
+    ``|value - f(x)| <= achieved <= bound``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(NOISE_KINDS),
+        magnitude=st.floats(1e-8, 1e12),
+        negative=st.booleans(),
+        bound=st.floats(1e-18, 1e2),
+        fill=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_value_within_achieved_within_bound(self, kind, magnitude, negative, bound,
+                                                fill, seed):
+        f = -magnitude if negative else magnitude
+        oracle = Oracle(constant_problem(f), NoiseModel(kind, fill, seed))
+        value, achieved = oracle.inexact_value(np.zeros(1), bound)
+        assert abs(value - f) <= achieved <= bound
+
+    @pytest.mark.parametrize("f, bound, decimals", [
+        (57.402273528956236, 7.105427357601002e-15, 14),
+        (0.29194289087055336, 5.551115123125783e-17, 16),
+    ])
+    def test_truncation_bound_covers_the_conversion_to_float(self, f, bound, decimals):
+        # The coarsest grid that fits rounds to `decimals` decimals and errs
+        # by more than half of 10**-decimals, because the decimal is
+        # converted back to the nearest float: the second case misses by
+        # 5.55e-17 against 5e-17, as round(0.30000000000000004, 16) does.
+        # min(bound, 0.5 * 10**-d) without the ulp would not cover it.
+        oracle = Oracle(constant_problem(f), NoiseModel("truncation"))
+        value, achieved = oracle.inexact_value(np.zeros(1), bound)
+        assert value == round(f, decimals) != round(f, decimals - 1)
+        assert abs(value - f) > 0.5 / 10.0**decimals
+        assert abs(value - f) <= achieved <= bound
+
+    def test_truncation_reports_the_grid_not_the_request(self):
+        oracle = Oracle(constant_problem(1.23456), NoiseModel("truncation"))
+        value, achieved = oracle.inexact_value(np.zeros(1), 0.01)
+        assert value == 1.23
+        assert achieved == 0.005 + math.ulp(1.23456)
+
+    def test_truncation_without_a_fitting_grid_is_exact(self):
+        # Rounding to 16 decimals errs by 3.5e-17 here, above the bound.
+        f = math.pi * 1e-10
+        oracle = Oracle(constant_problem(f), NoiseModel("truncation"))
+        assert abs(round(f, 16) - f) > 1e-18
+        assert oracle.inexact_value(np.zeros(1), 1e-18) == (f, 0.0)
 
 
 class TestBundleContract:

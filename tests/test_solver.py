@@ -286,13 +286,17 @@ class TestStep2:
 
 
 class ScriptedOracle:
+    """Returns the scripted values in turn: a ``(value, achieved)`` pair as
+    it is, a bare value with the requested bound as its achieved error."""
+
     def __init__(self, values):
         self.values = list(values)
         self.calls = []
 
     def inexact_value(self, x, bound):
         self.calls.append((np.array(x, float), float(bound)))
-        return self.values.pop(0)
+        value = self.values.pop(0)
+        return value if isinstance(value, tuple) else (value, float(bound))
 
 
 def plain_step(s, q=1):
@@ -338,6 +342,20 @@ class TestStep3Step4:
         # stored bound 100 is looser than omega * dec: both points evaluated
         assert len(oracle.calls) == 2
         assert rho == pytest.approx(0.4)
+
+    def test_tight_trial_value_serves_the_next_step3(self):
+        cfg = SolverConfig(epsilons=(0.1,))
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
+        # Requested at omega * 1.0 = 0.02, achieved 1e-4: below the next
+        # demand omega * 0.1 = 0.002, so f-bar(x_1) is not evaluated again.
+        oracle = ScriptedOracle([(0.5, 1e-4), 0.45])
+        assert step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0) == pytest.approx(0.5)
+        assert state.f_bar == (0.5, 1e-4)
+        rho = step3_step4(state, oracle, cfg, plain_step([0.25]), 0.1)
+        assert [bound for _, bound in oracle.calls] == [cfg.omega, pytest.approx(0.1 * cfg.omega)]
+        assert oracle.calls[1][0] == pytest.approx([0.75])
+        assert rho == pytest.approx(0.5)
+        assert state.f_bar == (0.45, pytest.approx(0.1 * cfg.omega))
 
     def test_short_step_installs_searched_radii(self):
         cfg = SolverConfig(epsilons=(0.1,))
@@ -577,9 +595,25 @@ def test_end_of_run_info_line(caplog):
         f"terminated after {len(res.trace)} iterations (S/U/A = "
         f"{kinds.count('successful')}/{kinds.count('unsuccessful')}/{len(causes)}); "
         f"step-5 causes: {', '.join(f'{c} x{causes.count(c)}' for c in sorted(set(causes)))}; "
-        f"{res.counters.value_evals} value evaluations, "
+        f"{res.counters.value_evals} value evaluations "
+        f"({sum(r.value_evals == 2 for r in res.trace)} re-evaluating f(x_k) in step 3), "
         f"{res.counters.derivative_evals} derivative bundles"
     )
+
+
+def test_info_line_counts_step3_reevaluations(caplog):
+    # Exact values achieve error 0, so f-bar(x_k) is evaluated at most once
+    # beside the trial values: at the first step 3.
+    problem = make_problem("rosenbrock", 2)
+    cfg = bench_config(1, 1e-3, "exact")
+    with caplog.at_level(logging.INFO, logger="arq"):
+        res = solve(problem, NoiseModel("exact"), cfg)
+    [line] = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    trials = [r for r in res.trace if r.kind in ("successful", "unsuccessful")]
+    reevaluations = sum(r.value_evals == 2 for r in trials)
+    assert len(trials) > 1 and reevaluations <= 1
+    assert res.counters.value_evals == len(trials) + reevaluations
+    assert f"{res.counters.value_evals} value evaluations ({reevaluations} " in line
 
 
 def fixed_factor_step5(state, config, shortfall=None):
