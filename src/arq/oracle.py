@@ -114,19 +114,26 @@ def _truncate_scalar(exact: float, bound: float) -> tuple:
 def _matrix_errors_fit(errs: np.ndarray, bound: float):
     """For each error matrix in `errs` in turn, whether
     ``operator_norm(err) <= bound``, deciding without the eigensolve where
-    an entry bound settles it: the spectral norm of the symmetric part lies
-    between its largest |entry| and its Frobenius norm.  The 1e-9 relative
-    margin leaves the rounding-close cases to the eigensolve, so every
-    decision is the one it would make.  The largest entries are found for
-    all matrices at once; the rest runs only for the matrices asked for.
+    a cheaper bound on the spectral norm of the symmetric part settles it.
+    Three bounds are tried in turn: its largest |entry| (a lower bound, so
+    a larger one means no fit), then its largest absolute row sum and its
+    Frobenius norm (upper bounds, so a smaller one means a fit).  A rounded
+    diagonal or banded Hessian has an error of the same pattern, whose row
+    sum is its largest entry, so the eigensolve is seldom reached.  The
+    1e-9 relative margin leaves the rounding-close cases to the eigensolve,
+    so every decision is the one it would make.  The largest entries are
+    found for all matrices at once; the rest runs only for the matrices
+    asked for.
     """
     margin = 1e-9 * bound
     sym = 0.5 * (errs + errs.transpose(0, 2, 1))
-    peaks = np.abs(sym).max(axis=(1, 2)).tolist()
-    for err, sym_err, peak in zip(errs, sym, peaks):
+    abs_sym = np.abs(sym)
+    peaks = abs_sym.max(axis=(1, 2)).tolist()
+    for err, sym_err, abs_err, peak in zip(errs, sym, abs_sym, peaks):
         if peak > bound + margin:
             yield False
-        elif _norm(sym_err.reshape(-1)) <= bound - margin:
+        elif (abs_err.sum(axis=1).max() <= bound - margin
+              or _norm(sym_err.reshape(-1)) <= bound - margin):
             yield True
         else:
             yield operator_norm(err) <= bound
@@ -210,7 +217,10 @@ class Oracle:
         if self.noise.kind == "truncation":
             return _truncate_scalar(exact, bound)
         sign = 1.0 if self._rng.random() < 0.5 else -1.0
-        return exact + sign * self.noise.fill_fraction * bound, float(bound)
+        value = exact + sign * self.noise.fill_fraction * bound
+        while abs(value - exact) > bound:  # rounding carried the fill past the bound
+            value = math.nextafter(value, exact)
+        return value, float(bound)
 
     def _perturb_tensor(self, exact: np.ndarray, bound: float) -> np.ndarray:
         if self.noise.kind == "exact" or bound == 0.0:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arq import oracle as oracle_module
@@ -13,6 +13,7 @@ from arq.oracle import (
     Oracle,
     PROBLEM_NAMES,
     Problem,
+    _matrix_errors_fit,
     _truncate_tensor,
     estimate_lipschitz,
     lipschitz_over_points,
@@ -123,6 +124,10 @@ class TestAchievedBound:
         fill=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
     )
+    # A full fill that rounds past the bound: 131074 - 1.2834458160972417
+    # rounds to 131072.7165541839, 1.1e-11 too far from f.
+    @example(kind="bounded_random", magnitude=131074.0, negative=False,
+             bound=1.2834458160972417, fill=1.0, seed=0)
     def test_value_within_achieved_within_bound(self, kind, magnitude, negative, bound,
                                                 fill, seed):
         f = -magnitude if negative else magnitude
@@ -231,6 +236,55 @@ class TestMatrixTruncation:
                 for bound in bounds:
                     assert np.array_equal(_truncate_tensor(m, bound),
                                           eigensolve_truncation(m, bound))
+
+
+class TestMatrixErrorBounds:
+    """`_matrix_errors_fit` decides by entry, row-sum and Frobenius bounds
+    where they settle it, always as the eigensolve would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.sampled_from(["dense", "diagonal", "tridiagonal"]),
+        n=st.integers(1, 200),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        at=st.integers(0, 3),
+        offset=st.floats(-12.0, -6.0),
+        above=st.booleans(),
+    )
+    def test_decides_as_the_eigensolve(self, pattern, n, count, seed, at, offset, above):
+        rng = np.random.default_rng(seed)
+        errs = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-12, 0, (count, 1, 1))
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        if pattern == "diagonal":
+            errs *= band == 0
+        elif pattern == "tridiagonal":
+            errs *= band <= 1
+        errs = 0.5 * (errs + errs.transpose(0, 2, 1))
+        # A bound just above or below the spectral norm of one of them.
+        bound = operator_norm(errs[at % count]) * (1.0 + (1 if above else -1) * 10.0**offset)
+        assert list(_matrix_errors_fit(errs, bound)) == [operator_norm(e) <= bound
+                                                         for e in errs]
+
+    def test_diagonal_hessian_truncates_without_an_eigensolve(self, monkeypatch):
+        problem = make_problem("sineq", 200)
+        x = np.random.default_rng(2).uniform(-3.0, 3.0, 200)
+        exact = problem.derivative(x, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        oracle = Oracle(problem, NoiseModel("truncation"))
+        bounds = 10.0 ** np.linspace(-14.0, 0.0, 15)
+        hessians = [oracle.inexact_bundle(x, [0.0, bound], 2).tensors[1] for bound in bounds]
+        assert calls == []
+        monkeypatch.undo()
+        for bound, hessian in zip(bounds, hessians):
+            assert np.array_equal(hessian, eigensolve_truncation(exact, bound))
 
 
 class TestDeterminism:

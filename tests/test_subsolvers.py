@@ -251,6 +251,19 @@ def random_positive_definite(rng, n):
     return a @ a.T / n + 0.5 * np.eye(n)
 
 
+def conditioned_positive_definite(rng, n, cond):
+    """A random rotation of eigenvalues spread geometrically over [1, cond],
+    times a random scale; returned with its lowest eigenvector."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.geomspace(1.0, cond, n) * 10.0 ** rng.uniform(-2, 2)
+    h = q @ np.diag(lam) @ q.T
+    return 0.5 * (h + h.T), q[:, 0]
+
+
+def model_value(g, h, d):
+    return g @ d + 0.5 * d @ h @ d
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """The shapes passed to `np.linalg.eigh` so far in the test, one per call."""
@@ -262,6 +275,21 @@ def eigh_calls(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture
+def dpotrf_calls(monkeypatch):
+    """The `info` of every Cholesky factorization `solve_trs` has made so far."""
+    calls = []
+    dpotrf = subsolvers.dpotrf
+
+    def counted(a):
+        chol, info = dpotrf(a)
+        calls.append(info)
+        return chol, info
+
+    monkeypatch.setattr(subsolvers, "dpotrf", counted)
     return calls
 
 
@@ -326,10 +354,92 @@ class TestSolveTrs:
             ref = eigh_trs_reference(g, h, delta)
             n_eigh = len(eigh_calls)
             d = solve_trs(g, h, delta)
-            assert len(eigh_calls) == n_eigh + 1
+            assert len(eigh_calls) == n_eigh  # Cholesky factors only
             assert np.linalg.norm(d) == pytest.approx(delta, rel=1e-12)
             model, model_ref = g @ d + 0.5 * d @ h @ d, g @ ref + 0.5 * ref @ h @ ref
             assert model == pytest.approx(model_ref, rel=1e-12)
+
+    # Relative model-value gap to `eigh_trs_reference` that the reference's
+    # own rounding explains, per cond(H).  The reference and the eigen path
+    # share one eigendecomposition and so mostly agree bit for bit; against
+    # a 50-digit reference on n = 2-10, both the factor path and the eigen
+    # path stayed within 2.2e-16 at cond(H) = 1e3, and at 1e8 the factor
+    # path within 1.4e-16, the eigen path within 1.2e-9.
+    REFERENCE_ROUNDING = {1.0: 4e-15, 1e3: 1e-13, 1e8: 1e-9}
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e8])
+    @pytest.mark.parametrize("n", [2, 5, 20, 60])
+    def test_boundary_steps_across_conditioning(self, n, cond, eigh_calls):
+        """Radii from 1e-8 up to 0.999 of the Newton step, gradients random
+        or almost orthogonal to the lowest eigenvector: the step is on the
+        sphere, and its model value is no further from the reference than
+        the eigen path's, or than the reference's rounding."""
+        rng = np.random.default_rng(round(n * math.log10(10.0 * cond)))
+        worst_gap, worst_eigen_gap = 0.0, 0.0
+        for case in range(6):
+            h, lowest = conditioned_positive_definite(rng, n, cond)
+            g = rng.standard_normal(n)
+            if case % 2:  # near the hard case
+                g -= (g @ lowest - 1e-8 * np.linalg.norm(g)) * lowest
+            lam, q = np.linalg.eigh(h)
+            newton = float(np.linalg.norm((q.T @ g) / lam))
+            for delta in (1e-8, 1e-4 * newton, 0.1 * newton, 0.5 * newton, 0.999 * newton):
+                if not delta < newton:
+                    continue
+                ref = eigh_trs_reference(g, h, delta)
+                model_ref = model_value(g, h, ref)
+                n_eigh = len(eigh_calls)
+                d = solve_trs(g, h, delta)
+                if cond <= 1e3:
+                    assert len(eigh_calls) == n_eigh
+                assert np.linalg.norm(d) == pytest.approx(delta, rel=1e-12)
+                eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
+                scale = abs(model_ref)
+                worst_gap = max(worst_gap, abs(model_value(g, h, d) - model_ref) / scale)
+                worst_eigen_gap = max(worst_eigen_gap,
+                                      abs(model_value(g, h, eigen) - model_ref) / scale)
+        assert worst_gap <= max(worst_eigen_gap, self.REFERENCE_ROUNDING[cond])
+
+    @pytest.mark.parametrize("stop", ["cap", "failed factorization"])
+    def test_unconverged_boundary_solve_takes_the_eigen_path(self, stop, monkeypatch,
+                                                             eigh_calls, dpotrf_calls):
+        rng = np.random.default_rng(8)
+        h, _ = conditioned_positive_definite(rng, 20, 1e3)
+        g = rng.standard_normal(20)
+        delta = 1e-3 * float(np.linalg.norm(np.linalg.solve(h, g)))
+        if stop == "cap":
+            monkeypatch.setattr(subsolvers, "_TRS_FACTORIZATIONS", 2)
+        else:
+            counted = subsolvers.dpotrf
+
+            def fails_after_the_first(a):
+                chol, info = counted(a)
+                return chol, info if len(dpotrf_calls) == 1 else 1
+
+            monkeypatch.setattr(subsolvers, "dpotrf", fails_after_the_first)
+        d = solve_trs(g, h, delta)
+        assert len(eigh_calls) == 1
+        assert len(dpotrf_calls) == 2
+        eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
+        assert d.tobytes() == eigen.tobytes()
+
+    @pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
+    def test_boundary_solve_takes_at_most_the_cap_of_factorizations(self, cond,
+                                                                     dpotrf_calls):
+        rng = np.random.default_rng(round(math.log10(cond)))
+        counts = []
+        for n in (5, 20, 60):
+            for _ in range(6):
+                h, _ = conditioned_positive_definite(rng, n, cond)
+                g = rng.standard_normal(n)
+                delta = rng.uniform(0.01, 0.9) * float(np.linalg.norm(np.linalg.solve(h, g)))
+                first = len(dpotrf_calls)
+                solve_trs(g, h, delta)
+                counts.append(len(dpotrf_calls) - first)
+        # Some of these solves stall at the rounding of the factors and stop
+        # at the cap.
+        assert max(counts) == subsolvers._TRS_FACTORIZATIONS
+        assert min(counts) >= 1
 
     def test_indefinite_hessian_with_interior_saddle_goes_to_boundary(self, eigh_calls):
         # -H^-1 g = (0.1, -0.05) lies in the ball but is a saddle, not the
