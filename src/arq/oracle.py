@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DerivativeBundle, _norm, frobenius_norm, operator_norm, symmetrize
+from .tensors import (
+    DerivativeBundle,
+    _norm,
+    _row_dots,
+    frobenius_norm,
+    frobenius_norms,
+    operator_norm,
+    operator_norms,
+    symmetrize,
+)
 
 __all__ = [
     "Problem",
@@ -377,9 +386,13 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
 
     Samples x0 and seeded points in the box of half-width
     max(1, ||x0|| + 1) around it.  Uses derivative-norm bounds where the
-    next-order tensor is available and difference quotients of the order-p
-    tensor otherwise; floored at 1.  A user-supplied `lipschitz_hint` wins
-    outright.
+    next-order tensor is available and difference quotients of the order-j
+    tensor along a seeded unit direction otherwise; floored at 1.  A
+    user-supplied `lipschitz_hint` wins outright.
+
+    Each order's norms are taken over all samples at once (`operator_norms`,
+    `frobenius_norms`), and the directions are drawn first, point by point,
+    in the order a loop over the points would draw them.
     """
     if problem.lipschitz_hint is not None:
         return max(1.0, float(problem.lipschitz_hint))
@@ -388,17 +401,22 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     rng = np.random.default_rng(_LIPSCHITZ_SEED)
     pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(_LIPSCHITZ_SAMPLES, x0.size))
     pts = np.vstack([x0[None, :], pts])
+    quotient_orders = [j for j in range(p + 1) if j + 1 > problem.p_max]
+    dirs = rng.standard_normal((len(pts), len(quotient_orders), x0.size))
+    flat = dirs.reshape(-1, x0.size)
+    flat /= np.sqrt(_row_dots(flat, flat))[:, None]
+    h = 1e-4
     best = 1.0
-    for x in pts:
-        for j in range(0, p + 1):
-            if j + 1 <= problem.p_max:
-                best = max(best, operator_norm(problem.derivative(x, j + 1)))
-            else:
-                h = 1e-4
-                u = rng.standard_normal(x.size)
-                u /= np.linalg.norm(u)
-                dp = problem.derivative(x + h * u, j) - problem.derivative(x - h * u, j)
-                best = max(best, frobenius_norm(dp) / (2.0 * h))
+    for j in range(p + 1):
+        if j + 1 <= problem.p_max:
+            norms = operator_norms(problem.derivative(x, j + 1) for x in pts)
+        else:
+            us = dirs[:, quotient_orders.index(j)]
+            norms = frobenius_norms(
+                problem.derivative(x + h * u, j) - problem.derivative(x - h * u, j)
+                for x, u in zip(pts, us)
+            ) / (2.0 * h)
+        best = max(best, float(norms.max()))
     return float(best)
 
 
@@ -406,26 +424,51 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     """Estimate of L_{f,order} over a visited region (trace points/segments);
     floored at 1.
 
-    The next-order norm is taken at each distinct point, and the difference
-    quotient over each consecutive pair (a point repeated after a rejected
-    step still pairs with its neighbours); each distinct point's derivatives
-    are computed once.
+    The largest of two sampled quantities:
+    - the next-order norm, `operator_norm` of the order-(order + 1)
+      derivative at each distinct point, where the problem has that order;
+    - the difference quotient ||D^order f(a) - D^order f(b)||_F / ||a - b||
+      over each consecutive pair more than 1e-12 apart (a point repeated
+      after a rejected step still pairs with its neighbours).
+
+    Points are told apart by their bytes, so each distinct point's
+    derivatives are evaluated once, in order of first use.  Both quantities
+    are computed over stacks of points (`operator_norms`, `frobenius_norms`)
+    with the same bits as point by point, and an order-`order` derivative is
+    kept only from the first pair that reads it to the last, so memory holds
+    a few tensors at a time, not one per point.
     """
-    pts = [np.asarray(x, dtype=float) for x in points]
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        return 1.0
+    slot_of = {}
+    slots = [slot_of.setdefault(x.tobytes(), len(slot_of)) for x in pts]
+    distinct = pts[np.unique(slots, return_index=True)[1]]
     best = 1.0
     if order + 1 <= problem.p_max:
-        for x in {x.tobytes(): x for x in pts}.values():
-            best = max(best, operator_norm(problem.derivative(x, order + 1)))
-    derivs = {}
+        norms = operator_norms(problem.derivative(x, order + 1) for x in distinct)
+        best = max(best, float(norms.max()))
 
-    def deriv(x):
-        key = x.tobytes()
-        if key not in derivs:
-            derivs[key] = problem.derivative(x, order)
-        return derivs[key]
+    steps = pts[:-1] - pts[1:]
+    gaps = np.sqrt(_row_dots(steps, steps))
+    ends = np.flatnonzero(gaps > 1e-12)  # pair i joins points i and i + 1
+    last = {}  # slot -> the last kept pair that reads its derivative
+    for at, i in enumerate(ends):
+        last[slots[i]] = last[slots[i + 1]] = at
 
-    for a, b in zip(pts[:-1], pts[1:]):
-        gap = float(np.linalg.norm(a - b))
-        if gap > 1e-12:
-            best = max(best, frobenius_norm(deriv(a) - deriv(b)) / gap)
+    def differences():
+        live = {}
+        for at, i in enumerate(ends):
+            pair = (slots[i], slots[i + 1])
+            for s in pair:
+                if s not in live:
+                    live[s] = problem.derivative(distinct[s], order)
+            difference = live[pair[0]] - live[pair[1]]
+            for s in pair:
+                if last[s] == at:
+                    del live[s]
+            yield difference
+
+    if len(ends):
+        best = max(best, float((frobenius_norms(differences()) / gaps[ends]).max()))
     return float(best)

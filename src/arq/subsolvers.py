@@ -47,6 +47,7 @@ from .tensors import (
     RegularizedModel,
     _ModelPoint,
     _norm,
+    _row_dots,
     _taylor_decrement,
 )
 
@@ -168,8 +169,9 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     step outside the ball is moved to the boundary by Moré-Sorensen
     iterations on the factors (see `_boundary_step_from_factors`), at most
     `_TRS_FACTORIZATIONS` factorizations in all.  Every other case (H not
-    positive definite, a failed factorization of H + mu I, or the cap
-    reached) is solved in the eigenbasis of H (see `_solve_trs_eigen`).
+    positive definite, a failed factorization of H + mu I, the cap reached,
+    or a residual that stops falling) is solved in the eigenbasis of H (see
+    `_solve_trs_eigen`).
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -197,7 +199,8 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
 # instances (n = 2-60, cond(H) = 1-1e12) every converged solve took at most 6
 # at cond(H) <= 1e3 and at most 14 at 1e8-1e12.  Where it does not converge,
 # the residual stalls at the rounding of the factors (about 1e-10 at
-# cond(H) = 1e8), so a larger cap would only delay the fallback.
+# cond(H) = 1e8); the iteration falls back as soon as it stops falling, so
+# the cap bounds only a residual that keeps creeping down.
 _TRS_FACTORIZATIONS = 20
 # Relative residual | ||d(mu)|| - delta | / delta at which the boundary
 # iteration stops.
@@ -208,24 +211,30 @@ def _boundary_step_from_factors(g, hs, delta, chol, d):
     """Boundary step for a positive definite `hs` whose Newton step `d`
     (from the upper Cholesky factor `chol` of `hs`) leaves the ball, or None
     when the iteration does not converge within `_TRS_FACTORIZATIONS`
-    factorizations or H + mu I fails to factor.
+    factorizations, its residual | ||d|| - delta | stops falling, or
+    H + mu I fails to factor.
 
     Newton's method on the secular equation 1/||d(mu)|| = 1/delta, with
     d(mu) = -(H + mu I)^-1 g and H + mu I = U'U, from mu = 0: with
     w = U^-T d, mu grows by (||d|| / ||w||)^2 (||d|| - delta) / delta.  The
     left side is concave in mu, so the iterates rise monotonically to the
-    root and every H + mu I is positive definite.  The converged step is
-    scaled onto the sphere.
+    root, ||d|| falls monotonically to delta, and every H + mu I is positive
+    definite.  A residual that does not fall is therefore rounding in the
+    factors, never progress to come.  The converged step is scaled onto the
+    sphere.
     """
     a = hs.copy()
     diagonal = a.reshape(-1)[:: g.size + 1]  # a view: a's diagonal
     mu = 0.0
+    residual = math.inf
     for factorizations in range(1, _TRS_FACTORIZATIONS + 1):
         nd = _norm(d)
-        if abs(nd - delta) <= _TRS_SECULAR_RTOL * delta:
+        gap = abs(nd - delta)
+        if gap <= _TRS_SECULAR_RTOL * delta:
             return d * (delta / nd)
-        if factorizations == _TRS_FACTORIZATIONS:
+        if factorizations == _TRS_FACTORIZATIONS or not gap < residual:
             break
+        residual = gap
         w, _ = dtrtrs(chol, d, trans=1)
         mu += (nd / _norm(w)) ** 2 * (nd - delta) / delta
         np.copyto(a, hs)
@@ -317,11 +326,6 @@ def _measure_order2(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     if dec <= 0.0:
         return MeasureResult(0.0, np.zeros(bundle.dim))
     return MeasureResult(dec, d)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] per row, as a stack of 1-D dots (b may be one vector)."""
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 def _project_rows(d: np.ndarray, delta: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from arq.harness import (
     start_bounds,
     verify_certificate,
 )
+from arq.diagnostics import compute_bounds
 from arq.oracle import Problem, make_problem
 from arq.solver import Certificate
 
@@ -157,6 +158,21 @@ class TestSweep:
         assert len(rows) == 7
         text = (tmp_path / "summary.csv").read_text()
         assert "# slope_value_evals" in text
+
+    def test_row_bounds_are_the_bounds_at_its_visited_lipschitz(self, tmp_path):
+        spec = ExperimentSpec(problem="rosenbrock", dim=2, noise="bounded_random", seed=5,
+                              eps=(1e-2, 1e-3, 1e-4), out=tmp_path)
+        rows = run_sweep(spec)["rows"]
+        problem = spec.make_problem()
+        gap = max(0.0, problem.value(problem.x0) - problem.f_low)
+        header, *lines = read_csv(tmp_path / "summary.csv")
+        for row, line in zip(rows, lines):
+            assert row["l_visited"] > 1.0
+            assert float(line[header.index("l_visited")]) == row["l_visited"]
+            report = compute_bounds(build_config(spec, (row["eps_min"],) * spec.q),
+                                    row["l_visited"], gap)
+            assert row["bound_value_evals"] == report.n_value_evals
+            assert row["bound_deriv_evals"] == report.n_derivative_evals
 
     @pytest.mark.parametrize("noise", ["exact", "bounded_random"])
     def test_rows_report_digits_demanded(self, noise, tmp_path):

@@ -19,6 +19,7 @@ from arq.oracle import (
     lipschitz_over_points,
     make_problem,
 )
+from arq import tensors
 from arq.tensors import frobenius_norm, operator_norm
 
 from conftest import central_diff_gradient
@@ -368,6 +369,156 @@ class TestLipschitzEstimates:
         est = estimate_lipschitz(problem, problem.x0, 2)
         # max |A x| over the sampled box is at least the top eigenvalue scale
         assert est >= 1.0
+
+
+# The estimates as they were computed before the points were stacked: one
+# point, one norm and one pair at a time.  The stacked estimates must
+# reproduce them bit for bit.
+def ref_estimate_lipschitz(problem, x0, p):
+    if problem.lipschitz_hint is not None:
+        return max(1.0, float(problem.lipschitz_hint))
+    x0 = np.asarray(x0, dtype=float)
+    radius = max(1.0, float(np.linalg.norm(x0)) + 1.0)
+    rng = np.random.default_rng(oracle_module._LIPSCHITZ_SEED)
+    pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(oracle_module._LIPSCHITZ_SAMPLES, x0.size))
+    pts = np.vstack([x0[None, :], pts])
+    best = 1.0
+    for x in pts:
+        for j in range(0, p + 1):
+            if j + 1 <= problem.p_max:
+                best = max(best, operator_norm(problem.derivative(x, j + 1)))
+            else:
+                h = 1e-4
+                u = rng.standard_normal(x.size)
+                u /= np.linalg.norm(u)
+                dp = problem.derivative(x + h * u, j) - problem.derivative(x - h * u, j)
+                best = max(best, frobenius_norm(dp) / (2.0 * h))
+    return float(best)
+
+
+def ref_lipschitz_over_points(problem, points, order):
+    pts = [np.asarray(x, dtype=float) for x in points]
+    best = 1.0
+    if order + 1 <= problem.p_max:
+        for x in {x.tobytes(): x for x in pts}.values():
+            best = max(best, operator_norm(problem.derivative(x, order + 1)))
+    for a, b in zip(pts[:-1], pts[1:]):
+        gap = float(np.linalg.norm(a - b))
+        if gap > 1e-12:
+            diff = problem.derivative(a, order) - problem.derivative(b, order)
+            best = max(best, frobenius_norm(diff) / gap)
+    return float(best)
+
+
+def counting(problem):
+    """`problem` with every derivative evaluation logged as (x bytes, order)."""
+    calls = []
+
+    def counted(x, i):
+        calls.append((x.tobytes(), i))
+        return problem.eval_derivative(x, i)
+
+    return dataclasses.replace(problem, eval_derivative=counted), calls
+
+
+class TestStackedLipschitzEstimates:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 4, 20])
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_start_estimate_matches_the_point_loop(self, name, n, p):
+        problem = make_problem(name, n)
+        ref = ref_estimate_lipschitz(problem, problem.x0, p)
+        assert estimate_lipschitz(problem, problem.x0, p) == ref
+
+    def test_start_estimate_draws_directions_point_by_point(self):
+        # Orders 2 and 3 have no next derivative, so each point draws two
+        # directions in turn.
+        problem = dataclasses.replace(make_problem("rosenbrock", 3), p_max=2)
+        x0 = problem.x0 + 0.25
+        assert estimate_lipschitz(problem, x0, 2) == ref_estimate_lipschitz(problem, x0, 2)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_repeated_points_are_evaluated_once(self, order):
+        problem, calls = counting(make_problem("quartic", 3))
+        rng = np.random.default_rng(order)
+        a, b = (problem.x0 + rng.uniform(-0.5, 0.5, 3) for _ in range(2))
+        pts = [a, a, b, a, a, b, b, a]
+        ref = ref_lipschitz_over_points(problem, pts, order)
+        calls.clear()
+        assert lipschitz_over_points(problem, pts, order) == ref
+        assert len(calls) == len(set(calls))
+        orders = {order, order + 1} if order < 3 else {order}
+        assert {i for _, i in calls} == orders
+        assert len(calls) == 2 * len(orders)
+
+    def test_signed_zero_points_are_distinct_but_never_paired(self):
+        problem, calls = counting(make_problem("rosenbrock", 2))
+        pts = [np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, 1.0])]
+        ref = ref_lipschitz_over_points(problem, pts, 2)
+        calls.clear()
+        assert lipschitz_over_points(problem, pts, 2) == ref
+        # Both zeros get the next-order norm; no pair is 1e-12 apart.
+        assert sorted(i for _, i in calls) == [3, 3]
+
+    @pytest.mark.parametrize("offset, paired", [(5e-13, False), (1e-12, False), (3e-12, True)])
+    def test_gaps_at_or_under_1e_12_are_skipped(self, offset, paired):
+        problem, calls = counting(make_problem("rosenbrock", 2))
+        a = np.zeros(2)  # so the gap is the offset exactly
+        pts = [a, a + np.array([offset, 0.0])]
+        ref = ref_lipschitz_over_points(problem, pts, 1)
+        calls.clear()
+        assert lipschitz_over_points(problem, pts, 1) == ref
+        assert sum(i == 1 for _, i in calls) == (2 if paired else 0)
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_visited_region_matches_the_point_loop(self, name):
+        rng = np.random.default_rng(7)
+        problem = make_problem(name, 4)
+        pts, x = [], problem.x0.copy()
+        for k in range(30):
+            s = rng.uniform(-0.3, 0.3, 4)
+            pts += [x] + [x + t * s for t in (0.25, 0.5, 0.75, 1.0)]
+            if k % 3:  # a successful step, else the iterate repeats
+                x = x + s
+        for order in (1, 2, 3):
+            ref = ref_lipschitz_over_points(problem, pts, order)
+            assert lipschitz_over_points(problem, pts, order) == ref
+
+    N3 = 60
+    TENSOR3 = 8 * N3**3  # bytes of one order-3 tensor at n = 60
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_memory_holds_a_few_order3_tensors(self, order):
+        """About 200 points at n = 60.  At order 2 each distinct point's
+        order-3 tensor is normed (25 points in a seeded order, so the norms
+        stay quick); at order 3 a visited-region walk of 160 distinct points
+        is differenced.  One tensor per point would be 25 or 160 of them; the
+        stacks, the kernel's blocks and the eviction of derivatives after
+        their last pair keep the peak near 3.1 and 5.2 of them (measured,
+        with the direction set drawn inside the call)."""
+        import tracemalloc
+
+        n, rng = self.N3, np.random.default_rng(60 + order)
+        problem = make_problem("quartic", n)
+        if order == 2:
+            distinct = problem.x0 + rng.uniform(-0.5, 0.5, (25, n))
+            pts = list(distinct[rng.integers(0, 25, 200)])
+        else:
+            pts, x = [], problem.x0.copy()
+            for k in range(40):
+                s = rng.uniform(-0.1, 0.1, n)
+                pts += [x] + [x + t * s for t in (0.25, 0.5, 0.75, 1.0)]
+                if k % 3:
+                    x = x + s
+        directions = tensors._unit_directions(n).nbytes
+        tracemalloc.start()
+        try:
+            lipschitz_over_points(problem, pts, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = (4 if order == 2 else 6) * self.TENSOR3 + directions
+        assert peak <= limit
 
 
 def ref_truncate_tensor(exact, bound):

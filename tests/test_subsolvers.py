@@ -436,10 +436,29 @@ class TestSolveTrs:
                 first = len(dpotrf_calls)
                 solve_trs(g, h, delta)
                 counts.append(len(dpotrf_calls) - first)
-        # Some of these solves stall at the rounding of the factors and stop
-        # at the cap.
-        assert max(counts) == subsolvers._TRS_FACTORIZATIONS
+        # These solves stall at the rounding of the factors, and the stall
+        # ends them before the cap.
+        assert max(counts) < subsolvers._TRS_FACTORIZATIONS
         assert min(counts) >= 1
+
+    def test_stalled_boundary_solve_stops_early_on_the_eigen_path(self, eigh_calls,
+                                                                   dpotrf_calls):
+        rng = np.random.default_rng(18)
+        stalled = 0
+        for n in (5, 20, 60):
+            for _ in range(4):
+                h, _ = conditioned_positive_definite(rng, n, 1e8)
+                g = rng.standard_normal(n)
+                delta = rng.uniform(0.01, 0.9) * float(np.linalg.norm(np.linalg.solve(h, g)))
+                first, eighs = len(dpotrf_calls), len(eigh_calls)
+                d = solve_trs(g, h, delta)
+                if len(eigh_calls) == eighs:
+                    continue  # converged on the factors
+                stalled += 1
+                assert len(dpotrf_calls) - first < subsolvers._TRS_FACTORIZATIONS
+                eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
+                assert d.tobytes() == eigen.tobytes()
+        assert stalled >= 6
 
     def test_indefinite_hessian_with_interior_saddle_goes_to_boundary(self, eigh_calls):
         # -H^-1 g = (0.1, -0.05) lies in the ball but is a saddle, not the

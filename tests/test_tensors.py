@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from arq import tensors
 from arq.tensors import (
     DerivativeBundle,
     RegularizedModel,
+    frobenius_norm,
     model_decrement,
     operator_norm,
     regularizer_derivative,
@@ -212,6 +214,81 @@ class TestOperatorNorm:
         assert u is tensors._unit_directions(3)
         with pytest.raises(ValueError):
             u[0, 0] = 1.0
+
+
+def symmetric_stack(rng, count, n, order):
+    """`count` random symmetric order-`order` tensors over R^n, stacked."""
+    t = rng.standard_normal((count,) + (n,) * order)
+    perms = list(itertools.permutations(range(1, order + 1)))
+    return sum(np.transpose(t, (0,) + p) for p in perms) / len(perms)
+
+
+def groupings(n, order):
+    """The lengths of the groups `operator_norms` forms of tensors of this
+    shape: the stacks `_stacks` copies, and the order-3 kernel's groups."""
+    per_stack = tensors._BLOCK // n**order if 2 * n**order <= tensors._BLOCK else 1
+    if order != 3:
+        return [per_stack]
+    u = tensors._unit_directions(n)
+    rows = min(len(u), max(tensors._MIN_DIRECTIONS, tensors._BLOCK // (n * (n + 1) // 2)))
+    return [per_stack, max(1, tensors._BLOCK // (n * rows))]
+
+
+def stack_sizes(n, order):
+    """Stack lengths on either side of each grouping."""
+    sizes = {1, 2} | {g + d for g in groupings(n, order) for d in (-1, 0, 1)}
+    return sorted(k for k in sizes if k >= 1)
+
+
+def edge_positions(k, n, order):
+    """The first and last tensor of a stack of k and those on either side of
+    a group boundary: the tensors worth norming alone."""
+    cuts = {0, k - 1} | {m + d for m in groupings(n, order) if 1 < m < k for d in (-1, 0)}
+    return sorted(cuts)
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 60])
+    def test_order3_stacked_equals_single_bit_for_bit(self, n):
+        rng = np.random.default_rng(300 + n)
+        for k in stack_sizes(n, 3):
+            stack = symmetric_stack(rng, k, n, 3)
+            stacked = tensors.operator_norms(stack)
+            at = edge_positions(k, n, 3)
+            single = np.array([operator_norm(stack[i]) for i in at])
+            assert stacked[at].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 60])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_orders_1_and_2_are_numpys_norms_bit_for_bit(self, n, order):
+        rng = np.random.default_rng(10 * n + order)
+        for k in (1, 2, 7):
+            stack = symmetric_stack(rng, k, n, order)
+            if order == 1:
+                ref = [np.linalg.norm(t) for t in stack]
+            else:
+                ref = [np.max(np.abs(np.linalg.eigvalsh(0.5 * (t + t.T)))) for t in stack]
+            ref = np.array(ref, dtype=float)
+            assert tensors.operator_norms(stack).tobytes() == ref.tobytes()
+            assert np.array([operator_norm(t) for t in stack]).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 4), (2, 2, 2), (60, 60), (60, 60, 60)])
+    def test_frobenius_norms_are_the_entrywise_sum_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape) * shape[0])
+        n, order = shape[0], len(shape)
+        for k in stack_sizes(n, order)[:4]:
+            stack = rng.standard_normal((k,) + shape) * 10.0 ** rng.uniform(-3, 3, k).reshape(
+                (k,) + (1,) * order)
+            ref = np.array([np.sqrt(np.sum(t**2)) for t in stack])
+            assert tensors.frobenius_norms(stack).tobytes() == ref.tobytes()
+            assert np.array([frobenius_norm(t) for t in stack]).tobytes() == ref.tobytes()
+
+    def test_empty_iterable_and_mixed_shapes(self):
+        assert tensors.operator_norms([]).shape == (0,)
+        with pytest.raises(ValueError, match="shape"):
+            tensors.operator_norms([np.zeros((2, 2)), np.zeros((3, 3))])
+        with pytest.raises(ValueError, match="order 4"):
+            operator_norm(np.zeros((2, 2, 2, 2)))
 
 
 # The model arithmetic before the public functions were split into a
