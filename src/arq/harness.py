@@ -73,6 +73,7 @@ TRACE_COLUMNS = (
     "cause_threshold",
     "acc_steps",
     "inner_iterations",
+    "halvings",
 )
 
 _MASK64 = (1 << 64) - 1
@@ -293,6 +294,7 @@ def write_trace_csv(path: Path, trace) -> None:
                     _fmt(cause and cause.threshold),
                     _fmt(rec.acc_steps),
                     _fmt(rec.inner_iterations),
+                    rec.halvings,
                 ]
             )
 

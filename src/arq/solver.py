@@ -18,6 +18,20 @@ The driver alternates five phases per iteration k:
            checks on the one bundle and step and hands on the insufficient
            one with the largest k; step 1 stops at its first.
 
+Step 1's order-1 halvings are one scalar search along the steepest-descent
+ray.  At radius delta0 * 2**-m the displacement is 2**-m times the one at
+delta0, bit for bit, while no product leaves the normal float range:
+halving multiplies every exact product by a power of two, and a rounding
+in the normal range commutes with it.  Then its norm scales by 2**-m, each
+full contraction T_i[d, ..., d] by 2**(-i m), and both sides of the
+order-1 accuracy check and of the termination test by 2**-m, so both
+verdicts are made once, at delta0.  Only the test of the model decrement
+against half the termination threshold changes with m; it is made from
+the products at delta0 by the arithmetic a fresh evaluation uses, and
+step 2 starts from the point they give at the final radius.  Where a
+halved product could leave the normal range, step 1 evaluates the radius
+afresh, as it does at every radius of orders 2 and 3 (see `step1`).
+
 Every check's error sum is linear in the accuracies, so gamma_acc^k is k
 fixed-factor step 5s at the same x without the derivative evaluations in
 between.  The theory's accuracy-improvement bound counts factors: once
@@ -46,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import CheckOutcome, Shortfall, check
+from .check import CheckOutcome, Shortfall, check, margins
 from .oracle import EvalCounters, NoiseModel, Oracle, Problem, estimate_lipschitz
 from .subsolvers import (
     ORDER_GUARANTEES,
@@ -56,7 +70,7 @@ from .subsolvers import (
     minimize_model,
     optimality_measure,
 )
-from .tensors import RegularizedModel, model_decrement, taylor_decrement
+from .tensors import RegularizedModel, _ModelPoint, _norm, taylor_decrement
 
 logger = logging.getLogger("arq")
 
@@ -208,6 +222,7 @@ class SolverState:
     acc: np.ndarray  # absolute accuracy demand per derivative order 1..p
     k: int = 0
     f_bar: tuple | None = None  # (value, achieved error) of the inexact f at x
+    halvings: int = 0  # radius halvings of the latest step 1, summed over orders
 
 
 @dataclass
@@ -230,6 +245,7 @@ class IterationRecord:
     cause: Shortfall | None = None  # accuracy-improving rows: the failed check
     acc_steps: int | None = None  # accuracy-improving rows: the k step 5 applied
     inner_iterations: int | None = None  # trial rows: the step's model-minimizer iterations
+    halvings: int = 0  # step 1's radius halvings, summed over orders
 
 
 @dataclass(frozen=True)
@@ -275,14 +291,88 @@ def _radius_floor(config: SolverConfig, j: int, l_bar: float, sigma: float) -> f
     )
 
 
+def _halve(state: SolverState, config: SolverConfig, j: int, guard_l_bar) -> None:
+    """Halve the order-j step-1 radius, checking the radius guard."""
+    state.delta[j - 1] *= 0.5
+    state.halvings += 1
+    # The halving loop provably stops before delta_j falls a factor 1e-3
+    # under its theoretical floor; crossing it is a bug, not a math failure.
+    lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
+    if state.delta[j - 1] >= lowest:
+        return
+    floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
+    if state.delta[j - 1] < floor:
+        raise InternalInvariantError(
+            f"step-1 radius for order {j} fell below its guard "
+            f"({state.delta[j - 1]:.3e} < {floor:.3e}) at iteration {state.k}"
+        )
+
+
+def _ray_search(state: SolverState, config: SolverConfig, guard_l_bar, args, threshold,
+                meas, point):
+    """Order 1's halvings from the current radius delta0, as one scalar
+    search along the steepest-descent ray.
+
+    ``args`` are the order-1 check's arguments at delta0 and ``threshold``
+    the termination threshold there; the check passed and the measure is
+    above the threshold.  The threshold at each radius is computed afresh,
+    as a fresh step 1 would.  ``meas`` and ``point`` are the measure and the
+    model point at delta0.  Within the exact range (see `step1`), halving
+    the radius m times halves the displacement m times bit for bit and
+    scales both sides of both tests alike, so only the decrement test
+    ``dm >= threshold / 2`` is made again, from the products at delta0.
+    Returns ``(measure, point)`` at the first radius that passes it, or
+    None at the first radius past the exact range, which the caller
+    measures afresh.
+    """
+    delta0 = args[0]
+    reach = None  # found on the first halving: most calls take none
+    m = 0
+    while not point.decrement_at(m) >= 0.5 * threshold:  # a NaN decrement halves too
+        _halve(state, config, 1, guard_l_bar)
+        m += 1
+        if reach is None:
+            # The products each halving scales besides the point's own: the
+            # radius, the steepest-descent scale delta0 / ||g||, the check's
+            # error sum and thresholds, and the termination threshold.
+            g = point.model.bundle.tensors[0]
+            reach = point.exact_halvings(delta0, delta0 / _norm(g), *margins(*args), threshold)
+        if m > reach:
+            return None
+        threshold = _termination_threshold(config, 1, float(state.delta[0]))
+    if m == 0:
+        return meas, point
+    point = point.scaled(m)
+    return MeasureResult(math.ldexp(meas.phi_bar, -m), point.s), point
+
+
 def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     """Order-by-order optimality sweep with radius halving.
 
-    Mutates ``state.delta`` in place; the caller snapshots the entry values.
+    Mutates ``state.delta`` in place, and counts its halvings in
+    ``state.halvings``; the caller snapshots the entry values.
     Returns the `Certificate` when every order is small enough (terminate),
-    ``(j_k, measure)`` for the order step 2 works on, or the `Shortfall` of
-    an accuracy check that came back insufficient (go to step 5), with
-    cause ``step1 j=<j>``.
+    ``(j_k, measure, point)`` for the order step 2 works on, ``point`` being
+    the model at the measure's displacement, or the `Shortfall` of an
+    accuracy check that came back insufficient (go to step 5), with cause
+    ``step1 j=<j>``.
+
+    Order 1 measures, checks and tests for termination once, at its entry
+    radius delta0, and then halves by `_ray_search`.  The steepest-descent
+    displacement at delta0 2**-m is -(delta0 2**-m / ||g||) g.  Halving
+    multiplies each exact product by a power of two, and a rounding in the
+    normal range commutes with it.  So while no product leaves that range,
+    the displacement and its norm are 2**-m times those at delta0 bit for
+    bit, each full contraction T_i[d, ..., d] is 2**(-i m) times its value
+    there, and the measure, the check's error sum and both its thresholds,
+    and the termination threshold are 2**-m times theirs
+    (`tensors._ModelPoint.exact_halvings` bounds m).  The check
+    and the termination test thus give their verdicts at delta0 at every
+    m, and the decrement at 2**-m d is the `_ModelPoint` arithmetic on the
+    products at delta0 times powers of two.  Past that range (a tensor
+    entry near the subnormals, say) step 1 measures the next radius afresh
+    and decrements there as `model_decrement` does: the direct evaluation
+    that orders 2 and 3 make at every radius.
 
     ``guard_l_bar`` is a zero-argument callable returning the L-bar of the
     radius guard, at least ``1 + acc_max``.  The guard floor decreases in
@@ -291,6 +381,7 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     below that cheaper floor, and the check raises exactly when one made
     after every halving would.
     """
+    state.halvings = 0
     measured = []
     for j in range(1, config.q + 1):
         while True:
@@ -305,7 +396,8 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
             )
             if check(*args) is CheckOutcome.INSUFFICIENT:
                 return Shortfall.of(f"step1 j={j}", *args)
-            if meas.phi_bar <= _termination_threshold(config, j, delta_j):
+            threshold = _termination_threshold(config, j, delta_j)
+            if meas.phi_bar <= threshold:
                 measured.append(
                     {
                         "order": j,
@@ -317,22 +409,15 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
                     }
                 )
                 break
-            dm = model_decrement(model, meas.displacement)
-            if dm >= 0.5 * _termination_threshold(config, j, delta_j):
-                return j, meas
-            state.delta[j - 1] = 0.5 * delta_j
-            # The halving loop provably stops before delta_j falls a factor
-            # 1e-3 under its theoretical floor; crossing it is a bug, not a
-            # math failure.
-            lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
-            if state.delta[j - 1] >= lowest:
-                continue
-            floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
-            if state.delta[j - 1] < floor:
-                raise InternalInvariantError(
-                    f"step-1 radius for order {j} fell below its guard "
-                    f"({state.delta[j - 1]:.3e} < {floor:.3e}) at iteration {state.k}"
-                )
+            point = _ModelPoint(model, meas.displacement)
+            if j == 1:
+                found = _ray_search(state, config, guard_l_bar, args, threshold, meas, point)
+                if found is None:
+                    continue
+                return (j, *found)
+            if point.decrement() >= 0.5 * threshold:
+                return j, meas, point
+            _halve(state, config, j, guard_l_bar)
     return Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
 
 
@@ -343,8 +428,12 @@ def step2(
     config: SolverConfig,
     j_k: int,
     d_measure: MeasureResult,
+    start=None,
 ):
     """Step computation plus the accuracy vetting of its decrement.
+
+    The model minimizer starts from the measure's displacement, or from
+    ``start``, step 1's model point there, which it then need not rebuild.
 
     The step's own model measures must be small: order ell against the
     target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``,
@@ -364,7 +453,7 @@ def step2(
     caps = np.minimum(1.0, state.delta_start)
     step_res = minimize_model(
         model,
-        d_measure.displacement,
+        d_measure.displacement if start is None else start,
         targets,
         delta_caps=caps,
         max_inner=config.max_inner_iters,
@@ -535,7 +624,8 @@ def solve(
 
             out = step1(state, bundle, model, config, guard_l_bar)
             record.delta_end = state.delta.copy()
-            if isinstance(out, tuple):  # (j_k, measure): compute a step
+            record.halvings = state.halvings
+            if isinstance(out, tuple):  # (j_k, measure, point): compute a step
                 record.j_k = out[0]
                 out = step2(state, bundle, model, config, *out)
             if isinstance(out, Certificate):
@@ -571,6 +661,7 @@ def solve(
             # A stall or invariant interrupts iteration k after its
             # evaluations were counted: its record ends the trace.
             record.delta_end = state.delta.copy()
+            record.halvings = state.halvings
             _close_record(record, oracle, snap)
             trace.append(record)
         exc.trace, exc.counters = trace, oracle.counters
@@ -580,15 +671,16 @@ def solve(
 
 def _log_run(ending: str, trace, counters: EvalCounters) -> None:
     """The end-of-run info line: iterations per kind, the step-5 cause
-    histogram and the evaluation totals, with the value evaluations that
-    re-evaluated f(x_k) in step 3 (the trial rows with two)."""
+    histogram, the evaluation totals, with the value evaluations that
+    re-evaluated f(x_k) in step 3 (the trial rows with two), and step 1's
+    radius halvings."""
     if not logger.isEnabledFor(logging.INFO):
         return
     causes = Counter(rec.cause.cause for rec in trace if rec.cause is not None)
     logger.info(
         "%s after %d iterations (S/U/A = %d/%d/%d); step-5 causes: %s; "
         "%d value evaluations (%d re-evaluating f(x_k) in step 3), "
-        "%d derivative bundles",
+        "%d derivative bundles, %d step-1 halvings",
         ending,
         len(trace),
         *kind_counts(trace).values(),
@@ -596,6 +688,7 @@ def _log_run(ending: str, trace, counters: EvalCounters) -> None:
         counters.value_evals,
         sum(rec.value_evals == 2 for rec in trace),
         counters.derivative_evals,
+        sum(rec.halvings for rec in trace),
     )
 
 

@@ -510,8 +510,14 @@ def minimize_model(
     it as the radius shrinks).  Every accepted iterate keeps the model
     decrement at least that of the warm start, so the descent postcondition
     holds by monotonicity.
+
+    ``warm_start`` is a displacement, or a `tensors._ModelPoint` of `model`
+    at one, which is used as it is.
     """
-    point = _ModelPoint(model, np.asarray(warm_start, dtype=float).copy())
+    if isinstance(warm_start, _ModelPoint):
+        point = warm_start
+    else:
+        point = _ModelPoint(model, np.asarray(warm_start, dtype=float).copy())
     if delta_caps is None:
         delta_caps = np.ones(len(targets))
     if not point.decrement() > 0:

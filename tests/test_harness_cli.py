@@ -70,6 +70,7 @@ class TestRunSolve:
         improving = 0
         for values, rec in zip(rows, outcome.result.trace):
             row = dict(zip(header, values))
+            assert int(row["halvings"]) == rec.halvings >= 0
             if row["kind"] in ("successful", "unsuccessful"):
                 assert int(row["inner_iterations"]) == rec.inner_iterations >= 0
             else:

@@ -1,11 +1,14 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arq.solver
-from arq.check import Shortfall
+from arq.check import CheckOutcome, Shortfall, check
 from arq.oracle import NoiseModel, Problem, make_problem
 from arq.solver import (
     BudgetExhaustedError,
@@ -19,9 +22,17 @@ from arq.solver import (
     step2,
     step3_step4,
     step5,
+    _radius_floor,
+    _termination_threshold,
 )
-from arq.subsolvers import MeasureResult, StepResult, SubsolverStallError
-from arq.tensors import DerivativeBundle, RegularizedModel
+from arq.subsolvers import MeasureResult, StepResult, SubsolverStallError, optimality_measure
+from arq.tensors import (
+    DerivativeBundle,
+    RegularizedModel,
+    _ModelPoint,
+    model_decrement,
+    taylor_decrement,
+)
 
 from conftest import (
     BENCH_NOISES,
@@ -29,6 +40,7 @@ from conftest import (
     assert_bundle_reuse,
     bench_config,
     bench_seeds,
+    random_symmetric,
     steep_problem,
 )
 
@@ -123,7 +135,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1.0, 0.0)
-        j_k, measure = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+        j_k, measure, _ = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
         assert j_k == 1
         assert state.delta[0] == 1.0
         assert measure.phi_bar == pytest.approx(1.0)
@@ -151,7 +163,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
         state = make_state(sigma=0.1)
         bundle = bundle_1d(0.15, 3.0)
-        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        j_k, _, _ = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert j_k == 1
         # four halvings: at delta = 0.0625 the order-2 drop at the probe
         # displacement finally clears half the exit threshold
@@ -190,7 +202,7 @@ class TestLazyGuard:
         state = make_state(sigma=0.001)
         bundle = bundle_1d(2.0, 200.0)
         calls = []
-        j_k, _ = step1(
+        j_k, _, _ = step1(
             state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: calls.append(1)
         )
         assert j_k == 1
@@ -207,7 +219,7 @@ class TestLazyGuard:
             seen.append(float(state.delta[0]))
             return 1e6
 
-        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
+        j_k, _, _ = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
         assert j_k == 1
         assert seen
         assert all(d < lowest_guard_floor(cfg, 0.001) for d in seen)
@@ -240,6 +252,214 @@ class TestLazyGuard:
             cfg, cfg.sigma0
         )
         assert len(estimate_calls) == 1
+
+
+def step1_reference(state, bundle, model, config, guard_l_bar):
+    """Step 1 with every halving evaluated afresh: the measure, its
+    accuracy check, the termination test and the model decrement at each
+    radius, for every order.  Returns ``(j_k, measure)`` where `step1`
+    returns ``(j_k, measure, point)``; counts its halvings as `step1`
+    does."""
+    state.halvings = 0
+    measured = []
+    for j in range(1, config.q + 1):
+        while True:
+            delta_j = float(state.delta[j - 1])
+            meas = optimality_measure(bundle, j, delta_j)
+            args = (delta_j, meas.phi_bar, state.acc[:j], 0.5 * config.epsilons[j - 1],
+                    config.omega)
+            if check(*args) is CheckOutcome.INSUFFICIENT:
+                return Shortfall.of(f"step1 j={j}", *args)
+            if meas.phi_bar <= _termination_threshold(config, j, delta_j):
+                measured.append({
+                    "order": j,
+                    "phi_bar": meas.phi_bar,
+                    "delta": delta_j,
+                    "threshold": config.epsilons[j - 1] * delta_j**j / math.factorial(j),
+                })
+                break
+            dm = model_decrement(model, meas.displacement)
+            if dm >= 0.5 * _termination_threshold(config, j, delta_j):
+                return j, meas
+            state.delta[j - 1] = 0.5 * delta_j
+            state.halvings += 1
+            lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
+            if state.delta[j - 1] >= lowest:
+                continue
+            floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
+            if state.delta[j - 1] < floor:
+                raise InternalInvariantError(
+                    f"step-1 radius for order {j} fell below its guard "
+                    f"({state.delta[j - 1]:.3e} < {floor:.3e}) at iteration {state.k}"
+                )
+    return Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
+
+
+def bits(value):
+    """A value with every float by its bits and every array by its bytes."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return tuple(bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, bits(dataclasses.astuple(value)))
+    return value
+
+
+def point_bits(point):
+    return bits((point.s, point.norm, point._chains, point._ends, point.decrement()))
+
+
+def run_step1(step, bundle, sigma, config, l_bar):
+    """(outcome, radii, halvings, guard calls) of one step 1 from the
+    entry radii ``config.delta0``, with the guard's L-bar ``l_bar``; a
+    step-1 point is checked against a fresh one at its displacement, then
+    dropped."""
+    state = SolverState(
+        x=np.zeros(bundle.dim), sigma=sigma, delta=np.array(config.delta0),
+        delta_start=np.array(config.delta0), acc=np.array(config.acc0),
+    )
+    model = RegularizedModel(bundle, sigma)
+    calls = []
+
+    def guard():
+        calls.append(state.delta.tobytes())
+        return l_bar
+
+    try:
+        out = step(state, bundle, model, config, guard)
+    except InternalInvariantError as exc:
+        out = ("invariant", str(exc))
+    if isinstance(out, tuple) and len(out) == 3:
+        j_k, meas, point = out
+        assert point.model is model
+        assert point_bits(point) == point_bits(_ModelPoint(model, meas.displacement))
+        out = (j_k, meas)
+    return bits(out), state.delta.tobytes(), state.halvings, calls
+
+
+@st.composite
+def step1_draws(draw):
+    """A bundle, sigma, config and guard L-bar for one step 1.  With
+    ``near_tie``, sigma puts the order-1 decrement within a few ulps of
+    half the termination threshold at the entry radius halved m times."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(1, p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Curvature up to 1e8 against a gradient down to 1e-6 sends the radius
+    # under the guard's floors.
+    scales = [10.0 ** draw(st.floats(-6, 3 if i == 1 else 8)) for i in range(1, p + 1)]
+    tensors = [random_symmetric(rng, n, i) * scales[i - 1] for i in range(1, p + 1)]
+    if draw(st.booleans()):  # some zero entries
+        tensors[0] = np.where(rng.random(n) < 0.3, 0.0, tensors[0])
+    bundle = DerivativeBundle(tensors)
+    eps = tuple(10.0 ** draw(st.floats(-4, -0.5)) for _ in range(q))
+    delta0 = tuple(e ** draw(st.floats(0.0, 0.99)) for e in eps)
+    acc = tuple(draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-12, 0))])) for _ in range(p))
+    config = SolverConfig(p=p, q=q, epsilons=eps, delta0=delta0, acc0=acc,
+                          acc_max=max(acc))
+    sigma = 10.0 ** draw(st.floats(-8, 8))
+    if draw(st.booleans()):  # near_tie
+        m = draw(st.integers(0, 20))
+        delta_m = delta0[0] * 2.0**-m
+        d = optimality_measure(bundle, 1, delta_m).displacement
+        gap = (taylor_decrement(bundle, d, p)
+               - 0.5 * _termination_threshold(config, 1, delta_m))
+        if gap > 0:
+            sigma = gap * math.factorial(p + 1) / np.linalg.norm(d) ** (p + 1)
+            for _ in range(draw(st.integers(0, 4))):
+                sigma = math.nextafter(sigma, draw(st.sampled_from([0.0, math.inf])))
+    l_bar = (1.0 + max(acc)) * 10.0 ** draw(st.floats(0, 8))
+    return bundle, sigma, config, l_bar
+
+
+class TestRaySearch:
+    """`step1` halves order 1 along one steepest-descent ray; every other
+    step 1 is `step1_reference`, the per-halving loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step1_draws())
+    def test_matches_the_per_halving_loop(self, draw):
+        bundle, sigma, config, l_bar = draw
+        assert run_step1(step1, bundle, sigma, config, l_bar) == run_step1(
+            step1_reference, bundle, sigma, config, l_bar)
+
+    def test_zero_gradient_terminates_alike(self):
+        cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, acc0=(0.0, 0.0), acc_max=0.0)
+        bundle = DerivativeBundle([np.zeros(3), np.eye(3)])
+        out = run_step1(step1, bundle, 1.0, cfg, 3.0)
+        assert out == run_step1(step1_reference, bundle, 1.0, cfg, 3.0)
+        assert out[0][0] == "Certificate"
+
+    @pytest.mark.parametrize("hessian, acc, fresh", [
+        # H[d, d] is subnormal at every radius: no halving is provably a
+        # power of two of the one before, so every radius is measured.
+        ([[1e-300, 3e-301], [3e-301, 2e-300]], 0.0, "all"),
+        # The check's error sum acc * delta leaves the normal range after
+        # four halvings: the ray answers those, fresh measures the rest.
+        ([[1e3, 0.0], [0.0, 2e3]], 1e-306, "some"),
+    ])
+    def test_products_under_the_normal_range_are_measured_afresh(
+            self, monkeypatch, hessian, acc, fresh):
+        cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, acc0=(acc, acc), acc_max=acc)
+        bundle = DerivativeBundle([np.array([1.0, -0.5]), np.array(hessian)])
+        want = run_step1(step1_reference, bundle, 1e3, cfg, 3.0)
+        measures = count_calls(monkeypatch, "optimality_measure")
+        got = run_step1(step1, bundle, 1e3, cfg, 3.0)
+        assert got == want
+        halvings = got[2]
+        assert np.frombuffer(got[1])[0] == 2.0**-halvings
+        assert halvings >= 4
+        if fresh == "all":
+            assert len(measures) == halvings + 1
+        else:
+            assert 1 < len(measures) < halvings + 1
+
+    def test_one_measure_and_one_check_whatever_the_halvings(self, monkeypatch):
+        # The four halvings of TestStep1's positive-curvature case.
+        cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
+        state = make_state(sigma=0.1)
+        bundle = bundle_1d(0.15, 3.0)
+        measures = count_calls(monkeypatch, "optimality_measure")
+        checks = count_calls(monkeypatch, "check")
+        j_k, meas, point = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        assert state.delta[0] == 2.0**-4
+        assert (len(measures), len(checks)) == (1, 1)
+        assert meas.displacement.tobytes() == point.s.tobytes()
+
+    def test_solve_traces_match_the_per_halving_loop(self, monkeypatch):
+        seed = bench_seeds()[0]
+        runs = [
+            (make_problem(name, dim), NoiseModel(noise, 0.9, seed), bench_config(q, 1e-3, noise))
+            for name, dim in BENCH_PROBLEMS
+            for noise in BENCH_NOISES
+            for q in (1, 2)
+        ]
+
+        def solve_all():
+            return [trace_key(solve(*run).trace) for run in runs]
+
+        got = solve_all()
+        monkeypatch.setattr(arq.solver, "step1", step1_reference)
+        assert got == solve_all()
+
+
+def count_calls(monkeypatch, name):
+    """Record each call of `arq.solver.<name>` (its arguments)."""
+    calls = []
+    real = getattr(arq.solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arq.solver, name, counted)
+    return calls
 
 
 class TestStep2:
@@ -597,8 +817,33 @@ def test_end_of_run_info_line(caplog):
         f"step-5 causes: {', '.join(f'{c} x{causes.count(c)}' for c in sorted(set(causes)))}; "
         f"{res.counters.value_evals} value evaluations "
         f"({sum(r.value_evals == 2 for r in res.trace)} re-evaluating f(x_k) in step 3), "
-        f"{res.counters.derivative_evals} derivative bundles"
+        f"{res.counters.derivative_evals} derivative bundles, "
+        f"{sum(r.halvings for r in res.trace)} step-1 halvings"
     )
+
+
+def test_halvings_count_step1s_halvings(monkeypatch):
+    """Each record's `halvings` is the number of halvings its step 1 made,
+    summed over orders, on a run that halves both orders' radii: from the
+    saddle at 0 of the quartic, order 2 halves until the regularizer of
+    sigma0 = 100 leaves enough of the negative curvature's decrease."""
+    calls = count_calls(monkeypatch, "_halve")
+    made = []
+    real_step1 = arq.solver.step1
+
+    def tallied_step1(*args):
+        before = len(calls)
+        try:
+            return real_step1(*args)
+        finally:
+            made.append(len(calls) - before)
+
+    monkeypatch.setattr(arq.solver, "step1", tallied_step1)
+    cfg = SolverConfig(p=2, q=2, epsilons=(1e-3, 1e-3), sigma0=100.0, acc0=(0.0, 0.0),
+                       acc_max=0.0)
+    res = solve(make_problem("quartic", 3), NoiseModel("exact"), cfg, x0=np.zeros(3))
+    assert [r.halvings for r in res.trace] == made
+    assert {args[2] for args in calls} == {1, 2}
 
 
 def test_info_line_counts_step3_reevaluations(caplog):
