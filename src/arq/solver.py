@@ -291,21 +291,23 @@ def _radius_floor(config: SolverConfig, j: int, l_bar: float, sigma: float) -> f
     )
 
 
-def _halve(state: SolverState, config: SolverConfig, j: int, guard_l_bar) -> None:
-    """Halve the order-j step-1 radius, checking the radius guard."""
-    state.delta[j - 1] *= 0.5
-    state.halvings += 1
+def _halve(state: SolverState, config: SolverConfig, j: int, guard_l_bar, times: int = 1) -> None:
+    """Halve the order-j step-1 radius ``times`` times, checking the radius
+    guard after each halving."""
     # The halving loop provably stops before delta_j falls a factor 1e-3
     # under its theoretical floor; crossing it is a bug, not a math failure.
     lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
-    if state.delta[j - 1] >= lowest:
-        return
-    floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
-    if state.delta[j - 1] < floor:
-        raise InternalInvariantError(
-            f"step-1 radius for order {j} fell below its guard "
-            f"({state.delta[j - 1]:.3e} < {floor:.3e}) at iteration {state.k}"
-        )
+    for _ in range(times):
+        state.delta[j - 1] *= 0.5
+        state.halvings += 1
+        if state.delta[j - 1] >= lowest:
+            continue
+        floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
+        if state.delta[j - 1] < floor:
+            raise InternalInvariantError(
+                f"step-1 radius for order {j} fell below its guard "
+                f"({state.delta[j - 1]:.3e} < {floor:.3e}) at iteration {state.k}"
+            )
 
 
 def _ray_search(state: SolverState, config: SolverConfig, guard_l_bar, args, threshold,
@@ -315,33 +317,34 @@ def _ray_search(state: SolverState, config: SolverConfig, guard_l_bar, args, thr
 
     ``args`` are the order-1 check's arguments at delta0 and ``threshold``
     the termination threshold there; the check passed and the measure is
-    above the threshold.  The threshold at each radius is computed afresh,
-    as a fresh step 1 would.  ``meas`` and ``point`` are the measure and the
+    above the threshold.  ``meas`` and ``point`` are the measure and the
     model point at delta0.  Within the exact range (see `step1`), halving
     the radius m times halves the displacement m times bit for bit and
-    scales both sides of both tests alike, so only the decrement test
-    ``dm >= threshold / 2`` is made again, from the products at delta0.
-    Returns ``(measure, point)`` at the first radius that passes it, or
-    None at the first radius past the exact range, which the caller
-    measures afresh.
+    scales both sides of both tests, and the threshold, by 2**-m, so only
+    the decrement test ``dm >= threshold / 2`` is made again, from the
+    products at delta0.  The tests touch no state, so the m halvings, each
+    with its radius guard, follow the search.  Returns ``(measure, point)``
+    at the first radius that passes the test, or None at the first radius
+    past the exact range, which the caller measures afresh.
     """
-    delta0 = args[0]
-    reach = None  # found on the first halving: most calls take none
+    reach = None  # found on the first failed test: most calls pass at once
     m = 0
-    while not point.decrement_at(m) >= 0.5 * threshold:  # a NaN decrement halves too
-        _halve(state, config, 1, guard_l_bar)
-        m += 1
+    # At delta0 2**-m, half the termination threshold is threshold 2**(-m-1).
+    while not point.decrement_at(m) >= math.ldexp(threshold, -1 - m):  # NaN fails too
         if reach is None:
             # The products each halving scales besides the point's own: the
             # radius, the steepest-descent scale delta0 / ||g||, the check's
             # error sum and thresholds, and the termination threshold.
+            delta0 = args[0]
             g = point.model.bundle.tensors[0]
             reach = point.exact_halvings(delta0, delta0 / _norm(g), *margins(*args), threshold)
-        if m > reach:
+        if m == reach:
+            _halve(state, config, 1, guard_l_bar, m + 1)
             return None
-        threshold = _termination_threshold(config, 1, float(state.delta[0]))
+        m += 1
     if m == 0:
         return meas, point
+    _halve(state, config, 1, guard_l_bar, m)
     point = point.scaled(m)
     return MeasureResult(math.ldexp(meas.phi_bar, -m), point.s), point
 
@@ -427,13 +430,12 @@ def step2(
     model,
     config: SolverConfig,
     j_k: int,
-    d_measure: MeasureResult,
-    start=None,
+    start,
 ):
     """Step computation plus the accuracy vetting of its decrement.
 
-    The model minimizer starts from the measure's displacement, or from
-    ``start``, step 1's model point there, which it then need not rebuild.
+    The model minimizer starts from ``start``, step 1's model point at the
+    order-j_k measure's displacement, which it then need not rebuild.
 
     The step's own model measures must be small: order ell against the
     target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``,
@@ -453,7 +455,7 @@ def step2(
     caps = np.minimum(1.0, state.delta_start)
     step_res = minimize_model(
         model,
-        d_measure.displacement if start is None else start,
+        start,
         targets,
         delta_caps=caps,
         max_inner=config.max_inner_iters,
@@ -627,7 +629,7 @@ def solve(
             record.halvings = state.halvings
             if isinstance(out, tuple):  # (j_k, measure, point): compute a step
                 record.j_k = out[0]
-                out = step2(state, bundle, model, config, *out)
+                out = step2(state, bundle, model, config, out[0], out[2])
             if isinstance(out, Certificate):
                 record.f_bar_after = state.f_bar[0] if state.f_bar else None
             elif isinstance(out, Shortfall):

@@ -304,12 +304,13 @@ def _full_contraction(tensor: np.ndarray, s: np.ndarray) -> float:
     return float(out)
 
 
-def _taylor_drop(fulls) -> float:
+def _taylor_drop(fulls, halvings: int = 0) -> float:
     """-sum_i fulls[i-1] / i!, where fulls[i-1] = T_i[s, ..., s]: the drop
-    of the Taylor polynomial from 0 to s."""
+    of the Taylor polynomial from 0 to s; with ``halvings`` h, the drop to
+    2**-h s, each T_i[s, ..., s] taken times 2**(-i h)."""
     total = 0.0
     for i, c in enumerate(fulls, start=1):
-        total -= c / math.factorial(i)
+        total -= math.ldexp(c, -i * halvings) / math.factorial(i)
     return float(total)
 
 
@@ -333,8 +334,9 @@ _LEAST_EXPONENT = -1074
 def _lsb_exponent(arrays) -> int:
     """An e with 2**e at most the unit in the last place of every nonzero
     entry of the arrays: their least binary exponent, less the 53 bits of a
-    double.  A zero entry counts as exponent 0, which can only lower e."""
-    return int(np.minimum.reduce(np.frexp(np.concatenate(arrays, axis=None))[1])) - 53
+    double.  A zero entry counts as exponent 0, which can only lower e.
+    Each array is scanned in place: no copy of a large tensor is made."""
+    return min(int(np.frexp(a)[1].min()) for a in arrays) - 53
 
 
 class _ModelPoint:
@@ -381,10 +383,9 @@ class _ModelPoint:
 
     def decrement_at(self, halvings: int) -> float:
         """The decrement at 2**-halvings s, from the products at s."""
-        p = len(self._ends)
-        fulls = [math.ldexp(c, -i * halvings) for i, c in enumerate(self._ends, start=1)]
-        norm = math.ldexp(self.norm, -halvings)
-        return _taylor_drop(fulls) - self.model.sigma / math.factorial(p + 1) * norm ** (p + 1)
+        b = len(self._ends) + 1
+        reg = self.model.sigma / math.factorial(b) * math.ldexp(self.norm, -halvings) ** b
+        return _taylor_drop(self._ends, halvings) - reg
 
     def scaled(self, halvings: int) -> _ModelPoint:
         """The point at 2**-halvings s, from the products at s."""

@@ -257,9 +257,9 @@ class TestLazyGuard:
 def step1_reference(state, bundle, model, config, guard_l_bar):
     """Step 1 with every halving evaluated afresh: the measure, its
     accuracy check, the termination test and the model decrement at each
-    radius, for every order.  Returns ``(j_k, measure)`` where `step1`
-    returns ``(j_k, measure, point)``; counts its halvings as `step1`
-    does."""
+    radius, for every order.  Returns what `step1` returns, its point
+    built afresh at the measure's displacement, and counts its halvings as
+    `step1` does."""
     state.halvings = 0
     measured = []
     for j in range(1, config.q + 1):
@@ -280,7 +280,7 @@ def step1_reference(state, bundle, model, config, guard_l_bar):
                 break
             dm = model_decrement(model, meas.displacement)
             if dm >= 0.5 * _termination_threshold(config, j, delta_j):
-                return j, meas
+                return j, meas, _ModelPoint(model, meas.displacement)
             state.delta[j - 1] = 0.5 * delta_j
             state.halvings += 1
             lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
@@ -836,7 +836,7 @@ def test_halvings_count_step1s_halvings(monkeypatch):
         try:
             return real_step1(*args)
         finally:
-            made.append(len(calls) - before)
+            made.append(sum(call[4] if len(call) > 4 else 1 for call in calls[before:]))
 
     monkeypatch.setattr(arq.solver, "step1", tallied_step1)
     cfg = SolverConfig(p=2, q=2, epsilons=(1e-3, 1e-3), sigma0=100.0, acc0=(0.0, 0.0),
