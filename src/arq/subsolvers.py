@@ -12,8 +12,11 @@ as its optimality measure and as its progress certificate:
              secular-equation root find;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
-             stop rules) for at most 80 iterations, and stopped early once
-             the best decrement over all starts stalls (it rose by at most
+             stop rules, a stopped row masked out) for at most 80
+             iterations, each contracting H and T with the candidate rows
+             in one GEMM apiece; the ascent direction reuses the products
+             of the last accepted candidates.  It stops early once the
+             best decrement over all starts stalls (it rose by at most
              1e-12 of itself over the last 15 iterations); it claims half
              the optimum, a heuristic bound the tests check against grid
              searches at n = 2 and 3.
@@ -328,13 +331,16 @@ def _measure_order2(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     return MeasureResult(dec, d)
 
 
-def _project_rows(d: np.ndarray, delta: float) -> np.ndarray:
-    """Each row of d scaled back onto the delta-ball if it lies outside."""
-    nd = np.sqrt(_row_dots(d, d))
-    out = d.copy()
-    outside = nd > delta
-    out[outside] *= (delta / nd[outside])[:, None]
-    return out
+def _row_products(d: np.ndarray, h: np.ndarray, t: np.ndarray):
+    """H d and T[., d, d] for every row d of the k x n stack, one GEMM apiece.
+
+    H d is ``d @ H.T``; T[., d, d] is the pair products d_b d_c of every row
+    (k x n^2) times ``T.reshape(n, n^2).T``.  Both contract the trailing
+    axes, as ``h @ d`` and ``(t @ d) @ d`` do, so a tensor that is symmetric
+    only up to rounding gives what those products give.
+    """
+    k, n = d.shape
+    return d @ h.T, (d[:, :, None] * d[:, None, :]).reshape(k, n * n) @ t.reshape(n, n * n).T
 
 
 def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
@@ -343,14 +349,18 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     The starts (scaled steepest descent, the trust-region step, the signed
     coordinate axes, then seeded random points in the ball) advance together
     as the rows of one array.  Each row has its own step size, grown on an
-    accepted move and halved on a rejected one, and leaves the active set
-    when its gradient vanishes or its step falls below 1e-12 delta.  Every
-    product is a stack of the matrix-vector and vector-vector products a
-    single start would take, so each row follows the same iterates, bit for
-    bit, as that start ascending alone.  The whole ascent stops after
-    `_ORDER3_ITERS` iterations, or earlier once the best decrement over all
-    rows has risen by at most `_ORDER3_STALL_RTOL` of its magnitude over the
-    last `_ORDER3_STALL_WINDOW` iterations (the start values count as
+    accepted move and halved on a rejected one, and stops (leaves the
+    ``live`` mask) when its gradient vanishes or its step falls below
+    1e-12 delta; every row is computed each iteration and a stopped row's
+    results are masked out.  Each evaluation of the row stack contracts H
+    and T with it in one GEMM apiece (see `_row_products`).  The ascent
+    direction at a row, -(g + H d + T[., d, d] / 2), reuses the
+    products computed when that row was evaluated as a start or an accepted
+    candidate, so an iteration contracts the tensors once, at the
+    candidates.  The whole ascent stops after `_ORDER3_ITERS` iterations, or
+    earlier once the best decrement over all rows has risen by at most
+    `_ORDER3_STALL_RTOL` of its magnitude over the last
+    `_ORDER3_STALL_WINDOW` iterations (the start values count as
     iteration 0).  The best decrement wins; among equal decrements the
     lexicographically largest displacement, in start order.
     """
@@ -358,13 +368,12 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     n = bundle.dim
     rng = np.random.default_rng(101)
 
-    def t_rows(d):  # T[d, ., .] per row
-        return (t[None] @ d[:, None, :, None])[..., 0]
-
-    def dec(d):
-        hd = (h @ d[:, :, None])[..., 0]
-        tdd = (t_rows(d) @ d[:, :, None])[..., 0]
-        return ((0.0 - _row_dots(d, g)) - _row_dots(hd, d) / 2) - _row_dots(tdd, d) / 6
+    def evaluate(d):
+        """The rows of d scaled back onto the delta-ball where they lie
+        outside, with H d, T[., d, d] and the decrement of each row."""
+        d = d * (delta / np.maximum(np.sqrt(_row_dots(d, d)), delta))[:, None]
+        hd, tdd = _row_products(d, h, t)
+        return d, hd, tdd, ((0.0 - d @ g) - _row_dots(hd, d) / 2) - _row_dots(tdd, d) / 6
 
     starts = []
     ng = _norm(g)
@@ -380,28 +389,27 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
         v *= delta * rng.random() ** (1.0 / n) / _norm(v)
         starts.append(v)
 
-    d = _project_rows(np.array(starts[:_ORDER3_STARTS], dtype=float), delta)
-    v = dec(d)
+    d, hd, tdd, v = evaluate(np.array(starts[:_ORDER3_STARTS], dtype=float))
     step = np.full(len(d), 0.5 * delta)
-    active = np.arange(len(d))
+    live = np.ones(len(d), dtype=bool)
     best = [float(v.max())]  # best decrement over all rows, per iteration
     for _ in range(_ORDER3_ITERS):
-        da = d[active]
-        hd = (h @ da[:, :, None])[..., 0]
-        tdd = ((0.5 * t_rows(da)) @ da[:, :, None])[..., 0]
-        gr = -(g + hd + tdd)
+        gr = -(g + hd + 0.5 * tdd)
         ngr = np.sqrt(_row_dots(gr, gr))
-        moving = ngr >= 1e-14
-        active, da, gr, ngr = active[moving], da[moving], gr[moving], ngr[moving]
-        cand = _project_rows(da + step[active, None] * gr / ngr[:, None], delta)
-        cv = dec(cand)
-        up = cv > v[active]
-        won, lost = active[up], active[~up]
-        d[won], v[won] = cand[up], cv[up]
-        step[won] *= 1.3
-        step[lost] *= 0.5
-        active = active[up | (step[active] >= 1e-12 * delta)]
-        if active.size == 0:
+        moving = live & (ngr >= 1e-14)
+        # a row that does not move divides by 1e-14 instead of its vanishing
+        # gradient norm; its candidate is masked out below
+        cand, cand_hd, cand_tdd, cv = evaluate(
+            d + step[:, None] * gr / np.maximum(ngr, 1e-14)[:, None])
+        up = moving & (cv > v)
+        won = up[:, None]
+        d = np.where(won, cand, d)
+        hd = np.where(won, cand_hd, hd)
+        tdd = np.where(won, cand_tdd, tdd)
+        v = np.where(up, cv, v)
+        step = step * np.where(up, 1.3, 0.5)
+        live = moving & (up | (step >= 1e-12 * delta))
+        if not live.any():
             break
         best.append(float(v.max()))
         if (len(best) > _ORDER3_STALL_WINDOW

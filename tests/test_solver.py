@@ -665,6 +665,19 @@ class TestSolve:
         checks = verify_certificate(problem, res.certificate)
         assert all(c["ok"] for c in checks)
 
+    @pytest.mark.parametrize("noise", ["truncation", "bounded_random"])
+    def test_noisy_third_order_solves_on_the_grid_problems(self, noise):
+        from arq.harness import verify_certificate
+
+        seed = bench_seeds()[0]
+        cfg = SolverConfig(p=3, q=3, epsilons=(1e-3,) * 3)
+        for name, dim in BENCH_PROBLEMS:
+            problem = make_problem(name, dim)
+            res = solve(problem, NoiseModel(noise, 0.9, seed), cfg)
+            checks = verify_certificate(problem, res.certificate)
+            assert [c["order"] for c in checks] == [1, 2, 3]
+            assert all(c["ok"] for c in checks if c["ok"] is not None)
+
     def test_first_order_model(self):
         # p = 1: affine Taylor part, only the regularizer curves
         from arq.harness import verify_certificate
