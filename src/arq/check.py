@@ -55,8 +55,8 @@ def margins(delta, decrement, accuracies, xi, omega) -> Margins:
         raise ValueError(f"decrement must be >= 0, got {decrement}")
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if not xi > 0:
-        raise ValueError(f"xi must be > 0, got {xi}")
+    if not xi >= 0:
+        raise ValueError(f"xi must be >= 0, got {xi}")
     if not 0 < omega < 1:
         raise ValueError(f"omega must be in (0, 1), got {omega}")
     if not accuracies:
@@ -83,7 +83,9 @@ def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
     accuracies : sequence of float
         Absolute error bounds on the tensor orders 1..r, all >= 0.
     xi : float
-        Absolute smallness target, > 0.
+        Absolute smallness target, >= 0.  A target that underflowed to 0
+        (from a subnormal epsilon, say) passes only a zero error sum as
+        absolute, which the true, positive target passes too.
     omega : float
         Relative accuracy target, in (0, 1).
 

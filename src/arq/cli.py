@@ -72,7 +72,7 @@ _HELP = {
     "noise": f"one of {', '.join(NOISE_KINDS)}",
     "eps": "comma-separated accuracy targets",
     "out": "output directory",
-    "jobs": "parallel runs in sweeps",
+    "jobs": "threads for sweep rows (they share the GIL: 2 gained no wall time)",
     "runs": "seeds per grid point",
     "fill_fraction": "fraction of the permitted error the noise uses",
 }

@@ -1,14 +1,13 @@
 """Worst-case constants and evaluation bounds implied by a configuration.
 
-Everything here is a literal transcription of the theory's displayed
-formulas, evaluated numerically so the property suite can assert that runs
-stay inside the guaranteed envelope.  Nothing in this module feeds back
+Everything here is a transcription of the theory's displayed formulas,
+evaluated in the logs of their factors so the property suite can assert
+that runs stay inside the guaranteed envelope.  Nothing in this module feeds back
 into the algorithm.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,14 +32,28 @@ def digits_demanded(trace) -> float | None:
     return float(np.mean([-np.log10(d).sum() for d in demands]))
 
 
-@contextmanager
-def _float_range(name: str):
-    """Report an overflow or a division by an underflowed zero while
-    computing the bound constant `name` as a `ConfigError` naming it."""
+_LN_FACTORIAL = tuple(math.log(math.factorial(n)) for n in range(5))  # n <= p + 1 <= 4
+
+
+def _exp(ln_x: float) -> float:
+    """e**ln_x, inf above float range (0.0 below it, as `math.exp` gives)."""
     try:
-        yield
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bound constant {name} is out of float range: {exc.args[-1]}") from None
+        return math.exp(ln_x)
+    except OverflowError:
+        return math.inf
+
+
+def _ln_sum(ln_a: float, ln_b: float) -> float:
+    """ln(a + b) from ln a and ln b, either of which may be inf."""
+    hi, lo = max(ln_a, ln_b), min(ln_a, ln_b)
+    if hi == math.inf:
+        return hi
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _ln_pow(ln_x: float, k: int) -> float:
+    """ln(x**k) from ln x, with x**0 = 1 also where x is 0 or inf."""
+    return k * ln_x if k else 0.0
 
 
 @dataclass(frozen=True)
@@ -50,6 +63,13 @@ class BoundReport:
     ``kappa_delta`` is the non-increasing radius-floor function of sigma;
     the rest are scalars (per-order tuples where indicated, index j-1 for
     order j).
+
+    Every value is true, never NaN or negative.  One whose exact value lies
+    above float range reads ``inf`` (an upper bound or an evaluation count)
+    and one below it reads ``0.0`` (a lower bound such as ``kappa_dm``,
+    ``kappa_acc`` or a step lower bound): both are true but vacuous.
+    ``k_acc_min`` is a finite int unless ``l_f`` is inf and ``acc_max`` is
+    positive, when no count suffices and it reads ``inf``.
     """
 
     l_f: float
@@ -63,7 +83,7 @@ class BoundReport:
     step_lower_bounds: tuple
     kappa_sharp2_max: float
     kappa_acc: float
-    k_acc_min: int
+    k_acc_min: int  # or inf, see above
     kappa_s_evals: float  # per-successful-iteration constant in both bounds
     kappa_a_evals: float
     kappa_c_evals: float
@@ -92,32 +112,47 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
     config : SolverConfig
         Validated run parameters.
     l_f : float
-        Lipschitz-scale constant for the derivatives in play (>= 1); used
-        both as the overall derivative bound and for the order-p constant.
+        Lipschitz-scale constant for the derivatives in play, in [1, inf];
+        used both as the overall derivative bound and for the order-p
+        constant.
     f0_minus_flow : float
-        Gap between the starting value and the problem's lower bound, >= 0.
+        Gap between the starting value and the problem's lower bound, in
+        [0, inf].
 
-    A constant that is not positive, or whose formula overflows (to inf
-    or with an `OverflowError`) or divides by an underflowed zero, raises
-    `ConfigError` naming it.
+    Each constant is computed as the sum of the natural logs of its factors
+    and exponentiated once, so every accepted configuration gets a report
+    (see `BoundReport` for how values outside float range read).  An
+    argument outside its interval, NaN included, raises `ConfigError`.
     """
     if not l_f >= 1.0:
         raise ConfigError(f"l_f must be >= 1, got {l_f}")
     if not f0_minus_flow >= 0.0:
         raise ConfigError(f"f0_minus_flow must be >= 0, got {f0_minus_flow}")
 
+    ln = math.log
+    ln_fact = _LN_FACTORIAL
     p, q = config.p, config.q
     omega = config.omega
     theta = config.theta
     varsigma = config.varsigma
-    eps = np.asarray(config.epsilons)
-    eps_min = float(np.min(eps))
+    eps = config.epsilons
+    eps_min = min(eps)
     acc_max = config.acc_max
+    ln_vs, ln_th, ln_1mth = ln(varsigma), ln(theta), ln(1.0 - theta)
+    ln_w, ln_1mw, ln_1pw = ln(omega), ln(1.0 - omega), ln(1.0 + omega)
+    ln_smin = ln(config.sigma_min)
+    ln_lf = ln(l_f)
 
+    # Both overflow to inf in float arithmetic exactly where their true
+    # values lie above float range; the constants below use their logs.
     l_bar = l_f + acc_max
     sigma_max = max(config.sigma0, config.gamma3 * 4.0 * l_f / (1.0 - config.eta2))
-    base_s = 2.0 * l_bar * math.factorial(p + 1) / config.sigma_min
-    kappa_s = max(base_s, base_s ** (1.0 / p))
+    ln_lbar = ln_lf + math.log1p(acc_max / l_f)
+    ln_smax = max(ln(config.sigma0), ln(4.0) + ln(config.gamma3) + ln_lf - ln(1.0 - config.eta2))
+    ln_lf_smax = _ln_sum(ln_lf, ln_smax)
+    # kappa_s = max(b, b**(1/p)) with b = 2 l_bar (p+1)! / sigma_min
+    ln_base_s = ln(2.0) + ln_lbar + ln_fact[p + 1] - ln_smin
+    ln_ks = max(ln_base_s, ln_base_s / p)
 
     def kappa_delta(sigma: float) -> float:
         return (
@@ -127,169 +162,101 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
             / (8.0 * (1.0 + omega) * (3.0 * l_bar + sigma))
         )
 
-    kappa_delta_min = kappa_delta(sigma_max)
+    ln_kdmin = (ln_vs + ln_th + ln_1mw - ln(8.0) - ln_1pw
+                - _ln_sum(ln(3.0) + ln_lbar, ln_smax))
+    # c = varsigma (1 - theta)(1 - omega) / (2 (l_f + sigma_max)(1 + omega))
+    ln_c = ln_vs + ln_1mth + ln_1mw - ln(2.0) - ln_lf_smax - ln_1pw
 
     if q <= 2:
+        # kappa_dm = sigma_min / (p+1)! * (c / q!)**((p+1) / (p-q+1));
+        # step lower bound j = (c / j! * eps_j)**(1 / (p-j+1))
         pi = tuple((p + 1.0) / (p - j + 1.0) for j in range(1, q + 1))
-        dm_base = (
-            varsigma
-            * (1.0 - theta)
-            * (1.0 - omega)
-            / (2.0 * math.factorial(q) * (l_f + sigma_max) * (1.0 + omega))
-        )
-        kappa_dm = (
-            config.sigma_min
-            / math.factorial(p + 1)
-            * dm_base ** ((p + 1.0) / (p - q + 1.0))
-        )
-        step_lower = tuple(
-            (
-                varsigma
-                * (1.0 - theta)
-                * (1.0 - omega)
-                / (2.0 * math.factorial(j) * (l_f + sigma_max) * (1.0 + omega))
-            )
-            ** (1.0 / (p - j + 1.0))
-            * eps[j - 1] ** (1.0 / (p - j + 1.0))
+        ln_kdm = ln_smin - ln_fact[p + 1] + (ln_c - ln_fact[q]) * ((p + 1.0) / (p - q + 1.0))
+        ln_step_lower = tuple(
+            (ln_c - ln_fact[j]) / (p - j + 1.0) + ln(eps[j - 1]) / (p - j + 1.0)
             for j in range(1, q + 1)
         )
     else:
+        # kappa_dm = sigma_min / (p+1)! * (c kappa_delta_min**(q-1) / q!)**(q (p+1) / p);
+        # step lower bound j = (c kappa_delta_min**(j-1) / j!)**(1/p) * eps_j**(j/p)
         pi = tuple(j * (p + 1.0) / p for j in range(1, q + 1))
-        dm_base = (
-            varsigma
-            * (1.0 - theta)
-            * (1.0 - omega)
-            * kappa_delta_min ** (q - 1)
-            / (2.0 * math.factorial(q) * (l_f + sigma_max) * (1.0 + omega))
-        )
-        kappa_dm = (
-            config.sigma_min
-            / math.factorial(p + 1)
-            * dm_base ** (q * (p + 1.0) / p)
-        )
-        step_lower = tuple(
-            (
-                varsigma
-                * (1.0 - theta)
-                * (1.0 - omega)
-                * kappa_delta_min ** (j - 1)
-                / (2.0 * math.factorial(j) * (l_f + sigma_max) * (1.0 + omega))
-            )
-            ** (1.0 / p)
-            * eps[j - 1] ** (j / p)
+        ln_dm_base = ln_c + (q - 1) * ln_kdmin - ln_fact[q]
+        ln_kdm = ln_smin - ln_fact[p + 1] + ln_dm_base * (q * (p + 1.0) / p)
+        ln_step_lower = tuple(
+            (ln_c + _ln_pow(ln_kdmin, j - 1) - ln_fact[j]) / p + ln(eps[j - 1]) * (j / p)
             for j in range(1, q + 1)
         )
 
-    def kappa_sharp2(sigma: float) -> float:
-        return (
-            varsigma
-            * omega
-            * kappa_delta(sigma) ** q
-            / (4.0 * math.factorial(q) * (1.0 + omega))
-        ) * min(1.0 / max(1.0, kappa_s**p), theta * (1.0 - omega) / (3.0 * (1.0 + omega)))
-
-    with _float_range("kappa_sharp2_max"):
-        kappa_sharp2_max = kappa_sharp2(sigma_max)
-    kappa_acc = min(
-        varsigma * omega / (4.0 * math.factorial(q)) * kappa_delta_min ** (q - 1),
-        kappa_sharp2_max,
+    # kappa_sharp2(sigma) = varsigma omega kappa_delta(sigma)**q / (4 q! (1 + omega))
+    #     * min(1 / max(1, kappa_s**p), theta (1 - omega) / (3 (1 + omega)))
+    ln_ksh2_max = (
+        ln_vs + ln_w + q * ln_kdmin - ln(4.0) - ln_fact[q] - ln_1pw
+        + min(-max(0.0, p * ln_ks), ln_th + ln_1mw - ln(3.0) - ln_1pw)
     )
+    # kappa_acc = min(varsigma omega kappa_delta_min**(q-1) / (4 q!), kappa_sharp2_max)
+    ln_kacc = min(ln_vs + ln_w - ln(4.0) - ln_fact[q] + _ln_pow(ln_kdmin, q - 1), ln_ksh2_max)
 
-    # Smallest improvement count after which no accuracy check can fail.
-    if acc_max == 0.0:
-        k_acc_min = 0
+    # kappa_s_evals = (p+1)! / ((eta1 - 2 omega) sigma_min) * e, where
+    # e = 2 q! (l_bar + sigma_max)(1 + omega) / ((1 - theta)(1 - omega)) for q <= 2
+    # and (2 q! (l_f + sigma_max)(1 + omega)
+    #      / ((1 - theta)(1 - omega) kappa_delta_min**(q-1)))**((p+1)/p) for q = 3.
+    ln_kse = ln_fact[p + 1] - ln(config.eta1 - 2.0 * omega) - ln_smin
+    ln_kse_core = ln(2.0) + ln_fact[q] + ln_1pw - ln_1mth - ln_1mw
+    # kappa_a_evals = kappa_s_evals (1 + |ln gamma1| / ln gamma2), twice that for q <= 2
+    ln_gamma_ratio = math.log1p(abs(ln(config.gamma1)) / ln(config.gamma2))
+    if q <= 2:
+        ln_kse += ln_kse_core + _ln_sum(ln_lbar, ln_smax)
+        ln_kae = ln(2.0) + ln_kse + ln_gamma_ratio
     else:
-        ratio = kappa_acc * eps_min ** (q + 1) / acc_max
-        if ratio == 0.0:  # underflowed: no finite power of gamma_acc reaches it
-            raise ConfigError(f"bound constant k_acc_min is not finite at acc_max={acc_max}")
-        if ratio >= 1.0:
-            k_acc_min = 0
-        else:
-            k_acc_min = int(math.ceil(math.log(ratio) / math.log(config.gamma_acc)))
-
-    with _float_range("kappa_s_evals"):
-        if q <= 2:
-            kappa_s_evals = (
-                math.factorial(p + 1)
-                / ((config.eta1 - 2.0 * omega) * config.sigma_min)
-                * (
-                    2.0
-                    * math.factorial(q)
-                    * (l_f + acc_max + sigma_max)
-                    * (1.0 + omega)
-                    / ((1.0 - theta) * (1.0 - omega))
-                )
-            )
-            kappa_a_evals = 2.0 * kappa_s_evals * (
-                1.0 + abs(math.log(config.gamma1)) / math.log(config.gamma2)
-            )
-        else:
-            kappa_s_evals = (
-                math.factorial(p + 1)
-                / ((config.eta1 - 2.0 * omega) * config.sigma_min)
-                * (
-                    2.0
-                    * math.factorial(q)
-                    * (l_f + sigma_max)
-                    * (1.0 + omega)
-                    / ((1.0 - theta) * (1.0 - omega) * kappa_delta_min ** (q - 1))
-                )
-                ** ((p + 1.0) / p)
-            )
-            kappa_a_evals = kappa_s_evals * (
-                1.0 + abs(math.log(config.gamma1)) / math.log(config.gamma2)
-            )
-    kappa_c_evals = (
-        2.0 / math.log(config.gamma2) * math.log(sigma_max / config.sigma0) + 2.0
-    )
-    kappa_e_evals = (q + 1.0) / abs(math.log(config.gamma_acc))
-    if acc_max == 0.0:
-        kappa_f_evals = 2.0
+        ln_kse += (ln_kse_core + ln_lf_smax - (q - 1) * ln_kdmin) * ((p + 1.0) / p)
+        ln_kae = ln_kse + ln_gamma_ratio
+    # ln(sigma_max / sigma0), from the quotient while it is a float: the
+    # difference of logs would cancel when sigma_max is close to sigma0.
+    smax_ratio = sigma_max / config.sigma0
+    ln_smax_ratio = ln(smax_ratio) if smax_ratio < math.inf else ln_smax - ln(config.sigma0)
+    kappa_c_evals = 2.0 / ln(config.gamma2) * ln_smax_ratio + 2.0
+    ln_gamma_acc = ln(config.gamma_acc)
+    kappa_e_evals = (q + 1.0) / abs(ln_gamma_acc)
+    if acc_max == 0.0:  # exact derivatives: no accuracy improvement is needed
+        k_acc_min, kappa_f_evals, accuracy_steps = 0, 2.0, 0.0
     else:
-        kappa_f_evals = (
-            abs(math.log(kappa_acc / acc_max)) / abs(math.log(config.gamma_acc)) + 2.0
-        )
+        # Smallest improvement count after which no accuracy check can fail:
+        # the least k >= 0 with gamma_acc**k acc_max <= kappa_acc eps_min**(q+1).
+        ln_ratio = ln_kacc + (q + 1) * ln(eps_min) - ln(acc_max)
+        k = ln_ratio / ln_gamma_acc
+        k_acc_min = 0 if ln_ratio >= 0.0 else math.ceil(k) if k < math.inf else math.inf
+        kappa_f_evals = abs(ln_kacc - ln(acc_max)) / abs(ln_gamma_acc) + 2.0
+        accuracy_steps = kappa_e_evals * abs(ln(eps_min))
 
-    eps_power = float(np.min([eps[j - 1] ** pi[j - 1] for j in range(1, q + 1)]))
-    with _float_range("n_value_evals"):
-        n_value = kappa_a_evals * f0_minus_flow / eps_power + kappa_c_evals
-    with _float_range("n_derivative_evals"):
-        if acc_max == 0.0:
-            n_deriv = kappa_s_evals * f0_minus_flow / eps_power + kappa_f_evals
-        else:
-            n_deriv = (
-                kappa_s_evals * f0_minus_flow / eps_power
-                + kappa_e_evals * abs(math.log(eps_min))
-                + kappa_f_evals
-            )
+    ln_eps_power = min(pi[j - 1] * ln(eps[j - 1]) for j in range(1, q + 1))
 
-    report = BoundReport(
+    def per_gap(ln_kappa: float) -> float:
+        """kappa * f0_minus_flow / min_j eps_j**pi_j, 0 for a zero gap."""
+        if f0_minus_flow == 0.0:
+            return 0.0
+        return _exp(ln_kappa + ln(f0_minus_flow) - ln_eps_power)
+
+    n_value = per_gap(ln_kae) + kappa_c_evals
+    n_deriv = per_gap(ln_kse) + accuracy_steps + kappa_f_evals
+
+    return BoundReport(
         l_f=float(l_f),
-        l_bar_f=float(l_bar),
-        sigma_max=float(sigma_max),
-        kappa_s=float(kappa_s),
+        l_bar_f=l_bar,
+        sigma_max=sigma_max,
+        kappa_s=_exp(ln_ks),
         kappa_delta=kappa_delta,
-        kappa_delta_min=float(kappa_delta_min),
-        kappa_dm=float(kappa_dm),
+        kappa_delta_min=_exp(ln_kdmin),
+        kappa_dm=_exp(ln_kdm),
         pi=pi,
-        step_lower_bounds=tuple(float(s) for s in step_lower),
-        kappa_sharp2_max=float(kappa_sharp2_max),
-        kappa_acc=float(kappa_acc),
-        k_acc_min=int(k_acc_min),
-        kappa_s_evals=float(kappa_s_evals),
-        kappa_a_evals=float(kappa_a_evals),
-        kappa_c_evals=float(kappa_c_evals),
-        kappa_e_evals=float(kappa_e_evals),
-        kappa_f_evals=float(kappa_f_evals),
-        n_value_evals=float(n_value),
-        n_derivative_evals=float(n_deriv),
+        step_lower_bounds=tuple(_exp(s) for s in ln_step_lower),
+        kappa_sharp2_max=_exp(ln_ksh2_max),
+        kappa_acc=_exp(ln_kacc),
+        k_acc_min=k_acc_min,
+        kappa_s_evals=_exp(ln_kse),
+        kappa_a_evals=_exp(ln_kae),
+        kappa_c_evals=kappa_c_evals,
+        kappa_e_evals=kappa_e_evals,
+        kappa_f_evals=kappa_f_evals,
+        n_value_evals=n_value,
+        n_derivative_evals=n_deriv,
     )
-    for name, value in report.as_dict().items():
-        if name == "k_acc_min":
-            if value < 0:
-                raise ConfigError(f"bound constant {name} is negative: {value}")
-        elif not value > 0.0:
-            raise ConfigError(f"bound constant {name} is not positive: {value}")
-        elif value == math.inf:
-            raise ConfigError(f"bound constant {name} is out of float range: {value}")
-    return report

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from arq import NoiseModel, Problem, SolverConfig, make_problem, solve
+from arq import ConfigError, NoiseModel, Problem, SolverConfig, make_problem, solve
 from arq.harness import ExperimentSpec, _sphere_grid, build_config, expand_seeds
 
 BENCH_PROBLEMS = (("quadratic", 4), ("rosenbrock", 2), ("quartic", 3), ("sineq", 4))
@@ -44,6 +47,36 @@ def steep_problem():
         -1.0,
         np.zeros(1),
     )
+
+
+FLOAT_MAX = sys.float_info.max
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def accepted_configs(draw, max_iters=st.just(1000)):
+    """A `SolverConfig` from anywhere in the box it accepts, out to the
+    float extremes: subnormal sigma_min, epsilons and gammas near their
+    limits, acc_max up to the largest float."""
+    p, q = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]))
+    sigma_min, sigma0 = sorted(draw(st.lists(st.floats(5e-324, FLOAT_MAX), min_size=2,
+                                             max_size=2)))
+    eta1, eta2 = sorted(draw(st.lists(_OPEN_UNIT, min_size=2, max_size=2)))
+    gamma2, gamma3 = sorted(draw(st.lists(st.floats(1.0, FLOAT_MAX, exclude_min=True),
+                                          min_size=2, max_size=2, unique=True)))
+    omega_cap = min(0.5 * eta1, 0.25 * (1.0 - eta2))
+    kwargs = dict(
+        p=p, q=q, sigma0=sigma0, sigma_min=sigma_min, eta1=eta1, eta2=eta2,
+        epsilons=tuple(draw(st.lists(_OPEN_UNIT, min_size=q, max_size=q))),
+        gamma1=draw(_OPEN_UNIT), gamma2=gamma2, gamma3=gamma3,
+        gamma_acc=draw(_OPEN_UNIT), omega=omega_cap * draw(_OPEN_UNIT),
+        theta=draw(_OPEN_UNIT), varsigma=draw(st.none() | st.floats(5e-324, 1.0)),
+        acc_max=draw(st.floats(0.0, FLOAT_MAX)), max_iters=draw(max_iters),
+    )
+    try:
+        return SolverConfig(**kwargs)
+    except ConfigError:  # omega rounded to an end of its interval
+        assume(False)
 
 
 @dataclass

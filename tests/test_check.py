@@ -68,6 +68,11 @@ class TestZeroAccuracies:
     def test_absolute_at_zero_decrement(self):
         assert check(0.7, 0.0, [0.0, 0.0], xi=1.0, omega=0.02) is CheckOutcome.ABSOLUTE
 
+    def test_underflowed_target_passes_only_an_exact_error_sum(self):
+        # 0.5 * 5e-324, step 1's target for the smallest epsilon, is 0.0.
+        assert check(0.7, 0.0, [0.0], xi=0.5 * 5e-324, omega=0.02) is CheckOutcome.ABSOLUTE
+        assert check(0.7, 0.0, [5e-324], xi=0.0, omega=0.02) is CheckOutcome.INSUFFICIENT
+
 
 def _error_sum(accs, delta):
     return sum(a * delta**i / math.factorial(i) for i, a in enumerate(accs, start=1))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arq.solver
@@ -15,6 +15,7 @@ from arq.solver import (
     Certificate,
     ConfigError,
     InternalInvariantError,
+    SolveStoppedError,
     SolverConfig,
     SolverState,
     solve,
@@ -37,6 +38,7 @@ from arq.tensors import (
 from conftest import (
     BENCH_NOISES,
     BENCH_PROBLEMS,
+    accepted_configs,
     assert_bundle_reuse,
     bench_config,
     bench_seeds,
@@ -633,6 +635,26 @@ class TestSolve:
         checks = verify_certificate(problem, res.certificate)
         assert [c["ok"] for c in checks] == [True]
         assert checks[0]["phi_exact"] <= 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    # A check target that underflows to 0: in step 1 from epsilon, in step 2
+    # from varsigma (both raised ValueError before).
+    @example(cfg=SolverConfig(epsilons=(5e-324,), max_iters=5), name="quadratic",
+             noise="exact", seed=0)
+    @example(cfg=SolverConfig(q=2, epsilons=(0.4, 0.4), varsigma=5e-324, max_iters=5),
+             name="quadratic", noise="exact", seed=0)
+    @given(
+        cfg=accepted_configs(max_iters=st.integers(1, 30)),
+        name=st.sampled_from([name for name, _ in BENCH_PROBLEMS]),
+        noise=st.sampled_from(BENCH_NOISES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_accepted_setting_stops_only_by_documented_errors(self, cfg, name, noise, seed):
+        # The harness and CLI map these two to exit codes; nothing else may escape.
+        try:
+            solve(make_problem(name, 2), NoiseModel(noise, 0.9, seed), cfg)
+        except (ConfigError, SolveStoppedError):
+            pass
 
     def test_certificate_is_frozen(self):
         cfg = SolverConfig(epsilons=(1e-3,), acc0=(0.0, 0.0), acc_max=0.0)
