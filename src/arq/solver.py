@@ -20,17 +20,13 @@ The driver alternates five phases per iteration k:
 
 Step 1's order-1 halvings are one scalar search along the steepest-descent
 ray.  At radius delta0 * 2**-m the displacement is 2**-m times the one at
-delta0, bit for bit, while no product leaves the normal float range:
-halving multiplies every exact product by a power of two, and a rounding
-in the normal range commutes with it.  Then its norm scales by 2**-m, each
-full contraction T_i[d, ..., d] by 2**(-i m), and both sides of the
-order-1 accuracy check and of the termination test by 2**-m, so both
+delta0, so in real arithmetic its norm scales by 2**-m, each full
+contraction T_i[d, ..., d] by 2**(-i m), and the measure, both sides of
+the order-1 accuracy check and the termination threshold by 2**-m: both
 verdicts are made once, at delta0.  Only the test of the model decrement
 against half the termination threshold changes with m; it is made from
-the products at delta0 by the arithmetic a fresh evaluation uses, and
-step 2 starts from the point they give at the final radius.  Where a
-halved product could leave the normal range, step 1 evaluates the radius
-afresh, as it does at every radius of orders 2 and 3 (see `step1`).
+the products at delta0 times powers of two, and step 2 starts from the
+point they give at the final radius (see `step1`).
 
 Every check's error sum is linear in the accuracies, so gamma_acc^k is k
 fixed-factor step 5s at the same x without the derivative evaluations in
@@ -60,17 +56,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import CheckOutcome, Shortfall, check, margins
+from .check import CheckOutcome, Shortfall, check
 from .oracle import EvalCounters, NoiseModel, Oracle, Problem, estimate_lipschitz
 from .subsolvers import (
     ORDER_GUARANTEES,
     MeasureResult,
     SolveStoppedError,
     StepResult,
+    SubsolverStallError,
     minimize_model,
     optimality_measure,
 )
-from .tensors import RegularizedModel, _ModelPoint, _norm, taylor_decrement
+from .tensors import RegularizedModel, _ModelPoint, taylor_decrement
 
 logger = logging.getLogger("arq")
 
@@ -174,16 +171,18 @@ class SolverConfig:
         if not 0.0 < self.theta < 1.0:
             fail(f"theta must be in (0, 1), got {self.theta}")
         varsigma = self.varsigma
-        guaranteed = min(ORDER_GUARANTEES[j] for j in range(1, self.q + 1))
+        weakest = min(range(1, self.q + 1), key=ORDER_GUARANTEES.__getitem__)
+        guaranteed = ORDER_GUARANTEES[weakest]
         if varsigma is None:
             varsigma = guaranteed
         if not 0.0 < varsigma <= 1.0:
             fail(f"varsigma must be in (0, 1], got {varsigma}")
         if varsigma > guaranteed:
             logger.warning(
-                "varsigma %.3g exceeds the subsolver guarantee %.3g for q=%d; "
-                "certificates may overstate optimality",
-                varsigma, guaranteed, self.q,
+                "varsigma %r exceeds %r, the fraction of the ball optimum the "
+                "order-%d measure certifies (the lowest for q=%d); certificates "
+                "may overstate optimality",
+                float(varsigma), guaranteed, weakest, self.q,
             )
         delta0 = self.delta0
         if delta0 is None:
@@ -293,13 +292,19 @@ def _radius_floor(config: SolverConfig, j: int, l_bar: float, sigma: float) -> f
 
 def _halve(state: SolverState, config: SolverConfig, j: int, guard_l_bar, times: int = 1) -> None:
     """Halve the order-j step-1 radius ``times`` times, checking the radius
-    guard after each halving."""
+    guard after each halving; a radius halved to 0 (the guard's floor is 0
+    once sigma is inf) raises `SubsolverStallError`."""
     # The halving loop provably stops before delta_j falls a factor 1e-3
     # under its theoretical floor; crossing it is a bug, not a math failure.
     lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
     for _ in range(times):
         state.delta[j - 1] *= 0.5
         state.halvings += 1
+        if state.delta[j - 1] == 0.0:
+            raise SubsolverStallError(
+                f"step-1 radius for order {j} halved to 0.0 at sigma {state.sigma!r} "
+                f"at iteration {state.k}"
+            )
         if state.delta[j - 1] >= lowest:
             continue
         floor = _radius_floor(config, j, guard_l_bar(), state.sigma)
@@ -310,36 +315,29 @@ def _halve(state: SolverState, config: SolverConfig, j: int, guard_l_bar, times:
             )
 
 
-def _ray_search(state: SolverState, config: SolverConfig, guard_l_bar, args, threshold,
-                meas, point):
+def _ray_search(state: SolverState, config: SolverConfig, guard_l_bar, threshold, meas, point):
     """Order 1's halvings from the current radius delta0, as one scalar
     search along the steepest-descent ray.
 
-    ``args`` are the order-1 check's arguments at delta0 and ``threshold``
-    the termination threshold there; the check passed and the measure is
-    above the threshold.  ``meas`` and ``point`` are the measure and the
-    model point at delta0.  Within the exact range (see `step1`), halving
-    the radius m times halves the displacement m times bit for bit and
-    scales both sides of both tests, and the threshold, by 2**-m, so only
-    the decrement test ``dm >= threshold / 2`` is made again, from the
-    products at delta0.  The tests touch no state, so the m halvings, each
-    with its radius guard, follow the search.  Returns ``(measure, point)``
-    at the first radius that passes the test, or None at the first radius
-    past the exact range, which the caller measures afresh.
+    ``threshold`` is the termination threshold at delta0; the accuracy
+    check passed there and the measure ``meas`` is above the threshold.
+    ``point`` is the model point at delta0.  Halving the radius m times
+    scales the displacement, and both sides of the check and of the
+    termination test, by 2**-m (see `step1`), so only the decrement test
+    ``dm >= threshold / 2`` is made again, from the products at delta0.
+    The tests touch no state, so the m halvings, each with its radius
+    guard, follow the search.  Returns ``(measure, point)`` at the first
+    radius that passes the test.  A decrement at delta0 that fails the test
+    and is not finite (an overflowed product, or sigma ||d||**(p+1)
+    overflowing) does not scale: the radius is halved once and None
+    returned, and the caller measures it afresh.  From a finite one the
+    search ends, since every term of both sides tends to 0 in m.
     """
-    reach = None  # found on the first failed test: most calls pass at once
     m = 0
     # At delta0 2**-m, half the termination threshold is threshold 2**(-m-1).
     while not point.decrement_at(m) >= math.ldexp(threshold, -1 - m):  # NaN fails too
-        if reach is None:
-            # The products each halving scales besides the point's own: the
-            # radius, the steepest-descent scale delta0 / ||g||, the check's
-            # error sum and thresholds, and the termination threshold.
-            delta0 = args[0]
-            g = point.model.bundle.tensors[0]
-            reach = point.exact_halvings(delta0, delta0 / _norm(g), *margins(*args), threshold)
-        if m == reach:
-            _halve(state, config, 1, guard_l_bar, m + 1)
+        if not math.isfinite(point.decrement()):
+            _halve(state, config, 1, guard_l_bar)
             return None
         m += 1
     if m == 0:
@@ -362,20 +360,16 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
 
     Order 1 measures, checks and tests for termination once, at its entry
     radius delta0, and then halves by `_ray_search`.  The steepest-descent
-    displacement at delta0 2**-m is -(delta0 2**-m / ||g||) g.  Halving
-    multiplies each exact product by a power of two, and a rounding in the
-    normal range commutes with it.  So while no product leaves that range,
-    the displacement and its norm are 2**-m times those at delta0 bit for
-    bit, each full contraction T_i[d, ..., d] is 2**(-i m) times its value
-    there, and the measure, the check's error sum and both its thresholds,
-    and the termination threshold are 2**-m times theirs
-    (`tensors._ModelPoint.exact_halvings` bounds m).  The check
-    and the termination test thus give their verdicts at delta0 at every
-    m, and the decrement at 2**-m d is the `_ModelPoint` arithmetic on the
-    products at delta0 times powers of two.  Past that range (a tensor
-    entry near the subnormals, say) step 1 measures the next radius afresh
-    and decrements there as `model_decrement` does: the direct evaluation
-    that orders 2 and 3 make at every radius.
+    displacement at delta0 2**-m is -(delta0 2**-m / ||g||) g, 2**-m times
+    the one at delta0.  In real arithmetic its norm is then 2**-m times
+    that at delta0, each full contraction T_i[d, ..., d] 2**(-i m) times
+    its value there, and the measure, the check's error sum and both its
+    thresholds, and the termination threshold 2**-m times theirs, since
+    each is linear in delta.  The check and the termination test thus give
+    their verdicts at delta0 at every m, and the decrement at 2**-m d is
+    the `_ModelPoint` arithmetic on the products at delta0 times powers of
+    two.  Orders 2 and 3, whose measures are not linear in delta, measure
+    and decrement afresh at every radius.
 
     ``guard_l_bar`` is a zero-argument callable returning the L-bar of the
     radius guard, at least ``1 + acc_max``.  The guard floor decreases in
@@ -414,7 +408,7 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
                 break
             point = _ModelPoint(model, meas.displacement)
             if j == 1:
-                found = _ray_search(state, config, guard_l_bar, args, threshold, meas, point)
+                found = _ray_search(state, config, guard_l_bar, threshold, meas, point)
                 if found is None:
                     continue
                 return (j, *found)

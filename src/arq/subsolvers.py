@@ -82,10 +82,11 @@ class SolveStoppedError(RuntimeError):
     """A solve stopped without a certificate.
 
     ``status`` says why: ``budget`` (iterations ran out), ``stall`` (an inner
-    solve hit its iteration or radius floor) or ``invariant`` (a bound the
-    theory guarantees was crossed).  `solve` attaches the run's ``trace``
-    (ending with the interrupted iteration, unless the budget ran out) and
-    its ``counters`` before it re-raises.
+    solve hit its iteration or radius floor, or a step-1 radius halved to
+    0) or ``invariant`` (a bound the theory guarantees was crossed).
+    `solve` attaches the run's ``trace`` (ending with the interrupted
+    iteration, unless the budget ran out) and its ``counters`` before it
+    re-raises.
     """
 
     status = ""
@@ -97,8 +98,9 @@ class SolveStoppedError(RuntimeError):
 
 
 class SubsolverStallError(SolveStoppedError):
-    """Inner solve hit its iteration or radius floor; the message carries
-    the numbers (iterations, step or gradient norm, radius floor)."""
+    """Inner solve hit its iteration or radius floor, or a step-1 radius
+    halved to 0; the message carries the numbers (iterations, step or
+    gradient norm, radius floor; for step 1 the order, radius and sigma)."""
 
     status = "stall"
 
@@ -185,7 +187,7 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("g holds a non-finite entry")
     if not np.isfinite(h).all():
         raise ValueError("h holds a non-finite entry")
-    hs = 0.5 * (h + h.T)
+    hs = 0.5 * h + 0.5 * h.T  # h + h.T could overflow
     chol, info = dpotrf(hs)
     if info == 0:
         d, _ = dpotrs(chol, -g)

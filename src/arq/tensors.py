@@ -18,10 +18,10 @@ arrays, call the kernels directly.  `_ModelPoint` is the kernel of the
 regularized model at one displacement s: it computes ||s|| and each product
 of a bundle tensor with s once and shares them between the model decrement
 and its derivatives at s.  It also gives the model at 2**-h s from those
-products times powers of two, bit for bit while they stay exact (see
-`_ModelPoint.exact_halvings`), which is how step 1 halves its order-1
-radius.  It lives as long as its caller holds it.  `_norm` is numpy's own
-1-D norm formula without its dispatch.
+products times powers of two, which in real arithmetic are the products
+at 2**-h s; that is how step 1 halves its order-1 radius.  It lives as
+long as its caller holds it.  `_norm` is numpy's own 1-D norm formula
+without its dispatch.
 
 Norms also come by the stack: `operator_norms` and `frobenius_norms` norm an
 iterable of same-shape tensors a bounded stack at a time, in a few array
@@ -327,18 +327,6 @@ def taylor_decrement(bundle: DerivativeBundle, s, j: int) -> float:
     return _taylor_decrement(bundle.tensors, s, j)
 
 
-# 2**_LEAST_EXPONENT is the least positive double, a subnormal.
-_LEAST_EXPONENT = -1074
-
-
-def _lsb_exponent(arrays) -> int:
-    """An e with 2**e at most the unit in the last place of every nonzero
-    entry of the arrays: their least binary exponent, less the 53 bits of a
-    double.  A zero entry counts as exponent 0, which can only lower e.
-    Each array is scanned in place: no copy of a large tensor is made."""
-    return min(int(np.frexp(a)[1].min()) for a in arrays) - 53
-
-
 class _ModelPoint:
     """The regularized model at one displacement s.
 
@@ -355,8 +343,8 @@ class _ModelPoint:
     `scaled` builds the point at 2**-h s from these products rather than
     from 2**-h s: chain entries after k contractions times 2**(-k h), and
     ||s|| times 2**-h.  `decrement_at` is that point's decrement without
-    building it.  Up to `exact_halvings` both are, bit for bit, what a
-    fresh point at 2**-h s would hold.
+    building it.  In real arithmetic both are what a fresh point at 2**-h s
+    would hold: each product is a power-of-two multiple of the one at s.
     """
 
     __slots__ = ("model", "s", "norm", "_chains", "_ends", "_derivs", "_decrement")
@@ -399,38 +387,6 @@ class _ModelPoint:
         out._derivs = {}
         out._decrement = None
         return out
-
-    def exact_halvings(self, *values) -> int:
-        """The most halvings h for which `scaled` and `decrement_at` match
-        a fresh point at 2**-h s bit for bit, and which keep each nonzero
-        value of the caller's ``values`` times 2**-h at least 2**-1021, one
-        binade clear of the subnormals, so that a product that rounded to
-        the value rounds, with an operand halved h times, to the value
-        times 2**-h.
-
-        Halving s multiplies every exact product and sum of a chain by a
-        power of two.  A rounding in the normal range commutes with it,
-        and a value under the normal range is exact when it is a multiple
-        of 2**-1074.  The products of a chain entry after k contractions
-        of T with s are multiples of lsb(T) lsb(s)**k, lsb being the least
-        unit in the last place over nonzero entries, and so is every sum
-        of them, in any order, fused or not.  So every entry is exact
-        while lsb(T) (lsb(s) 2**-h)**k >= 2**-1074 for each k; ||s|| needs
-        (lsb(s) 2**-h)**2 >= 2**-1074, and its square root then halves the
-        exponent exactly.  One lower bound on lsb(s) and every lsb(T), from
-        one pass over their entries, gives every bound.  A product that
-        overflowed at s would not at a halved s; an overflow reaches the
-        end of its chain as inf or NaN, so a point with a non-finite end,
-        norm or value answers 0.
-        """
-        if not all(map(math.isfinite, (self.norm, *self._ends, *values))):
-            return 0
-        tensors = self.model.bundle.tensors
-        e = _lsb_exponent([self.s, *tensors])  # lsb(s) and every lsb(T) >= 2**e
-        bounds = [e + (-_LEAST_EXPONENT) // 2]
-        bounds += [e + (e - _LEAST_EXPONENT) // k for k in range(1, len(tensors) + 1)]
-        bounds += [math.frexp(v)[1] + 1020 for v in values if v]
-        return max(0, min(bounds))
 
     def derivative(self, j: int) -> np.ndarray:
         """Order-j derivative tensor of the model at s (see

@@ -71,6 +71,15 @@ class TestConfigValidation:
         assert SolverConfig(q=2, epsilons=(0.1, 0.1)).varsigma == 1.0 - 1e-8
         assert SolverConfig(p=3, q=3, epsilons=(0.1,) * 3).varsigma == 0.5
 
+    def test_varsigma_above_the_guarantee_warns_with_both_values(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="arq"):
+            SolverConfig(q=2, epsilons=(0.1, 0.1), varsigma=1.0)
+        [line] = [r.getMessage() for r in caplog.records]
+        assert line.startswith(
+            "varsigma 1.0 exceeds 0.99999999, the fraction of the ball optimum "
+            "the order-2 measure certifies"
+        )
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -398,16 +407,15 @@ class TestRaySearch:
         assert out == run_step1(step1_reference, bundle, 1.0, cfg, 3.0)
         assert out[0][0] == "Certificate"
 
-    @pytest.mark.parametrize("hessian, acc, fresh", [
-        # H[d, d] is subnormal at every radius: no halving is provably a
-        # power of two of the one before, so every radius is measured.
-        ([[1e-300, 3e-301], [3e-301, 2e-300]], 0.0, "all"),
+    @pytest.mark.parametrize("hessian, acc", [
+        # H[d, d] is subnormal at every radius.
+        ([[1e-300, 3e-301], [3e-301, 2e-300]], 0.0),
         # The check's error sum acc * delta leaves the normal range after
-        # four halvings: the ray answers those, fresh measures the rest.
-        ([[1e3, 0.0], [0.0, 2e3]], 1e-306, "some"),
+        # four halvings.
+        ([[1e3, 0.0], [0.0, 2e3]], 1e-306),
     ])
-    def test_products_under_the_normal_range_are_measured_afresh(
-            self, monkeypatch, hessian, acc, fresh):
+    def test_products_under_the_normal_range_take_one_order1_measure(
+            self, monkeypatch, hessian, acc):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, acc0=(acc, acc), acc_max=acc)
         bundle = DerivativeBundle([np.array([1.0, -0.5]), np.array(hessian)])
         want = run_step1(step1_reference, bundle, 1e3, cfg, 3.0)
@@ -417,10 +425,20 @@ class TestRaySearch:
         halvings = got[2]
         assert np.frombuffer(got[1])[0] == 2.0**-halvings
         assert halvings >= 4
-        if fresh == "all":
-            assert len(measures) == halvings + 1
-        else:
-            assert 1 < len(measures) < halvings + 1
+        assert len(measures) == 1
+
+    def test_overflowed_decrement_is_measured_afresh_at_the_next_radius(self, monkeypatch):
+        # H[d, d] overflows at delta0 = 1 and not at 1/2; from there the
+        # ray search halves until the guard stops it.
+        cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, acc0=(0.0, 0.0), acc_max=0.0)
+        bundle = DerivativeBundle([np.ones(2), np.full((2, 2), 1.7e308)])
+        with np.errstate(over="ignore"):
+            want = run_step1(step1_reference, bundle, 1.0, cfg, 3.0)
+            measures = count_calls(monkeypatch, "optimality_measure")
+            got = run_step1(step1, bundle, 1.0, cfg, 3.0)
+        assert got == want
+        assert got[0][0] == "invariant"
+        assert [args[2] for args in measures] == [1.0, 0.5]
 
     def test_one_measure_and_one_check_whatever_the_halvings(self, monkeypatch):
         # The four halvings of TestStep1's positive-curvature case.
@@ -643,6 +661,16 @@ class TestSolve:
              noise="exact", seed=0)
     @example(cfg=SolverConfig(q=2, epsilons=(0.4, 0.4), varsigma=5e-324, max_iters=5),
              name="quadratic", noise="exact", seed=0)
+    # sigma overflows to inf, so the step-1 radius guard's floor is 0 and
+    # the radius halves to 0 (optimality_measure's ValueError before).
+    @example(cfg=SolverConfig(
+        p=3, q=2, epsilons=(0.26916823797154654, 0.021758781648522962),
+        sigma0=1.4477469485423794e16, sigma_min=0.05426551071070685,
+        eta1=0.4154983223615783, eta2=0.8390602554463588, gamma1=0.22340637245366615,
+        gamma2=1.3700867513902048e307, gamma3=1.4088349071161367e308,
+        gamma_acc=2.659508092789694e-60, omega=0.0037323892522031664,
+        theta=0.9999999999999999, acc_max=2.5187320736566266e306, max_iters=30),
+        name="rosenbrock", noise="exact", seed=30)
     @given(
         cfg=accepted_configs(max_iters=st.integers(1, 30)),
         name=st.sampled_from([name for name, _ in BENCH_PROBLEMS]),

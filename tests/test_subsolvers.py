@@ -353,6 +353,16 @@ class TestSolveTrs:
                 assert np.linalg.norm(d) <= delta * (1.0 + 1e-12)
                 assert g @ d + 0.5 * d @ h @ d <= 1e-12 * (scale_g + scale_h)
 
+    @pytest.mark.parametrize("h", [
+        [[1.7e308, 1e307], [1e307, 1.6e308]],  # positive definite
+        [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],  # singular
+    ])
+    def test_hessian_near_the_largest_float_symmetrizes_without_overflow(self, h):
+        with np.errstate(over="raise"):
+            d = solve_trs(np.ones(2), np.array(h), 1.0)
+        assert np.all(np.isfinite(d))
+        assert np.linalg.norm(d) <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("n", [2, 5, 20, 60])
     def test_positive_definite_interior_takes_one_factorization(self, n, eigh_calls):
         rng = np.random.default_rng(n)
