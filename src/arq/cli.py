@@ -122,8 +122,12 @@ def _add_settings(parser, keys) -> None:
         parser.add_argument(*flags, dest=key, help=help_text)
 
 
+# Settings only `sweep` reads; a config file may still hold them for any command.
+_SWEEP_ONLY = ("jobs", "runs")
+
+
 def _add_common(parser):
-    _add_settings(parser, [key for key in _SETTINGS if key != "runs"])
+    _add_settings(parser, [key for key in _SETTINGS if key not in _SWEEP_ONLY])
     parser.add_argument("--config", help="flat key = value config file")
 
 
@@ -217,7 +221,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep accuracy targets")
     _add_common(p_sweep)
-    _add_settings(p_sweep, ["runs"])
+    _add_settings(p_sweep, _SWEEP_ONLY)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="recheck a certificate exactly")

@@ -19,14 +19,10 @@ The driver alternates five phases per iteration k:
            one with the largest k; step 1 stops at its first.
 
 Step 1's order-1 halvings are one scalar search along the steepest-descent
-ray.  At radius delta0 * 2**-m the displacement is 2**-m times the one at
-delta0, so in real arithmetic its norm scales by 2**-m, each full
-contraction T_i[d, ..., d] by 2**(-i m), and the measure, both sides of
-the order-1 accuracy check and the termination threshold by 2**-m: both
-verdicts are made once, at delta0.  Only the test of the model decrement
-against half the termination threshold changes with m; it is made from
-the products at delta0 times powers of two, and step 2 starts from the
-point they give at the final radius (see `step1`).
+ray: in real arithmetic the measure, the accuracy check and the termination
+test at delta0 2**-m scale by 2**-m from delta0, so only the model
+decrement test is made again, from the products at delta0 (see `step1`).
+Step 2 starts from the measure's displacement at the final radius.
 
 Every check's error sum is linear in the accuracies, so gamma_acc^k is k
 fixed-factor step 5s at the same x without the derivative evaluations in
@@ -67,7 +63,7 @@ from .subsolvers import (
     minimize_model,
     optimality_measure,
 )
-from .tensors import RegularizedModel, _ModelPoint, taylor_decrement
+from .tensors import RegularizedModel, _ModelPoint, _norm, taylor_decrement
 
 logger = logging.getLogger("arq")
 
@@ -315,36 +311,23 @@ def _halve(state: SolverState, config: SolverConfig, j: int, guard_l_bar, times:
             )
 
 
-def _ray_search(state: SolverState, config: SolverConfig, guard_l_bar, threshold, meas, point):
-    """Order 1's halvings from the current radius delta0, as one scalar
-    search along the steepest-descent ray.
-
-    ``threshold`` is the termination threshold at delta0; the accuracy
-    check passed there and the measure ``meas`` is above the threshold.
-    ``point`` is the model point at delta0.  Halving the radius m times
-    scales the displacement, and both sides of the check and of the
-    termination test, by 2**-m (see `step1`), so only the decrement test
-    ``dm >= threshold / 2`` is made again, from the products at delta0.
-    The tests touch no state, so the m halvings, each with its radius
-    guard, follow the search.  Returns ``(measure, point)`` at the first
-    radius that passes the test.  A decrement at delta0 that fails the test
-    and is not finite (an overflowed product, or sigma ||d||**(p+1)
-    overflowing) does not scale: the radius is halved once and None
-    returned, and the caller measures it afresh.  From a finite one the
-    search ends, since every term of both sides tends to 0 in m.
+def _ray_search(point: _ModelPoint, threshold: float) -> int | None:
+    """The least number m of order-1 halvings from delta0 at which the
+    decrement test ``dm >= threshold / 2`` passes, from the products of
+    ``point``, the model at the order-1 measure's displacement at delta0
+    (see `step1`); ``threshold`` is the termination threshold at delta0.
+    Touches no state.  None is a non-finite decrement at delta0 (an
+    overflowed product, or sigma ||d||**(p+1) overflowing) that fails the
+    test: it does not scale.  From a finite one the search ends, since
+    every term of both sides tends to 0 in m.
     """
     m = 0
     # At delta0 2**-m, half the termination threshold is threshold 2**(-m-1).
     while not point.decrement_at(m) >= math.ldexp(threshold, -1 - m):  # NaN fails too
         if not math.isfinite(point.decrement()):
-            _halve(state, config, 1, guard_l_bar)
             return None
         m += 1
-    if m == 0:
-        return meas, point
-    _halve(state, config, 1, guard_l_bar, m)
-    point = point.scaled(m)
-    return MeasureResult(math.ldexp(meas.phi_bar, -m), point.s), point
+    return m
 
 
 def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
@@ -353,13 +336,14 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     Mutates ``state.delta`` in place, and counts its halvings in
     ``state.halvings``; the caller snapshots the entry values.
     Returns the `Certificate` when every order is small enough (terminate),
-    ``(j_k, measure, point)`` for the order step 2 works on, ``point`` being
-    the model at the measure's displacement, or the `Shortfall` of an
-    accuracy check that came back insufficient (go to step 5), with cause
-    ``step1 j=<j>``.
+    ``(j_k, measure)`` for the order step 2 works on and its measure at the
+    final radius, or the `Shortfall` of an accuracy check that came back
+    insufficient (go to step 5), with cause ``step1 j=<j>``.
 
     Order 1 measures, checks and tests for termination once, at its entry
-    radius delta0, and then halves by `_ray_search`.  The steepest-descent
+    radius delta0, then makes the m halvings `_ray_search` finds, each with
+    its radius guard, and returns its measure times 2**-m; with no m it
+    halves once and measures afresh.  The steepest-descent
     displacement at delta0 2**-m is -(delta0 2**-m / ||g||) g, 2**-m times
     the one at delta0.  In real arithmetic its norm is then 2**-m times
     that at delta0, each full contraction T_i[d, ..., d] 2**(-i m) times
@@ -408,12 +392,15 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
                 break
             point = _ModelPoint(model, meas.displacement)
             if j == 1:
-                found = _ray_search(state, config, guard_l_bar, threshold, meas, point)
-                if found is None:
+                m = _ray_search(point, threshold)
+                if m is None:
+                    _halve(state, config, 1, guard_l_bar)
                     continue
-                return (j, *found)
+                _halve(state, config, 1, guard_l_bar, m)
+                return 1, MeasureResult(math.ldexp(meas.phi_bar, -m),
+                                        np.ldexp(meas.displacement, -m))
             if point.decrement() >= 0.5 * threshold:
-                return j, meas, point
+                return j, meas
             _halve(state, config, j, guard_l_bar)
     return Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
 
@@ -428,8 +415,8 @@ def step2(
 ):
     """Step computation plus the accuracy vetting of its decrement.
 
-    The model minimizer starts from ``start``, step 1's model point at the
-    order-j_k measure's displacement, which it then need not rebuild.
+    The model minimizer starts from ``start``, the displacement of step 1's
+    order-j_k measure.
 
     The step's own model measures must be small: order ell against the
     target ``varsigma theta (1 - omega) / (2 (1 + omega)) * epsilon_ell``,
@@ -455,7 +442,7 @@ def step2(
         max_inner=config.max_inner_iters,
     )
     s = step_res.step
-    step_norm = float(np.linalg.norm(s))
+    step_norm = _norm(s)
     dec_p = taylor_decrement(bundle, s, config.p)
 
     delta_1 = float(state.delta[j_k - 1])
@@ -621,9 +608,9 @@ def solve(
             out = step1(state, bundle, model, config, guard_l_bar)
             record.delta_end = state.delta.copy()
             record.halvings = state.halvings
-            if isinstance(out, tuple):  # (j_k, measure, point): compute a step
+            if isinstance(out, tuple):  # (j_k, measure): compute a step
                 record.j_k = out[0]
-                out = step2(state, bundle, model, config, out[0], out[2])
+                out = step2(state, bundle, model, config, out[0], out[1].displacement)
             if isinstance(out, Certificate):
                 record.f_bar_after = state.f_bar[0] if state.f_bar else None
             elif isinstance(out, Shortfall):
@@ -636,7 +623,7 @@ def solve(
                 record.kind = KIND_SUCCESS if rho >= config.eta1 else KIND_UNSUCCESS
                 record.rho = rho
                 record.step = step_res.step.copy()
-                record.step_norm = float(np.linalg.norm(step_res.step))
+                record.step_norm = _norm(step_res.step)
                 record.dec_bar = dec_p
                 record.inner_iterations = step_res.inner_iterations
                 record.f_bar_after = state.f_bar[0]

@@ -176,7 +176,9 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     `_TRS_FACTORIZATIONS` factorizations in all.  Every other case (H not
     positive definite, a failed factorization of H + mu I, the cap reached,
     or a residual that stops falling) is solved in the eigenbasis of H (see
-    `_solve_trs_eigen`).
+    `_solve_trs_eigen`), with g and H first scaled by a power of two when
+    an entry exceeds 2**500 (the eigenvalues and the objective could overflow
+    near the largest float); that scales the objective, not its minimizer.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -196,6 +198,10 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         d = _boundary_step_from_factors(g, hs, delta, chol, d)
         if d is not None:
             return d
+    top = max(float(np.max(np.abs(g))), float(np.max(np.abs(h))))
+    if top > 2.0**500:
+        e = -math.frexp(top)[1]
+        g, h, hs = np.ldexp(g, e), np.ldexp(h, e), np.ldexp(hs, e)
     return _solve_trs_eigen(g, h, hs, delta)
 
 
@@ -521,13 +527,10 @@ def minimize_model(
     decrement at least that of the warm start, so the descent postcondition
     holds by monotonicity.
 
-    ``warm_start`` is a displacement, or a `tensors._ModelPoint` of `model`
-    at one, which is used as it is.
+    ``warm_start`` is a displacement; the solver's step 2 passes the
+    displacement of step 1's measure.
     """
-    if isinstance(warm_start, _ModelPoint):
-        point = warm_start
-    else:
-        point = _ModelPoint(model, np.asarray(warm_start, dtype=float).copy())
+    point = _ModelPoint(model, np.asarray(warm_start, dtype=float).copy())
     if delta_caps is None:
         delta_caps = np.ones(len(targets))
     if not point.decrement() > 0:

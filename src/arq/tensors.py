@@ -17,11 +17,12 @@ kernel on float arrays; the package's inner loops, which already hold such
 arrays, call the kernels directly.  `_ModelPoint` is the kernel of the
 regularized model at one displacement s: it computes ||s|| and each product
 of a bundle tensor with s once and shares them between the model decrement
-and its derivatives at s.  It also gives the model at 2**-h s from those
-products times powers of two, which in real arithmetic are the products
-at 2**-h s; that is how step 1 halves its order-1 radius.  It lives as
-long as its caller holds it.  `_norm` is numpy's own 1-D norm formula
-without its dispatch.
+and its derivatives at s.  It also gives the model decrement at 2**-h s
+from those products times powers of two, which in real arithmetic are the
+products at 2**-h s; that is how step 1 searches its order-1 radius.  It
+lives as long as its caller holds it.  `_norm` is numpy's own 1-D norm
+formula without its dispatch wherever the sum of squares is in range, and a
+norm of the vector scaled by a power of two elsewhere.
 
 Norms also come by the stack: `operator_norms` and `frobenius_norms` norm an
 iterable of same-shape tensors a bounded stack at a time, in a few array
@@ -289,10 +290,23 @@ def _check_order(j: int, top: int) -> None:
         raise ValueError(f"order {j} outside 1..{top}")
 
 
+# Least v.dot(v) `_norm` takes as it is: squares under the normal range lose
+# at most n 2**-175 of it, far under its rounding.
+_LEAST_SQUARES = 2.0**-900
+
+
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a contiguous 1-D float array, by the formula
-    `np.linalg.norm` uses (sqrt of ``v.dot(v)``), so bit for bit the same."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a 1-D float array: sqrt(v.dot(v)), numpy's own
+    formula, bit for bit, when v.dot(v) is finite and at least
+    `_LEAST_SQUARES`; else that of v scaled by the power of two putting its
+    largest |entry| in [1/2, 1), scaled back.  NaN and inf entries give
+    NaN or inf."""
+    squares = v.dot(v)
+    if _LEAST_SQUARES <= squares < math.inf:  # NaN fails too
+        return math.sqrt(squares)
+    e = math.frexp(np.max(np.abs(v), initial=0.0))[1]  # 0 for 0, inf and NaN
+    w = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(w.dot(w)), e))
 
 
 def _full_contraction(tensor: np.ndarray, s: np.ndarray) -> float:
@@ -339,12 +353,11 @@ class _ModelPoint:
     point lives as long as its caller holds it; nothing is kept across
     calls.
 
-    A point also answers for the displacements 2**-h s along its ray.
-    `scaled` builds the point at 2**-h s from these products rather than
-    from 2**-h s: chain entries after k contractions times 2**(-k h), and
-    ||s|| times 2**-h.  `decrement_at` is that point's decrement without
-    building it.  In real arithmetic both are what a fresh point at 2**-h s
-    would hold: each product is a power-of-two multiple of the one at s.
+    `decrement_at` gives the decrement at 2**-h s along the point's ray
+    from these products: each full contraction T_i[s, ..., s] times
+    2**(-i h), and ||s|| times 2**-h.  In real arithmetic that is what a
+    point at 2**-h s would give: each product is a power-of-two multiple of
+    the one at s.
     """
 
     __slots__ = ("model", "s", "norm", "_chains", "_ends", "_derivs", "_decrement")
@@ -374,19 +387,6 @@ class _ModelPoint:
         b = len(self._ends) + 1
         reg = self.model.sigma / math.factorial(b) * math.ldexp(self.norm, -halvings) ** b
         return _taylor_drop(self._ends, halvings) - reg
-
-    def scaled(self, halvings: int) -> _ModelPoint:
-        """The point at 2**-halvings s, from the products at s."""
-        out = _ModelPoint.__new__(_ModelPoint)
-        out.model = self.model
-        out.s = np.ldexp(self.s, -halvings)
-        out.norm = math.ldexp(self.norm, -halvings)
-        out._chains = [[np.ldexp(c, -k * halvings) if k else c for k, c in enumerate(chain)]
-                       for chain in self._chains]
-        out._ends = [math.ldexp(c, -i * halvings) for i, c in enumerate(self._ends, start=1)]
-        out._derivs = {}
-        out._decrement = None
-        return out
 
     def derivative(self, j: int) -> np.ndarray:
         """Order-j derivative tensor of the model at s (see

@@ -417,6 +417,15 @@ class TestSettingsTable:
         assert value == expected
         assert isinstance(value, _SETTINGS[key])
 
+    @pytest.mark.parametrize("command", ["solve", "bounds"])
+    def test_sweep_settings_are_flags_of_sweep_only(self, command, capsys):
+        for key in ("jobs", "runs"):
+            with pytest.raises(SystemExit) as exc:
+                make_parser().parse_args([command, f"--{key}", "2"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{key} 2" in capsys.readouterr().err
+            assert make_parser().parse_args(["sweep", f"--{key}", "2"]).__dict__[key] == "2"
+
     def test_malformed_values_exit_one(self, tmp_path):
         assert main(["solve", "--dim", "abc"]) == 1
         cfg = tmp_path / "bad.cfg"

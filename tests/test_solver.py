@@ -30,7 +30,6 @@ from arq.subsolvers import MeasureResult, StepResult, SubsolverStallError, optim
 from arq.tensors import (
     DerivativeBundle,
     RegularizedModel,
-    _ModelPoint,
     model_decrement,
     taylor_decrement,
 )
@@ -146,7 +145,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1.0, 0.0)
-        j_k, measure, _ = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+        j_k, measure = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
         assert j_k == 1
         assert state.delta[0] == 1.0
         assert measure.phi_bar == pytest.approx(1.0)
@@ -174,7 +173,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
         state = make_state(sigma=0.1)
         bundle = bundle_1d(0.15, 3.0)
-        j_k, _, _ = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert j_k == 1
         # four halvings: at delta = 0.0625 the order-2 drop at the probe
         # displacement finally clears half the exit threshold
@@ -213,7 +212,7 @@ class TestLazyGuard:
         state = make_state(sigma=0.001)
         bundle = bundle_1d(2.0, 200.0)
         calls = []
-        j_k, _, _ = step1(
+        j_k, _ = step1(
             state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: calls.append(1)
         )
         assert j_k == 1
@@ -230,7 +229,7 @@ class TestLazyGuard:
             seen.append(float(state.delta[0]))
             return 1e6
 
-        j_k, _, _ = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
+        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
         assert j_k == 1
         assert seen
         assert all(d < lowest_guard_floor(cfg, 0.001) for d in seen)
@@ -268,9 +267,8 @@ class TestLazyGuard:
 def step1_reference(state, bundle, model, config, guard_l_bar):
     """Step 1 with every halving evaluated afresh: the measure, its
     accuracy check, the termination test and the model decrement at each
-    radius, for every order.  Returns what `step1` returns, its point
-    built afresh at the measure's displacement, and counts its halvings as
-    `step1` does."""
+    radius, for every order.  Returns what `step1` returns, and counts its
+    halvings as `step1` does."""
     state.halvings = 0
     measured = []
     for j in range(1, config.q + 1):
@@ -291,7 +289,7 @@ def step1_reference(state, bundle, model, config, guard_l_bar):
                 break
             dm = model_decrement(model, meas.displacement)
             if dm >= 0.5 * _termination_threshold(config, j, delta_j):
-                return j, meas, _ModelPoint(model, meas.displacement)
+                return j, meas
             state.delta[j - 1] = 0.5 * delta_j
             state.halvings += 1
             lowest = _radius_floor(config, j, 1.0 + config.acc_max, state.sigma)
@@ -321,15 +319,9 @@ def bits(value):
     return value
 
 
-def point_bits(point):
-    return bits((point.s, point.norm, point._chains, point._ends, point.decrement()))
-
-
 def run_step1(step, bundle, sigma, config, l_bar):
     """(outcome, radii, halvings, guard calls) of one step 1 from the
-    entry radii ``config.delta0``, with the guard's L-bar ``l_bar``; a
-    step-1 point is checked against a fresh one at its displacement, then
-    dropped."""
+    entry radii ``config.delta0``, with the guard's L-bar ``l_bar``."""
     state = SolverState(
         x=np.zeros(bundle.dim), sigma=sigma, delta=np.array(config.delta0),
         delta_start=np.array(config.delta0), acc=np.array(config.acc0),
@@ -345,11 +337,6 @@ def run_step1(step, bundle, sigma, config, l_bar):
         out = step(state, bundle, model, config, guard)
     except InternalInvariantError as exc:
         out = ("invariant", str(exc))
-    if isinstance(out, tuple) and len(out) == 3:
-        j_k, meas, point = out
-        assert point.model is model
-        assert point_bits(point) == point_bits(_ModelPoint(model, meas.displacement))
-        out = (j_k, meas)
     return bits(out), state.delta.tobytes(), state.halvings, calls
 
 
@@ -447,10 +434,9 @@ class TestRaySearch:
         bundle = bundle_1d(0.15, 3.0)
         measures = count_calls(monkeypatch, "optimality_measure")
         checks = count_calls(monkeypatch, "check")
-        j_k, meas, point = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        j_k, meas = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert state.delta[0] == 2.0**-4
         assert (len(measures), len(checks)) == (1, 1)
-        assert meas.displacement.tobytes() == point.s.tobytes()
 
     def test_solve_traces_match_the_per_halving_loop(self, monkeypatch):
         seed = bench_seeds()[0]

@@ -363,6 +363,16 @@ class TestSolveTrs:
         assert np.all(np.isfinite(d))
         assert np.linalg.norm(d) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("g", [[1.0, 1.0], [1e308, -1e308]])
+    def test_indefinite_hessian_near_the_largest_float_is_scaled_before_eigh(self, g):
+        # Its eigenvalues overflow unscaled: brentq met NaN at g = (1, 1),
+        # and the objective's dot overflowed at the larger g.
+        h = np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308]])
+        with np.errstate(over="raise", invalid="raise"):
+            d = solve_trs(np.array(g), h, 1.0)
+        assert np.all(np.isfinite(d))
+        assert np.linalg.norm(d) <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("n", [2, 5, 20, 60])
     def test_positive_definite_interior_takes_one_factorization(self, n, eigh_calls):
         rng = np.random.default_rng(n)

@@ -417,7 +417,35 @@ class TestKernelsMatchTheReference:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 20, 64, 200])
     def test_lean_norm_is_numpys(self, n):
+        # Wherever v.dot(v) is finite and not far under the normal range.
         rng = np.random.default_rng(n)
-        for scale in (0.0, 1e-160, 1e-20, 1.0, 1e20, 1e150):
+        for scale in (0.0, 1e-20, 1.0, 1e20, 1e150):
             v = scale * rng.standard_normal(n)
             assert same_bits(tensors._norm(v), np.linalg.norm(v))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200])
+    def test_norm_outside_the_range_of_squares_is_numpys_scaled(self, n):
+        # The same bits as numpy's norm of v brought into range by a power
+        # of two, scaled back: the squares underflow or overflow unscaled.
+        rng = np.random.default_rng(n)
+        for scale, k in ((1e-170, 600), (1e-160, 600), (1e155, -600), (1e300, -600)):
+            v = scale * rng.standard_normal(n)
+            with np.errstate(over="ignore"):
+                got = tensors._norm(v)
+            assert same_bits(got, math.ldexp(np.linalg.norm(np.ldexp(v, k)), -k))
+
+    @pytest.mark.parametrize("v, want", [
+        ((1e-170, 1e-170), 1.4142135623730951e-170),
+        ((3e-160, 4e-160), 5e-160),
+        ((1e155, 1e155), 1.414213562373095e155),
+    ])
+    def test_norm_where_squares_underflow_or_overflow(self, v, want):
+        with np.errstate(over="ignore"):
+            assert tensors._norm(np.array(v)) == want
+
+    def test_model_point_norm_scales_with_its_displacement(self):
+        # At 2**-538 s the squares of s are under the normal range.
+        for s in (np.array([0.3]), np.array([0.75, -0.4, 1.1])):
+            model = RegularizedModel(random_bundle(np.random.default_rng(s.size), s.size, 2), 1.0)
+            tiny = tensors._ModelPoint(model, np.ldexp(s, -538))
+            assert tiny.norm == math.ldexp(tensors._ModelPoint(model, s).norm, -538)

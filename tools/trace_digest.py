@@ -1,0 +1,108 @@
+"""Print one ``label sha256`` line per task of a perfbench workload.
+
+A solve task's digest covers every trace record, the certificate, the
+evaluation counters and the `arq.harness.verify_certificate` record, or,
+for a solve that stopped, the stop status and message with the trace and
+counters it carries.  A sweep task's digest covers its rows and slopes.
+Floats are hashed by their bits and arrays by their bytes, so two checkouts
+print the same lines exactly when their runs agree bit for bit:
+
+    python tools/trace_digest.py --workload grid --seed 20240809 > new.txt
+    (the same command in the other checkout) > old.txt
+    diff old.txt new.txt
+
+The tasks are built by ``perfbench/workloads.py``, imported as it is, and
+``arq`` is imported from this checkout's ``src``.  BLAS is pinned to one
+thread, as ``perfbench/run.py`` pins it.
+"""
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _bootstrap() -> None:
+    for var in BLAS_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+
+def _canonical(value):
+    """`value` as nested tuples of strings: floats by their bits, arrays by
+    dtype, shape and bytes, dataclasses by name and fields, dicts by
+    sorted key."""
+    import numpy as np
+
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (bool, int, str, type(None), np.integer, np.bool_)):
+        return repr(value.item() if isinstance(value, np.generic) else value)
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, repr(value.shape), value.tobytes().hex())
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            (f.name, _canonical(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return tuple((repr(k), _canonical(value[k])) for k in sorted(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical(v) for v in value)
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def _solve_record(task) -> dict:
+    import arq
+    import arq.harness
+
+    try:
+        result = arq.solve(task.problem, task.noise, task.config)
+    except Exception as exc:
+        return {"error": type(exc).__name__, "status": getattr(exc, "status", None),
+                "message": str(exc), "trace": getattr(exc, "trace", None),
+                "counters": getattr(exc, "counters", None)}
+    return {"trace": result.trace, "certificate": result.certificate,
+            "counters": result.counters,
+            "verify": arq.harness.verify_certificate(task.problem, result.certificate)}
+
+
+def _sweep_record(task) -> dict:
+    import arq.harness
+
+    try:
+        summary = arq.harness.run_sweep(task.spec)
+    except Exception as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {key: summary[key] for key in ("rows", "slope_value", "slope_deriv")}
+
+
+def digests(workload: str, seed: int):
+    """(label, sha256 hex digest) of each task of one pass, in task order."""
+    import workloads as wl
+
+    for task in wl.build_tasks(workload, seed):
+        record = _sweep_record(task) if isinstance(task, wl.SweepTask) else _solve_record(task)
+        text = repr(_canonical(record)).encode()
+        yield task.label, hashlib.sha256(text).hexdigest()
+
+
+def main(argv=None) -> int:
+    _bootstrap()
+    import workloads as wl
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=wl.WORKLOADS)
+    parser.add_argument("--seed", type=int, default=wl.DEFAULT_SEED)
+    args = parser.parse_args(argv)
+    for label, digest in digests(args.workload, args.seed):
+        print(label, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
