@@ -151,7 +151,11 @@ def exact_phi(problem: Problem, x, j: int, delta: float) -> float:
     """Ball optimality measure of order j at x, from exact derivatives.
 
     Closed form for j = 1, global trust-region solve for j = 2, polar-grid
-    brute force for j = 3 (supported for dim <= 3 only).
+    brute force for j = 3 (supported for dim <= 3 only).  The order-2
+    recheck is not independent of the solver: it calls the same
+    `solve_trs` that step 1 and step 2 use, so a fault in that kernel
+    would pass its own recheck.  Only the derivatives differ (exact here,
+    inexact in the run).
     """
     x = np.asarray(x, dtype=float)
     if j == 1:

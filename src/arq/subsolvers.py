@@ -5,11 +5,11 @@ decrement over a Euclidean ball, the quantity the outer algorithm uses both
 as its optimality measure and as its progress certificate:
 
     order 1  closed form (scaled steepest descent), exact;
-    order 2  global trust-region subproblem, near-exact: for a positive
-             definite Hessian, Cholesky factorizations alone (one when the
-             Newton step lies in the ball, Moré-Sorensen iterations on the
-             boundary); otherwise an eigendecomposition and a
-             secular-equation root find;
+    order 2  global trust-region subproblem, near-exact: the Newton step
+             when H is positive definite and it lies in the ball, else one
+             Moré-Sorensen Newton iteration on the secular equation, its
+             solves by Cholesky factors of H + mu I or, for any other H, in
+             closed form in the eigenbasis;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
              stop rules, a stopped row masked out) for at most 80
@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import brentq
 
 from .tensors import (
     DerivativeBundle,
@@ -171,14 +171,14 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     Sorensen (1983), a Cholesky factorization of the symmetrized H comes
     first: when it succeeds, H is positive definite, and a Newton step
     d = -H^-1 g with ||d|| <= delta is the solution (mu = 0).  A Newton
-    step outside the ball is moved to the boundary by Moré-Sorensen
-    iterations on the factors (see `_boundary_step_from_factors`), at most
-    `_TRS_FACTORIZATIONS` factorizations in all.  Every other case (H not
-    positive definite, a failed factorization of H + mu I, the cap reached,
-    or a residual that stops falling) is solved in the eigenbasis of H (see
-    `_solve_trs_eigen`), with g and H first scaled by a power of two when
-    an entry exceeds 2**500 (the eigenvalues and the objective could overflow
-    near the largest float); that scales the objective, not its minimizer.
+    step outside the ball is moved to the boundary by `_secular_newton`
+    from mu = 0, one factorization of H + mu I per step.  Every other case
+    (H not positive definite, a failed factorization, or an iteration that
+    does not converge) is solved by the same iteration in the eigenbasis of
+    H (see `_solve_trs_eigen`), with g and H first scaled by a power of two
+    when an entry exceeds 2**500 (the eigenvalues and the objective could
+    overflow near the largest float); that scales the objective, not its
+    minimizer.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -195,9 +195,10 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         d, _ = dpotrs(chol, -g)
         if _norm(d) <= delta:
             return d
-        d = _boundary_step_from_factors(g, hs, delta, chol, d)
-        if d is not None:
-            return d
+        w, _ = dtrtrs(chol, d, trans=1)
+        d, converged = _secular_newton(partial(_factor_solve, g, hs), delta, 0.0, d, _norm(w))
+        if converged:
+            return d * (delta / _norm(d))
     top = max(float(np.max(np.abs(g))), float(np.max(np.abs(h))))
     if top > 2.0**500:
         e = -math.frexp(top)[1]
@@ -205,73 +206,74 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     return _solve_trs_eigen(g, h, hs, delta)
 
 
-# Cholesky factorizations one solve may take, the first included, before the
-# boundary step falls back to the eigendecomposition.  On 640 seeded boundary
-# instances (n = 2-60, cond(H) = 1-1e12) every converged solve took at most 6
-# at cond(H) <= 1e3 and at most 14 at 1e8-1e12.  Where it does not converge,
-# the residual stalls at the rounding of the factors (about 1e-10 at
-# cond(H) = 1e8); the iteration falls back as soon as it stops falling, so
-# the cap bounds only a residual that keeps creeping down.
-_TRS_FACTORIZATIONS = 20
-# Relative residual | ||d(mu)|| - delta | / delta at which the boundary
+# Newton steps one secular solve may take.  On 640 seeded positive definite
+# boundary instances (n = 2-60, cond(H) = 1-1e12) the Cholesky path converged
+# within 5 at cond(H) <= 1e3 and 13 at 1e8-1e12, or its residual stalled at
+# the rounding of the factors (about 1e-10 at cond(H) = 1e8).
+_TRS_NEWTON_STEPS = 19
+# Relative residual | ||d(mu)|| - delta | / delta at which the secular
 # iteration stops.
 _TRS_SECULAR_RTOL = 1e-13
 
 
-def _boundary_step_from_factors(g, hs, delta, chol, d):
-    """Boundary step for a positive definite `hs` whose Newton step `d`
-    (from the upper Cholesky factor `chol` of `hs`) leaves the ball, or None
-    when the iteration does not converge within `_TRS_FACTORIZATIONS`
-    factorizations, its residual | ||d|| - delta | stops falling, or
-    H + mu I fails to factor.
+def _secular_newton(solve, delta, mu, d, w_norm):
+    """Newton's method on the secular equation 1/||d(mu)|| = 1/delta.
 
-    Newton's method on the secular equation 1/||d(mu)|| = 1/delta, with
-    d(mu) = -(H + mu I)^-1 g and H + mu I = U'U, from mu = 0: with
-    w = U^-T d, mu grows by (||d|| / ||w||)^2 (||d|| - delta) / delta.  The
-    left side is concave in mu, so the iterates rise monotonically to the
-    root, ||d|| falls monotonically to delta, and every H + mu I is positive
-    definite.  A residual that does not fall is therefore rounding in the
-    factors, never progress to come.  The converged step is scaled onto the
-    sphere.
+    ``solve(mu)`` returns d(mu) = -(H + mu I)^-1 g and ||w||, where
+    ||w||^2 = d'(H + mu I)^-1 d, or None; `d` and `w_norm` are its values
+    at a start `mu` left of the root.  The left side is concave in mu, so
+    mu rises monotonically to the root; a residual | ||d|| - delta | that
+    does not fall is rounding.  Returns the last d and whether its residual
+    reached `_TRS_SECULAR_RTOL` * delta before `_TRS_NEWTON_STEPS` steps, a
+    residual that stops falling, an ||w|| that underflows to 0, or a failed
+    solve.
     """
-    a = hs.copy()
-    diagonal = a.reshape(-1)[:: g.size + 1]  # a view: a's diagonal
-    mu = 0.0
     residual = math.inf
-    for factorizations in range(1, _TRS_FACTORIZATIONS + 1):
+    for steps in range(_TRS_NEWTON_STEPS + 1):
         nd = _norm(d)
         gap = abs(nd - delta)
         if gap <= _TRS_SECULAR_RTOL * delta:
-            return d * (delta / nd)
-        if factorizations == _TRS_FACTORIZATIONS or not gap < residual:
+            return d, True
+        if steps == _TRS_NEWTON_STEPS or not gap < residual or w_norm == 0.0:
             break
         residual = gap
-        w, _ = dtrtrs(chol, d, trans=1)
-        mu += (nd / _norm(w)) ** 2 * (nd - delta) / delta
-        np.copyto(a, hs)
-        diagonal += mu
-        chol, info = dpotrf(a)
-        if info != 0:
+        mu += (nd / w_norm) ** 2 * (nd - delta) / delta
+        solved = solve(mu)
+        if solved is None:
             break
-        d, _ = dpotrs(chol, -g)
-    return None
+        d, w_norm = solved
+    return d, False
+
+
+def _factor_solve(g, hs, mu):
+    """`_secular_newton`'s solve by the Cholesky factor U'U of H + mu I,
+    with w = U^-T d; None where H + mu I does not factor."""
+    a = hs.copy()
+    a.reshape(-1)[:: g.size + 1] += mu  # a's diagonal, as a view
+    chol, info = dpotrf(a)
+    if info != 0:
+        return None
+    d, _ = dpotrs(chol, -g)
+    w, _ = dtrtrs(chol, d, trans=1)
+    return d, _norm(w)
 
 
 def _solve_trs_eigen(g, h, hs, delta):
     """`solve_trs` in the eigenbasis of the symmetrized Hessian `hs`.
 
     A strictly convex interior solution is the Newton step.  Otherwise the
-    boundary multiplier solves the secular equation ||d(mu)|| = delta, here
-    root-found on the better-conditioned form 1/||d(mu)|| = 1/delta.  The
-    hard case (gradient orthogonal to the minimal eigenspace with the
-    pseudo-solution interior) is completed by moving along a minimal
-    eigenvector to the boundary.
+    multiplier comes from `_secular_newton`, started just right of
+    max(0, -lam_1), its solves closed form in the eigenbasis: e =
+    -gh / (lam + mu) and ||w|| = ||e / sqrt(lam + mu)||.  The hard case
+    (gradient orthogonal to the minimal eigenspace with the pseudo-solution
+    interior), and a root pinched against that start, are completed by
+    moving along a minimal eigenvector to the boundary.
     """
-    n = g.size
     lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
     lam1 = float(lam[0])
-    scale = max(1.0, float(np.max(np.abs(lam))), _norm(gh) / delta)
+    lam_scale = max(1.0, float(np.max(np.abs(lam))))
+    scale = max(lam_scale, _norm(gh) / delta)
 
     def qval(d):
         return float(g @ d + 0.5 * d @ h @ d)
@@ -284,33 +286,28 @@ def _solve_trs_eigen(g, h, hs, delta):
             return d
 
     mu_floor = max(0.0, -lam1)
-    min_mask = lam - lam1 <= 1e-12 * scale
+    min_mask = lam - lam1 <= 1e-12 * lam_scale
     gh_min = float(np.max(np.abs(gh[min_mask]), initial=0.0))
 
     nz = ~min_mask
-    d0 = np.zeros(n)
+    d0 = np.zeros_like(g)
     d0[nz] = -gh[nz] / (lam[nz] + mu_floor)
-    nd0 = _norm(d0)
-
-    if gh_min <= 1e-11 * scale and nd0 <= delta:
+    if gh_min <= 1e-11 * scale and _norm(d0) <= delta:
         return _complete_to_boundary(q @ d0, q[:, 0], delta, qval)
 
-    def inv_norm_gap(mu):
-        return 1.0 / _norm(gh / (lam + mu)) - 1.0 / delta
+    def solve(mu):
+        shifted = lam + mu
+        e = -gh / shifted
+        return e, _norm(e / np.sqrt(shifted))
 
     lo = mu_floor + max(1e-14, 1e-13 * scale)
-    if inv_norm_gap(lo) >= 0.0:
+    e, w_norm = solve(lo)
+    if _norm(e) <= delta:
         # Root is pinched against the floor; the offset solution already
         # sits (numerically) inside the ball, so complete as in the hard case.
-        base = q @ (-gh / (lam + lo))
-        return _complete_to_boundary(base, q[:, 0], delta, qval)
-    hi = max(1.0, mu_floor + scale)
-    while inv_norm_gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RuntimeError("secular-equation bracket failed")
-    mu = brentq(inv_norm_gap, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
-    d = q @ (-gh / (lam + mu))
+        return _complete_to_boundary(q @ e, q[:, 0], delta, qval)
+    e, _ = _secular_newton(solve, delta, lo, e, w_norm)
+    d = q @ e
     nd = _norm(d)
     if nd > 0:
         d *= delta / nd

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,54 @@ def eigh_trs_reference(g, h, delta):
     return d * (delta / np.linalg.norm(d))
 
 
+def mp_trs_optima(g, h, deltas):
+    """The optimal values of min g.d + 0.5 d'Hd over ||d|| <= delta, one per
+    delta, computed with 50 digits, for a symmetric h with a negative lowest
+    eigenvalue lambda_1 and a g not orthogonal to its eigenvector (no hard
+    case): the eigendecomposition by `mpmath.eigsy`, the multiplier by a
+    bracketed root find on delta / ||d(mu)|| = 1 right of -lambda_1."""
+    n = len(g)
+    with mpmath.workdps(50):
+        lam, q = mpmath.eigsy(mpmath.matrix(h.tolist()))
+        lam = [lam[i] for i in range(n)]
+        gh = [mpmath.fsum(q[j, i] * g[j] for j in range(n)) for i in range(n)]
+        low = min(range(n), key=lambda i: lam[i])
+        assert lam[low] < 0 and gh[low] != 0
+        optima = []
+        for delta in deltas:
+            delta = mpmath.mpf(delta)
+
+            def gap(mu):
+                return delta / mpmath.norm([x / (l + mu) for x, l in zip(gh, lam)]) - 1
+
+            bracket = (-lam[low] + abs(gh[low]) / delta / 2,
+                       -lam[low] + mpmath.norm(gh) / delta)
+            mu = mpmath.findroot(gap, bracket, solver="anderson")
+            optima.append(mpmath.fsum(-x * x / (l + mu) * (1 - l / (l + mu) / 2)
+                                      for x, l in zip(gh, lam)))
+        return optima
+
+
+def mp_model_value(g, h, d):
+    """g.d + 0.5 d'Hd of float inputs with 50 digits, as an mpf."""
+    with mpmath.workdps(50):
+        dm = [mpmath.mpf(float(x)) for x in d]
+        n = len(dm)
+        return (mpmath.fsum(mpmath.mpf(float(g[i])) * dm[i] for i in range(n))
+                + mpmath.fsum(mpmath.mpf(float(h[i, j])) * dm[i] * dm[j]
+                              for i in range(n) for j in range(n)) / 2)
+
+
+def random_indefinite(rng, n):
+    """A symmetric matrix with standard normal entries, shifted so that its
+    lowest eigenvalue is negative."""
+    h = random_symmetric(rng, n, 2)
+    lowest = float(np.linalg.eigvalsh(h)[0])
+    if lowest >= 0.0:
+        h -= (lowest + 1.0) * np.eye(n)
+    return h
+
+
 def random_positive_definite(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T / n + 0.5 * np.eye(n)
@@ -365,8 +414,8 @@ class TestSolveTrs:
 
     @pytest.mark.parametrize("g", [[1.0, 1.0], [1e308, -1e308]])
     def test_indefinite_hessian_near_the_largest_float_is_scaled_before_eigh(self, g):
-        # Its eigenvalues overflow unscaled: brentq met NaN at g = (1, 1),
-        # and the objective's dot overflowed at the larger g.
+        # Its eigenvalues overflow unscaled: the secular solve met NaN at
+        # g = (1, 1), and the objective's dot overflowed at the larger g.
         h = np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308]])
         with np.errstate(over="raise", invalid="raise"):
             d = solve_trs(np.array(g), h, 1.0)
@@ -435,7 +484,7 @@ class TestSolveTrs:
                 d = solve_trs(g, h, delta)
                 if cond <= 1e3:
                     assert len(eigh_calls) == n_eigh
-                assert np.linalg.norm(d) == pytest.approx(delta, rel=1e-12)
+                assert np.linalg.norm(d) / delta == pytest.approx(1.0, rel=1e-12)
                 eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
                 scale = abs(model_ref)
                 worst_gap = max(worst_gap, abs(model_value(g, h, d) - model_ref) / scale)
@@ -451,7 +500,7 @@ class TestSolveTrs:
         g = rng.standard_normal(20)
         delta = 1e-3 * float(np.linalg.norm(np.linalg.solve(h, g)))
         if stop == "cap":
-            monkeypatch.setattr(subsolvers, "_TRS_FACTORIZATIONS", 2)
+            monkeypatch.setattr(subsolvers, "_TRS_NEWTON_STEPS", 1)
         else:
             counted = subsolvers.dpotrf
 
@@ -481,7 +530,7 @@ class TestSolveTrs:
                 counts.append(len(dpotrf_calls) - first)
         # These solves stall at the rounding of the factors, and the stall
         # ends them before the cap.
-        assert max(counts) < subsolvers._TRS_FACTORIZATIONS
+        assert max(counts) <= subsolvers._TRS_NEWTON_STEPS
         assert min(counts) >= 1
 
     def test_stalled_boundary_solve_stops_early_on_the_eigen_path(self, eigh_calls,
@@ -498,7 +547,7 @@ class TestSolveTrs:
                 if len(eigh_calls) == eighs:
                     continue  # converged on the factors
                 stalled += 1
-                assert len(dpotrf_calls) - first < subsolvers._TRS_FACTORIZATIONS
+                assert len(dpotrf_calls) - first <= subsolvers._TRS_NEWTON_STEPS
                 eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
                 assert d.tobytes() == eigen.tobytes()
         assert stalled >= 6
@@ -515,6 +564,47 @@ class TestSolveTrs:
         ref = polar_grid_phi([g, h], 1.0)
         assert dec == pytest.approx(ref, rel=1e-4)
         assert dec >= ref * (1.0 - 1e-6)
+
+    def test_eigen_path_matches_a_50_digit_reference(self, eigh_calls):
+        rng = np.random.default_rng(24)
+        worst = 0.0
+        for _ in range(60):
+            n = int(rng.integers(2, 12))
+            h = random_indefinite(rng, n)
+            g = rng.standard_normal(n)
+            g *= 10.0 ** rng.uniform(-3.0, 3.0) / np.linalg.norm(g)
+            deltas = 10.0 ** rng.uniform(-4.0, 0.0, size=3)
+            for delta, optimum in zip(deltas, mp_trs_optima(g, h, deltas)):
+                n_eigh = len(eigh_calls)
+                d = solve_trs(g, h, delta)
+                assert len(eigh_calls) == n_eigh + 1
+                assert np.linalg.norm(d) <= delta * (1.0 + 1e-12)
+                worst = max(worst, float(abs(mp_model_value(g, h, d) / optimum - 1)))
+        assert worst <= 1e-14
+
+    SMALL_RADII = (1e-9, 1e-13, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300)
+
+    def test_small_radii_give_the_optimum(self):
+        # The minimal-eigenvalue tolerance once grew with ||g|| / delta: at
+        # small delta every eigenvalue counted as minimal, and the step went
+        # along the first eigenvector only, an ascent step or none at all.
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            h = random_indefinite(rng, n)
+            g = rng.standard_normal(n)
+            for delta, optimum in zip(self.SMALL_RADII,
+                                      mp_trs_optima(g, h, self.SMALL_RADII)):
+                d = solve_trs(g, h, delta)
+                assert np.linalg.norm(d) <= delta * (1.0 + 1e-12)
+                assert float(g @ d) < 0.0
+                assert mp_model_value(g, h, d) <= (1.0 - 1e-8) * optimum
+
+    @pytest.mark.parametrize("delta", [1e-13, 1e-100, 1e-300])
+    def test_small_radius_step_descends_on_the_sphere(self, delta):
+        d = solve_trs(np.ones(2), np.diag([-1.0, 1.0]), delta) / delta
+        assert np.linalg.norm(d) == pytest.approx(1.0, rel=1e-12)
+        assert d == pytest.approx(-np.ones(2) / math.sqrt(2.0), rel=1e-9)
 
     @pytest.mark.parametrize(
         "g, h, delta, match",
