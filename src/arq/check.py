@@ -24,10 +24,6 @@ class CheckOutcome(Enum):
     ABSOLUTE = "absolute"
     INSUFFICIENT = "insufficient"
 
-    @property
-    def sufficient(self) -> bool:
-        return self is not CheckOutcome.INSUFFICIENT
-
 
 class Margins(NamedTuple):
     """The numbers a check compares: the error sum and its two thresholds."""

@@ -69,9 +69,6 @@ class Problem:
             raise ValueError(f"derivative order {i} outside 1..{self.p_max}")
         return np.asarray(self.eval_derivative(np.asarray(x, dtype=float), i), dtype=float)
 
-    def exact_bundle(self, x, p: int) -> DerivativeBundle:
-        return DerivativeBundle([self.derivative(x, i) for i in range(1, p + 1)])
-
 
 @dataclass(frozen=True)
 class NoiseModel:

@@ -133,7 +133,6 @@ class SolverConfig:
     acc0: tuple | None = None
     acc_max: float = 1.0
     max_iters: int = 1000
-    max_inner_iters: int = 500
 
     def __post_init__(self):
         def fail(msg):
@@ -200,8 +199,6 @@ class SolverConfig:
             fail(f"acc0 entries must lie in [0, acc_max], got {acc0}")
         if self.max_iters < 1:
             fail(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_inner_iters < 1:
-            fail(f"max_inner_iters must be >= 1, got {self.max_inner_iters}")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "delta0", delta0)
         object.__setattr__(self, "acc0", acc0)
@@ -330,7 +327,7 @@ def _ray_search(point: _ModelPoint, threshold: float) -> int | None:
     return m
 
 
-def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
+def step1(state: SolverState, model, config: SolverConfig, guard_l_bar):
     """Order-by-order optimality sweep with radius halving.
 
     Mutates ``state.delta`` in place, and counts its halvings in
@@ -367,7 +364,7 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     for j in range(1, config.q + 1):
         while True:
             delta_j = float(state.delta[j - 1])
-            meas = optimality_measure(bundle, j, delta_j)
+            meas = optimality_measure(model.bundle, j, delta_j)
             args = (
                 delta_j,
                 meas.phi_bar,
@@ -405,14 +402,7 @@ def step1(state: SolverState, bundle, model, config: SolverConfig, guard_l_bar):
     return Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
 
 
-def step2(
-    state: SolverState,
-    bundle,
-    model,
-    config: SolverConfig,
-    j_k: int,
-    start,
-):
+def step2(state: SolverState, model, config: SolverConfig, j_k: int, start):
     """Step computation plus the accuracy vetting of its decrement.
 
     The model minimizer starts from ``start``, the displacement of step 1's
@@ -434,16 +424,10 @@ def step2(
     coef = config.varsigma * config.theta * (1.0 - config.omega) / (2.0 * (1.0 + config.omega))
     targets = [coef * eps for eps in config.epsilons]
     caps = np.minimum(1.0, state.delta_start)
-    step_res = minimize_model(
-        model,
-        start,
-        targets,
-        delta_caps=caps,
-        max_inner=config.max_inner_iters,
-    )
+    step_res = minimize_model(model, start, targets, delta_caps=caps)
     s = step_res.step
     step_norm = _norm(s)
-    dec_p = taylor_decrement(bundle, s, config.p)
+    dec_p = taylor_decrement(model.bundle, s, config.p)
 
     delta_1 = float(state.delta[j_k - 1])
     xi_first = (
@@ -605,12 +589,12 @@ def solve(
                 bundle = oracle.inexact_bundle(state.x, state.acc, config.p)
             model = RegularizedModel(bundle, state.sigma)
 
-            out = step1(state, bundle, model, config, guard_l_bar)
+            out = step1(state, model, config, guard_l_bar)
             record.delta_end = state.delta.copy()
             record.halvings = state.halvings
             if isinstance(out, tuple):  # (j_k, measure): compute a step
                 record.j_k = out[0]
-                out = step2(state, bundle, model, config, out[0], out[1].displacement)
+                out = step2(state, model, config, out[0], out[1].displacement)
             if isinstance(out, Certificate):
                 record.f_bar_after = state.f_bar[0] if state.f_bar else None
             elif isinstance(out, Shortfall):

@@ -177,8 +177,9 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     does not converge) is solved by the same iteration in the eigenbasis of
     H (see `_solve_trs_eigen`), with g and H first scaled by a power of two
     when an entry exceeds 2**500 (the eigenvalues and the objective could
-    overflow near the largest float); that scales the objective, not its
-    minimizer.
+    overflow near the largest float) or ||g|| / delta reaches 2**1000 (the
+    eigen path's secular scale would overflow at a tiny delta); that scales
+    the objective, not its minimizer.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -200,7 +201,7 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         if converged:
             return d * (delta / _norm(d))
     top = max(float(np.max(np.abs(g))), float(np.max(np.abs(h))))
-    if top > 2.0**500:
+    if top > 2.0**500 or not _norm(g) / delta < 2.0**1000:
         e = -math.frexp(top)[1]
         g, h, hs = np.ldexp(g, e), np.ldexp(h, e), np.ldexp(hs, e)
     return _solve_trs_eigen(g, h, hs, delta)
@@ -447,6 +448,8 @@ def optimality_measure(bundle: DerivativeBundle, j: int, delta: float) -> Measur
 
 
 _RADIUS_FLOOR = 1e-8
+# Trust-region Newton iterations `minimize_model` may take before it stalls.
+_MAX_INNER_ITERS = 500
 
 
 def radius_search(bundle: DerivativeBundle, ell: int, target: float, delta_cap: float):
@@ -507,7 +510,6 @@ def minimize_model(
     warm_start: np.ndarray,
     targets,
     delta_caps=None,
-    max_inner: int = 500,
 ) -> StepResult:
     """Step for the outer algorithm: never worse than the warm start, and
     either long (norm >= 1) or certified nearly optimal for the model.
@@ -548,7 +550,7 @@ def minimize_model(
 
     tr = max(0.25, min(1.0, point.norm))
     dec_cur = point.decrement()
-    for it in range(1, max_inner + 1):
+    for it in range(1, _MAX_INNER_ITERS + 1):
         # The point keeps the derivatives `finish` built, so a rejected
         # trial costs no recomputation at the next Newton step.
         g1, h1 = point.derivative(1), point.derivative(2)
@@ -581,6 +583,6 @@ def minimize_model(
                     f"(iteration {it}, gradient norm {_norm(g1):.3e})"
                 )
     raise SubsolverStallError(
-        f"inner iteration cap exceeded (iterations {max_inner}, "
+        f"inner iteration cap exceeded (iterations {_MAX_INNER_ITERS}, "
         f"step norm {point.norm:.3e})"
     )

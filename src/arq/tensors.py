@@ -14,10 +14,11 @@ the derivative tensors only.
 
 Each public function validates its inputs and then calls one private
 kernel on float arrays; the package's inner loops, which already hold such
-arrays, call the kernels directly.  `_ModelPoint` is the kernel of the
-regularized model at one displacement s: it computes ||s|| and each product
-of a bundle tensor with s once and shares them between the model decrement
-and its derivatives at s.  It also gives the model decrement at 2**-h s
+arrays, call the kernels directly.  The regularized model has no public
+function: the package reads it only through `_ModelPoint`, its kernel at
+one displacement s, which computes ||s|| and each product of a bundle
+tensor with s once and shares them between the model decrement and its
+derivatives at s.  It also gives the model decrement at 2**-h s
 from those products times powers of two, which in real arithmetic are the
 products at 2**-h s; that is how step 1 searches its order-1 radius.  It
 lives as long as its caller holds it.  `_norm` is numpy's own 1-D norm
@@ -46,9 +47,6 @@ __all__ = [
     "DerivativeBundle",
     "RegularizedModel",
     "taylor_decrement",
-    "model_decrement",
-    "shifted_model_derivatives",
-    "regularizer_derivative",
     "symmetrize",
     "operator_norm",
     "operator_norms",
@@ -273,10 +271,6 @@ class RegularizedModel:
             raise ValueError("sigma must be >= 0")
         object.__setattr__(self, "sigma", float(self.sigma))
 
-    @property
-    def degree(self) -> int:
-        return self.bundle.degree
-
 
 def _check_displacement(dim: int, s) -> np.ndarray:
     s = np.asarray(s, dtype=float, order="C")
@@ -389,8 +383,14 @@ class _ModelPoint:
         return _taylor_drop(self._ends, halvings) - reg
 
     def derivative(self, j: int) -> np.ndarray:
-        """Order-j derivative tensor of the model at s (see
-        `shifted_model_derivatives`)."""
+        """Order-j derivative tensor of the regularized model at s, for j
+        in 1..max(p, 2).
+
+        The Taylor part re-centers the bundle tensors at s; the regularizer
+        part is `_regularizer_derivative`'s exact closed form, so only the
+        bundle-derived part carries any inexactness.  Above the model
+        degree p the Taylor part is zero and only the regularizer curves
+        (the Newton Hessian of a degree-1 model)."""
         out = self._derivs.get(j)
         if out is None:
             p = len(self._chains)
@@ -407,16 +407,10 @@ class _ModelPoint:
         return out
 
 
-def model_decrement(model: RegularizedModel, s) -> float:
-    """Drop of the regularized model from 0 to s (never above the Taylor drop)."""
-    s = _check_displacement(model.bundle.dim, s)
-    return _ModelPoint(model, s).decrement()
-
-
-def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
-    """Order-j derivative tensor of ||s||^(p+1), by closed form, for degree
-    p in 1..3 and j in 1..max(p, 2): the orders the regularized model's
-    derivatives need.  With r = ||s|| and b = p + 1:
+def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarray:
+    """Order-j derivative tensor of ||s||^(p+1), by closed form, given
+    r = ||s||, for degree p in 1..3 and j in 1..max(p, 2): the orders the
+    regularized model's derivatives need.  With b = p + 1:
 
         grad   = b r^(b-2) s
         hess   = b r^(b-2) I + b(b-2) r^(b-4) s s^T
@@ -427,15 +421,6 @@ def regularizer_derivative(s, p: int, j: int) -> np.ndarray:
     (its power of r may not be representable).  At s = 0 the zero tensor is
     returned, except for the Hessian of ||s||^2, which is 2I everywhere.
     """
-    if p not in (1, 2, 3):
-        raise ValueError(f"degree {p} outside 1..3")
-    _check_order(j, max(p, 2))
-    s = np.asarray(s, dtype=float)
-    return _regularizer_derivative(s, _norm(s.ravel()), p, j)
-
-
-def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarray:
-    """Kernel of `regularizer_derivative`, given r = ||s||."""
     n = s.shape[0]
     b = float(p + 1)
     if r == 0.0:
@@ -455,17 +440,3 @@ def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarr
     mixed[idx, :, idx] += s
     mixed[:, idx, idx] += s[:, None]
     return 8.0 * mixed
-
-
-def shifted_model_derivatives(model: RegularizedModel, s, j: int) -> np.ndarray:
-    """Order-j derivative tensor of the regularized model at displacement s,
-    for j in 1..max(p, 2).
-
-    The Taylor part re-centers the bundle tensors at s; the regularizer part
-    uses the exact closed form, so only the bundle-derived part carries any
-    inexactness.  Above the model degree p the Taylor part is zero and only
-    the regularizer curves (the Newton Hessian of a degree-1 model).
-    """
-    _check_order(j, max(model.degree, 2))
-    s = _check_displacement(model.bundle.dim, s)
-    return _ModelPoint(model, s).derivative(j)

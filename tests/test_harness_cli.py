@@ -8,6 +8,7 @@ import pytest
 
 import arq.harness
 import arq.solver
+import arq.subsolvers
 from arq.cli import _SETTINGS, _build_spec, main, make_parser
 from arq.harness import (
     ExperimentSpec,
@@ -239,14 +240,20 @@ class TestSweep:
                      f"--{field}", "0"]) == 1
 
 
+STALL_FLAGS = ["--problem", "rosenbrock", "--dim", "2", "--noise", "bounded_random",
+               "--seed", "3", "--eps", "1e-3", "--p", "3"]
+
+
 @pytest.fixture(params=["stall", "invariant"])
 def forced_stop(request, monkeypatch):
     """(status, spec fields, CLI flags) of a run that stops without a certificate."""
     if request.param == "stall":
+        # At p=3 step 2 enters the model minimizer's Newton loop, whose cap of
+        # one iteration is hit in the first iteration.
+        monkeypatch.setattr(arq.subsolvers, "_MAX_INNER_ITERS", 1)
         fields = dict(problem="rosenbrock", dim=2, noise="bounded_random", seed=3,
-                      eps=(1e-3,), overrides={"max_inner_iters": 1})
-        flags = ["--problem", "rosenbrock", "--dim", "2", "--noise", "bounded_random",
-                 "--seed", "3", "--eps", "1e-3", "--max-inner-iters", "1"]
+                      eps=(1e-3,), p=3)
+        flags = STALL_FLAGS
     else:
         # An estimate far below the steep problem's true L (1e6), with a small
         # sigma, lifts the guard floor over the radius step 1 halves to.
@@ -289,10 +296,9 @@ class TestStopsWithoutCertificate:
         assert f"error: {status}: " in captured.out
         assert "Traceback" not in captured.err
 
-    def test_cli_stall_message_carries_its_numbers(self, capsys):
-        flags = ["--problem", "rosenbrock", "--dim", "2", "--noise", "bounded_random",
-                 "--seed", "3", "--eps", "1e-3", "--max-inner-iters", "1"]
-        assert main(["solve", *flags]) == 2
+    def test_cli_stall_message_carries_its_numbers(self, capsys, monkeypatch):
+        monkeypatch.setattr(arq.subsolvers, "_MAX_INNER_ITERS", 1)
+        assert main(["solve", *STALL_FLAGS]) == 2
         out = capsys.readouterr().out
         assert "error: stall: inner iteration cap exceeded (iterations 1, step norm " in out
 
@@ -494,10 +500,12 @@ class TestCliMain:
         cfg.write_text("problem = quadratic\ndim = 4\neps = 0.001\neta2 = 1.2\n")
         assert main(["solve", "--config", str(cfg)]) == 1
 
-    def test_inner_iteration_cap_below_one_exits_one(self):
-        assert main(["solve", "--problem", "rosenbrock", "--dim", "2", "--noise",
-                     "bounded_random", "--seed", "3", "--eps", "1e-3",
-                     "--max-inner-iters", "0"]) == 1
+    def test_inner_iteration_cap_is_not_a_setting(self, tmp_path, capsys):
+        # The model minimizer's cap is a constant, not a run setting.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = rosenbrock\ndim = 2\nmax_inner_iters = 1\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "unknown config key 'max_inner_iters'" in capsys.readouterr().err
 
     def test_corrupted_certificate_exits_two(self, tmp_path):
         out = tmp_path / "run"

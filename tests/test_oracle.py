@@ -197,7 +197,6 @@ class TestBundleContract:
         oracle = Oracle(blind, NoiseModel(kind, 0.9, seed=11))
         bundle = oracle.inexact_bundle(problem.x0, np.array([0.1, 0.05, 0.2]), 3)
         assert bundle.degree == 3
-        assert blind.exact_bundle(problem.x0, 3).degree == 3
         assert oracle.counters.snapshot() == (0, 1)
 
     def test_accuracy_shape_validated(self, problem):

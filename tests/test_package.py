@@ -10,8 +10,8 @@ PUBLIC_API = {
 # Reached as arq.tensors.*, arq.subsolvers.* and arq.check.CheckOutcome.
 INTERNALS = (
     "CheckOutcome", "DerivativeBundle", "MeasureResult", "RegularizedModel",
-    "StepResult", "minimize_model", "model_decrement", "optimality_measure",
-    "radius_search", "shifted_model_derivatives", "taylor_decrement",
+    "StepResult", "minimize_model", "optimality_measure", "radius_search",
+    "taylor_decrement",
 )
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arq.solver
+import arq.subsolvers
 from arq.check import CheckOutcome, Shortfall, check
 from arq.oracle import NoiseModel, Problem, make_problem
 from arq.solver import (
@@ -27,12 +28,7 @@ from arq.solver import (
     _termination_threshold,
 )
 from arq.subsolvers import MeasureResult, StepResult, SubsolverStallError, optimality_measure
-from arq.tensors import (
-    DerivativeBundle,
-    RegularizedModel,
-    model_decrement,
-    taylor_decrement,
-)
+from arq.tensors import DerivativeBundle, RegularizedModel, _ModelPoint, taylor_decrement
 
 from conftest import (
     BENCH_NOISES,
@@ -107,7 +103,6 @@ class TestConfigValidation:
             dict(acc0=(2.0, 2.0)),
             dict(acc_max=-1.0),
             dict(max_iters=0),
-            dict(max_inner_iters=0),
             # compute_bounds needs theta < 1 and these finite
             dict(theta=2.0),
             dict(sigma0=float("inf")),
@@ -145,7 +140,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1.0, 0.0)
-        j_k, measure = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+        j_k, measure = step1(state, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
         assert j_k == 1
         assert state.delta[0] == 1.0
         assert measure.phi_bar == pytest.approx(1.0)
@@ -154,7 +149,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state(acc=(10.0, 10.0))
         bundle = bundle_1d(1.0, 0.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 12.0)
+        out = step1(state, RegularizedModel(bundle, 1.0), cfg, lambda: 12.0)
         # error sum 10 * 1 against max(omega * phi_bar, omega * xi) = 0.02
         assert out == Shortfall("step1 j=1", 10.0, 0.02)
 
@@ -162,7 +157,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         state = make_state()
         bundle = bundle_1d(1e-6, 0.0)
-        out = step1(state, bundle, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+        out = step1(state, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
         assert isinstance(out, Certificate)
         cert = out
         assert cert.measured[0]["order"] == 1
@@ -173,7 +168,7 @@ class TestStep1:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
         state = make_state(sigma=0.1)
         bundle = bundle_1d(0.15, 3.0)
-        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        j_k, _ = step1(state, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert j_k == 1
         # four halvings: at delta = 0.0625 the order-2 drop at the probe
         # displacement finally clears half the exit threshold
@@ -212,9 +207,7 @@ class TestLazyGuard:
         state = make_state(sigma=0.001)
         bundle = bundle_1d(2.0, 200.0)
         calls = []
-        j_k, _ = step1(
-            state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: calls.append(1)
-        )
+        j_k, _ = step1(state, RegularizedModel(bundle, 0.001), cfg, lambda: calls.append(1))
         assert j_k == 1
         assert state.delta[0] == 2.0**-7
         assert calls == []
@@ -229,7 +222,7 @@ class TestLazyGuard:
             seen.append(float(state.delta[0]))
             return 1e6
 
-        j_k, _ = step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, guard)
+        j_k, _ = step1(state, RegularizedModel(bundle, 0.001), cfg, guard)
         assert j_k == 1
         assert seen
         assert all(d < lowest_guard_floor(cfg, 0.001) for d in seen)
@@ -242,7 +235,7 @@ class TestLazyGuard:
         bundle = bundle_1d(2.0, 2e5)
         state = make_state(sigma=0.001)
         with pytest.raises(InternalInvariantError) as err:
-            step1(state, bundle, RegularizedModel(bundle, 0.001), cfg, lambda: 3.0)
+            step1(state, RegularizedModel(bundle, 0.001), cfg, lambda: 3.0)
         # A check after every halving would raise at the first radius under
         # the floor at L-bar = 3, the one the lazy check raised at.
         floor = guard_floor(cfg, 0.001, 3.0)
@@ -264,7 +257,7 @@ class TestLazyGuard:
         assert len(estimate_calls) == 1
 
 
-def step1_reference(state, bundle, model, config, guard_l_bar):
+def step1_reference(state, model, config, guard_l_bar):
     """Step 1 with every halving evaluated afresh: the measure, its
     accuracy check, the termination test and the model decrement at each
     radius, for every order.  Returns what `step1` returns, and counts its
@@ -274,7 +267,7 @@ def step1_reference(state, bundle, model, config, guard_l_bar):
     for j in range(1, config.q + 1):
         while True:
             delta_j = float(state.delta[j - 1])
-            meas = optimality_measure(bundle, j, delta_j)
+            meas = optimality_measure(model.bundle, j, delta_j)
             args = (delta_j, meas.phi_bar, state.acc[:j], 0.5 * config.epsilons[j - 1],
                     config.omega)
             if check(*args) is CheckOutcome.INSUFFICIENT:
@@ -287,7 +280,7 @@ def step1_reference(state, bundle, model, config, guard_l_bar):
                     "threshold": config.epsilons[j - 1] * delta_j**j / math.factorial(j),
                 })
                 break
-            dm = model_decrement(model, meas.displacement)
+            dm = _ModelPoint(model, meas.displacement).decrement()
             if dm >= 0.5 * _termination_threshold(config, j, delta_j):
                 return j, meas
             state.delta[j - 1] = 0.5 * delta_j
@@ -334,7 +327,7 @@ def run_step1(step, bundle, sigma, config, l_bar):
         return l_bar
 
     try:
-        out = step(state, bundle, model, config, guard)
+        out = step(state, model, config, guard)
     except InternalInvariantError as exc:
         out = ("invariant", str(exc))
     return bits(out), state.delta.tobytes(), state.halvings, calls
@@ -434,7 +427,7 @@ class TestRaySearch:
         bundle = bundle_1d(0.15, 3.0)
         measures = count_calls(monkeypatch, "optimality_measure")
         checks = count_calls(monkeypatch, "check")
-        j_k, meas = step1(state, bundle, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
+        j_k, meas = step1(state, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert state.delta[0] == 2.0**-4
         assert (len(measures), len(checks)) == (1, 1)
 
@@ -480,8 +473,7 @@ class TestStep2:
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         bundle = bundle_1d(1.0, 0.0)
         measure = MeasureResult(1.0, np.array([-1.0]))
-        return step2(make_state(acc=(a, a)), bundle, RegularizedModel(bundle, 1.0),
-                     cfg, 1, measure)
+        return step2(make_state(acc=(a, a)), RegularizedModel(bundle, 1.0), cfg, 1, measure)
 
     def test_largest_exponent_wins(self, monkeypatch):
         # decrement: 0.0625 against 0.01, k = 2; ell=1: 0.3 against 0.002, k = 4
@@ -739,9 +731,12 @@ class TestSolve:
         assert len(err.value.trace) == 3
         assert_evals_sum_to_counters(err.value)
 
-    def test_stall_carries_status_trace_and_counters(self):
+    def test_stall_carries_status_trace_and_counters(self, monkeypatch):
+        # p=3, so step 2 enters the model minimizer's Newton loop; its cap of
+        # one iteration is hit before the step certifies.
+        monkeypatch.setattr(arq.subsolvers, "_MAX_INNER_ITERS", 1)
         problem = make_problem("rosenbrock", 2)
-        cfg = SolverConfig(epsilons=(1e-3,), max_inner_iters=1)
+        cfg = SolverConfig(p=3, epsilons=(1e-3,))
         with pytest.raises(SubsolverStallError) as err:
             solve(problem, NoiseModel("bounded_random", 0.9, 3), cfg)
         assert err.value.status == "stall"
@@ -982,9 +977,9 @@ def test_guard_never_steers_the_run(monkeypatch, estimate_calls):
 
     real_step1 = arq.solver.step1
 
-    def eager_step1(state, bundle, model, config, guard_l_bar):
+    def eager_step1(state, model, config, guard_l_bar):
         guard_l_bar()
-        return real_step1(state, bundle, model, config, guard_l_bar)
+        return real_step1(state, model, config, guard_l_bar)
 
     with monkeypatch.context() as patch:
         patch.setattr(arq.solver, "step1", eager_step1)

@@ -3,6 +3,8 @@ about a workload's traces rests on."""
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,3 +47,34 @@ def test_two_runs_of_a_workload_give_the_same_lines(trace_digest, monkeypatch):
     assert len(first) == 4
     assert len({label for label, _ in first}) == 4
     assert first == second
+
+
+DIGESTS = ROOT / "tests" / "trace_digests.txt"
+
+
+def test_traces_match_the_committed_digests(trace_digest):
+    # Digests hash float bits, which depend on the stack as well as the
+    # code: on a stack other than the file's the test skips and names the
+    # difference.  After a named trace change, regenerate the file with
+    #     python tools/trace_digest.py --workload all > tests/trace_digests.txt
+    header, want = {}, []
+    for line in DIGESTS.read_text().splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            header[key] = value
+        else:
+            want.append(line)
+    differ = [f"{key} {header.get(key)!r} in the file, {value!r} here"
+              for key, value in trace_digest.stack().items() if header.get(key) != value]
+    if differ:
+        pytest.skip("digests were made on another stack: " + "; ".join(differ))
+    # In a process of its own, which pins BLAS to one thread before numpy
+    # loads: a multithreaded BLAS moves the bits of the n=200 tasks.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "trace_digest.py"), "--workload", "all",
+         "--seed", header["seed"]],
+        capture_output=True, text=True, check=True).stdout
+    got = [line for line in out.splitlines() if not line.startswith("# ")]
+    assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
+    moved = [g.split()[0] for g, w in zip(got, want) if g != w]
+    assert moved == [], f"{len(moved)} of {len(want)} traces moved"

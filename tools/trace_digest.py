@@ -11,6 +11,13 @@ print the same lines exactly when their runs agree bit for bit:
     (the same command in the other checkout) > old.txt
     diff old.txt new.txt
 
+``--workload all`` prints every workload in ``WORKLOADS`` order under a
+header of ``# key: value`` lines: the seed and the `stack` the bits depend
+on.  That is the format of ``tests/trace_digests.txt``, which the test suite
+recomputes, so after a named trace change one command regenerates it:
+
+    python tools/trace_digest.py --workload all > tests/trace_digests.txt
+
 The tasks are built by ``perfbench/workloads.py``, imported as it is, and
 ``arq`` is imported from this checkout's ``src``.  BLAS is pinned to one
 thread, as ``perfbench/run.py`` pins it.
@@ -91,16 +98,60 @@ def digests(workload: str, seed: int):
         yield task.label, hashlib.sha256(text).hexdigest()
 
 
+def _build(module) -> dict:
+    """`module.show_config` as a dict, or {} for a build without that form."""
+    try:
+        return module.show_config(mode="dicts")
+    except TypeError:
+        return {}
+
+
+def stack() -> dict:
+    """What a digest's float bits depend on besides the code: the Python,
+    numpy and scipy versions, the BLAS each of numpy and scipy was built
+    against, and the SIMD extensions numpy found on this CPU."""
+    import platform
+
+    import numpy as np
+    import scipy
+
+    def blas(module):
+        found = _build(module).get("Build Dependencies", {}).get("blas", {})
+        return f"{found.get('name')} {found.get('version')}"
+
+    simd = _build(np).get("SIMD Extensions", {}).get("found", [])
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "numpy blas": blas(np), "scipy blas": blas(scipy),
+            "simd": " ".join(simd)}
+
+
+def all_lines(seed: int):
+    """The lines of ``--workload all``: the ``# key: value`` header (the seed,
+    then `stack`), then ``label digest`` for every task of every workload."""
+    import workloads as wl
+
+    yield f"# seed: {seed}"
+    for key, value in stack().items():
+        yield f"# {key}: {value}"
+    for workload in wl.WORKLOADS:
+        for label, digest in digests(workload, seed):
+            yield f"{label} {digest}"
+
+
 def main(argv=None) -> int:
     _bootstrap()
     import workloads as wl
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=wl.WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=wl.WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=wl.DEFAULT_SEED)
     args = parser.parse_args(argv)
-    for label, digest in digests(args.workload, args.seed):
-        print(label, digest, flush=True)
+    if args.workload == "all":
+        lines = all_lines(args.seed)
+    else:
+        lines = (f"{label} {digest}" for label, digest in digests(args.workload, args.seed))
+    for line in lines:
+        print(line, flush=True)
     return 0
 
 
