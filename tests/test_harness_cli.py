@@ -507,6 +507,12 @@ class TestCliMain:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "unknown config key 'max_inner_iters'" in capsys.readouterr().err
 
+    def test_inner_iteration_cap_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["solve", "--max-inner-iters", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-inner-iters 1" in capsys.readouterr().err
+
     def test_corrupted_certificate_exits_two(self, tmp_path):
         out = tmp_path / "run"
         main([

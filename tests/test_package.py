@@ -24,3 +24,9 @@ def test_public_api():
         assert getattr(arq, name) is not None
     for internal in INTERNALS:
         assert not hasattr(arq, internal)
+
+
+def test_problem_hands_out_no_derivative_bundle():
+    # `DerivativeBundle` is internal; a public `Problem` gives its
+    # derivatives one order at a time (`Problem.derivative`).
+    assert not hasattr(arq.Problem, "exact_bundle")

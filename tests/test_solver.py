@@ -114,6 +114,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
 
+    def test_inner_iteration_cap_is_not_a_setting(self):
+        # The model minimizer's cap is `subsolvers._MAX_INNER_ITERS`.
+        with pytest.raises(TypeError, match="max_inner_iters"):
+            SolverConfig(max_inner_iters=1)
+
     def test_nan_accuracy_rejected(self):
         # Accepted before, after which a solve ran out its 1 000 iterations.
         with pytest.raises(ConfigError, match="acc0"):

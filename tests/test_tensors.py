@@ -120,6 +120,12 @@ class TestRegularizerDerivative:
 
 
 class TestShiftedModelDerivatives:
+    def test_above_a_degree_one_model_only_the_regularizer_curves(self):
+        # The Newton Hessian of a degree-1 model: sigma/2! times 2I at every s.
+        model = RegularizedModel(DerivativeBundle([np.array([0.5, -2.0])]), 3.0)
+        for s in ([0.0, 0.0], [0.3, -2.0]):
+            assert np.array_equal(_ModelPoint(model, np.array(s)).derivative(2), 3.0 * np.eye(2))
+
     def test_unshifted_without_regularizer_is_gradient(self):
         rng = np.random.default_rng(2)
         b = random_bundle(rng, 3, 2)

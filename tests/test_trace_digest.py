@@ -49,6 +49,18 @@ def test_two_runs_of_a_workload_give_the_same_lines(trace_digest, monkeypatch):
     assert first == second
 
 
+def test_a_one_ulp_larger_step_norm_moves_the_digests(trace_digest, monkeypatch):
+    import arq.solver
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    before = list(trace_digest.digests("order3", 20240809))
+    norm = arq.solver._norm
+    monkeypatch.setattr(arq.solver, "_norm", lambda v: np.nextafter(norm(v), np.inf))
+    after = list(trace_digest.digests("order3", 20240809))
+    assert [label for label, _ in after] == [label for label, _ in before]
+    assert all(a != b for (_, a), (_, b) in zip(after, before))
+
+
 DIGESTS = ROOT / "tests" / "trace_digests.txt"
 
 
