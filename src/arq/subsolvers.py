@@ -21,12 +21,18 @@ as its optimality measure and as its progress certificate:
              the optimum, a heuristic bound the tests check against grid
              searches at n = 2 and 3.
 
-`minimize_model` drives a safeguarded trust-region Newton iteration on the
-regularized Taylor model until the step is either long (norm >= 1) or the
-model's own ball measures at the step are provably small, the two exits the
-outer algorithm accepts.  "Small" is per order: the caller (step 2 of the
-solver) passes one smallness target per order, and the measure of order
-ell at radius delta must not exceed ``target * delta**ell / ell!``.
+`minimize_model` returns a step of the regularized Taylor model that is
+either long (norm >= 1) or at which the model's own ball measures are
+provably small, the two exits the outer algorithm accepts.  "Small" is per
+order: the caller (step 2 of the solver) passes one smallness target per
+order, and the measure of order ell at radius delta must not exceed
+``target * delta**ell / ell!``.  At p = 2 it first takes the cubic model's
+global minimizer, from the trust-region solve's own secular iteration with
+the radius 2 mu / sigma in place of delta (`_minimize_cubic`); its model
+gradient is zero and its model Hessian positive semidefinite, so it
+certifies at once unless rounding says otherwise.  From a step that does
+not certify, and at p = 1 and 3 from the warm start, a safeguarded
+trust-region Newton iteration descends until one exit is reached.
 
 The public functions validate their arguments; below them one kernel
 computes.  `minimize_model` holds the model at each iterate and trial as
@@ -197,9 +203,10 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         if _norm(d) <= delta:
             return d
         w, _ = dtrtrs(chol, d, trans=1)
-        d, converged = _secular_newton(partial(_factor_solve, g, hs), delta, 0.0, d, _norm(w))
+        d, radius, converged = _secular_newton(partial(_factor_solve, g, hs), delta, 0.0, d,
+                                               _norm(w))
         if converged:
-            return d * (delta / _norm(d))
+            return d * (radius / _norm(d))
     top = max(float(np.max(np.abs(g))), float(np.max(np.abs(h))))
     if top > 2.0**500 or not _norm(g) / delta < 2.0**1000:
         e = -math.frexp(top)[1]
@@ -217,33 +224,46 @@ _TRS_NEWTON_STEPS = 19
 _TRS_SECULAR_RTOL = 1e-13
 
 
-def _secular_newton(solve, delta, mu, d, w_norm):
-    """Newton's method on the secular equation 1/||d(mu)|| = 1/delta.
+def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
+    """Newton's method on the secular equation 1/||d(mu)|| = 1/r(mu), with
+    the target radius r(mu) = delta + rate * mu.
 
     ``solve(mu)`` returns d(mu) = -(H + mu I)^-1 g and ||w||, where
     ||w||^2 = d'(H + mu I)^-1 d, or None; `d` and `w_norm` are its values
-    at a start `mu` left of the root.  The left side is concave in mu, so
-    mu rises monotonically to the root; a residual | ||d|| - delta | that
-    does not fall is rounding.  Returns the last d and whether its residual
-    reached `_TRS_SECULAR_RTOL` * delta before `_TRS_NEWTON_STEPS` steps, a
-    residual that stops falling, an ||w|| that underflows to 0, or a failed
-    solve.
+    at a start `mu` left of the root.  A constant radius (rate 0) is the
+    trust-region subproblem's secular equation.  The radius 2 mu / sigma
+    (delta 0, rate 2 / sigma) is that of the cubic model
+    g.s + s'Hs / 2 + sigma ||s||^3 / 6, whose minimizer has
+    mu = sigma ||s|| / 2: Newton then runs on 1/||d(mu)|| - sigma / (2 mu),
+    as in Cartis, Gould & Toint (2011, §6.1).  1/||d(mu)|| and -1/r(mu) are
+    both concave in mu, so mu rises monotonically to the root; a residual
+    | ||d|| - r(mu) | that does not fall is rounding.  Returns the last d,
+    r(mu) at its mu, and whether its residual reached `_TRS_SECULAR_RTOL` *
+    r(mu) before `_TRS_NEWTON_STEPS` steps, a residual that stops falling,
+    an ||w|| that underflows to 0, or a failed solve.  The callers scale d
+    onto r(mu): near the hard case ||d(mu)|| can move by a large fraction
+    of itself within one ulp of mu, while r(mu) does not.
     """
     residual = math.inf
     for steps in range(_TRS_NEWTON_STEPS + 1):
         nd = _norm(d)
-        gap = abs(nd - delta)
-        if gap <= _TRS_SECULAR_RTOL * delta:
-            return d, True
+        radius = delta + rate * mu
+        gap = abs(nd - radius)
+        if gap <= _TRS_SECULAR_RTOL * radius:
+            return d, radius, True
         if steps == _TRS_NEWTON_STEPS or not gap < residual or w_norm == 0.0:
             break
         residual = gap
-        mu += (nd / w_norm) ** 2 * (nd - delta) / delta
+        ratio = (nd / w_norm) ** 2
+        step = ratio * (nd - radius) / radius
+        if rate:  # the target's own slope, rate / r(mu)^2, joins the derivative
+            step /= 1.0 + ratio * (nd / radius) * (rate / radius)
+        mu += step
         solved = solve(mu)
         if solved is None:
             break
         d, w_norm = solved
-    return d, False
+    return d, radius, False
 
 
 def _factor_solve(g, hs, mu):
@@ -259,22 +279,27 @@ def _factor_solve(g, hs, mu):
     return d, _norm(w)
 
 
-def _solve_trs_eigen(g, h, hs, delta):
-    """`solve_trs` in the eigenbasis of the symmetrized Hessian `hs`.
+def _solve_trs_eigen(g, h, hs, delta, rate=0.0, mu_start=0.0):
+    """`solve_trs` in the eigenbasis of the symmetrized Hessian `hs`, or,
+    with a `rate`, the secular equation of `_secular_newton`'s radius
+    r(mu) = delta + rate * mu (see `_minimize_cubic`).
 
-    A strictly convex interior solution is the Newton step.  Otherwise the
-    multiplier comes from `_secular_newton`, started just right of
-    max(0, -lam_1), its solves closed form in the eigenbasis: e =
-    -gh / (lam + mu) and ||w|| = ||e / sqrt(lam + mu)||.  The hard case
-    (gradient orthogonal to the minimal eigenspace with the pseudo-solution
-    interior), and a root pinched against that start, are completed by
-    moving along a minimal eigenvector to the boundary.
+    A strictly convex interior solution, ||H^-1 g|| <= r(0), is the Newton
+    step.  Otherwise the multiplier comes from `_secular_newton`, started
+    just right of max(0, -lam_1), or at `mu_start` when that is larger (a
+    lower bound on the root the caller knows), its solves closed form in
+    the eigenbasis: e = -gh / (lam + mu) and ||w|| = ||e / sqrt(lam + mu)||.
+    The hard case (gradient orthogonal to the minimal eigenspace with the
+    pseudo-solution inside r(max(0, -lam_1))), and a root pinched against
+    that start, are completed by moving along a minimal eigenvector to the
+    target radius.  The step is scaled onto the radius at the last mu.
     """
     lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
     lam1 = float(lam[0])
-    lam_scale = max(1.0, float(np.max(np.abs(lam))))
-    scale = max(lam_scale, _norm(gh) / delta)
+    top = float(np.max(np.abs(lam)))
+    # mu's own scale: the m with m r(m) = ||gh|| at delta or at rate 0
+    scale = max(1.0, top, _norm(gh) / delta if delta else math.sqrt(_norm(gh) / rate))
 
     def qval(d):
         return float(g @ d + 0.5 * d @ h @ d)
@@ -287,32 +312,99 @@ def _solve_trs_eigen(g, h, hs, delta):
             return d
 
     mu_floor = max(0.0, -lam1)
-    min_mask = lam - lam1 <= 1e-12 * lam_scale
+    # Relative to the spectrum alone, so a power-of-two rescale of g and H
+    # leaves the mask as it is.
+    min_mask = lam - lam1 <= 1e-12 * top
     gh_min = float(np.max(np.abs(gh[min_mask]), initial=0.0))
 
     nz = ~min_mask
     d0 = np.zeros_like(g)
     d0[nz] = -gh[nz] / (lam[nz] + mu_floor)
-    if gh_min <= 1e-11 * scale and _norm(d0) <= delta:
-        return _complete_to_boundary(q @ d0, q[:, 0], delta, qval)
+    radius = delta + rate * mu_floor
+    if gh_min <= 1e-11 * scale and _norm(d0) <= radius:
+        return _complete_to_boundary(q @ d0, q[:, 0], radius, qval)
 
     def solve(mu):
         shifted = lam + mu
         e = -gh / shifted
         return e, _norm(e / np.sqrt(shifted))
 
-    lo = mu_floor + max(1e-14, 1e-13 * scale)
+    lo = max(mu_floor + max(1e-14, 1e-13 * scale), mu_start)
     e, w_norm = solve(lo)
-    if _norm(e) <= delta:
+    radius = delta + rate * lo
+    if _norm(e) <= radius:
         # Root is pinched against the floor; the offset solution already
-        # sits (numerically) inside the ball, so complete as in the hard case.
-        return _complete_to_boundary(q @ e, q[:, 0], delta, qval)
-    e, _ = _secular_newton(solve, delta, lo, e, w_norm)
+        # sits (numerically) inside the target, so complete as in the hard
+        # case.
+        return _complete_to_boundary(q @ e, q[:, 0], radius, qval)
+    e, radius, _ = _secular_newton(solve, delta, lo, e, w_norm, rate)
     d = q @ e
     nd = _norm(d)
     if nd > 0:
-        d *= delta / nd
+        d *= radius / nd
     return d
+
+
+def _minimize_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
+    """Global minimizer of the cubic model g.s + s'Hs / 2 + sigma ||s||^3 / 6,
+    for sigma > 0.
+
+    The model is first scaled by powers of two: s = 2^a u, where u
+    minimizes the model of 2^(-c-a) g, 2^-c H and 2^(a-c) sigma, with
+    sigma then in [1/2, 1), no entry of g or H of magnitude 1 or more, and
+    c even.  That model's minimizer and multiplier are of order one, so
+    `_solve_cubic` stays inside the float range; a minimizer beyond it
+    comes back infinite.
+    """
+    e_sigma = math.frexp(sigma)[1]
+    c = max(math.frexp(float(np.max(np.abs(h))))[1],
+            (math.frexp(float(np.max(np.abs(g))))[1] + e_sigma + 1) // 2)
+    c += c % 2  # even, so that the Cholesky factors of H scale by 2^(-c/2)
+    a = c - e_sigma
+    u = _solve_cubic(np.ldexp(g, -c - a), np.ldexp(h, -c), math.ldexp(sigma, -e_sigma))
+    return np.ldexp(u, a)
+
+
+def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
+    """`_minimize_cubic` of a model scaled to order one.
+
+    It solves (H + mu I) s = -g with mu = sigma ||s|| / 2 and H + mu I >= 0
+    (Cartis, Gould & Toint 2011, Thm 3.1): `_secular_newton` with the
+    radius 2 mu / sigma, on Cholesky factors of H + mu I.  Newton starts
+    from a lower bound on the root, so that mu rises to it.  The first bound
+    rests on ||s(mu)|| >= ||g|| / (R + mu), R = g'Hg / ||g||^2 the Rayleigh
+    quotient (Cauchy-Schwarz): left of the mu where that equals 2 mu / sigma,
+    ||s(mu)|| exceeds the radius.  The second rests on the tangent of the
+    concave 1/||s(mu)|| at the first, which lies above it: the root is
+    right of the mu where the tangent meets sigma / (2 mu).  Both are the
+    positive root of a quadratic (`_positive_root`).  Where H + mu I does
+    not factor at the first bound, or the iteration does not converge, the
+    same iteration runs in the eigenbasis from the last bound
+    (`_solve_trs_eigen`), whose hard-case and pinched-root completion
+    covers a gradient orthogonal to the lowest eigenvector, g = 0 included.
+    """
+    hs = 0.5 * h + 0.5 * h.T
+    rate = 2.0 / sigma
+    ng = _norm(g)
+    mu = _positive_root(float(g @ (hs @ g)) / ng / ng, 0.5 * sigma * ng) if ng > 0 else 0.0
+    solved = _factor_solve(g, hs, mu) if mu > 0 else None
+    if solved is not None and solved[1] > 0:
+        nd = _norm(solved[0])
+        ratio = (nd / solved[1]) ** 2  # 1/||s|| has the slope 1 / (||s|| ratio)
+        mu = _positive_root(ratio - mu, 0.5 * sigma * nd * ratio)
+        solved = _factor_solve(g, hs, mu)
+    if solved is not None:
+        d, radius, converged = _secular_newton(partial(_factor_solve, g, hs), 0.0, mu, *solved,
+                                               rate)
+        if converged:
+            return d * (radius / _norm(d))
+    return _solve_trs_eigen(g, h, hs, 0.0, rate, mu)
+
+
+def _positive_root(b: float, k: float) -> float:
+    """The positive root of m^2 + b m = k, for k > 0, without cancellation."""
+    root = math.hypot(b, 2.0 * math.sqrt(k))
+    return 2.0 * k / (b + root) if b > 0 else 0.5 * (root - b)
 
 
 def _steepest_descent(g: np.ndarray, delta: float):
@@ -520,11 +612,14 @@ def minimize_model(
     and 2, and at a radius found by `radius_search`, at most
     ``delta_caps[ell-1]``, for order 3.
 
-    A trust-region Newton iteration descends on the model from the warm
-    start (steepest descent is implicit: the trust-region step degrades to
-    it as the radius shrinks).  Every accepted iterate keeps the model
-    decrement at least that of the warm start, so the descent postcondition
-    holds by monotonicity.
+    At p = 2 (with sigma > 0) the model's global minimizer comes first, by
+    `_minimize_cubic`: it replaces the warm start when it is finite and
+    decreases the model more.  From that point a trust-region Newton
+    iteration descends on the model until a step certifies or is long
+    (steepest descent is implicit: the trust-region step degrades to it as
+    the radius shrinks).  Every accepted iterate keeps the model decrement
+    at least that of the warm start, so the descent postcondition holds by
+    monotonicity.
 
     ``warm_start`` is a displacement; the solver's step 2 passes the
     displacement of step 1's measure.
@@ -544,6 +639,19 @@ def minimize_model(
             return None
         return StepResult(current.s, *cert, False, iterations)
 
+    if model.bundle.degree == 2 and model.sigma > 0:
+        s = _minimize_cubic(*model.bundle.tensors, model.sigma)
+        if np.isfinite(s).all():
+            # At a tiny sigma the minimizer lies about 2 / sigma along the
+            # negative curvature, and the model's products at it may leave
+            # the float range: its decrement then reads inf or NaN, and the
+            # warm start stays.  The overflow is expected there, so it is
+            # not reported.
+            with np.errstate(over="ignore", invalid="ignore"):
+                best = _ModelPoint(model, s)
+                dec = best.decrement()
+            if math.isfinite(dec) and dec > point.decrement():
+                point = best
     out = finish(point, 0)
     if out is not None:
         return out

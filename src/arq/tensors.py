@@ -379,8 +379,11 @@ class _ModelPoint:
     def decrement_at(self, halvings: int) -> float:
         """The decrement at 2**-halvings s, from the products at s."""
         b = len(self._ends) + 1
-        reg = self.model.sigma / math.factorial(b) * math.ldexp(self.norm, -halvings) ** b
-        return _taylor_drop(self._ends, halvings) - reg
+        try:
+            power = math.ldexp(self.norm, -halvings) ** b
+        except OverflowError:  # float powers raise where numpy's products give inf
+            power = math.inf
+        return _taylor_drop(self._ends, halvings) - self.model.sigma / math.factorial(b) * power
 
     def derivative(self, j: int) -> np.ndarray:
         """Order-j derivative tensor of the regularized model at s, for j

@@ -711,6 +711,19 @@ class TestSolve:
             assert [c["order"] for c in checks] == [1, 2, 3]
             assert all(c["ok"] for c in checks if c["ok"] is not None)
 
+    @pytest.mark.parametrize("noise", BENCH_NOISES)
+    def test_second_order_steps_take_no_inner_iterations(self, noise):
+        # At p = 2 step 2 starts from the cubic model's global minimizer,
+        # which certifies before the model minimizer's Newton loop.
+        seed = bench_seeds()[0]
+        for name, dim in BENCH_PROBLEMS:
+            for q in (1, 2):
+                res = solve(make_problem(name, dim), NoiseModel(noise, 0.9, seed),
+                            bench_config(q, 1e-3, noise))
+                steps = [r for r in res.trace if r.kind in ("successful", "unsuccessful")]
+                assert steps
+                assert [r.inner_iterations for r in steps] == [0] * len(steps)
+
     def test_first_order_model(self):
         # p = 1: affine Taylor part, only the regularizer curves
         from arq.harness import verify_certificate

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -292,14 +293,55 @@ def mp_trs_optima(g, h, deltas):
         return optima
 
 
-def mp_model_value(g, h, d):
-    """g.d + 0.5 d'Hd of float inputs with 50 digits, as an mpf."""
+def mp_cubic_optimum(g, h, sigma):
+    """The optimal value of min g.s + 0.5 s'Hs + sigma ||s||^3 / 6, computed
+    with 50 digits for a symmetric h: the eigendecomposition by
+    `mpmath.eigsy`, the multiplier mu = sigma ||s|| / 2 by bisection on
+    ||s(mu)|| = 2 mu / sigma right of max(0, -lambda_1).  With g = 0 the
+    minimizer is 0, or 2 (-lambda_1) / sigma along the lowest eigenvector;
+    a gradient orthogonal to that eigenvector in floats is not in 50 digits,
+    so the bisection meets no hard case."""
+    n = len(g)
+    with mpmath.workdps(50):
+        lam, q = mpmath.eigsy(mpmath.matrix(h.tolist()))
+        lam = [lam[i] for i in range(n)]
+        gh = [mpmath.fsum(q[j, i] * g[j] for j in range(n)) for i in range(n)]
+        sigma = mpmath.mpf(sigma)
+        floor = max(mpmath.mpf(0), -min(lam))
+        if all(x == 0 for x in gh):
+            return -2 * floor**3 / (3 * sigma**2)
+
+        def excess(mu):  # ||s(mu)|| - 2 mu / sigma, falling in mu
+            return mpmath.norm([x / (l + mu) for x, l in zip(gh, lam)]) - 2 * mu / sigma
+
+        t = mpmath.sqrt(sigma * mpmath.norm(gh)) + 1
+        while excess(floor + t) <= 0:
+            t /= 2
+            assert t > 1e-100, "g is orthogonal to the lowest eigenvector"
+        lo, hi = floor + t, floor + 2 * t
+        while excess(hi) > 0:
+            lo, hi = hi, floor + 2 * (hi - floor)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if excess(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        s = [-x / (l + lo) for x, l in zip(gh, lam)]
+        return (mpmath.fsum(x * si + l * si * si / 2 for x, l, si in zip(gh, lam, s))
+                + sigma * mpmath.norm(s) ** 3 / 6)
+
+
+def mp_model_value(g, h, d, sigma=0.0):
+    """g.d + 0.5 d'Hd (+ sigma ||d||^3 / 6) of float inputs with 50 digits,
+    as an mpf."""
     with mpmath.workdps(50):
         dm = [mpmath.mpf(float(x)) for x in d]
         n = len(dm)
         return (mpmath.fsum(mpmath.mpf(float(g[i])) * dm[i] for i in range(n))
                 + mpmath.fsum(mpmath.mpf(float(h[i, j])) * dm[i] * dm[j]
-                              for i in range(n) for j in range(n)) / 2)
+                              for i in range(n) for j in range(n)) / 2
+                + mpmath.mpf(sigma) * mpmath.norm(dm) ** 3 / 6)
 
 
 def random_indefinite(rng, n):
@@ -670,6 +712,17 @@ class TestSolveTrs:
         assert model_value(g, h, d) < 0.0
         assert d / delta == pytest.approx(-np.ones(2) / math.sqrt(2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e20, 1e100, 1e200])
+    def test_huge_gradient_over_a_tiny_radius_descends_on_the_sphere(self, scale):
+        # After the power-of-two rescale the Hessian's eigenvalues are far
+        # below 1: a minimal-eigenvalue mask with an absolute floor of 1e-12
+        # took both as minimal, and the step came back zero.
+        g, h, delta = np.full(2, scale), np.diag([-1.0, 1.0]), 1e-300
+        with np.errstate(over="ignore"):  # g.g overflows in `_norm` first
+            d = solve_trs(g, h, delta)
+        assert np.linalg.norm(d / delta) == pytest.approx(1.0, rel=1e-12)
+        assert d / delta == pytest.approx(-np.ones(2) / math.sqrt(2.0), rel=1e-9)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 11),
            st.sampled_from(["indefinite", "definite", "hard", "zero_gradient"]))
     @settings(max_examples=300, deadline=None)
@@ -696,6 +749,55 @@ class TestSolveTrs:
     def test_non_finite_input_rejected_by_name(self, g, h, delta, match):
         with pytest.raises(ValueError, match=match):
             solve_trs(np.array(g), np.array(h), delta)
+
+
+class TestMinimizeCubic:
+    """`_minimize_cubic`, the global minimizer of g.s + 0.5 s'Hs
+    + sigma ||s||^3 / 6 that step 2 starts from at p = 2."""
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "hard", "zero_gradient"])
+    def test_matches_a_50_digit_reference(self, kind):
+        # n = 2-11; H, g and sigma each over six decades of scale.  "hard"
+        # puts g orthogonal to the lowest eigenvector with the
+        # pseudo-solution at mu = -lambda_1 at half the radius 2 mu / sigma.
+        rng = np.random.default_rng(27)
+        worst = 0.0
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            g, h, delta = trs_instance(rng, n, kind)
+            lam = np.linalg.eigvalsh(h)
+            lam1 = float(lam[0])
+            # the radius at mu = -lambda_1 is delta in the hard case
+            sigma = -2.0 * lam1 / delta if kind == "hard" else float(10.0 ** rng.uniform(-3, 3))
+            s = subsolvers._minimize_cubic(g, h, sigma)
+            optimum = mp_cubic_optimum(g, h, sigma)
+            value = mp_model_value(g, h, s, sigma)
+            if optimum == 0:  # g = 0 and H positive definite
+                assert not s.any()
+            else:
+                worst = max(worst, float(abs(value / optimum - 1)))
+            mu = 0.5 * sigma * float(np.linalg.norm(s))
+            assert mu >= max(0.0, -lam1) * (1.0 - 1e-14)
+            # The model gradient g + (H + mu I) s vanishes relative to ||g||,
+            # up to the rounding of mu: ||s(mu)|| moves by mu / (lambda_1 + mu)
+            # of itself per relative change of mu, a large factor near the
+            # hard case.
+            shift = lam1 + mu
+            if g.any() and shift > 0:
+                rtol = 1e-12 + 8 * np.finfo(float).eps * mu / shift
+                gradient = g + h @ s + mu * s
+                assert np.linalg.norm(gradient) <= rtol * np.linalg.norm(g)
+        assert worst <= 1e-14
+
+    def test_positive_definite_takes_no_eigendecomposition(self, eigh_calls):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 20, 60):
+            for _ in range(5):
+                h = random_positive_definite(rng, n)
+                g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                s = subsolvers._minimize_cubic(g, h, float(10.0 ** rng.uniform(-3, 3)))
+                assert np.all(np.isfinite(s))
+        assert not eigh_calls
 
 
 def convex_model():
@@ -745,9 +847,12 @@ class TestMinimizeModel:
         # true minimizer: -t + t^2/2 + t^3/6 along -g has its root at sqrt(3)-1
         s_star = np.array([1.0 - math.sqrt(3.0), 0.0])
         res = minimize_model(model, s_star, targets(0.5, 0.02, 1.0, [0.5]))
-        assert np.array_equal(res.step, s_star)
+        # The cubic model's global minimizer, computed by its own kernel,
+        # may replace the start where it is better in the last bits.
+        assert not res.long_step
         assert res.inner_iterations == 0
         assert res.radii is not None and res.radii[0] == 1.0
+        assert model_dec(model, res.step) >= model_dec(model, s_star)
 
     def test_negative_curvature_gives_long_step(self):
         # one-dimensional model -x^2 + sigma x^3 / 3! with its minimizer at
@@ -773,13 +878,31 @@ class TestMinimizeModel:
             res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-4]))
             assert model_dec(model, res.step) >= model_dec(model, d0)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-131])
+    def test_global_minimizer_beyond_the_float_range_leaves_the_warm_start(self, sigma):
+        # The cubic model's minimizer lies 2 / sigma along the negative
+        # curvature, where its decrement overflows: the loop runs from the
+        # warm start instead, to a long step, and no overflow is reported.
+        b = DerivativeBundle([np.array([1.0, 0.0]), np.diag([-1.0, 1.0])])
+        model = RegularizedModel(b, sigma)
+        d0 = np.array([-0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [0.5]))
+        assert res.long_step
+        assert np.all(np.isfinite(res.step))
+        assert model_dec(model, res.step) >= model_dec(model, d0)
+
     def test_warm_start_without_decrease_rejected(self):
         model = convex_model()
         with pytest.raises(ValueError):
             minimize_model(model, np.array([1.0, 0.0]), targets(0.5, 0.02, 1.0, [0.5]))
 
     def test_inner_cap_raises_stall(self, monkeypatch):
-        model = convex_model()
+        # At p = 2 the cubic model's global minimizer certifies before the
+        # loop, so the loop is driven at p = 3.
+        g = np.array([1.0, 0.0])
+        model = RegularizedModel(DerivativeBundle([g, np.eye(2), np.zeros((2, 2, 2))]), 1.0)
         d0 = cauchy_point(model)
         monkeypatch.setattr(subsolvers, "_MAX_INNER_ITERS", 1)
         with pytest.raises(SubsolverStallError, match="inner iteration cap exceeded"):
