@@ -6,6 +6,11 @@ relative terms, certifiably small in absolute terms, or neither.  The
 decision is a pure comparison; callers own the consequences (typically:
 ``insufficient`` triggers a global accuracy tightening, whose size the
 failed check's `Shortfall` sets).
+
+`check`, `margins` and `Shortfall.of` validate their arguments.  The
+solver's own checks pass values it built itself and call the kernel,
+`verdict`, which skips that validation and returns the margins with the
+outcome, so an insufficient check's `Shortfall` reuses them.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CheckOutcome", "Margins", "Shortfall", "check", "margins"]
+__all__ = ["CheckOutcome", "Margins", "Shortfall", "check", "margins", "verdict"]
 
 
 class CheckOutcome(Enum):
@@ -60,11 +65,35 @@ def margins(delta, decrement, accuracies, xi, omega) -> Margins:
     if not all(a >= 0 for a in accuracies):
         raise ValueError(f"accuracies must be >= 0, got {accuracies}")
 
+    return _margins(delta, decrement, accuracies, xi, omega)
+
+
+def _margins(delta: float, decrement: float, accuracies: list, xi: float,
+             omega: float) -> Margins:
+    """`margins` on arguments that are already valid floats, with the
+    accuracies a nonempty list."""
     r = len(accuracies)
     error_sum = sum(
         a * delta**i / math.factorial(i) for i, a in enumerate(accuracies, start=1)
     )
     return Margins(error_sum, omega * decrement, omega * xi * delta**r / math.factorial(r))
+
+
+def _outcome(decrement: float, m: Margins) -> CheckOutcome:
+    if decrement > 0 and m.error_sum <= m.relative:
+        return CheckOutcome.RELATIVE
+    if m.error_sum <= m.absolute:
+        return CheckOutcome.ABSOLUTE
+    return CheckOutcome.INSUFFICIENT
+
+
+def verdict(delta: float, decrement: float, accuracies: list, xi: float,
+            omega: float) -> tuple:
+    """``(outcome, margins)`` of `check` on arguments the caller vouches
+    for, unvalidated: floats in `check`'s ranges, and the accuracies a
+    nonempty list of floats."""
+    m = _margins(delta, decrement, accuracies, xi, omega)
+    return _outcome(decrement, m), m
 
 
 def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
@@ -94,12 +123,7 @@ def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
         ``omega * xi * delta^r / r!``; otherwise INSUFFICIENT.  The relative
         branch is evaluated first and boundary equality qualifies.
     """
-    m = margins(delta, decrement, accuracies, xi, omega)
-    if decrement > 0 and m.error_sum <= m.relative:
-        return CheckOutcome.RELATIVE
-    if m.error_sum <= m.absolute:
-        return CheckOutcome.ABSOLUTE
-    return CheckOutcome.INSUFFICIENT
+    return _outcome(decrement, margins(delta, decrement, accuracies, xi, omega))
 
 
 @dataclass(frozen=True)
@@ -114,7 +138,11 @@ class Shortfall:
 
     @classmethod
     def of(cls, cause: str, delta, decrement, accuracies, xi, omega) -> Shortfall:
-        m = margins(delta, decrement, accuracies, xi, omega)
+        return cls.at(cause, margins(delta, decrement, accuracies, xi, omega))
+
+    @classmethod
+    def at(cls, cause: str, m: Margins) -> Shortfall:
+        """The shortfall of a check that compared the margins `m`."""
         return cls(cause, m.error_sum, max(m.relative, m.absolute))
 
     def steps(self, gamma: float, cap: int) -> int:

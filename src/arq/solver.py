@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import CheckOutcome, Shortfall, check
+from .check import CheckOutcome, Shortfall, verdict
 from .oracle import EvalCounters, NoiseModel, Oracle, Problem, estimate_lipschitz
 from .subsolvers import (
     ORDER_GUARANTEES,
@@ -365,15 +365,15 @@ def step1(state: SolverState, model, config: SolverConfig, guard_l_bar):
         while True:
             delta_j = float(state.delta[j - 1])
             meas = optimality_measure(model.bundle, j, delta_j)
-            args = (
+            outcome, margins = verdict(
                 delta_j,
-                meas.phi_bar,
-                state.acc[:j],
+                float(meas.phi_bar),
+                state.acc[:j].tolist(),
                 0.5 * config.epsilons[j - 1],
                 config.omega,
             )
-            if check(*args) is CheckOutcome.INSUFFICIENT:
-                return Shortfall.of(f"step1 j={j}", *args)
+            if outcome is CheckOutcome.INSUFFICIENT:
+                return Shortfall.at(f"step1 j={j}", margins)
             threshold = _termination_threshold(config, j, delta_j)
             if meas.phi_bar <= threshold:
                 measured.append(
@@ -438,30 +438,29 @@ def step2(state: SolverState, model, config: SolverConfig, j_k: int, start):
         * delta_1**j_k
         / (math.factorial(j_k) * max(delta_1, step_norm) ** config.p)
     )
-    args = (step_norm, dec_p, state.acc, xi_first, config.omega)
-    verdict = check(*args)
-    if verdict is CheckOutcome.ABSOLUTE:
+    outcome, margins = verdict(step_norm, dec_p, state.acc.tolist(), xi_first, config.omega)
+    if outcome is CheckOutcome.ABSOLUTE:
         # Ruled out by the lower bound on the model decrease carried over
         # from step 1; reaching here means that bound was broken.
         raise InternalInvariantError(
             f"step-2 decrement check returned absolute at iteration {state.k}"
         )
     shortfalls = []
-    if verdict is CheckOutcome.INSUFFICIENT:
-        shortfalls.append(Shortfall.of("step2 decrement", *args))
+    if outcome is CheckOutcome.INSUFFICIENT:
+        shortfalls.append(Shortfall.at("step2 decrement", margins))
 
     if step_norm < 1.0:
         for ell in range(1, config.q + 1):
             acc_model = 3.0 * float(np.max(state.acc[ell - 1 : config.p]))
-            args = (
+            outcome, margins = verdict(
                 float(step_res.radii[ell - 1]),
-                step_res.phi_bars[ell - 1],
+                float(step_res.phi_bars[ell - 1]),
                 [acc_model] * ell,
                 targets[ell - 1] / (1.0 + config.omega),
                 config.omega,
             )
-            if check(*args) is CheckOutcome.INSUFFICIENT:
-                shortfalls.append(Shortfall.of(f"step2 ell={ell}", *args))
+            if outcome is CheckOutcome.INSUFFICIENT:
+                shortfalls.append(Shortfall.at(f"step2 ell={ell}", margins))
     if shortfalls:
         # max keeps the first of equal keys: the earliest check wins a tie.
         return max(shortfalls, key=lambda sf: sf.steps(config.gamma_acc, _ACC_STEPS_CAP))

@@ -316,20 +316,20 @@ class TestCriterion10ExactOracleDegeneration:
         # every accuracy check made during an exact run must come back
         # relative whenever the decrement is positive
         recorded = []
-        original = solver_mod.check
+        original = solver_mod.verdict
 
-        def recording_check(delta, decrement, accuracies, xi, omega):
-            verdict = original(delta, decrement, accuracies, xi, omega)
-            recorded.append((decrement, verdict))
-            return verdict
+        def recording_verdict(delta, decrement, accuracies, xi, omega):
+            outcome, margins = original(delta, decrement, accuracies, xi, omega)
+            recorded.append((decrement, outcome))
+            return outcome, margins
 
-        solver_mod.check = recording_check
+        solver_mod.verdict = recording_verdict
         try:
             for name, dim in (("quadratic", 4), ("rosenbrock", 2)):
                 problem = make_problem(name, dim)
                 solve(problem, NoiseModel("exact"), bench_config(1, 1e-3, "exact"))
         finally:
-            solver_mod.check = original
+            solver_mod.verdict = original
         assert recorded
         for decrement, verdict in recorded:
             if decrement > 0 and verdict is not CheckOutcome.RELATIVE:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arq.check import CheckOutcome, Shortfall, check, margins
+from arq.check import CheckOutcome, Shortfall, check, margins, verdict
 
 
 class TestExamples:
@@ -187,3 +187,22 @@ class TestShortfallSteps:
             assert check(*_scaled(inputs, 0.25 ** (k - 1))) is CheckOutcome.INSUFFICIENT
         if k < 8:
             assert check(*_scaled(inputs, 0.25**k)) is not CheckOutcome.INSUFFICIENT
+
+
+class TestVerdictKernel:
+    """`verdict` is `check` and `margins` without the validation."""
+
+    @given(check_inputs())
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_the_validated_check(self, inputs):
+        outcome, m = verdict(*inputs)
+        assert outcome is check(*inputs)
+        assert m == margins(*inputs)
+        assert Shortfall.at("c", m) == Shortfall.of("c", *inputs)
+
+    def test_skips_the_validation(self):
+        # A negative decrement, which `check` rejects, is compared as given.
+        args = (0.5, -1.0, [0.01], 0.05, 0.02)
+        with pytest.raises(ValueError, match="^decrement must"):
+            check(*args)
+        assert verdict(*args)[0] is CheckOutcome.INSUFFICIENT

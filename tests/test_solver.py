@@ -431,7 +431,7 @@ class TestRaySearch:
         state = make_state(sigma=0.1)
         bundle = bundle_1d(0.15, 3.0)
         measures = count_calls(monkeypatch, "optimality_measure")
-        checks = count_calls(monkeypatch, "check")
+        checks = count_calls(monkeypatch, "verdict")
         j_k, meas = step1(state, RegularizedModel(bundle, 0.1), cfg, lambda: 3.0)
         assert state.delta[0] == 2.0**-4
         assert (len(measures), len(checks)) == (1, 1)
