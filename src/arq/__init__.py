@@ -5,7 +5,14 @@ The package namespace holds the user-facing API; the internals live in
 """
 
 from .diagnostics import BoundReport, compute_bounds
-from .oracle import EvalCounters, NoiseModel, Oracle, Problem, make_problem
+from .oracle import (
+    EvalCounters,
+    NoiseModel,
+    Oracle,
+    OracleFaultError,
+    Problem,
+    make_problem,
+)
 from .solver import (
     BudgetExhaustedError,
     Certificate,
@@ -26,6 +33,7 @@ __all__ = [
     "InternalInvariantError",
     "NoiseModel",
     "Oracle",
+    "OracleFaultError",
     "Problem",
     "SolveResult",
     "SolveStoppedError",

@@ -1,8 +1,8 @@
 """Command-line entry points: solve, sweep, verify, bounds.
 
 Exit codes: 0 success / certified, 1 configuration error (a malformed
-value included), 2 a stop without a certificate (budget, stall or
-invariant; for sweep, in any of its rows) or failed verification, 3 I/O
+value included), 2 a stop without a certificate (budget, stall,
+invariant or oracle; for sweep, in any of its rows) or failed verification, 3 I/O
 failure.  Logging verbosity comes from the ARQ_LOG environment variable
 (quiet, info, trace).
 """

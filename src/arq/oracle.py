@@ -15,7 +15,11 @@ noise.  The solver reuses a value for as long as that achieved bound
 meets its demand.
 
 Every request is evaluated afresh and counted (`EvalCounters`); reusing a
-bundle is the solver's decision, not the oracle's.
+bundle is the solver's decision, not the oracle's.  What the problem
+returns is checked before any noise is added: a non-finite value, or a
+derivative of the wrong shape or with a non-finite entry, raises
+`OracleFaultError`, so a faulty `Problem` stops a solve with its own status
+instead of failing somewhere inside the solver.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .subsolvers import SolveStoppedError
 from .tensors import (
     DerivativeBundle,
     _norm,
@@ -40,6 +45,7 @@ __all__ = [
     "NoiseModel",
     "EvalCounters",
     "Oracle",
+    "OracleFaultError",
     "make_problem",
     "PROBLEM_NAMES",
     "estimate_lipschitz",
@@ -91,6 +97,28 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
         if not 0.0 <= self.fill_fraction <= 1.0:
             raise ValueError("fill_fraction must be in [0, 1]")
+
+
+class OracleFaultError(SolveStoppedError):
+    """The problem returned a non-finite value, or a derivative of the wrong
+    shape or with a non-finite entry; the message names the order (0 for
+    f), the point and the fault."""
+
+    status = "oracle"
+
+
+def _fault(problem: Problem, x: np.ndarray, order: int, returned: np.ndarray) -> str | None:
+    """What is wrong with `returned`, problem's order-`order` derivative (its
+    value at order 0) at x, as a message, or None when nothing is."""
+    expected = (problem.dim,) * order
+    if returned.shape != expected:
+        fault = f"shape {returned.shape} instead of {expected}"
+    elif not np.isfinite(returned).all():
+        fault = "a non-finite entry" if order else f"the non-finite value {float(returned)}"
+    else:
+        return None
+    point = np.array2string(x, separator=", ", precision=17, threshold=16)
+    return f"problem {problem.name!r} returned {fault} at order {order}, x = {point}"
 
 
 @dataclass
@@ -218,6 +246,8 @@ class Oracle:
         x = np.asarray(x, dtype=float)
         exact = self.problem.value(x)
         self.counters.value_evals += 1
+        if not math.isfinite(exact):
+            raise OracleFaultError(_fault(self.problem, x, 0, np.asarray(exact)))
         if self.noise.kind == "exact" or bound == 0.0:
             return exact, 0.0
         if self.noise.kind == "truncation":
@@ -241,21 +271,24 @@ class Oracle:
 
     def inexact_bundle(self, x, accuracies, p: int) -> DerivativeBundle:
         """Derivative bundle at x with per-order error bounds `accuracies`.
-        Counts one derivative evaluation."""
+        Counts one derivative evaluation, and raises `OracleFaultError` when
+        a derivative the problem returned has the wrong shape or a
+        non-finite entry."""
         x = np.asarray(x, dtype=float)
         accuracies = np.asarray(accuracies, dtype=float)
         if accuracies.shape != (p,):
             raise ValueError(f"need {p} accuracy entries, got {accuracies.shape}")
         if not (accuracies >= 0).all():
             raise ValueError(f"accuracy entries must be >= 0, got {accuracies}")
-        bundle = DerivativeBundle(
-            [
-                self._perturb_tensor(self.problem.derivative(x, i), float(acc))
-                for i, acc in enumerate(accuracies, start=1)
-            ]
-        )
+        exacts = [self.problem.derivative(x, i) for i in range(1, p + 1)]
         self.counters.derivative_evals += 1
-        return bundle
+        for order, exact in enumerate(exacts, start=1):
+            fault = _fault(self.problem, x, order, exact)
+            if fault:
+                raise OracleFaultError(fault)
+        return DerivativeBundle(
+            [self._perturb_tensor(exact, float(acc)) for exact, acc in zip(exacts, accuracies)]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -532,10 +532,11 @@ def solve(
     x0=None,
 ) -> SolveResult:
     """Run steps 1-5 until step 1 returns a certificate, or raise a
-    `SolveStoppedError` (budget exhaustion, an inner-solve stall or a crossed
-    invariant) that carries the trace and the counters.  Each iteration
-    appends one record; a stall or invariant interrupts an iteration, and
-    its record, with ``kind`` None, ends the trace, so the per-record
+    `SolveStoppedError` (budget exhaustion, an inner-solve stall, a crossed
+    invariant or an oracle fault) that carries the trace and the counters.
+    Each iteration appends one record; a stall, an invariant or an oracle
+    fault interrupts an iteration, and its record, with ``kind`` None, ends
+    the trace, so the per-record
     evaluations sum to the counters.
 
     The Lipschitz estimate behind the step-1 radius guard is computed at
@@ -624,8 +625,8 @@ def solve(
         )
     except SolveStoppedError as exc:
         if not isinstance(exc, BudgetExhaustedError):
-            # A stall or invariant interrupts iteration k after its
-            # evaluations were counted: its record ends the trace.
+            # A stall, invariant or oracle fault interrupts iteration k
+            # after its evaluations were counted: its record ends the trace.
             record.delta_end = state.delta.copy()
             record.halvings = state.halvings
             _close_record(record, oracle, snap)

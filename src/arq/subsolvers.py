@@ -89,7 +89,9 @@ class SolveStoppedError(RuntimeError):
 
     ``status`` says why: ``budget`` (iterations ran out), ``stall`` (an inner
     solve hit its iteration or radius floor, or a step-1 radius halved to
-    0) or ``invariant`` (a bound the theory guarantees was crossed).
+    0), ``invariant`` (a bound the theory guarantees was crossed) or
+    ``oracle`` (the problem returned a non-finite value or derivative, or
+    one of the wrong shape).
     `solve` attaches the run's ``trace`` (ending with the interrupted
     iteration, unless the budget ran out) and its ``counters`` before it
     re-raises.

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -244,10 +245,25 @@ STALL_FLAGS = ["--problem", "rosenbrock", "--dim", "2", "--noise", "bounded_rand
                "--seed", "3", "--eps", "1e-3", "--p", "3"]
 
 
-@pytest.fixture(params=["stall", "invariant"])
+def nan_gradient_problem(name, dim):
+    """The named problem with a NaN gradient everywhere."""
+    problem = make_problem(name, dim)
+    derivative = problem.eval_derivative
+    return dataclasses.replace(
+        problem, eval_derivative=lambda x, i: derivative(x, i) * (math.nan if i == 1 else 1.0))
+
+
+@pytest.fixture(params=["stall", "invariant", "oracle"])
 def forced_stop(request, monkeypatch):
     """(status, spec fields, CLI flags) of a run that stops without a certificate."""
-    if request.param == "stall":
+    if request.param == "oracle":
+        # The first derivative bundle holds a NaN gradient.
+        monkeypatch.setattr(arq.harness, "make_problem", nan_gradient_problem)
+        fields = dict(problem="quadratic", dim=2, noise="bounded_random", seed=3,
+                      eps=(1e-3,))
+        flags = ["--problem", "quadratic", "--dim", "2", "--noise", "bounded_random",
+                 "--seed", "3", "--eps", "1e-3"]
+    elif request.param == "stall":
         # At p=3 step 2 enters the model minimizer's Newton loop, whose cap of
         # one iteration is hit in the first iteration.
         monkeypatch.setattr(arq.subsolvers, "_MAX_INNER_ITERS", 1)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 
@@ -11,6 +12,7 @@ from arq.oracle import (
     NOISE_KINDS,
     NoiseModel,
     Oracle,
+    OracleFaultError,
     PROBLEM_NAMES,
     Problem,
     _matrix_errors_fit,
@@ -20,6 +22,7 @@ from arq.oracle import (
     make_problem,
 )
 from arq import tensors
+from arq.solver import SolverConfig, solve
 from arq.tensors import frobenius_norm, operator_norm
 
 from conftest import central_diff_gradient
@@ -211,6 +214,62 @@ class TestBundleContract:
         with pytest.raises(ValueError, match="bound"):
             oracle.inexact_value(problem.x0, float("nan"))
         assert oracle.counters.snapshot() == (0, 0)
+
+
+def faulty_double_well(fault):
+    """The 2-D double well started at (0.2, -0.3) with one fault, which
+    fires once the first coordinate passes 0.55 (at once for the gradient
+    of the wrong shape)."""
+    well = make_problem("quartic", 2)
+
+    def fires(x):
+        return x[0] > 0.55
+
+    def value(x):
+        if fault in ("inf value", "nan value") and fires(x):
+            return math.inf if fault == "inf value" else math.nan
+        return well.eval_value(x)
+
+    def derivative(x, i):
+        d = well.eval_derivative(x, i)
+        if fault == "gradient shape" and i == 1:
+            return np.append(d, 0.0)
+        if (fault, i) in (("nan gradient", 1), ("nan hessian", 2)) and fires(x):
+            return np.full_like(d, math.nan)
+        return d
+
+    return dataclasses.replace(well, eval_value=value, eval_derivative=derivative,
+                               x0=np.array([0.2, -0.3]))
+
+
+class TestProblemFaults:
+    """A faulty `Problem` stops a solve with status ``oracle`` and a message
+    naming the order, the point and the fault."""
+
+    @pytest.mark.parametrize("fault, order, says", [
+        ("nan gradient", 1, "a non-finite entry"),
+        ("nan hessian", 2, "a non-finite entry"),
+        ("inf value", 0, "the non-finite value inf"),
+        ("nan value", 0, "the non-finite value nan"),
+        ("gradient shape", 1, "shape (3,) instead of (2,)"),
+    ])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_fault_stops_the_solve(self, fault, order, says, kind):
+        config = SolverConfig(p=2, q=2, epsilons=(1e-3, 1e-3))
+        with pytest.raises(OracleFaultError) as info:
+            solve(faulty_double_well(fault), NoiseModel(kind, 0.9, seed=3), config)
+        err = info.value
+        assert err.status == "oracle"
+        message = str(err)
+        assert message.startswith(f"problem 'quartic' returned {says} at order {order}, x = [")
+        x = np.array(ast.literal_eval(message.split("x = ")[1]))
+        assert x.shape == (2,)
+        assert fault == "gradient shape" or x[0] > 0.55
+        # the interrupted iteration ends the trace, and its evaluations
+        # are counted
+        assert err.trace[-1].kind is None
+        assert sum(r.value_evals for r in err.trace) == err.counters.value_evals
+        assert sum(r.derivative_evals for r in err.trace) == err.counters.derivative_evals
 
 
 def eigensolve_truncation(exact, bound):

@@ -5,6 +5,7 @@ PUBLIC_API = {
     "Problem", "make_problem", "Oracle", "EvalCounters", "BoundReport",
     "compute_bounds", "ConfigError", "SolveStoppedError",
     "BudgetExhaustedError", "SubsolverStallError", "InternalInvariantError",
+    "OracleFaultError",
 }
 
 # Reached as arq.tensors.*, arq.subsolvers.* and arq.check.CheckOutcome.
