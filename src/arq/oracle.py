@@ -23,6 +23,7 @@ instead of failing somewhere inside the solver.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +86,11 @@ class NoiseModel:
         "truncation"     -- round to the coarsest decimal grid still inside
                             the bound (multi-precision style);
         "bounded_random" -- pseudo-random perturbation of magnitude
-                            fill_fraction * bound.
+                            fill_fraction * bound: a random sign for a
+                            value, a Gaussian direction for a gradient, a
+                            random spectrum in a sign-flipped cosine basis
+                            for a Hessian (see `Oracle._perturb_tensor`),
+                            and a symmetrized Gaussian tensor at order 3.
     """
 
     kind: str = "exact"
@@ -174,14 +179,28 @@ def _matrix_errors_fit(errs: np.ndarray, bound: float):
 
 
 def _contract_norm(tensor: np.ndarray) -> float:
-    """Norm an injected error is sized in: the exact induced norm at orders
-    1 and 2, and the Frobenius norm, an upper bound on it, at order 3, so
-    the induced-norm contract holds whatever the order."""
+    """Norm a vector or order-3 error is sized in: the exact induced norm at
+    order 1, and the Frobenius norm, an upper bound on it, at order 3, so
+    the induced-norm contract holds at both orders.  (A matrix error's
+    induced norm is known from how it is built or bounded; see
+    `Oracle._perturb_tensor` and `_matrix_errors_fit`.)"""
     if tensor.ndim == 1:
         return _norm(tensor)
-    if tensor.ndim == 2:
-        return operator_norm(tensor)
     return frobenius_norm(tensor)
+
+
+@functools.lru_cache(maxsize=32)
+def _cosine_basis(n: int) -> np.ndarray:
+    """The orthonormal DCT-II basis of R^n, one basis vector per row:
+    row k is sqrt(2/n) cos(pi (2j + 1) k / (2n)) over j, and row 0 is
+    sqrt(1/n).  No entry exceeds sqrt(2/n) in size, so each basis vector
+    is spread over every coordinate.  Read-only."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    basis = math.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
+    basis[0] = math.sqrt(1.0 / n)
+    basis.flags.writeable = False
+    return basis
 
 
 # 10**d for d = 0..16 decimals: the factors `np.round` multiplies by (and
@@ -259,12 +278,34 @@ class Oracle:
         return value, float(bound)
 
     def _perturb_tensor(self, exact: np.ndarray, bound: float) -> np.ndarray:
+        """`exact` within `bound` in the induced norm: unchanged for exact
+        noise or a zero bound, rounded for truncation, and for bounded noise
+        moved by ``fill_fraction * bound`` along a random direction.
+
+        A gradient's direction is Gaussian, sized by its norm.  An order-3
+        direction is a symmetrized Gaussian tensor, sized by its Frobenius
+        norm, an upper bound on its induced norm.  A Hessian's direction is
+        built with a known induced norm, so no eigensolve sizes it: n
+        Gaussian eigenvalues lam, put into the cosine basis C of
+        `_cosine_basis` with a random sign per coordinate, B = C diag(s).
+        The direction is the exactly symmetric M + M' for M = B' diag(lam)
+        B, whose eigenvalues are 2 lam, so its size is 2 max|lam|.  Its
+        eigenvectors are the cosine vectors with those signs, spread over
+        every coordinate.  Each request draws 2n numbers.
+        """
         if self.noise.kind == "exact" or bound == 0.0:
             return exact.copy()
         if self.noise.kind == "truncation":
             return _truncate_tensor(exact, bound)
-        direction = symmetrize(self._rng.standard_normal(exact.shape))
-        size = _contract_norm(direction)
+        if exact.ndim == 2:
+            lam, signs = self._rng.standard_normal((2, len(exact)))
+            basis = _cosine_basis(len(exact)) * np.copysign(1.0, signs)
+            half = (basis.T * lam) @ basis
+            direction = half + half.T
+            size = 2.0 * float(np.abs(lam).max())
+        else:
+            direction = symmetrize(self._rng.standard_normal(exact.shape))
+            size = _contract_norm(direction)
         if size == 0.0:
             return exact.copy()
         return exact + (self.noise.fill_fraction * bound / size) * direction

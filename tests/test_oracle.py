@@ -359,6 +359,49 @@ class TestDeterminism:
                 assert np.array_equal(ta, tb)
 
 
+def bounded_hessian(n, fill=0.9, seed=0, bound=0.1):
+    """(exact, returned) Hessian of sineq at its start point under one
+    order-2 bounded-noise request."""
+    problem = make_problem("sineq", n)
+    oracle = Oracle(problem, NoiseModel("bounded_random", fill, seed))
+    bundle = oracle.inexact_bundle(problem.x0, np.array([0.0, bound]), 2)
+    return problem.derivative(problem.x0, 2), bundle.tensors[1]
+
+
+class TestBoundedHessianDirection:
+    """The order-2 bounded-noise direction is built with a known norm."""
+
+    @pytest.mark.parametrize("fill", [0.9, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 60, 200])
+    def test_error_norm_is_the_fill(self, n, fill):
+        exact, hessian = bounded_hessian(n, fill)
+        assert operator_norm(hessian - exact) == pytest.approx(fill * 0.1, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 200])
+    def test_bit_symmetric(self, n):
+        _, hessian = bounded_hessian(n)
+        assert np.array_equal(hessian, hessian.T)
+
+    def test_eigenvectors_spread_over_every_coordinate(self):
+        exact, hessian = bounded_hessian(200)
+        vectors = np.linalg.eigh(hessian - exact)[1]
+        assert np.abs(vectors).max() <= 0.2
+
+    def test_no_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve sized the noise")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        for n in (1, 4, 60):
+            bounded_hessian(n)
+
+    def test_seed_fixes_the_tensors(self):
+        first = bounded_hessian(20, seed=5)[1]
+        assert np.array_equal(first, bounded_hessian(20, seed=5)[1])
+        assert not np.array_equal(first, bounded_hessian(20, seed=6)[1])
+
+
 class TestCaching:
     """The oracle keeps no cache: every bundle request is one evaluation."""
 

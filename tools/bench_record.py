@@ -37,6 +37,9 @@ PER_LAYER = (
     "subsolvers.solve_trs.calls",
     "subsolvers.solve_trs.self_s",
     "oracle.inexact_bundle.calls",
+    "oracle.inexact_bundle.self_s",
+    "tensors.operator_norm.calls",
+    "tensors.operator_norm.self_s",
 )
 
 
