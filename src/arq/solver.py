@@ -536,8 +536,7 @@ def solve(
     invariant or an oracle fault) that carries the trace and the counters.
     Each iteration appends one record; a stall, an invariant or an oracle
     fault interrupts an iteration, and its record, with ``kind`` None, ends
-    the trace, so the per-record
-    evaluations sum to the counters.
+    the trace, so the per-record evaluations sum to the counters.
 
     The Lipschitz estimate behind the step-1 radius guard is computed at
     most once, and only when a halved radius first falls below the guard

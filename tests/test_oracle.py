@@ -359,12 +359,12 @@ class TestDeterminism:
                 assert np.array_equal(ta, tb)
 
 
-def bounded_hessian(n, fill=0.9, seed=0, bound=0.1):
+def bounded_hessian(n, fill=0.9, seed=0):
     """(exact, returned) Hessian of sineq at its start point under one
-    order-2 bounded-noise request."""
+    order-2 bounded-noise request with bound 0.1."""
     problem = make_problem("sineq", n)
     oracle = Oracle(problem, NoiseModel("bounded_random", fill, seed))
-    bundle = oracle.inexact_bundle(problem.x0, np.array([0.0, bound]), 2)
+    bundle = oracle.inexact_bundle(problem.x0, np.array([0.0, 0.1]), 2)
     return problem.derivative(problem.x0, 2), bundle.tensors[1]
 
 
