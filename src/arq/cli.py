@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / certified, 1 configuration error (a malformed
 value included), 2 a stop without a certificate (budget, stall,
-invariant or oracle; for sweep, in any of its rows) or failed verification, 3 I/O
+invariant or oracle; for sweep, in any of its rows), an oracle fault in
+the Lipschitz estimate of a bound report, or failed verification, 3 I/O
 failure.  Logging verbosity comes from the ARQ_LOG environment variable
 (quiet, info, trace).
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import digits_demanded
+from .diagnostics import digits_demanded, value_digits_demanded
 from .harness import (
     ExperimentSpec,
     bounds_text,
@@ -31,7 +32,7 @@ from .harness import (
     start_bounds,
     verify_certificate,
 )
-from .oracle import NOISE_KINDS, PROBLEM_NAMES, make_problem
+from .oracle import NOISE_KINDS, PROBLEM_NAMES, OracleFaultError, make_problem
 from .solver import ConfigError, SolverConfig, kind_counts
 
 logger = logging.getLogger("arq")
@@ -131,7 +132,7 @@ def _add_common(parser):
     parser.add_argument("--config", help="flat key = value config file")
 
 
-def _print_solve_outcome(outcome) -> None:
+def _print_solve_outcome(outcome, spec: ExperimentSpec) -> None:
     if outcome.exit_code != 0:
         print(f"error: {outcome.error}")
         return
@@ -159,12 +160,17 @@ def _print_solve_outcome(outcome) -> None:
         print("  digits demanded = n/a (exact derivatives)")
     else:
         print(f"  digits demanded = {digits:.2f} per derivative bundle")
+    value_digits = value_digits_demanded(result.trace, build_config(spec))
+    if value_digits is None:
+        print("  value digits demanded = n/a (no value requested)")
+    else:
+        print(f"  value digits demanded = {value_digits:.2f} per value")
 
 
 def cmd_solve(args) -> int:
     spec = _build_spec(args)
     outcome = run_solve(spec)
-    _print_solve_outcome(outcome)
+    _print_solve_outcome(outcome, spec)
     return outcome.exit_code
 
 
@@ -202,7 +208,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _build_spec(args)
-    report = start_bounds(spec.make_problem(), build_config(spec))
+    try:
+        report = start_bounds(spec.make_problem(), build_config(spec))
+    except OracleFaultError as exc:
+        print(f"error: {exc.status}: {exc}")
+        return 2
     print(bounds_text(report), end="")
     return 0
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .solver import ConfigError, SolverConfig
+from .solver import ConfigError, SolverConfig, value_request_bound
 
-__all__ = ["BoundReport", "compute_bounds", "digits_demanded"]
+__all__ = ["BoundReport", "compute_bounds", "digits_demanded", "value_digits_demanded"]
 
 
 def digits_demanded(trace) -> float | None:
@@ -30,6 +30,23 @@ def digits_demanded(trace) -> float | None:
     if not any(d.size for d in demands):
         return None
     return float(np.mean([-np.log10(d).sum() for d in demands]))
+
+
+def value_digits_demanded(trace, config: SolverConfig) -> float | None:
+    """Decimal digits of accuracy demanded per value evaluation.
+
+    The mean, over the value requests, of -log10 of the bound each was
+    made at.  Step 3 makes every value request of a record with a step at
+    `value_request_bound` of its ``dec_bar``, so each such record counts
+    its value evaluations at that bound.  None when no record requests a
+    value.  The value counterpart of `digits_demanded`.
+    """
+    requests = [(rec.value_evals, value_request_bound(config, rec.dec_bar))
+                for rec in trace if rec.dec_bar is not None and rec.value_evals]
+    if not requests:
+        return None
+    counts, bounds = zip(*requests)
+    return float(np.average(-np.log10(bounds), weights=counts))
 
 
 _LN_FACTORIAL = tuple(math.log(math.factorial(n)) for n in range(5))  # n <= p + 1 <= 4

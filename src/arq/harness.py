@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import compute_bounds, digits_demanded
+from .diagnostics import compute_bounds, digits_demanded, value_digits_demanded
 from .oracle import (
     NoiseModel,
+    OracleFaultError,
     Problem,
     estimate_lipschitz,
     lipschitz_over_points,
@@ -397,7 +398,10 @@ def start_bounds(problem: Problem, config: SolverConfig, x0=None):
 
 def run_solve(spec: ExperimentSpec) -> RunOutcome:
     """Solve one instance; write trace/certificate/bounds when `out` is set.
-    A certified run always gets its bound report (see `BoundReport`)."""
+    A certified run gets its bound report (see `BoundReport`) unless the
+    Lipschitz estimate behind it meets an `OracleFaultError`: the run then
+    exits 2 with the fault, its trace and certificate written, and no
+    ``bounds.txt``."""
     try:
         problem = spec.make_problem()
         config = build_config(spec)
@@ -417,11 +421,17 @@ def run_solve(spec: ExperimentSpec) -> RunOutcome:
         return RunOutcome(2, error=f"{exc.status}: {exc}")
 
     verification = verify_certificate(problem, result.certificate)
-    report = start_bounds(problem, config, spec.x0)
     if spec.out is not None:
         cert_json = certificate_to_json(result.certificate, verification, spec, config)
         write_trace_csv(Path(spec.out) / "trace.csv", result.trace)
         (Path(spec.out) / "certificate.json").write_text(json.dumps(cert_json, indent=2) + "\n")
+    try:
+        report = start_bounds(problem, config, spec.x0)
+    except OracleFaultError as exc:
+        logger.error("certified, but no bound report (%s): %s", exc.status, exc)
+        return RunOutcome(2, result=result, error=f"{exc.status}: {exc}",
+                          verification=verification)
+    if spec.out is not None:
         (Path(spec.out) / "bounds.txt").write_text(bounds_text(report))
     return RunOutcome(0, result=result, verification=verification, bounds=report.as_dict())
 
@@ -437,6 +447,7 @@ SWEEP_COLUMNS = (
     "value_evals",
     "deriv_evals",
     "digits_demanded",
+    "value_digits_demanded",
     "l_visited",
     "bound_value_evals",
     "bound_deriv_evals",
@@ -464,7 +475,13 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
     row["value_evals"] = counters.value_evals
     row["deriv_evals"] = counters.derivative_evals
     row["digits_demanded"] = digits_demanded(trace)
-    row["l_visited"] = visited_lipschitz(problem, trace, config.p)
+    row["value_digits_demanded"] = value_digits_demanded(trace, config)
+    try:
+        row["l_visited"] = visited_lipschitz(problem, trace, config.p)
+    except OracleFaultError as exc:
+        row["status"] = exc.status
+        row.update(dict.fromkeys(SWEEP_COLUMNS[SWEEP_COLUMNS.index("l_visited"):]))
+        return row
     f0 = problem.value(trace[0].x)
     report = compute_bounds(config, row["l_visited"], max(0.0, f0 - problem.f_low))
     row["bound_value_evals"] = report.n_value_evals
@@ -482,7 +499,9 @@ def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
     A row's ``status`` is ``ok`` for a certified run, else the
     `SolveStoppedError` status that stopped it.  Every row, whatever its
     status, carries the `BoundReport` evaluation counts at its
-    ``l_visited``.  Returns
+    ``l_visited``, unless that estimate meets an `OracleFaultError`: the
+    row's status is then ``oracle`` and ``l_visited`` and the columns after
+    it are None.  Returns
     ``{"rows": [...], "slope_value": s1, "slope_deriv": s2}`` and writes
     ``summary.csv`` when the spec has an output directory.
     """

@@ -8,11 +8,13 @@ reach the solver through `inexact_value` alone, each one counted.  Noise
 injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.
 
-`inexact_value` also reports the error it achieved, a bound no larger
-than the one requested: 0 for exact noise, half a unit of the last kept
-decimal plus one ulp for truncation, and the requested bound for bounded
-noise.  The solver reuses a value for as long as that achieved bound
-meets its demand.
+Both requests also report the error they achieved, a bound no larger
+than the one requested: 0 for exact noise or a zero demand, and the
+requested bound for bounded noise.  For truncation a value reports half a
+unit of the last kept decimal plus one ulp, and each derivative the norm
+that accepted its decimal grid (see `_truncate_tensor`).  The solver
+reuses a value, or a whole bundle at the same x, for as long as those
+achieved errors meet its demands.
 
 Every request is evaluated afresh and counted (`EvalCounters`); reusing a
 bundle is the solver's decision, not the oracle's.  What the problem
@@ -112,6 +114,11 @@ class OracleFaultError(SolveStoppedError):
     status = "oracle"
 
 
+def _point_text(x: np.ndarray) -> str:
+    """A point as a fault message prints it, every digit kept."""
+    return np.array2string(x, separator=", ", precision=17, threshold=16)
+
+
 def _fault(problem: Problem, x: np.ndarray, order: int, returned: np.ndarray) -> str | None:
     """What is wrong with `returned`, problem's order-`order` derivative (its
     value at order 0) at x, as a message, or None when nothing is."""
@@ -122,8 +129,7 @@ def _fault(problem: Problem, x: np.ndarray, order: int, returned: np.ndarray) ->
         fault = "a non-finite entry" if order else f"the non-finite value {float(returned)}"
     else:
         return None
-    point = np.array2string(x, separator=", ", precision=17, threshold=16)
-    return f"problem {problem.name!r} returned {fault} at order {order}, x = {point}"
+    return f"problem {problem.name!r} returned {fault} at order {order}, x = {_point_text(x)}"
 
 
 @dataclass
@@ -151,16 +157,20 @@ def _truncate_scalar(exact: float, bound: float) -> tuple:
 
 
 def _matrix_errors_fit(errs: np.ndarray, bound: float):
-    """For each error matrix in `errs` in turn, whether
-    ``operator_norm(err) <= bound``, deciding without the eigensolve where
-    a cheaper bound on the spectral norm of the symmetric part settles it.
-    Three bounds are tried in turn: its largest |entry| (a lower bound, so
-    a larger one means no fit), then its largest absolute row sum and its
-    Frobenius norm (upper bounds, so a smaller one means a fit).  A rounded
-    diagonal or banded Hessian has an error of the same pattern, whose row
-    sum is its largest entry, so the eigensolve is seldom reached.  The
-    1e-9 relative margin leaves the rounding-close cases to the eigensolve,
-    so every decision is the one it would make.  The largest entries are
+    """For each error matrix in `errs` in turn, the bound on its induced
+    norm that fits `bound`, or None when ``operator_norm(err) > bound``,
+    deciding without the eigensolve where a cheaper bound on the spectral
+    norm of the symmetric part settles it.  Three bounds are tried in turn:
+    its largest |entry| (a lower bound, so a larger one means no fit), then
+    its largest absolute row sum and its Frobenius norm (upper bounds, so a
+    smaller one fits and is the bound yielded).  A rounded diagonal or
+    banded Hessian has an error of the same pattern, whose row sum is its
+    largest entry, so the eigensolve is seldom reached.  The 1e-9 relative
+    margin leaves the rounding-close cases to the eigensolve.  There the
+    least of the three upper bounds is yielded when it fits, so that a
+    bound at or above any yielded norm accepts the same matrix again, also
+    where the eigensolve's rounding reads a few ulps above a row sum or
+    Frobenius norm it equals in real arithmetic.  The largest entries are
     found for all matrices at once; the rest runs only for the matrices
     asked for.
     """
@@ -170,12 +180,18 @@ def _matrix_errors_fit(errs: np.ndarray, bound: float):
     peaks = abs_sym.max(axis=(1, 2)).tolist()
     for err, sym_err, abs_err, peak in zip(errs, sym, abs_sym, peaks):
         if peak > bound + margin:
-            yield False
-        elif (abs_err.sum(axis=1).max() <= bound - margin
-              or _norm(sym_err.reshape(-1)) <= bound - margin):
-            yield True
-        else:
-            yield operator_norm(err) <= bound
+            yield None
+            continue
+        row_sum = float(abs_err.sum(axis=1).max())
+        if row_sum <= bound - margin:
+            yield row_sum
+            continue
+        frobenius = _norm(sym_err.reshape(-1))
+        if frobenius <= bound - margin:
+            yield frobenius
+            continue
+        norm = min(row_sum, frobenius, operator_norm(err))
+        yield norm if norm <= bound else None
 
 
 def _contract_norm(tensor: np.ndarray) -> float:
@@ -212,13 +228,21 @@ _DECIMAL_SCALES = 10.0 ** np.arange(17)
 _GRID_BLOCK = 4
 
 
-def _truncate_tensor(exact: np.ndarray, bound: float) -> np.ndarray:
-    """`exact` rounded to the coarsest of 0..16 decimals whose error has a
-    contract norm (see `_contract_norm`) at most `bound`, or `exact` itself
-    when none does.  The candidate grids are rounded `_GRID_BLOCK` at a
-    time, coarsest first, each block in one array operation."""
+def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
+    """``(rounded, achieved)``: `exact` rounded to the coarsest of 0..16
+    decimals whose error has a contract norm (see `_contract_norm`) at most
+    `bound`, with the norm that accepted that grid (for a matrix, the one
+    `_matrix_errors_fit` yields), or `exact` itself and 0 when none does.
+    The candidate grids are rounded `_GRID_BLOCK` at a time, coarsest
+    first, each block in one array operation.
+
+    A request at any demand from the accepting norm up to `bound` returns
+    the same rounding bit for bit: every coarser grid failed at `bound`,
+    and so fails at any lower demand, while this one fits at its accepting
+    norm and above.
+    """
     if bound <= 0:
-        return exact.copy()
+        return exact.copy(), 0.0
     for first in range(0, len(_DECIMAL_SCALES), _GRID_BLOCK):
         scales = _DECIMAL_SCALES[first:first + _GRID_BLOCK]
         scales = scales.reshape((-1,) + (1,) * exact.ndim)
@@ -227,13 +251,13 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> np.ndarray:
         errs /= scales
         errs -= exact
         if exact.ndim == 2:
-            fits = _matrix_errors_fit(errs, bound)
+            norms = _matrix_errors_fit(errs, bound)
         else:
-            fits = (_contract_norm(err) <= bound for err in errs)
-        for d, fit in enumerate(fits, start=first):
-            if fit:
-                return np.round(exact, d)
-    return exact.copy()
+            norms = (_contract_norm(err) for err in errs)
+        for d, norm in enumerate(norms, start=first):
+            if norm is not None and norm <= bound:
+                return np.round(exact, d), norm
+    return exact.copy(), 0.0
 
 
 class Oracle:
@@ -277,10 +301,12 @@ class Oracle:
             value = math.nextafter(value, exact)
         return value, float(bound)
 
-    def _perturb_tensor(self, exact: np.ndarray, bound: float) -> np.ndarray:
-        """`exact` within `bound` in the induced norm: unchanged for exact
-        noise or a zero bound, rounded for truncation, and for bounded noise
-        moved by ``fill_fraction * bound`` along a random direction.
+    def _perturb_tensor(self, exact: np.ndarray, bound: float) -> tuple:
+        """``(tensor, achieved)``: `exact` within ``achieved <= bound`` in
+        the induced norm: unchanged, with 0, for exact noise or a zero bound;
+        rounded for truncation, with the norm that accepted the grid; and
+        for bounded noise moved by ``fill_fraction * bound`` along a random
+        direction, with the bound.
 
         A gradient's direction is Gaussian, sized by its norm.  An order-3
         direction is a symmetrized Gaussian tensor, sized by its Frobenius
@@ -294,7 +320,7 @@ class Oracle:
         every coordinate.  Each request draws 2n numbers.
         """
         if self.noise.kind == "exact" or bound == 0.0:
-            return exact.copy()
+            return exact.copy(), 0.0
         if self.noise.kind == "truncation":
             return _truncate_tensor(exact, bound)
         if exact.ndim == 2:
@@ -307,14 +333,16 @@ class Oracle:
             direction = symmetrize(self._rng.standard_normal(exact.shape))
             size = _contract_norm(direction)
         if size == 0.0:
-            return exact.copy()
-        return exact + (self.noise.fill_fraction * bound / size) * direction
+            return exact.copy(), 0.0
+        return exact + (self.noise.fill_fraction * bound / size) * direction, bound
 
-    def inexact_bundle(self, x, accuracies, p: int) -> DerivativeBundle:
-        """Derivative bundle at x with per-order error bounds `accuracies`.
-        Counts one derivative evaluation, and raises `OracleFaultError` when
-        a derivative the problem returned has the wrong shape or a
-        non-finite entry."""
+    def inexact_bundle(self, x, accuracies, p: int) -> tuple:
+        """``(bundle, achieved)``: the derivative bundle at x with per-order
+        error bounds `accuracies`, and per order the error the noise model
+        guarantees, ``achieved <= accuracies`` (see `_perturb_tensor`), as
+        a float array.  Counts one derivative evaluation, and raises
+        `OracleFaultError` when a derivative the problem returned has the
+        wrong shape or a non-finite entry."""
         x = np.asarray(x, dtype=float)
         accuracies = np.asarray(accuracies, dtype=float)
         if accuracies.shape != (p,):
@@ -327,9 +355,9 @@ class Oracle:
             fault = _fault(self.problem, x, order, exact)
             if fault:
                 raise OracleFaultError(fault)
-        return DerivativeBundle(
-            [self._perturb_tensor(exact, float(acc)) for exact, acc in zip(exacts, accuracies)]
-        )
+        pairs = [self._perturb_tensor(exact, acc)
+                 for exact, acc in zip(exacts, accuracies.tolist())]
+        return DerivativeBundle([t for t, _ in pairs]), np.array([a for _, a in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +480,20 @@ _LIPSCHITZ_SAMPLES = 48
 _LIPSCHITZ_SEED = 7
 
 
+def _finite_norms(problem: Problem, order: int, norms: np.ndarray, at) -> np.ndarray:
+    """`norms`, all checked at once: a non-finite one raises
+    `OracleFaultError` naming the derivative order and ``at(i)``, the point
+    (or the pair of points of a difference) behind the first such norm i."""
+    finite = np.isfinite(norms)
+    if finite.all():
+        return norms
+    where = " and ".join(map(_point_text, np.atleast_2d(at(int(np.argmin(finite))))))
+    raise OracleFaultError(
+        f"problem {problem.name!r} returned a derivative of order {order} with a "
+        f"non-finite norm in a Lipschitz estimate, x = {where}"
+    )
+
+
 def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     """Sampled estimate of max_j L_{f,j}, j = 0..p, near the start point.
 
@@ -459,7 +501,8 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     max(1, ||x0|| + 1) around it.  Uses derivative-norm bounds where the
     next-order tensor is available and difference quotients of the order-j
     tensor along a seeded unit direction otherwise; floored at 1.  A
-    user-supplied `lipschitz_hint` wins outright.
+    user-supplied `lipschitz_hint` wins outright.  A non-finite norm raises
+    `OracleFaultError`.
 
     Each order's norms are taken over all samples at once (`operator_norms`,
     `frobenius_norms`), and the directions are drawn first, point by point,
@@ -480,14 +523,14 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     best = 1.0
     for j in range(p + 1):
         if j + 1 <= problem.p_max:
-            norms = operator_norms(problem.derivative(x, j + 1) for x in pts)
+            order, norms = j + 1, operator_norms(problem.derivative(x, j + 1) for x in pts)
         else:
             us = dirs[:, quotient_orders.index(j)]
-            norms = frobenius_norms(
+            order, norms = j, frobenius_norms(
                 problem.derivative(x + h * u, j) - problem.derivative(x - h * u, j)
                 for x, u in zip(pts, us)
             ) / (2.0 * h)
-        best = max(best, float(norms.max()))
+        best = max(best, float(_finite_norms(problem, order, norms, pts.__getitem__).max()))
     return float(best)
 
 
@@ -502,12 +545,13 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
       over each consecutive pair more than 1e-12 apart (a point repeated
       after a rejected step still pairs with its neighbours).
 
-    Points are told apart by their bytes, so each distinct point's
-    derivatives are evaluated once, in order of first use.  Both quantities
-    are computed over stacks of points (`operator_norms`, `frobenius_norms`)
-    with the same bits as point by point, and an order-`order` derivative is
-    kept only from the first pair that reads it to the last, so memory holds
-    a few tensors at a time, not one per point.
+    A non-finite norm raises `OracleFaultError`.  Points are told apart by
+    their bytes, so each distinct point's derivatives are evaluated once, in
+    order of first use.  Both quantities are computed over stacks of points
+    (`operator_norms`, `frobenius_norms`) with the same bits as point by
+    point, and an order-`order` derivative is kept only from the first pair
+    that reads it to the last, so memory holds a few tensors at a time, not
+    one per point.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
@@ -518,6 +562,7 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     best = 1.0
     if order + 1 <= problem.p_max:
         norms = operator_norms(problem.derivative(x, order + 1) for x in distinct)
+        norms = _finite_norms(problem, order + 1, norms, distinct.__getitem__)
         best = max(best, float(norms.max()))
 
     steps = pts[:-1] - pts[1:]
@@ -541,5 +586,7 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
             yield difference
 
     if len(ends):
-        best = max(best, float((frobenius_norms(differences()) / gaps[ends]).max()))
+        norms = _finite_norms(problem, order, frobenius_norms(differences()),
+                              lambda i: pts[ends[i]:ends[i] + 2])
+        best = max(best, float((norms / gaps[ends]).max()))
     return float(best)

@@ -31,12 +31,20 @@ the exponents add up to its k_acc_min no check fails, so a run's total
 exponent is at most k_acc_min - 1 plus the cap, however k is chosen in
 1..cap.
 
-Two evaluations are reused, as the theory's evaluation bounds assume:
+Two evaluations are reused, as the theory's evaluation bounds assume,
+while the errors the oracle achieved for them (at most the bounds they were
+requested at, often less) meet the current demands:
 
-  derivatives  after an unsuccessful iteration (same x_k, same accuracies);
-  f-bar(x_k)   in step 3, while the error the oracle achieved for it (at
-               most the bound it was requested at, often less) is within
-               the step's demand omega * dec_p.
+  derivatives  at the same x_k: after an unsuccessful iteration (same
+               accuracies), and after an accuracy-improving one when every
+               achieved error meets the tightened accuracy;
+  f-bar(x_k)   in step 3, while its achieved error is within the step's
+               demand omega * dec_p.
+
+Step 3 asks for each value at a quarter of that demand
+(`_VALUE_REQUEST_SHARE`), so an accepted trial value serves the next step 3
+whenever the next model decrease is at least a quarter of this one, for
+log10(4), about 0.6, more digits per value request.
 
 Iterations are classified successful / unsuccessful / accuracy-improving;
 the trace records everything the property suite needs to recheck the run
@@ -93,6 +101,8 @@ KIND_ACCURACY = "accuracy_improving"
 
 # Most gamma_acc factors one step 5 applies.
 _ACC_STEPS_CAP = 8
+# Share of step 3's demand omega * dec_p each value is requested at.
+_VALUE_REQUEST_SHARE = 0.25
 
 
 class ConfigError(ValueError):
@@ -477,16 +487,19 @@ def step3_step4(
     """Trial-point acceptance and regularization update; returns rho, and
     the step was accepted when ``rho >= eta1``.
 
-    Both values must lie within ``omega * dec_p`` of f.  ``state.f_bar``
+    Both values must lie within ``omega * dec_p`` of f, and each is
+    requested at `value_request_bound`, a quarter of that.  ``state.f_bar``
     holds f-bar(x_k) with the error the oracle achieved for it, and is
-    reused when that error is already within the bound; otherwise f at x
-    is evaluated again (the second value evaluation this iteration).  On
-    acceptance the trial value, with its achieved error, takes its place.
+    reused when that error is already within ``omega * dec_p``; otherwise
+    f at x is evaluated again (the second value evaluation this
+    iteration).  On acceptance the trial value, with its achieved error,
+    takes its place.
     """
     bound = config.omega * dec_p
-    trial = oracle.inexact_value(state.x + step_res.step, bound)
+    request = value_request_bound(config, dec_p)
+    trial = oracle.inexact_value(state.x + step_res.step, request)
     if state.f_bar is None or state.f_bar[1] > bound:
-        state.f_bar = oracle.inexact_value(state.x, bound)
+        state.f_bar = oracle.inexact_value(state.x, request)
     rho = (state.f_bar[0] - trial[0]) / dec_p
     if rho >= config.eta1:
         state.x = state.x + step_res.step
@@ -499,6 +512,13 @@ def step3_step4(
     elif rho < config.eta1:
         state.sigma = config.gamma2 * state.sigma
     return rho
+
+
+def value_request_bound(config: SolverConfig, dec_p: float) -> float:
+    """The error bound step 3 requests each value at, for a step whose
+    model decrease is ``dec_p``: `_VALUE_REQUEST_SHARE` of its demand
+    ``omega * dec_p``."""
+    return _VALUE_REQUEST_SHARE * config.omega * dec_p
 
 
 def step5(state: SolverState, config: SolverConfig, shortfall: Shortfall) -> int:
@@ -582,10 +602,13 @@ def solve(
                 delta_end=state.delta_start.copy(),
                 x=state.x.copy(),
             )
-            # An unsuccessful iteration leaves x_k and the accuracies as they
-            # were, so its derivatives serve again.
-            if not trace or trace[-1].kind != KIND_UNSUCCESS:
-                bundle = oracle.inexact_bundle(state.x, state.acc, config.p)
+            # Only a successful iteration moves x_k.  After any other the
+            # bundle serves again while its achieved errors meet the demands:
+            # always after an unsuccessful one, whose accuracies are as they
+            # were, and after an accuracy-improving one when they meet the
+            # tightened ones.
+            if not trace or trace[-1].kind == KIND_SUCCESS or not (achieved <= state.acc).all():
+                bundle, achieved = oracle.inexact_bundle(state.x, state.acc, config.p)
             model = RegularizedModel(bundle, state.sigma)
 
             out = step1(state, model, config, guard_l_bar)

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arq.diagnostics import compute_bounds, digits_demanded
+from arq.diagnostics import compute_bounds, digits_demanded, value_digits_demanded
 from arq.solver import ConfigError, IterationRecord, SolverConfig
 
 from conftest import FLOAT_MAX, accepted_configs
@@ -359,3 +360,17 @@ class TestDigitsDemanded:
     def test_exact_runs_have_none(self):
         assert digits_demanded([_record([0.0, 0.0], 1)]) is None
         assert digits_demanded([]) is None
+
+
+class TestValueDigitsDemanded:
+    def test_mean_over_value_requests_at_the_request_bound(self):
+        cfg = SolverConfig(omega=0.02)
+        one = dataclasses.replace(_record([0.1], 1), value_evals=1, dec_bar=2e-2)
+        two = dataclasses.replace(_record([0.1], 0), value_evals=2, dec_bar=2e-5)
+        none = _record([0.1], 1)  # an accuracy-improving row requests no value
+        # Requested at dec_bar * omega / 4: 1e-4 once (4 digits), 1e-7 twice (7 digits).
+        assert value_digits_demanded([one, none, two], cfg) == pytest.approx(6.0)
+
+    def test_no_value_request_has_none(self):
+        assert value_digits_demanded([_record([0.1], 1)], SolverConfig()) is None
+        assert value_digits_demanded([], SolverConfig()) is None

@@ -191,6 +191,10 @@ class TestSweep:
         else:
             assert all(row["digits_demanded"] > 0 for row in rows)
             assert written == [repr(row["digits_demanded"]) for row in rows]
+        # Values are requested at a positive bound whatever the noise.
+        written = [line[header.index("value_digits_demanded")] for line in lines]
+        assert all(row["value_digits_demanded"] > 0 for row in rows)
+        assert written == [repr(row["value_digits_demanded"]) for row in rows]
 
     def test_exact_oracle_sweep_satisfies_every_bound(self):
         spec = ExperimentSpec(
@@ -325,6 +329,54 @@ class TestStopsWithoutCertificate:
         captured = capsys.readouterr()
         assert captured.out.count(f" {status}: ") == 3
         assert "slope log(derivative evals) vs log(1/eps)" in captured.out
+        assert "Traceback" not in captured.err
+
+
+
+def nan_third_derivative_problem(name, dim):
+    """The named problem with a NaN third derivative everywhere: a p = 2
+    solve never asks for it, and every p = 2 Lipschitz estimate norms it."""
+    problem = make_problem(name, dim)
+    derivative = problem.eval_derivative
+    return dataclasses.replace(
+        problem, eval_derivative=lambda x, i: derivative(x, i) * (math.nan if i == 3 else 1.0))
+
+
+class TestFaultyBoundEstimate:
+    """A certified run whose bound estimate meets an oracle fault ends with
+    status ``oracle``, and keeps its certificate."""
+
+    FLAGS = ["--problem", "quadratic", "--dim", "2", "--noise", "exact", "--eps", "1e-3"]
+
+    @pytest.fixture(autouse=True)
+    def faulty(self, monkeypatch):
+        monkeypatch.setattr(arq.harness, "make_problem", nan_third_derivative_problem)
+
+    def test_run_solve_exits_two_with_its_certificate_and_no_bounds(self, tmp_path):
+        outcome = run_solve(ExperimentSpec(problem="quadratic", dim=2, out=tmp_path))
+        assert outcome.exit_code == 2
+        assert outcome.error.startswith("oracle: problem 'quadratic' returned a derivative "
+                                        "of order 3 with a non-finite norm")
+        assert outcome.verification[0]["ok"] and outcome.bounds is None
+        assert (tmp_path / "certificate.json").exists() and (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "bounds.txt").exists()
+
+    def test_sweep_rows_say_oracle_with_empty_bounds(self, tmp_path):
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), out=tmp_path)
+        summary = run_sweep(spec)
+        assert [row["status"] for row in summary["rows"]] == ["oracle"] * 3
+        assert math.isnan(summary["slope_value"])
+        header, *lines = read_csv(tmp_path / "summary.csv")
+        bounds = header[header.index("l_visited"):]
+        assert bounds == ["l_visited", "bound_value_evals", "bound_deriv_evals",
+                          "value_bound_ok", "deriv_bound_ok"]
+        assert all(line[header.index("l_visited"):] == [""] * 5 for line in lines)
+
+    def test_cli_solve_and_bounds_exit_two_without_traceback(self, capsys):
+        assert main(["solve", *self.FLAGS]) == 2
+        assert main(["bounds", *self.FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("error: oracle: ") == 2
         assert "Traceback" not in captured.err
 
 
@@ -469,6 +521,8 @@ class TestCliMain:
     @pytest.mark.parametrize("noise, line", [
         ("exact", "digits demanded = n/a (exact derivatives)"),
         ("bounded_random", "per derivative bundle"),
+        ("exact", "per value"),
+        ("bounded_random", "per value"),
     ])
     def test_solve_prints_digits_demanded(self, noise, line, capsys):
         assert main(["solve", "--problem", "quadratic", "--dim", "3", "--noise", noise,

@@ -23,7 +23,7 @@ from arq.oracle import (
 )
 from arq import tensors
 from arq.solver import SolverConfig, solve
-from arq.tensors import frobenius_norm, operator_norm
+from arq.tensors import _norm, frobenius_norm, operator_norm, symmetrize
 
 from conftest import central_diff_gradient
 
@@ -174,20 +174,23 @@ class TestBundleContract:
     def test_errors_respect_bounds(self, problem, kind):
         oracle = Oracle(problem, NoiseModel(kind, 0.9, seed=11))
         acc = np.array([0.1, 0.05, 0.2])
-        bundle = oracle.inexact_bundle(problem.x0, acc, 3)
+        bundle, achieved = oracle.inexact_bundle(problem.x0, acc, 3)
+        assert achieved.shape == (3,) and (achieved <= acc).all()
+        if kind != "truncation":
+            assert np.array_equal(achieved, acc if kind == "bounded_random" else np.zeros(3))
         for i in range(1, 4):
             err = bundle.tensors[i - 1] - problem.derivative(problem.x0, i)
-            assert operator_norm(err) <= acc[i - 1] + 1e-15
+            assert operator_norm(err) <= achieved[i - 1] + 1e-15
 
     def test_exact_kind_returns_exact_tensors(self, problem):
         oracle = Oracle(problem, NoiseModel("exact", seed=0))
-        bundle = oracle.inexact_bundle(problem.x0, np.array([0.5, 0.5]), 2)
+        bundle, _ = oracle.inexact_bundle(problem.x0, np.array([0.5, 0.5]), 2)
         for i in (1, 2):
             assert bundle.tensors[i - 1] == pytest.approx(problem.derivative(problem.x0, i))
 
     def test_fill_zero_matches_exact(self, problem):
         oracle = Oracle(problem, NoiseModel("bounded_random", 0.0, seed=11))
-        bundle = oracle.inexact_bundle(problem.x0, np.array([0.5, 0.5]), 2)
+        bundle, _ = oracle.inexact_bundle(problem.x0, np.array([0.5, 0.5]), 2)
         for i in (1, 2):
             assert np.array_equal(bundle.tensors[i - 1], problem.derivative(problem.x0, i))
 
@@ -198,7 +201,7 @@ class TestBundleContract:
 
         blind = dataclasses.replace(problem, eval_value=no_value)
         oracle = Oracle(blind, NoiseModel(kind, 0.9, seed=11))
-        bundle = oracle.inexact_bundle(problem.x0, np.array([0.1, 0.05, 0.2]), 3)
+        bundle, _ = oracle.inexact_bundle(problem.x0, np.array([0.1, 0.05, 0.2]), 3)
         assert bundle.degree == 3
         assert oracle.counters.snapshot() == (0, 1)
 
@@ -293,7 +296,7 @@ class TestMatrixTruncation:
                 bounds = [10.0 ** rng.uniform(-14, 2) for _ in range(5)]
                 bounds += [s for s in sizes if s > 0] + [s * (1 + 1e-12) for s in sizes if s > 0]
                 for bound in bounds:
-                    assert np.array_equal(_truncate_tensor(m, bound),
+                    assert np.array_equal(_truncate_tensor(m, bound)[0],
                                           eigensolve_truncation(m, bound))
 
 
@@ -322,8 +325,8 @@ class TestMatrixErrorBounds:
         errs = 0.5 * (errs + errs.transpose(0, 2, 1))
         # A bound just above or below the spectral norm of one of them.
         bound = operator_norm(errs[at % count]) * (1.0 + (1 if above else -1) * 10.0**offset)
-        assert list(_matrix_errors_fit(errs, bound)) == [operator_norm(e) <= bound
-                                                         for e in errs]
+        fits = [norm is not None for norm in _matrix_errors_fit(errs, bound)]
+        assert fits == [operator_norm(e) <= bound for e in errs]
 
     def test_diagonal_hessian_truncates_without_an_eigensolve(self, monkeypatch):
         problem = make_problem("sineq", 200)
@@ -339,7 +342,7 @@ class TestMatrixErrorBounds:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         oracle = Oracle(problem, NoiseModel("truncation"))
         bounds = 10.0 ** np.linspace(-14.0, 0.0, 15)
-        hessians = [oracle.inexact_bundle(x, [0.0, bound], 2).tensors[1] for bound in bounds]
+        hessians = [oracle.inexact_bundle(x, [0.0, bound], 2)[0].tensors[1] for bound in bounds]
         assert calls == []
         monkeypatch.undo()
         for bound, hessian in zip(bounds, hessians):
@@ -353,8 +356,8 @@ class TestDeterminism:
         xs = [problem.x0 + 0.1 * k for k in range(3)]
         for x in xs:
             assert a.inexact_value(x, 0.2) == b.inexact_value(x, 0.2)
-            ba = a.inexact_bundle(x, np.array([0.1, 0.1]), 2)
-            bb = b.inexact_bundle(x, np.array([0.1, 0.1]), 2)
+            ba, _ = a.inexact_bundle(x, np.array([0.1, 0.1]), 2)
+            bb, _ = b.inexact_bundle(x, np.array([0.1, 0.1]), 2)
             for ta, tb in zip(ba.tensors, bb.tensors):
                 assert np.array_equal(ta, tb)
 
@@ -364,7 +367,7 @@ def bounded_hessian(n, fill=0.9, seed=0):
     order-2 bounded-noise request with bound 0.1."""
     problem = make_problem("sineq", n)
     oracle = Oracle(problem, NoiseModel("bounded_random", fill, seed))
-    bundle = oracle.inexact_bundle(problem.x0, np.array([0.0, 0.1]), 2)
+    bundle, _ = oracle.inexact_bundle(problem.x0, np.array([0.0, 0.1]), 2)
     return problem.derivative(problem.x0, 2), bundle.tensors[1]
 
 
@@ -408,9 +411,9 @@ class TestCaching:
     def test_repeat_and_looser_requests_reevaluate(self, problem):
         oracle = Oracle(problem, NoiseModel("bounded_random", 0.9, seed=1))
         acc = np.array([0.1, 0.1])
-        b1 = oracle.inexact_bundle(problem.x0, acc, 2)
+        b1, _ = oracle.inexact_bundle(problem.x0, acc, 2)
         assert oracle.counters.derivative_evals == 1
-        b2 = oracle.inexact_bundle(problem.x0, acc.copy(), 2)
+        b2, _ = oracle.inexact_bundle(problem.x0, acc.copy(), 2)
         assert oracle.counters.derivative_evals == 2
         for first, repeat in zip(b1.tensors, b2.tensors):
             assert not np.array_equal(first, repeat)
@@ -470,6 +473,29 @@ class TestLipschitzEstimates:
         est = estimate_lipschitz(problem, problem.x0, 2)
         # max |A x| over the sampled box is at least the top eigenvalue scale
         assert est >= 1.0
+
+    @staticmethod
+    def nan_hessian_well():
+        """The 2-D double well with a NaN Hessian for x_0 > 1.5."""
+        well = make_problem("quartic", 2)
+
+        def derivative(x, i):
+            d = well.eval_derivative(x, i)
+            return np.full_like(d, math.nan) if i == 2 and x[0] > 1.5 else d
+
+        return dataclasses.replace(well, eval_derivative=derivative)
+
+    def test_a_nan_norm_is_a_fault_not_a_sample_dropped(self):
+        problem = self.nan_hessian_well()
+        message = "returned a derivative of order 2 with a non-finite norm"
+        with pytest.raises(OracleFaultError, match=message):
+            estimate_lipschitz(problem, np.array([0.5, 0.5]), 2)
+        a, b = np.array([0.5, 0.5]), np.array([2.0, 0.5])
+        with pytest.raises(OracleFaultError, match=message + r".*x = \[2\. *, 0\.5\]"):
+            lipschitz_over_points(problem, [a, b], 1)  # the next-order norm at b
+        with pytest.raises(OracleFaultError, match=r"x = \[0\.5, 0\.5\] and \[2\. *, 0\.5\]"):
+            lipschitz_over_points(problem, [a, b], 2)  # the difference between a and b
+        assert lipschitz_over_points(problem, [a, a + 0.1], 2) > 1.0  # finite where x_0 <= 1.5
 
 
 # The estimates as they were computed before the points were stacked: one
@@ -659,7 +685,7 @@ class TestTruncationMatchesTheReference:
                 if order == 2:
                     t = t + t.T
                 for bound in [0.0] + [10.0 ** rng.uniform(-16, 1) for _ in range(6)]:
-                    ours, ref = _truncate_tensor(t, bound), ref_truncate_tensor(t, bound)
+                    ours, ref = _truncate_tensor(t, bound)[0], ref_truncate_tensor(t, bound)
                     assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
 
     def test_one_rounding_formula(self):
@@ -667,3 +693,88 @@ class TestTruncationMatchesTheReference:
         x = np.random.default_rng(1).standard_normal(1000) * 10.0 ** np.linspace(-12, 8, 1000)
         for d, scale in enumerate(oracle_module._DECIMAL_SCALES):
             assert (np.rint(x * scale) / scale).tobytes() == np.round(x, d).tobytes()
+
+
+def truncation_tensors(rng, n, p, pattern):
+    """Derivatives of orders 1..p at n for a truncation bundle, the Hessian
+    with a diagonal, tridiagonal (banded) or dense pattern, each scaled by
+    its own power of ten."""
+    scales = 10.0 ** rng.uniform(-3, 3, 3)
+    hessian = rng.standard_normal((n, n))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if pattern != "dense":
+        hessian *= band <= (0 if pattern == "diagonal" else 1)
+    tensors = [rng.standard_normal(n), hessian + hessian.T,
+               symmetrize(rng.standard_normal((n, n, n)))]
+    return [scale * t for scale, t in zip(scales, tensors[:p])]
+
+
+def fixed_problem(tensors):
+    n = len(tensors[0])
+    return Problem("fixed", n, lambda x: 0.0, lambda x, i: tensors[i - 1], 0.0, np.zeros(n),
+                   len(tensors))
+
+
+class TestAchievedBundleErrors:
+    """A truncation bundle reports per order the norm that accepted its
+    decimal grid.  It lies between the error's contract norm and the
+    demand, and a request at any demand from it up to the one it was made
+    at returns the same tensors, which is why the solver may keep a bundle
+    whose achieved errors meet a tightened demand."""
+
+    @staticmethod
+    def request(tensors, demand, tighter):
+        n, p = len(tensors[0]), len(tensors)
+        oracle = Oracle(fixed_problem(tensors), NoiseModel("truncation"))
+        bundle, achieved = oracle.inexact_bundle(np.zeros(n), demand, p)
+        for order, (got, exact) in enumerate(zip(bundle.tensors, tensors), start=1):
+            err = got - exact
+            # At order 3 `operator_norm` is a sampled lower estimate of the
+            # induced norm, and the achieved error is the Frobenius norm.
+            assert operator_norm(err) <= achieved[order - 1] * (1.0 + 1e-12)
+            assert achieved[order - 1] <= demand[order - 1]
+            if order == 3:
+                assert achieved[2] == frobenius_norm(err)
+        for share in (0.0, tighter, 1.0):
+            tighter_demand = achieved + share * (demand - achieved)
+            again, _ = oracle.inexact_bundle(np.zeros(n), tighter_demand, p)
+            for got, kept in zip(again.tensors, bundle.tensors):
+                assert got.tobytes() == kept.tobytes()
+        return bundle, achieved
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        n=st.integers(1, 8),
+        pattern=st.sampled_from(["diagonal", "banded", "dense"]),
+        seed=st.integers(0, 2**32 - 1),
+        digits=st.lists(st.floats(-12.0, 1.0), min_size=3, max_size=3),
+        tighter=st.floats(0.0, 1.0),
+    )
+    def test_lies_between_the_error_and_the_demand_and_serves_a_tighter_one(
+            self, p, n, pattern, seed, digits, tighter):
+        tensors = truncation_tensors(np.random.default_rng(seed), n, p, pattern)
+        self.request(tensors, 10.0 ** np.array(digits[:p]), tighter)
+
+    def test_every_matrix_bound_accepts_some_grid(self):
+        """The cases of the property above reach each way
+        `_matrix_errors_fit` accepts a Hessian grid: by its row sum, by its
+        Frobenius norm and by the eigensolve."""
+        rng = np.random.default_rng(3)
+        accepted = set()
+        for pattern in ("diagonal", "banded", "dense"):
+            for n in range(2, 9):
+                tensors = truncation_tensors(rng, n, 2, pattern)
+                for bound in 10.0 ** np.linspace(-12.0, 1.0, 53):
+                    demand = np.array([bound, bound])
+                    bundle, achieved = self.request(tensors, demand, 0.5)
+                    err = bundle.tensors[1] - tensors[1]
+                    sym = 0.5 * (err + err.T)
+                    row_sum = np.abs(sym).sum(axis=1).max()
+                    if achieved[1] == row_sum and row_sum <= bound * (1.0 - 1e-9):
+                        accepted.add("row sum")
+                    elif achieved[1] == _norm(sym.reshape(-1)) <= bound * (1.0 - 1e-9):
+                        accepted.add("Frobenius")
+                    else:
+                        accepted.add("eigensolve")
+        assert accepted == {"row sum", "Frobenius", "eigensolve"}

@@ -85,7 +85,7 @@ def test_certificates_satisfy_the_exit_inequality(benchmark_suite):
 
 def test_derivatives_are_reused_after_an_unsuccessful_iteration(benchmark_suite):
     for run in benchmark_suite.runs:
-        assert_bundle_reuse(run.result.trace)
+        assert_bundle_reuse(run.result.trace, run.noise)
     assert any(rec.kind == "unsuccessful" for run in benchmark_suite.runs
                for rec in run.result.trace)
 

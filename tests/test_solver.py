@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arq.oracle
 import arq.solver
 import arq.subsolvers
 from arq.check import CheckOutcome, Shortfall, check
@@ -23,6 +24,7 @@ from arq.solver import (
     step1,
     step2,
     step3_step4,
+    value_request_bound,
     step5,
     _radius_floor,
     _termination_threshold,
@@ -536,7 +538,8 @@ class TestStep3Step4:
         assert rho >= cfg.eta1
         assert state.sigma == 2.0
         assert state.x == pytest.approx([0.5])
-        assert state.f_bar == (0.5, cfg.omega)
+        # requested, and here achieved, at a quarter of omega * dec_p
+        assert state.f_bar == (0.5, 0.25 * cfg.omega) == (0.5, value_request_bound(cfg, 1.0))
 
     def test_very_successful_shrinks_sigma_to_lower_endpoint(self):
         cfg = SolverConfig(epsilons=(0.1,))
@@ -569,16 +572,31 @@ class TestStep3Step4:
     def test_tight_trial_value_serves_the_next_step3(self):
         cfg = SolverConfig(epsilons=(0.1,))
         state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
-        # Requested at omega * 1.0 = 0.02, achieved 1e-4: below the next
-        # demand omega * 0.1 = 0.002, so f-bar(x_1) is not evaluated again.
+        # Requested at omega * 1.0 / 4 = 0.005, achieved 1e-4: below the
+        # next demand omega * 0.1 = 0.002, so f-bar(x_1) is not evaluated
+        # again, and the next trial value is requested at 0.002 / 4.
         oracle = ScriptedOracle([(0.5, 1e-4), 0.45])
         assert step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0) == pytest.approx(0.5)
         assert state.f_bar == (0.5, 1e-4)
         rho = step3_step4(state, oracle, cfg, plain_step([0.25]), 0.1)
-        assert [bound for _, bound in oracle.calls] == [cfg.omega, pytest.approx(0.1 * cfg.omega)]
+        assert [bound for _, bound in oracle.calls] == [0.25 * cfg.omega,
+                                                        pytest.approx(0.025 * cfg.omega)]
         assert oracle.calls[1][0] == pytest.approx([0.75])
         assert rho == pytest.approx(0.5)
-        assert state.f_bar == (0.45, pytest.approx(0.1 * cfg.omega))
+        assert state.f_bar == (0.45, pytest.approx(0.025 * cfg.omega))
+
+    @pytest.mark.parametrize("next_dec, evaluations", [(0.25, 1), (0.2, 2)])
+    def test_a_quarter_request_serves_a_decrease_a_quarter_as_large(self, next_dec, evaluations):
+        """A trial value achieved at its request bound, a quarter of omega *
+        dec_p, serves the next step 3 exactly when the next decrease is at
+        least a quarter of this one."""
+        cfg = SolverConfig(epsilons=(0.1,))
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
+        oracle = ScriptedOracle([0.5, 0.4, 0.5])
+        step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0)
+        calls = len(oracle.calls)
+        step3_step4(state, oracle, cfg, plain_step([0.1]), next_dec)
+        assert len(oracle.calls) - calls == evaluations
 
     def test_short_step_installs_searched_radii(self):
         cfg = SolverConfig(epsilons=(0.1,))
@@ -829,7 +847,7 @@ class TestTraceInvariants:
         assert_evals_sum_to_counters(noisy_run)
 
     def test_derivatives_are_reused_after_an_unsuccessful_iteration(self, noisy_run):
-        assert_bundle_reuse(noisy_run.trace)
+        assert_bundle_reuse(noisy_run.trace, "bounded_random")
 
     def test_trial_kind_follows_rho_and_rejection_keeps_x(self, noisy_run):
         trace = noisy_run.trace
@@ -862,6 +880,44 @@ class TestTraceInvariants:
                 assert prev.cause is None and prev.acc_steps is None
                 assert np.array_equal(nxt.acc, prev.acc)
         assert max(steps) > 1  # the run exercises a multi-factor step
+
+
+
+class TestBundleKeeping:
+    """After an accuracy-improving iteration the bundle in hand is kept when
+    every error the oracle achieved meets the tightened demand."""
+
+    @staticmethod
+    def run(monkeypatch=None):
+        if monkeypatch is not None:  # report no achieved error below the demand
+            real = arq.oracle.Oracle.inexact_bundle
+
+            def demand_only(self, x, accuracies, p):
+                return real(self, x, accuracies, p)[0], np.asarray(accuracies, dtype=float)
+
+            monkeypatch.setattr(arq.oracle.Oracle, "inexact_bundle", demand_only)
+        cfg = bench_config(2, 1e-3, "truncation")
+        return solve(make_problem("rosenbrock", 2), NoiseModel("truncation", 0.9, 0), cfg)
+
+    def test_an_accuracy_row_is_followed_by_a_kept_bundle(self):
+        trace = self.run().trace
+        assert_bundle_reuse(trace, "truncation")
+        kept = [nxt for prev, nxt in zip(trace[:-1], trace[1:])
+                if prev.kind == "accuracy_improving" and nxt.derivative_evals == 0]
+        assert kept
+
+    def test_keeping_moves_only_the_derivative_counts(self, monkeypatch):
+        kept = self.run()
+        fresh = self.run(monkeypatch)
+        assert kept.counters.derivative_evals < fresh.counters.derivative_evals
+        assert kept.counters.value_evals == fresh.counters.value_evals
+        assert len(kept.trace) == len(fresh.trace)
+        for a, b in zip(kept.trace, fresh.trace):
+            a_fields, b_fields = dataclasses.asdict(a), dataclasses.asdict(b)
+            del a_fields["derivative_evals"], b_fields["derivative_evals"]
+            for name, value in a_fields.items():
+                assert np.array_equal(value, b_fields[name]), name
+        assert np.array_equal(kept.certificate.x_eps, fresh.certificate.x_eps)
 
 
 def test_end_of_run_info_line(caplog):

@@ -38,6 +38,8 @@ PER_LAYER = (
     "subsolvers.solve_trs.self_s",
     "oracle.inexact_bundle.calls",
     "oracle.inexact_bundle.self_s",
+    "oracle.inexact_value.calls",
+    "oracle.inexact_value.self_s",
     "tensors.operator_norm.calls",
     "tensors.operator_norm.self_s",
 )
