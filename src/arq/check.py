@@ -7,10 +7,10 @@ decision is a pure comparison; callers own the consequences (typically:
 ``insufficient`` triggers a global accuracy tightening, whose size the
 failed check's `Shortfall` sets).
 
-`check`, `margins` and `Shortfall.of` validate their arguments.  The
-solver's own checks pass values it built itself and call the kernel,
-`verdict`, which skips that validation and returns the margins with the
-outcome, so an insufficient check's `Shortfall` reuses them.
+`check` validates its arguments.  The solver's own checks pass values it
+built itself and call the kernel, `verdict`, which skips that validation
+and returns the margins with the outcome, so an insufficient check's
+`Shortfall` reuses them (`Shortfall.at`).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CheckOutcome", "Margins", "Shortfall", "check", "margins", "verdict"]
+__all__ = ["CheckOutcome", "Margins", "Shortfall", "check", "verdict"]
 
 
 class CheckOutcome(Enum):
@@ -38,62 +38,25 @@ class Margins(NamedTuple):
     absolute: float  # omega * xi * delta^r / r!
 
 
-def margins(delta, decrement, accuracies, xi, omega) -> Margins:
-    """Validate a check's arguments (see `check`) and return its `Margins`.
-
-    The error sum is linear in the accuracies, so scaling every accuracy by
-    c scales it by c and leaves both thresholds alone.
-    """
-    delta = float(delta)
-    decrement = float(decrement)
-    xi = float(xi)
-    omega = float(omega)
-    if isinstance(accuracies, np.ndarray):
-        accuracies = accuracies.tolist()  # much faster than iterating the array
-    accuracies = [float(a) for a in accuracies]
-    # Written as `not x >= 0` so that NaN fails every check.
-    if not decrement >= 0:
-        raise ValueError(f"decrement must be >= 0, got {decrement}")
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if not xi >= 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
-    if not 0 < omega < 1:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
-    if not accuracies:
-        raise ValueError("accuracies must be nonempty")
-    if not all(a >= 0 for a in accuracies):
-        raise ValueError(f"accuracies must be >= 0, got {accuracies}")
-
-    return _margins(delta, decrement, accuracies, xi, omega)
-
-
-def _margins(delta: float, decrement: float, accuracies: list, xi: float,
-             omega: float) -> Margins:
-    """`margins` on arguments that are already valid floats, with the
-    accuracies a nonempty list."""
-    r = len(accuracies)
-    error_sum = sum(
-        a * delta**i / math.factorial(i) for i, a in enumerate(accuracies, start=1)
-    )
-    return Margins(error_sum, omega * decrement, omega * xi * delta**r / math.factorial(r))
-
-
-def _outcome(decrement: float, m: Margins) -> CheckOutcome:
-    if decrement > 0 and m.error_sum <= m.relative:
-        return CheckOutcome.RELATIVE
-    if m.error_sum <= m.absolute:
-        return CheckOutcome.ABSOLUTE
-    return CheckOutcome.INSUFFICIENT
-
-
 def verdict(delta: float, decrement: float, accuracies: list, xi: float,
             omega: float) -> tuple:
     """``(outcome, margins)`` of `check` on arguments the caller vouches
     for, unvalidated: floats in `check`'s ranges, and the accuracies a
-    nonempty list of floats."""
-    m = _margins(delta, decrement, accuracies, xi, omega)
-    return _outcome(decrement, m), m
+    nonempty list of floats.
+
+    The error sum is linear in the accuracies, so scaling every accuracy by
+    c scales it by c and leaves both thresholds alone.
+    """
+    r = len(accuracies)
+    error_sum = sum(
+        a * delta**i / math.factorial(i) for i, a in enumerate(accuracies, start=1)
+    )
+    m = Margins(error_sum, omega * decrement, omega * xi * delta**r / math.factorial(r))
+    if decrement > 0 and m.error_sum <= m.relative:
+        return CheckOutcome.RELATIVE, m
+    if m.error_sum <= m.absolute:
+        return CheckOutcome.ABSOLUTE, m
+    return CheckOutcome.INSUFFICIENT, m
 
 
 def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
@@ -123,7 +86,27 @@ def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
         ``omega * xi * delta^r / r!``; otherwise INSUFFICIENT.  The relative
         branch is evaluated first and boundary equality qualifies.
     """
-    return _outcome(decrement, margins(delta, decrement, accuracies, xi, omega))
+    delta = float(delta)
+    decrement = float(decrement)
+    xi = float(xi)
+    omega = float(omega)
+    if isinstance(accuracies, np.ndarray):
+        accuracies = accuracies.tolist()  # much faster than iterating the array
+    accuracies = [float(a) for a in accuracies]
+    # Written as `not x >= 0` so that NaN fails every check.
+    if not decrement >= 0:
+        raise ValueError(f"decrement must be >= 0, got {decrement}")
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not xi >= 0:
+        raise ValueError(f"xi must be >= 0, got {xi}")
+    if not 0 < omega < 1:
+        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    if not accuracies:
+        raise ValueError("accuracies must be nonempty")
+    if not all(a >= 0 for a in accuracies):
+        raise ValueError(f"accuracies must be >= 0, got {accuracies}")
+    return verdict(delta, decrement, accuracies, xi, omega)[0]
 
 
 @dataclass(frozen=True)
@@ -135,10 +118,6 @@ class Shortfall:
     cause: str
     error_sum: float
     threshold: float
-
-    @classmethod
-    def of(cls, cause: str, delta, decrement, accuracies, xi, omega) -> Shortfall:
-        return cls.at(cause, margins(delta, decrement, accuracies, xi, omega))
 
     @classmethod
     def at(cls, cause: str, m: Margins) -> Shortfall:

@@ -23,6 +23,7 @@ from .oracle import (
     NoiseModel,
     OracleFaultError,
     Problem,
+    _fault,
     estimate_lipschitz,
     lipschitz_over_points,
     make_problem,
@@ -386,22 +387,31 @@ class RunOutcome:
     bounds: dict | None = None
 
 
+def _bound_report(problem: Problem, config: SolverConfig, l_hat: float, x):
+    """`compute_bounds` at the Lipschitz estimate `l_hat` and the gap
+    f(x) - f_low, floored at 0.  A non-finite f(x) raises `OracleFaultError`
+    (order 0), so that it is not read as a gap of 0."""
+    x = np.asarray(x, dtype=float)
+    f = problem.value(x)
+    if not math.isfinite(f):
+        raise OracleFaultError(_fault(problem, x, 0, np.asarray(f)))
+    return compute_bounds(config, l_hat, max(0.0, f - problem.f_low))
+
+
 def start_bounds(problem: Problem, config: SolverConfig, x0=None):
     """Theoretical bound report with L and f0 - f_low taken at the start
     point, `x0` or the problem's own (`estimate_lipschitz` floors its
-    estimate at 1)."""
+    estimate at 1); an oracle fault in either raises `OracleFaultError`."""
     start = problem.x0 if x0 is None else np.asarray(x0, dtype=float)
-    l_hat = estimate_lipschitz(problem, start, config.p)
-    f0 = problem.value(start)
-    return compute_bounds(config, l_hat, max(0.0, f0 - problem.f_low))
+    return _bound_report(problem, config, estimate_lipschitz(problem, start, config.p), start)
 
 
 def run_solve(spec: ExperimentSpec) -> RunOutcome:
     """Solve one instance; write trace/certificate/bounds when `out` is set.
     A certified run gets its bound report (see `BoundReport`) unless the
-    Lipschitz estimate behind it meets an `OracleFaultError`: the run then
-    exits 2 with the fault, its trace and certificate written, and no
-    ``bounds.txt``."""
+    Lipschitz estimate or f(x0) behind it meets an `OracleFaultError`: the
+    run then exits 2 with the fault, its trace and certificate written, and
+    no ``bounds.txt``."""
     try:
         problem = spec.make_problem()
         config = build_config(spec)
@@ -477,13 +487,13 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
     row["digits_demanded"] = digits_demanded(trace)
     row["value_digits_demanded"] = value_digits_demanded(trace, config)
     try:
-        row["l_visited"] = visited_lipschitz(problem, trace, config.p)
+        l_visited = visited_lipschitz(problem, trace, config.p)
+        report = _bound_report(problem, config, l_visited, trace[0].x)
     except OracleFaultError as exc:
         row["status"] = exc.status
         row.update(dict.fromkeys(SWEEP_COLUMNS[SWEEP_COLUMNS.index("l_visited"):]))
         return row
-    f0 = problem.value(trace[0].x)
-    report = compute_bounds(config, row["l_visited"], max(0.0, f0 - problem.f_low))
+    row["l_visited"] = l_visited
     row["bound_value_evals"] = report.n_value_evals
     row["bound_deriv_evals"] = report.n_derivative_evals
     row["value_bound_ok"] = counters.value_evals <= report.n_value_evals
@@ -499,9 +509,9 @@ def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
     A row's ``status`` is ``ok`` for a certified run, else the
     `SolveStoppedError` status that stopped it.  Every row, whatever its
     status, carries the `BoundReport` evaluation counts at its
-    ``l_visited``, unless that estimate meets an `OracleFaultError`: the
-    row's status is then ``oracle`` and ``l_visited`` and the columns after
-    it are None.  Returns
+    ``l_visited``, unless that estimate or f at the start point meets an
+    `OracleFaultError`: the row's status is then ``oracle`` and
+    ``l_visited`` and the columns after it are None.  Returns
     ``{"rows": [...], "slope_value": s1, "slope_deriv": s2}`` and writes
     ``summary.csv`` when the spec has an output directory.
     """

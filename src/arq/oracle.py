@@ -494,15 +494,37 @@ def _finite_norms(problem: Problem, order: int, norms: np.ndarray, at) -> np.nda
     )
 
 
+def _shaped_derivative(problem: Problem, x: np.ndarray, order: int) -> np.ndarray:
+    """problem's order-`order` derivative at x; one of the wrong shape raises
+    `OracleFaultError`.  Its entries are left to the norm taken of it
+    (`_finite_norms`), so no extra pass reads them."""
+    tensor = problem.derivative(x, order)
+    if tensor.shape != (problem.dim,) * order:
+        raise OracleFaultError(_fault(problem, x, order, tensor))
+    return tensor
+
+
+def _next_order_norms(problem: Problem, points: np.ndarray, order: int) -> np.ndarray:
+    """`operator_norm` of the order-(order + 1) derivative at each of
+    `points` (a 2-D array), every derivative's shape and every norm checked
+    (`_shaped_derivative`, `_finite_norms`).  Over a segment from a to b,
+    ||D^order f(a) - D^order f(b)||_F / ||a - b|| is at most the largest
+    Frobenius norm of D^(order + 1) f along it, so the Lipschitz estimates
+    take difference quotients only where the problem has no next order."""
+    norms = operator_norms(_shaped_derivative(problem, x, order + 1) for x in points)
+    return _finite_norms(problem, order + 1, norms, points.__getitem__)
+
+
 def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     """Sampled estimate of max_j L_{f,j}, j = 0..p, near the start point.
 
     Samples x0 and seeded points in the box of half-width
-    max(1, ||x0|| + 1) around it.  Uses derivative-norm bounds where the
-    next-order tensor is available and difference quotients of the order-j
-    tensor along a seeded unit direction otherwise; floored at 1.  A
-    user-supplied `lipschitz_hint` wins outright.  A non-finite norm raises
-    `OracleFaultError`.
+    max(1, ||x0|| + 1) around it.  Uses the next-order norm
+    (`_next_order_norms`) where the problem has the order-(j + 1)
+    derivative, and otherwise difference quotients of the order-j tensor,
+    in the Frobenius norm, along a seeded unit direction; floored at 1.  A
+    user-supplied `lipschitz_hint` wins outright.  A derivative of the wrong
+    shape, or a non-finite norm, raises `OracleFaultError`.
 
     Each order's norms are taken over all samples at once (`operator_norms`,
     `frobenius_norms`), and the directions are drawn first, point by point,
@@ -523,14 +545,16 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     best = 1.0
     for j in range(p + 1):
         if j + 1 <= problem.p_max:
-            order, norms = j + 1, operator_norms(problem.derivative(x, j + 1) for x in pts)
+            norms = _next_order_norms(problem, pts, j)
         else:
             us = dirs[:, quotient_orders.index(j)]
-            order, norms = j, frobenius_norms(
-                problem.derivative(x + h * u, j) - problem.derivative(x - h * u, j)
+            norms = frobenius_norms(
+                _shaped_derivative(problem, x + h * u, j)
+                - _shaped_derivative(problem, x - h * u, j)
                 for x, u in zip(pts, us)
             ) / (2.0 * h)
-        best = max(best, float(_finite_norms(problem, order, norms, pts.__getitem__).max()))
+            norms = _finite_norms(problem, j, norms, pts.__getitem__)
+        best = max(best, float(norms.max()))
     return float(best)
 
 
@@ -538,20 +562,19 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     """Estimate of L_{f,order} over a visited region (trace points/segments);
     floored at 1.
 
-    The largest of two sampled quantities:
-    - the next-order norm, `operator_norm` of the order-(order + 1)
-      derivative at each distinct point, where the problem has that order;
-    - the difference quotient ||D^order f(a) - D^order f(b)||_F / ||a - b||
-      over each consecutive pair more than 1e-12 apart (a point repeated
-      after a rejected step still pairs with its neighbours).
+    Where the problem has the order-(order + 1) derivative, the largest of
+    its norms at the distinct points (`_next_order_norms`); otherwise the
+    largest difference quotient ||D^order f(a) - D^order f(b)||_F / ||a - b||
+    over the consecutive pairs more than 1e-12 apart (a point repeated after
+    a rejected step still pairs with its neighbours).
 
-    A non-finite norm raises `OracleFaultError`.  Points are told apart by
-    their bytes, so each distinct point's derivatives are evaluated once, in
-    order of first use.  Both quantities are computed over stacks of points
-    (`operator_norms`, `frobenius_norms`) with the same bits as point by
-    point, and an order-`order` derivative is kept only from the first pair
-    that reads it to the last, so memory holds a few tensors at a time, not
-    one per point.
+    A derivative of the wrong shape, or a non-finite norm, raises
+    `OracleFaultError`.  Points are told apart by their bytes, so each
+    distinct point's derivative is evaluated once, in order of first use.
+    The norms are computed over stacks of points (`operator_norms`,
+    `frobenius_norms`) with the same bits as point by point, and an
+    order-`order` derivative is kept only from the first pair that reads it
+    to the last, so memory holds a few tensors at a time, not one per point.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
@@ -559,15 +582,14 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     slot_of = {}
     slots = [slot_of.setdefault(x.tobytes(), len(slot_of)) for x in pts]
     distinct = pts[np.unique(slots, return_index=True)[1]]
-    best = 1.0
     if order + 1 <= problem.p_max:
-        norms = operator_norms(problem.derivative(x, order + 1) for x in distinct)
-        norms = _finite_norms(problem, order + 1, norms, distinct.__getitem__)
-        best = max(best, float(norms.max()))
+        return max(1.0, float(_next_order_norms(problem, distinct, order).max()))
 
     steps = pts[:-1] - pts[1:]
     gaps = np.sqrt(_row_dots(steps, steps))
     ends = np.flatnonzero(gaps > 1e-12)  # pair i joins points i and i + 1
+    if not len(ends):
+        return 1.0
     last = {}  # slot -> the last kept pair that reads its derivative
     for at, i in enumerate(ends):
         last[slots[i]] = last[slots[i + 1]] = at
@@ -578,15 +600,13 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
             pair = (slots[i], slots[i + 1])
             for s in pair:
                 if s not in live:
-                    live[s] = problem.derivative(distinct[s], order)
+                    live[s] = _shaped_derivative(problem, distinct[s], order)
             difference = live[pair[0]] - live[pair[1]]
             for s in pair:
                 if last[s] == at:
                     del live[s]
             yield difference
 
-    if len(ends):
-        norms = _finite_norms(problem, order, frobenius_norms(differences()),
-                              lambda i: pts[ends[i]:ends[i] + 2])
-        best = max(best, float((norms / gaps[ends]).max()))
-    return float(best)
+    norms = _finite_norms(problem, order, frobenius_norms(differences()),
+                          lambda i: pts[ends[i]:ends[i] + 2])
+    return max(1.0, float((norms / gaps[ends]).max()))

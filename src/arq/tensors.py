@@ -29,14 +29,15 @@ Norms also come by the stack: `operator_norms` and `frobenius_norms` norm an
 iterable of same-shape tensors a bounded stack at a time, in a few array
 operations per stack.  `operator_norm` and `frobenius_norm` are the same
 computation on a stack of one, so a tensor's norm has one definition and
-the same bits alone or stacked.
+the same bits alone or stacked.  `operator_norm` is exact at orders 1 and 2
+and the Frobenius norm at order 3, an upper bound on the induced norm and
+the norm of the oracle's order-3 contract.
 
 The regularizer ||s||^(p+1) is differentiated in closed form only to the
 orders the model's derivatives need, 1..max(p, 2).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,27 +63,13 @@ def symmetrize(tensor: np.ndarray) -> np.ndarray:
     return sum(np.transpose(t, p) for p in perms) / len(perms)
 
 
-NORM_SAMPLES = 1000  # random directions of the order-3 norm estimate
-# Doubles in one stacked array: a stack of tensors normed together, or one
-# intermediate of the order-3 kernel.  Small tensors are stacked up to this
-# size, so each stack costs a few numpy calls; a larger tensor goes alone.
-# For stacks of ~60 order-3 tensors at n <= 4, 2**14 (128 KiB) normed faster
-# than 2**13 or 2**15 and kept the peak RSS of `run_sweep` lower than 2**15.
+# Doubles in one stacked array of tensors normed together.  Small tensors are
+# stacked up to this size, so each stack costs a few numpy calls; a larger
+# tensor goes alone.  Evaluating the derivatives costs more than norming them:
+# `lipschitz_over_points` on 75-300 points at n <= 4 timed alike, within
+# run-to-run noise, at every size from 2**12 to 2**15 (2 vCPUs, Python 3.11),
+# so 2**14 (128 KiB) stays.
 _BLOCK = 1 << 14
-# Directions in one block of the order-3 kernel, at least: its matrix
-# product with the pair products u_i u_j runs at half speed when narrower.
-_MIN_DIRECTIONS = 64
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_directions(n: int) -> np.ndarray:
-    """`NORM_SAMPLES` random unit vectors (seed 0) plus the axes, read-only."""
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((NORM_SAMPLES, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    u = np.vstack([u, np.eye(n)])
-    u.flags.writeable = False
-    return u
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,53 +78,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-@functools.lru_cache(maxsize=32)
-def _index_pairs(n: int) -> tuple:
-    """The index pairs i <= j of an n x n symmetric matrix: their positions
-    in its flattened form, and the weights 1 (i = j) and 2 (i < j) that
-    make a sum over them a sum over all i, j.  Read-only."""
-    i, j = np.triu_indices(n)
-    weights = np.where(i == j, 1.0, 2.0)[:, None]
-    out = (i, j, i * n + j, weights)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _sampled_norms3(stack: np.ndarray) -> np.ndarray:
-    """max |T[u,u,u]| over `_unit_directions(n)` for each symmetric order-3
-    tensor T of `stack`, of shape (k, n, n, n).
-
-    T[u,u,u] = sum_l u_l sum_{i<=j} w_ij T[l,i,j] u_i u_j (see
-    `_index_pairs`): for a block of directions the weighted pair products
-    w_ij u_i u_j form one matrix of n(n+1)/2 rows, T[u,u,l] of each tensor
-    is one matrix product with it, and the sum over l adds rows in order.
-    Directions go in blocks of max(`_MIN_DIRECTIONS`, `_BLOCK` // rows of
-    that matrix), and tensors in groups whose T[u,u,l] holds about `_BLOCK`
-    doubles (at least one tensor).  The direction blocks depend on n alone,
-    and `np.matmul` makes one BLAS call per tensor, so a tensor's norm is
-    the same bit for bit alone or in any stack.
-    """
-    k, n = stack.shape[:2]
-    u = _unit_directions(n)
-    i, j, at, weights = _index_pairs(n)
-    upper = stack.reshape(k, n, n * n)[:, :, at]  # T[l, i <= j]
-    out = np.zeros(k)
-    rows = min(len(u), max(_MIN_DIRECTIONS, _BLOCK // len(at)))
-    group = max(1, _BLOCK // (n * rows))
-    for first in range(0, len(u), rows):
-        ut = np.ascontiguousarray(u[first:first + rows].T)  # u_l per column
-        pairs = ut[i]
-        pairs *= ut[j]
-        pairs *= weights
-        for lo in range(0, k, group):
-            terms = np.matmul(upper[lo:lo + group], pairs)  # T[u, u, l]
-            terms *= ut
-            vals = terms.sum(axis=1)
-            np.abs(vals, out=vals)
-            np.maximum(out[lo:lo + group], vals.max(axis=1), out=out[lo:lo + group])
-        del pairs, terms  # freed before the next block's are made
-    return out
+def _stack_frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """`frobenius_norm` of each tensor of a float stack (leading axis)."""
+    return np.sqrt(np.sum(stack**2, axis=tuple(range(1, stack.ndim))))
 
 
 def _stack_operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -149,13 +92,8 @@ def _stack_operator_norms(stack: np.ndarray) -> np.ndarray:
         sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         return np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
     if order == 3:
-        return _sampled_norms3(stack)
+        return _stack_frobenius_norms(stack)
     raise ValueError(f"operator norm of order {order}; orders 1..3 only")
-
-
-def _stack_frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """`frobenius_norm` of each tensor of a float stack (leading axis)."""
-    return np.sqrt(np.sum(stack**2, axis=tuple(range(1, stack.ndim))))
 
 
 def _stacks(tensors):
@@ -189,16 +127,13 @@ def _map_stacks(kernel, tensors) -> np.ndarray:
 
 
 def operator_norm(tensor: np.ndarray) -> float:
-    """Euclidean-induced norm of a symmetric tensor of order 1, 2 or 3.
-
-    Exact for orders 1 and 2 (the largest |eigenvalue| of the symmetric
-    part).  For order 3 the norm equals max_{||u||=1} |T[u,u,u]| (symmetric
-    tensors attain the induced norm on the diagonal), which is estimated by
-    maximizing over `NORM_SAMPLES` random unit vectors plus the coordinate
-    directions; the direction set depends only on n, so it is drawn once and
-    cached read-only.  The estimate is a lower bound and is used for
-    diagnostics only, never to steer the algorithm.  This is `operator_norms`
-    of a stack of one, so one tensor's norm is the same bit for bit either way.
+    """The norm a derivative tensor of order 1, 2 or 3 is measured in: the
+    Euclidean-induced norm at orders 1 and 2 (the largest |eigenvalue| of
+    the symmetric part), and the Frobenius norm, an upper bound on the
+    induced norm, at order 3.  That is the norm the oracle's order-3 error
+    contract is stated in, so a bound built from it errs upward.  This is
+    `operator_norms` of a stack of one, so one tensor's norm is the same
+    bit for bit either way.
     """
     return float(_stack_operator_norms(np.asarray(tensor, dtype=float)[None])[0])
 
@@ -209,8 +144,8 @@ def operator_norms(tensors) -> np.ndarray:
 
     The tensors are gathered into stacks of at most `_BLOCK` doubles (a
     larger tensor goes alone) and each stack is normed in a few array
-    operations (order 3 by `_sampled_norms3`), so a generator that makes its
-    tensors as it goes holds one stack at a time.
+    operations, so a generator that makes its tensors as it goes holds one
+    stack at a time.
     """
     return _map_stacks(_stack_operator_norms, tensors)
 

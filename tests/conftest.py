@@ -240,3 +240,14 @@ def random_symmetric(rng, n, order):
         return t
     perms = list(itertools.permutations(range(order)))
     return sum(np.transpose(t, p) for p in perms) / len(perms)
+
+
+def sampled_norm3(tensor, samples=1000, seed=0):
+    """max |T[u,u,u]| over `samples` random unit vectors u (seed `seed`) and
+    the axes, in one einsum: a lower estimate of the induced norm of the
+    symmetric order-3 tensor T, which T attains on the diagonal."""
+    n = tensor.shape[0]
+    u = np.random.default_rng(seed).standard_normal((samples, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.vstack([u, np.eye(n)])
+    return float(np.abs(np.einsum("ijk,ai,aj,ak->a", tensor, u, u, u)).max())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arq.check import CheckOutcome, Shortfall, check, margins, verdict
+from arq.check import CheckOutcome, Margins, Shortfall, check, verdict
 
 
 class TestExamples:
@@ -123,6 +123,11 @@ class TestProperties:
             assert out is CheckOutcome.INSUFFICIENT
 
 
+def _shortfall(args):
+    """The `Shortfall` of a check on valid arguments `args`."""
+    return Shortfall.at("c", verdict(*args)[1])
+
+
 def _scaled(args, factor):
     delta, decrement, accs, xi, omega = args
     return delta, decrement, [factor * a for a in accs], xi, omega
@@ -135,14 +140,14 @@ class TestShortfallSteps:
         # error sum 0.1 against omega * decrement = 0.04: one quarter clears it
         args = (1.0, 2.0, [0.1], 0.05, 0.02)
         assert check(*args) is CheckOutcome.INSUFFICIENT
-        assert Shortfall.of("c", *args).steps(0.25, 8) == 1
+        assert _shortfall(args).steps(0.25, 8) == 1
         assert check(*_scaled(args, 0.25)) is CheckOutcome.RELATIVE
 
     def test_boundary_equality_passes(self):
         # error sum 1 against omega * decrement = 0.25, with gamma = 0.25 and
         # 0.5 landing on the threshold exactly (powers of two)
         args = (1.0, 1.0, [1.0], 0.05, 0.25)
-        short = Shortfall.of("c", *args)
+        short = _shortfall(args)
         assert (short.error_sum, short.threshold) == (1.0, 0.25)
         assert short.steps(0.25, 8) == 1
         assert short.steps(0.5, 8) == 2
@@ -152,16 +157,17 @@ class TestShortfallSteps:
         # threshold omega * xi * delta = 5e-4 against error sum 0.5:
         # 0.25**4 * 0.5 = 2.0e-3 fails, 0.25**5 * 0.5 = 4.9e-4 passes
         args = (0.5, 0.0, [1.0], 0.05, 0.02)
-        short = Shortfall.of("c", *args)
-        assert short.threshold == margins(*args).absolute > margins(*args).relative
+        short = _shortfall(args)
+        m = verdict(*args)[1]
+        assert short.threshold == m.absolute > m.relative
         assert short.steps(0.25, 8) == 5
         assert check(*_scaled(args, 0.25**4)) is CheckOutcome.INSUFFICIENT
         assert check(*_scaled(args, 0.25**5)) is CheckOutcome.ABSOLUTE
 
     def test_cap_is_hit(self):
         args = (1.0, 1.0, [1e6], 0.05, 0.02)
-        assert Shortfall.of("c", *args).steps(0.25, 8) == 8
-        assert Shortfall.of("c", *args).steps(0.25, 3) == 3
+        assert _shortfall(args).steps(0.25, 8) == 8
+        assert _shortfall(args).steps(0.25, 3) == 3
 
     def test_underflowed_threshold_gives_the_cap(self):
         # delta**2 underflows to 0, so with a zero decrement both thresholds
@@ -169,7 +175,7 @@ class TestShortfallSteps:
         args = (1e-200, 0.0, [1.0, 1.0], 0.05, 0.02)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            short = Shortfall.of("c", *args)
+            short = _shortfall(args)
             k = short.steps(0.25, 8)
         assert short.threshold == 0.0 and short.error_sum > 0.0
         assert k == 8
@@ -181,7 +187,7 @@ class TestShortfallSteps:
         # scaled accuracies passes at k and fails at k - 1
         if check(*inputs) is not CheckOutcome.INSUFFICIENT:
             return
-        k = Shortfall.of("c", *inputs).steps(0.25, 8)
+        k = _shortfall(inputs).steps(0.25, 8)
         assert 1 <= k <= 8
         if k > 1:
             assert check(*_scaled(inputs, 0.25 ** (k - 1))) is CheckOutcome.INSUFFICIENT
@@ -190,15 +196,20 @@ class TestShortfallSteps:
 
 
 class TestVerdictKernel:
-    """`verdict` is `check` and `margins` without the validation."""
+    """`verdict` is `check` without the validation, and returns the
+    margins it compared."""
 
     @given(check_inputs())
     @settings(max_examples=500, deadline=None)
     def test_agrees_with_the_validated_check(self, inputs):
         outcome, m = verdict(*inputs)
         assert outcome is check(*inputs)
-        assert m == margins(*inputs)
-        assert Shortfall.at("c", m) == Shortfall.of("c", *inputs)
+        delta, decrement, accs, xi, omega = inputs
+        r = len(accs)
+        assert m == Margins(_error_sum(accs, delta), omega * decrement,
+                            omega * xi * delta**r / math.factorial(r))
+        assert Shortfall.at("c", m) == Shortfall("c", m.error_sum,
+                                                 max(m.relative, m.absolute))
 
     def test_skips_the_validation(self):
         # A negative decrement, which `check` rejects, is compared as given.

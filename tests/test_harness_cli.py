@@ -380,6 +380,48 @@ class TestFaultyBoundEstimate:
         assert "Traceback" not in captured.err
 
 
+def nan_value_problem(name, dim):
+    """The named problem with f NaN everywhere, started at 0: a quadratic
+    certifies there without asking for f."""
+    problem = make_problem(name, dim)
+    return dataclasses.replace(problem, eval_value=lambda x: math.nan, x0=np.zeros(dim))
+
+
+class TestNonFiniteStartValue:
+    """f(x0) in a bound report goes through the oracle's fault check: a NaN
+    there is a fault of order 0, not a gap of 0."""
+
+    FLAGS = ["--problem", "quadratic", "--dim", "2", "--noise", "exact", "--eps", "1e-3"]
+    ERROR = "oracle: problem 'quadratic' returned the non-finite value nan at order 0, x = [0., 0.]"
+
+    @pytest.fixture(autouse=True)
+    def faulty(self, monkeypatch):
+        monkeypatch.setattr(arq.harness, "make_problem", nan_value_problem)
+
+    def test_run_solve_exits_two_with_its_certificate_and_no_bounds(self, tmp_path):
+        outcome = run_solve(ExperimentSpec(problem="quadratic", dim=2, out=tmp_path))
+        assert outcome.exit_code == 2
+        assert outcome.error == self.ERROR
+        assert outcome.verification[0]["ok"] and outcome.bounds is None
+        assert (tmp_path / "certificate.json").exists()
+        assert not (tmp_path / "bounds.txt").exists()
+
+    def test_sweep_rows_say_oracle_with_empty_bounds(self):
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4))
+        rows = run_sweep(spec)["rows"]
+        assert [row["status"] for row in rows] == ["oracle"] * 3
+        assert all(row["iterations"] == 1 and row["value_evals"] == 0 for row in rows)
+        bounds = arq.harness.SWEEP_COLUMNS[arq.harness.SWEEP_COLUMNS.index("l_visited"):]
+        assert all(row[column] is None for row in rows for column in bounds)
+
+    def test_cli_solve_and_bounds_exit_two_without_traceback(self, capsys):
+        assert main(["solve", *self.FLAGS]) == 2
+        assert main(["bounds", *self.FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count(f"error: {self.ERROR}") == 2
+        assert "Traceback" not in captured.err
+
+
 class TestVerifyCertificate:
     def make_cert(self, tmp_path):
         spec = ExperimentSpec(

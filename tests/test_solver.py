@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import arq.oracle
 import arq.solver
 import arq.subsolvers
-from arq.check import CheckOutcome, Shortfall, check
+from arq.check import CheckOutcome, Shortfall, check, verdict
 from arq.oracle import NoiseModel, Problem, make_problem
 from arq.solver import (
     BudgetExhaustedError,
@@ -275,10 +275,10 @@ def step1_reference(state, model, config, guard_l_bar):
         while True:
             delta_j = float(state.delta[j - 1])
             meas = optimality_measure(model.bundle, j, delta_j)
-            args = (delta_j, meas.phi_bar, state.acc[:j], 0.5 * config.epsilons[j - 1],
-                    config.omega)
+            args = (delta_j, meas.phi_bar, state.acc[:j].tolist(),
+                    0.5 * config.epsilons[j - 1], config.omega)
             if check(*args) is CheckOutcome.INSUFFICIENT:
-                return Shortfall.of(f"step1 j={j}", *args)
+                return Shortfall.at(f"step1 j={j}", verdict(*args)[1])
             if meas.phi_bar <= _termination_threshold(config, j, delta_j):
                 measured.append({
                     "order": j,

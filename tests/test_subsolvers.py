@@ -19,7 +19,7 @@ from arq.subsolvers import (
 )
 from arq.tensors import DerivativeBundle, RegularizedModel, _ModelPoint, taylor_decrement
 
-from conftest import polar_grid_phi, random_symmetric, sphere_grid_phi
+from conftest import polar_grid_phi, random_symmetric, sampled_norm3, sphere_grid_phi
 
 
 def bundle2(g, h):
@@ -955,7 +955,10 @@ class TestRadiusSearch:
                 continue
             from arq.tensors import operator_norm
 
-            l_bar = max(operator_norm(t) for t in tensors)
+            # A sampled lower estimate of the order-3 norm: it gives a
+            # smaller l_bar, so a higher floor, than the Frobenius norm.
+            l_bar = max(operator_norm(tensors[0]), operator_norm(tensors[1]),
+                        sampled_norm3(tensors[2]))
             kappa_delta = (
                 varsigma * theta * (1 - omega) / (8 * (1 + omega) * (3 * l_bar + sigma))
             )

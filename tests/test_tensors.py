@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arq import tensors
 from arq.tensors import (
@@ -17,7 +19,13 @@ from arq.tensors import (
     taylor_decrement,
 )
 
-from conftest import central_diff_gradient, central_diff_hessian, reference_taylor_eval, random_symmetric
+from conftest import (
+    central_diff_gradient,
+    central_diff_hessian,
+    random_symmetric,
+    reference_taylor_eval,
+    sampled_norm3,
+)
 
 
 def bundle_1d(g, h):
@@ -188,25 +196,18 @@ class TestBundleValidation:
 
 
 class TestOperatorNorm:
-    @pytest.mark.parametrize("n", [2, 3, 4, 20, 60])
-    def test_order3_matches_the_four_operand_einsum(self, n):
-        rng = np.random.default_rng(100 + n)
-        t = random_symmetric(rng, n, 3)
-        # Reference: the sampled maximum of |T[u,u,u]| in one einsum.
-        u_rng = np.random.default_rng(0)
-        u = u_rng.standard_normal((1000, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        u = np.vstack([u, np.eye(n)])
-        ref = float(np.abs(np.einsum("ijk,ai,aj,ak->a", t, u, u, u)).max())
-        assert operator_norm(t) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_cached_directions_are_read_only(self):
-        t = random_symmetric(np.random.default_rng(1), 3, 3)
-        operator_norm(t)
-        u = tensors._unit_directions(3)
-        assert u is tensors._unit_directions(3)
-        with pytest.raises(ValueError):
-            u[0, 0] = 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_order3_bounds_the_tensor_on_every_direction(self, n, seed):
+        """At order 3 the norm is the Frobenius norm, an upper bound on
+        |T[u,u,u]| for every unit u, attained at n = 1."""
+        t = random_symmetric(np.random.default_rng(seed), n, 3)
+        norm = operator_norm(t)
+        assert norm == frobenius_norm(t)
+        sampled = sampled_norm3(t, seed=seed)
+        assert norm >= sampled
+        if n == 1:
+            assert norm == sampled
 
 
 def symmetric_stack(rng, count, n, order):
@@ -218,13 +219,8 @@ def symmetric_stack(rng, count, n, order):
 
 def groupings(n, order):
     """The lengths of the groups `operator_norms` forms of tensors of this
-    shape: the stacks `_stacks` copies, and the order-3 kernel's groups."""
-    per_stack = tensors._BLOCK // n**order if 2 * n**order <= tensors._BLOCK else 1
-    if order != 3:
-        return [per_stack]
-    u = tensors._unit_directions(n)
-    rows = min(len(u), max(tensors._MIN_DIRECTIONS, tensors._BLOCK // (n * (n + 1) // 2)))
-    return [per_stack, max(1, tensors._BLOCK // (n * rows))]
+    shape: the stacks `_stacks` copies."""
+    return [tensors._BLOCK // n**order if 2 * n**order <= tensors._BLOCK else 1]
 
 
 def stack_sizes(n, order):

@@ -42,6 +42,8 @@ PER_LAYER = (
     "oracle.inexact_value.self_s",
     "tensors.operator_norm.calls",
     "tensors.operator_norm.self_s",
+    "harness.visited_lipschitz.calls",
+    "harness.visited_lipschitz.self_s",
 )
 
 
