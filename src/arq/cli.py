@@ -73,7 +73,7 @@ _HELP = {
     "noise": f"one of {', '.join(NOISE_KINDS)}",
     "eps": "comma-separated accuracy targets",
     "out": "output directory",
-    "jobs": "threads for sweep rows (they share the GIL: 2 gained no wall time)",
+    "jobs": "processes for sweep rows, this one included",
     "runs": "seeds per grid point",
     "fill_fraction": "fraction of the permitted error the noise uses",
 }

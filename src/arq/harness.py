@@ -8,11 +8,11 @@ to confirm that a returned certificate means what it claims.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -501,10 +501,64 @@ def _sweep_one(spec: ExperimentSpec, eps_min: float, seed: int) -> dict:
     return row
 
 
+def _sweep_worker(spec: ExperimentSpec, epsilons, seeds, conn) -> None:
+    """A sweep worker process: sends (True, its rows) or (False, the
+    exception that stopped them) down `conn`."""
+    try:
+        reply = (True, [_sweep_one(spec, e, s) for e, s in zip(epsilons, seeds)])
+    except Exception as exc:  # re-raised by `_sweep_rows`
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _sweep_rows(spec: ExperimentSpec, epsilons, seeds, jobs: int) -> list:
+    """The rows in `jobs` interleaved shares: share 0 in this process, each
+    other share in a worker process (`_sweep_worker`).  Processes, because
+    the rows are Python-bound: two threads took turns on one GIL and ran
+    slower than one.  A worker's exception is raised here, once the other
+    workers are stopped.
+
+    A forked worker and its pipe start in ~1 ms, where a
+    `ProcessPoolExecutor` took ~6 ms.  Fork is unsafe beside other threads
+    and on macOS, so elsewhere the workers are spawned, each importing arq
+    afresh (~0.5 s).
+    """
+    if jobs > 1:  # imported here: ~10 ms of start-up that serial sweeps skip
+        import multiprocessing
+
+        fork = sys.platform == "linux" and threading.active_count() == 1
+        context = multiprocessing.get_context("fork" if fork else "spawn")
+    rows = [None] * len(epsilons)
+    workers = []
+    try:
+        for k in range(1, jobs):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_sweep_worker, daemon=True,
+                                      args=(spec, epsilons[k::jobs], seeds[k::jobs], sender))
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
+        rows[::jobs] = [_sweep_one(spec, e, s) for e, s in zip(epsilons[::jobs], seeds[::jobs])]
+        for k, (_, receiver) in enumerate(workers, 1):
+            ok, value = receiver.recv()
+            if not ok:
+                raise value
+            rows[k::jobs] = value
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            process.join()
+    return rows
+
+
 def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
-    """Run the accuracy sweep on `spec.jobs` threads; one row per (epsilon,
-    seed), in grid order.  The rows are Python-bound and share the GIL, so
-    more threads buy no wall time.
+    """Run the accuracy sweep in `spec.jobs` processes, this one included
+    (`_sweep_rows`); one row per (epsilon, seed), in grid order.
 
     A row's ``status`` is ``ok`` for a certified run, else the
     `SolveStoppedError` status that stopped it.  Every row, whatever its
@@ -526,8 +580,7 @@ def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
         raise ValueError(f"runs must be >= 1, got {spec.runs}")
     epsilons = [eps for eps in grid for _ in range(spec.runs)]
     seeds = [seed % 2**32 for seed in expand_seeds(spec.seed, len(epsilons))]
-    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-        rows = list(pool.map(functools.partial(_sweep_one, spec), epsilons, seeds))
+    rows = _sweep_rows(spec, epsilons, seeds, min(spec.jobs, len(epsilons)))
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
     slope_value = slope_deriv = float("nan")

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +219,50 @@ class TestSweep:
         serial = run_sweep(ExperimentSpec(**base, jobs=1))
         parallel = run_sweep(ExperimentSpec(**base, jobs=3))
         assert serial["rows"] == parallel["rows"]
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="the patched row function reaches workers by fork")
+    def test_jobs_share_the_rows_between_this_process_and_a_worker(self, monkeypatch):
+        sweep_one = arq.harness._sweep_one
+        monkeypatch.setattr(arq.harness, "_sweep_one",
+                            lambda *args: {**sweep_one(*args), "pid": os.getpid()})
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), runs=2)
+        serial = run_sweep(spec)["rows"]
+        parallel = run_sweep(dataclasses.replace(spec, jobs=2))["rows"]
+        assert [row.pop("pid") == os.getpid() for row in parallel] == [True, False] * 3
+        assert [row.pop("pid") for row in serial] == [os.getpid()] * 6
+        assert parallel == serial
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="the patched row function reaches workers by fork")
+    def test_a_workers_exception_is_raised_by_the_caller(self, monkeypatch):
+        caller, sweep_one = os.getpid(), arq.harness._sweep_one
+
+        def fails_in_a_worker(*args):
+            if os.getpid() != caller:
+                raise ArithmeticError("row failed in a worker")
+            return sweep_one(*args)
+
+        monkeypatch.setattr(arq.harness, "_sweep_one", fails_in_a_worker)
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), jobs=2)
+        with pytest.raises(ArithmeticError, match="row failed in a worker"):
+            run_sweep(spec)
+
+    def test_workers_are_spawned_beside_another_thread(self, monkeypatch):
+        methods, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: methods.append(method) or get_context(method))
+        spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3, 1e-4), runs=2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            parallel = run_sweep(dataclasses.replace(spec, jobs=2))["rows"]
+        finally:
+            release.set()
+            other.join()
+        assert methods == ["spawn"]
+        assert parallel == run_sweep(spec)["rows"]
 
     def test_short_grid_rejected(self):
         spec = ExperimentSpec(problem="quadratic", dim=2, eps=(1e-2, 1e-3))
