@@ -556,9 +556,10 @@ def _sweep_rows(spec: ExperimentSpec, epsilons, seeds, jobs: int) -> list:
     return rows
 
 
-def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
-    """Run the accuracy sweep in `spec.jobs` processes, this one included
-    (`_sweep_rows`); one row per (epsilon, seed), in grid order.
+def run_sweep(spec: ExperimentSpec) -> dict:
+    """Run the accuracy sweep over the epsilons of `spec.eps` in `spec.jobs`
+    processes, this one included (`_sweep_rows`); one row per (epsilon,
+    seed), in the order of `spec.eps`.
 
     A row's ``status`` is ``ok`` for a certified run, else the
     `SolveStoppedError` status that stopped it.  Every row, whatever its
@@ -569,7 +570,7 @@ def run_sweep(spec: ExperimentSpec, grid=None) -> dict:
     ``{"rows": [...], "slope_value": s1, "slope_deriv": s2}`` and writes
     ``summary.csv`` when the spec has an output directory.
     """
-    grid = tuple(float(e) for e in (spec.eps if grid is None else grid))
+    grid = tuple(float(e) for e in spec.eps)
     if len(grid) < 3:
         raise ValueError("sweep grid needs at least 3 epsilon values")
     if any(not 0.0 < e < 1.0 for e in grid):

@@ -6,7 +6,9 @@ quantity, and the oracle must return something within that bound.  A
 bundle request computes derivatives only, never f, so objective values
 reach the solver through `inexact_value` alone, each one counted.  Noise
 injection is pluggable (`NoiseModel`); the bound is a hard contract for
-every model, checked against ground truth in the test suite.
+every model, checked against ground truth in the test suite.  A
+derivative's error is measured in `tensors.operator_norm`, the one norm of
+its order throughout the package.
 
 Both requests also report the error they achieved, a bound no larger
 than the one requested: 0 for exact noise or a zero demand, and the
@@ -22,6 +24,11 @@ returns is checked before any noise is added: a non-finite value, or a
 derivative of the wrong shape or with a non-finite entry, raises
 `OracleFaultError`, so a faulty `Problem` stops a solve with its own status
 instead of failing somewhere inside the solver.
+
+The Lipschitz constants L_{f,j} are estimated by one rule over a set of
+points, `lipschitz_over_points`.  `estimate_lipschitz`, the estimate near
+the start point, applies it to x0 and seeded points around it; the
+harness applies it to the region a run visited.
 """
 from __future__ import annotations
 
@@ -36,7 +43,7 @@ from .tensors import (
     DerivativeBundle,
     _norm,
     _row_dots,
-    frobenius_norm,
+    _stack_operator_norms,
     frobenius_norms,
     operator_norm,
     operator_norms,
@@ -194,17 +201,6 @@ def _matrix_errors_fit(errs: np.ndarray, bound: float):
         yield norm if norm <= bound else None
 
 
-def _contract_norm(tensor: np.ndarray) -> float:
-    """Norm a vector or order-3 error is sized in: the exact induced norm at
-    order 1, and the Frobenius norm, an upper bound on it, at order 3, so
-    the induced-norm contract holds at both orders.  (A matrix error's
-    induced norm is known from how it is built or bounded; see
-    `Oracle._perturb_tensor` and `_matrix_errors_fit`.)"""
-    if tensor.ndim == 1:
-        return _norm(tensor)
-    return frobenius_norm(tensor)
-
-
 @functools.lru_cache(maxsize=32)
 def _cosine_basis(n: int) -> np.ndarray:
     """The orthonormal DCT-II basis of R^n, one basis vector per row:
@@ -230,11 +226,14 @@ _GRID_BLOCK = 4
 
 def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
     """``(rounded, achieved)``: `exact` rounded to the coarsest of 0..16
-    decimals whose error has a contract norm (see `_contract_norm`) at most
-    `bound`, with the norm that accepted that grid (for a matrix, the one
-    `_matrix_errors_fit` yields), or `exact` itself and 0 when none does.
-    The candidate grids are rounded `_GRID_BLOCK` at a time, coarsest
-    first, each block in one array operation.
+    decimals whose error has an `operator_norm` at most `bound`, with the
+    norm that accepted that grid, or `exact` itself and 0 when none does.
+    A vector or order-3 error's norm is its `operator_norm`; a matrix
+    error's is the bound `_matrix_errors_fit` yields, which settles most
+    grids without the eigensolve.  The candidate grids are rounded
+    `_GRID_BLOCK` at a time, coarsest first, each block in one array
+    operation, and a block of vector or order-3 errors is normed in one
+    `_stack_operator_norms` call.
 
     A request at any demand from the accepting norm up to `bound` returns
     the same rounding bit for bit: every coarser grid failed at `bound`,
@@ -253,7 +252,7 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
         if exact.ndim == 2:
             norms = _matrix_errors_fit(errs, bound)
         else:
-            norms = (_contract_norm(err) for err in errs)
+            norms = _stack_operator_norms(errs).tolist()
         for d, norm in enumerate(norms, start=first):
             if norm is not None and norm <= bound:
                 return np.round(exact, d), norm
@@ -303,20 +302,20 @@ class Oracle:
 
     def _perturb_tensor(self, exact: np.ndarray, bound: float) -> tuple:
         """``(tensor, achieved)``: `exact` within ``achieved <= bound`` in
-        the induced norm: unchanged, with 0, for exact noise or a zero bound;
-        rounded for truncation, with the norm that accepted the grid; and
-        for bounded noise moved by ``fill_fraction * bound`` along a random
-        direction, with the bound.
+        `operator_norm`: unchanged, with 0, for exact noise or a zero bound;
+        rounded for truncation, with the norm that accepted the grid (see
+        `_truncate_tensor`); and for bounded noise moved by ``fill_fraction
+        * bound`` along a random direction, with the bound.
 
-        A gradient's direction is Gaussian, sized by its norm.  An order-3
-        direction is a symmetrized Gaussian tensor, sized by its Frobenius
-        norm, an upper bound on its induced norm.  A Hessian's direction is
-        built with a known induced norm, so no eigensolve sizes it: n
-        Gaussian eigenvalues lam, put into the cosine basis C of
-        `_cosine_basis` with a random sign per coordinate, B = C diag(s).
-        The direction is the exactly symmetric M + M' for M = B' diag(lam)
-        B, whose eigenvalues are 2 lam, so its size is 2 max|lam|.  Its
-        eigenvectors are the cosine vectors with those signs, spread over
+        A gradient's direction is Gaussian and an order-3 direction a
+        symmetrized Gaussian tensor, each sized by its `operator_norm` (at
+        order 3 the Frobenius norm, an upper bound on the induced norm).  A
+        Hessian's direction is built with a known induced norm, so no
+        eigensolve sizes it: n Gaussian eigenvalues lam, put into the cosine
+        basis C of `_cosine_basis` with a random sign per coordinate, B = C
+        diag(s).  The direction is the exactly symmetric M + M' for M = B'
+        diag(lam) B, whose eigenvalues are 2 lam, so its size is 2 max|lam|.
+        Its eigenvectors are the cosine vectors with those signs, spread over
         every coordinate.  Each request draws 2n numbers.
         """
         if self.noise.kind == "exact" or bound == 0.0:
@@ -331,7 +330,7 @@ class Oracle:
             size = 2.0 * float(np.abs(lam).max())
         else:
             direction = symmetrize(self._rng.standard_normal(exact.shape))
-            size = _contract_norm(direction)
+            size = operator_norm(direction)
         if size == 0.0:
             return exact.copy(), 0.0
         return exact + (self.noise.fill_fraction * bound / size) * direction, bound
@@ -504,31 +503,15 @@ def _shaped_derivative(problem: Problem, x: np.ndarray, order: int) -> np.ndarra
     return tensor
 
 
-def _next_order_norms(problem: Problem, points: np.ndarray, order: int) -> np.ndarray:
-    """`operator_norm` of the order-(order + 1) derivative at each of
-    `points` (a 2-D array), every derivative's shape and every norm checked
-    (`_shaped_derivative`, `_finite_norms`).  Over a segment from a to b,
-    ||D^order f(a) - D^order f(b)||_F / ||a - b|| is at most the largest
-    Frobenius norm of D^(order + 1) f along it, so the Lipschitz estimates
-    take difference quotients only where the problem has no next order."""
-    norms = operator_norms(_shaped_derivative(problem, x, order + 1) for x in points)
-    return _finite_norms(problem, order + 1, norms, points.__getitem__)
-
-
 def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     """Sampled estimate of max_j L_{f,j}, j = 0..p, near the start point.
 
-    Samples x0 and seeded points in the box of half-width
-    max(1, ||x0|| + 1) around it.  Uses the next-order norm
-    (`_next_order_norms`) where the problem has the order-(j + 1)
-    derivative, and otherwise difference quotients of the order-j tensor,
-    in the Frobenius norm, along a seeded unit direction; floored at 1.  A
-    user-supplied `lipschitz_hint` wins outright.  A derivative of the wrong
-    shape, or a non-finite norm, raises `OracleFaultError`.
-
-    Each order's norms are taken over all samples at once (`operator_norms`,
-    `frobenius_norms`), and the directions are drawn first, point by point,
-    in the order a loop over the points would draw them.
+    The largest `lipschitz_over_points` over orders 0..p at x0 followed by
+    48 seeded points in the box of half-width max(1, ||x0|| + 1) around it,
+    so the start estimate and the visited-region estimate follow one rule;
+    floored at 1.  A user-supplied `lipschitz_hint` wins outright.  A
+    derivative of the wrong shape, or a non-finite norm, raises
+    `OracleFaultError`.
     """
     if problem.lipschitz_hint is not None:
         return max(1.0, float(problem.lipschitz_hint))
@@ -537,36 +520,21 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     rng = np.random.default_rng(_LIPSCHITZ_SEED)
     pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(_LIPSCHITZ_SAMPLES, x0.size))
     pts = np.vstack([x0[None, :], pts])
-    quotient_orders = [j for j in range(p + 1) if j + 1 > problem.p_max]
-    dirs = rng.standard_normal((len(pts), len(quotient_orders), x0.size))
-    flat = dirs.reshape(-1, x0.size)
-    flat /= np.sqrt(_row_dots(flat, flat))[:, None]
-    h = 1e-4
-    best = 1.0
-    for j in range(p + 1):
-        if j + 1 <= problem.p_max:
-            norms = _next_order_norms(problem, pts, j)
-        else:
-            us = dirs[:, quotient_orders.index(j)]
-            norms = frobenius_norms(
-                _shaped_derivative(problem, x + h * u, j)
-                - _shaped_derivative(problem, x - h * u, j)
-                for x, u in zip(pts, us)
-            ) / (2.0 * h)
-            norms = _finite_norms(problem, j, norms, pts.__getitem__)
-        best = max(best, float(norms.max()))
-    return float(best)
+    return max(lipschitz_over_points(problem, pts, j) for j in range(p + 1))
 
 
 def lipschitz_over_points(problem: Problem, points, order: int) -> float:
-    """Estimate of L_{f,order} over a visited region (trace points/segments);
-    floored at 1.
+    """Estimate of L_{f,order} over a set of points (a visited region's
+    trace points and segments, or `estimate_lipschitz`'s samples); floored
+    at 1.
 
     Where the problem has the order-(order + 1) derivative, the largest of
-    its norms at the distinct points (`_next_order_norms`); otherwise the
-    largest difference quotient ||D^order f(a) - D^order f(b)||_F / ||a - b||
-    over the consecutive pairs more than 1e-12 apart (a point repeated after
-    a rejected step still pairs with its neighbours).
+    its `operator_norm` at the distinct points: over a segment from a to b,
+    ||D^order f(a) - D^order f(b)||_F / ||a - b|| is at most the largest
+    Frobenius norm of D^(order + 1) f along it.  Otherwise the largest
+    difference quotient ||D^order f(a) - D^order f(b)||_F / ||a - b|| over
+    the consecutive pairs more than 1e-12 apart (a point repeated after a
+    rejected step still pairs with its neighbours).
 
     A derivative of the wrong shape, or a non-finite norm, raises
     `OracleFaultError`.  Points are told apart by their bytes, so each
@@ -583,7 +551,9 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     slots = [slot_of.setdefault(x.tobytes(), len(slot_of)) for x in pts]
     distinct = pts[np.unique(slots, return_index=True)[1]]
     if order + 1 <= problem.p_max:
-        return max(1.0, float(_next_order_norms(problem, distinct, order).max()))
+        norms = operator_norms(_shaped_derivative(problem, x, order + 1) for x in distinct)
+        norms = _finite_norms(problem, order + 1, norms, distinct.__getitem__)
+        return max(1.0, float(norms.max()))
 
     steps = pts[:-1] - pts[1:]
     gaps = np.sqrt(_row_dots(steps, steps))

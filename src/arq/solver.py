@@ -560,8 +560,9 @@ def solve(
 
     The Lipschitz estimate behind the step-1 radius guard is computed at
     most once, and only when a halved radius first falls below the guard
-    floor at its least possible L-bar (see `step1`).  The estimate draws
-    from its own rng and only arms the guard, so computing it late changes
+    floor at its least possible L-bar (see `step1`).  The estimate's sample
+    points come from its own seeded generator, it reads the problem without
+    the oracle, and it only arms the guard, so computing it late changes
     neither the iterates nor the oracle's evaluations.
     """
     oracle = Oracle(problem, noise)

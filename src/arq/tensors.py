@@ -25,13 +25,15 @@ lives as long as its caller holds it.  `_norm` is numpy's own 1-D norm
 formula without its dispatch wherever the sum of squares is in range, and a
 norm of the vector scaled by a power of two elsewhere.
 
-Norms also come by the stack: `operator_norms` and `frobenius_norms` norm an
-iterable of same-shape tensors a bounded stack at a time, in a few array
-operations per stack.  `operator_norm` and `frobenius_norm` are the same
-computation on a stack of one, so a tensor's norm has one definition and
-the same bits alone or stacked.  `operator_norm` is exact at orders 1 and 2
-and the Frobenius norm at order 3, an upper bound on the induced norm and
-the norm of the oracle's order-3 contract.
+Each tensor order has one norm, `operator_norm`: the induced norm at
+orders 1 and 2 and the Frobenius norm at order 3, an upper bound on the
+induced norm and the norm of the oracle's order-3 contract.  Norms also come
+by the stack: `operator_norms` norms an iterable of same-shape tensors a
+bounded stack at a time, in a few array operations per stack, and
+`operator_norm` is the same computation on a stack of one, so a tensor's
+norm has the same bits alone or stacked.  At order 1 those are `_norm`'s
+bits.  `frobenius_norms` norms the differences behind Lipschitz quotients
+the same way.
 
 The regularizer ||s||^(p+1) is differentiated in closed form only to the
 orders the model's derivatives need, 1..max(p, 2).
@@ -78,16 +80,32 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
+def _in_range(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """`norms`, the square roots of the sums of squares of the tensors of
+    `stack`, with each whose sum of squares fell outside [`_LEAST_SQUARES`,
+    inf) (underflowed, overflowed or NaN) taken again by `_norm` over the
+    tensor's entries, which scales them first.  A zero tensor keeps its 0.
+    The common case, every norm in range, is decided on a Python list: a
+    sum of norms is finite unless one of them is NaN or inf."""
+    values = norms.tolist()
+    if min(values) >= _LEAST_NORM and math.isfinite(sum(values)):
+        return norms
+    out = np.flatnonzero(~((norms >= _LEAST_NORM) & (norms < math.inf)))
+    out = out[stack[out].reshape(len(out), -1).any(axis=1)]
+    norms[out] = [_norm(stack[i].reshape(-1)) for i in out]
+    return norms
+
+
 def _stack_frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """`frobenius_norm` of each tensor of a float stack (leading axis)."""
-    return np.sqrt(np.sum(stack**2, axis=tuple(range(1, stack.ndim))))
+    """The Frobenius norm of each tensor of a float stack (leading axis)."""
+    return _in_range(stack, np.sqrt(np.sum(stack**2, axis=tuple(range(1, stack.ndim)))))
 
 
 def _stack_operator_norms(stack: np.ndarray) -> np.ndarray:
     """`operator_norm` of each tensor of a float stack (leading axis)."""
     order = stack.ndim - 1
     if order == 1:
-        return np.sqrt(_row_dots(stack, stack))
+        return _in_range(stack, np.sqrt(_row_dots(stack, stack)))
     if order == 2:
         sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         return np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
@@ -150,14 +168,10 @@ def operator_norms(tensors) -> np.ndarray:
     return _map_stacks(_stack_operator_norms, tensors)
 
 
-def frobenius_norm(tensor: np.ndarray) -> float:
-    """Entrywise 2-norm; upper-bounds the induced norm for any order."""
-    return float(_stack_frobenius_norms(np.asarray(tensor, dtype=float)[None])[0])
-
-
 def frobenius_norms(tensors) -> np.ndarray:
-    """`frobenius_norm` of each tensor of an iterable of tensors of one
-    shape, bit for bit, in stacks as `operator_norms` makes them."""
+    """The Frobenius (entrywise 2-) norm of each tensor of an iterable of
+    tensors of one shape, an upper bound on its induced norm, in stacks as
+    `operator_norms` makes them."""
     return _map_stacks(_stack_frobenius_norms, tensors)
 
 
@@ -222,6 +236,7 @@ def _check_order(j: int, top: int) -> None:
 # Least v.dot(v) `_norm` takes as it is: squares under the normal range lose
 # at most n 2**-175 of it, far under its rounding.
 _LEAST_SQUARES = 2.0**-900
+_LEAST_NORM = 2.0**-450  # its square root, exactly
 
 
 def _norm(v: np.ndarray) -> float:

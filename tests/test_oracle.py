@@ -23,7 +23,7 @@ from arq.oracle import (
     make_problem,
 )
 from arq.solver import SolverConfig, solve
-from arq.tensors import _norm, frobenius_norm, operator_norm, symmetrize
+from arq.tensors import _norm, frobenius_norms, operator_norm, symmetrize
 
 from conftest import central_diff_gradient
 
@@ -518,28 +518,31 @@ class TestLipschitzEstimates:
             lipschitz_over_points(quotients, [a, b], order)
 
 
-# The estimates as they were computed before the points were stacked: one
-# point, one norm and one pair at a time.  The stacked estimates must
-# reproduce them bit for bit.
-def ref_estimate_lipschitz(problem, x0, p):
-    if problem.lipschitz_hint is not None:
-        return max(1.0, float(problem.lipschitz_hint))
+# Point-by-point references for the stacked estimates: one point, one norm
+# and one pair at a time.  The stacked estimates must reproduce them bit for
+# bit.
+def start_samples(x0):
+    """x0 and the seeded box points the start estimate samples."""
     x0 = np.asarray(x0, dtype=float)
     radius = max(1.0, float(np.linalg.norm(x0)) + 1.0)
     rng = np.random.default_rng(oracle_module._LIPSCHITZ_SEED)
     pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(oracle_module._LIPSCHITZ_SAMPLES, x0.size))
-    pts = np.vstack([x0[None, :], pts])
+    return np.vstack([x0[None, :], pts])
+
+
+def ref_estimate_lipschitz(problem, x0, p):
+    if problem.lipschitz_hint is not None:
+        return max(1.0, float(problem.lipschitz_hint))
+    pts = start_samples(x0)
     best = 1.0
-    for x in pts:
-        for j in range(0, p + 1):
-            if j + 1 <= problem.p_max:
+    for j in range(0, p + 1):
+        if j + 1 <= problem.p_max:
+            for x in pts:
                 best = max(best, operator_norm(problem.derivative(x, j + 1)))
-            else:
-                h = 1e-4
-                u = rng.standard_normal(x.size)
-                u /= np.linalg.norm(u)
-                dp = problem.derivative(x + h * u, j) - problem.derivative(x - h * u, j)
-                best = max(best, frobenius_norm(dp) / (2.0 * h))
+        else:
+            for a, b in zip(pts[:-1], pts[1:]):
+                diff = problem.derivative(a, j) - problem.derivative(b, j)
+                best = max(best, frobenius_norms([diff])[0] / float(np.linalg.norm(a - b)))
     return float(best)
 
 
@@ -554,8 +557,21 @@ def ref_lipschitz_over_points(problem, points, order):
         gap = float(np.linalg.norm(a - b))
         if gap > 1e-12:
             diff = problem.derivative(a, order) - problem.derivative(b, order)
-            best = max(best, frobenius_norm(diff) / gap)
+            best = max(best, frobenius_norms([diff])[0] / gap)
     return float(best)
+
+
+def wavy(dim, w):
+    """f = sum_i cos(w x_i) / w**2 with derivatives of orders 1 and 2 only:
+    their norms are at most 1, while the Hessian changes at a rate of up to
+    w, so the order-2 difference quotient sets the estimate at p = 2."""
+    def value(x):
+        return float(np.sum(np.cos(w * x))) / w**2
+
+    def derivative(x, i):
+        return -np.sin(w * x) / w if i == 1 else np.diag(-np.cos(w * x))
+
+    return Problem("wavy", dim, value, derivative, -dim / w**2, np.zeros(dim), 2)
 
 
 def counting(problem):
@@ -578,12 +594,54 @@ class TestStackedLipschitzEstimates:
         ref = ref_estimate_lipschitz(problem, problem.x0, p)
         assert estimate_lipschitz(problem, problem.x0, p) == ref
 
-    def test_start_estimate_draws_directions_point_by_point(self):
-        # Orders 2 and 3 have no next derivative, so each point draws two
-        # directions in turn.
-        problem = dataclasses.replace(make_problem("rosenbrock", 3), p_max=2)
-        x0 = problem.x0 + 0.25
-        assert estimate_lipschitz(problem, x0, 2) == ref_estimate_lipschitz(problem, x0, 2)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 4, 20])
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_start_estimate_is_the_point_set_estimate_over_its_samples(self, name, n, p):
+        # Without the hint, which would win outright (sineq has one).
+        problem = dataclasses.replace(make_problem(name, n), lipschitz_hint=None)
+        pts = start_samples(problem.x0)
+        over_points = max(lipschitz_over_points(problem, pts, j) for j in range(p + 1))
+        assert estimate_lipschitz(problem, problem.x0, p) == over_points
+
+    def test_an_order_without_a_next_derivative_takes_pair_quotients(self):
+        # Order 2 has no next derivative and its pair quotients set the
+        # maximum; a central difference at a small step would read up to w.
+        w = 50.0
+        problem = wavy(3, w)
+        pts = start_samples(problem.x0)
+        lower = max(lipschitz_over_points(problem, pts, j) for j in (0, 1))
+        est = estimate_lipschitz(problem, problem.x0, 2)
+        assert est == ref_estimate_lipschitz(problem, problem.x0, 2)
+        assert est == lipschitz_over_points(problem, pts, 2) > lower
+        assert est < 0.25 * w
+
+    # The start estimate at p = 1, 2, 3 before it became the point-set
+    # estimate over its samples, which keeps every one of these bits.
+    RECORDED = {
+        ("quadratic", 2): ("0x1.2319c4d9b5819p+5", "0x1.2319c4d9b5819p+5", "0x1.2319c4d9b5819p+5"),
+        ("quadratic", 3): ("0x1.352832d3d8d37p+5", "0x1.352832d3d8d37p+5", "0x1.352832d3d8d37p+5"),
+        ("quadratic", 4): ("0x1.449282042a7cfp+5", "0x1.449282042a7cfp+5", "0x1.449282042a7cfp+5"),
+        ("quadratic", 20): ("0x1.cc350b3d3f1bdp+6", "0x1.cc350b3d3f1bdp+6", "0x1.cc350b3d3f1bdp+6"),
+        ("rosenbrock", 2): ("0x1.4d78a8aa32953p+14", "0x1.4d78a8aa32953p+14", "0x1.4d78a8aa32953p+14"),
+        ("rosenbrock", 3): ("0x1.c9b98f6e297ddp+14", "0x1.c9b98f6e297ddp+14", "0x1.c9b98f6e297ddp+14"),
+        ("rosenbrock", 4): ("0x1.619926e88cae1p+15", "0x1.619926e88cae1p+15", "0x1.619926e88cae1p+15"),
+        ("rosenbrock", 20): ("0x1.fbdbd565235a4p+17", "0x1.fbdbd565235a4p+17", "0x1.fbdbd565235a4p+17"),
+        ("quartic", 2): ("0x1.de534b99eead8p+5", "0x1.f46a26fb0170cp+5", "0x1.f46a26fb0170cp+5"),
+        ("quartic", 3): ("0x1.079239775c03bp+6", "0x1.5ac7986d0b68ep+6", "0x1.5ac7986d0b68ep+6"),
+        ("quartic", 4): ("0x1.34e2dca800cf1p+6", "0x1.8f8fae7f2c9ecp+6", "0x1.8f8fae7f2c9ecp+6"),
+        ("quartic", 20): ("0x1.8b735440db874p+8", "0x1.8b735440db874p+8", "0x1.8b735440db874p+8"),
+        ("sineq", 2): ("0x1p+1", "0x1p+1", "0x1p+1"),
+        ("sineq", 3): ("0x1p+1", "0x1p+1", "0x1p+1"),
+        ("sineq", 4): ("0x1p+1", "0x1p+1", "0x1p+1"),
+        ("sineq", 20): ("0x1p+1", "0x1p+1", "0x1p+1"),
+    }
+
+    @pytest.mark.parametrize("name, n", RECORDED)
+    def test_start_estimate_keeps_its_recorded_values(self, name, n):
+        problem = make_problem(name, n)
+        got = [estimate_lipschitz(problem, problem.x0, p) for p in (1, 2, 3)]
+        assert got == [float.fromhex(h) for h in self.RECORDED[name, n]]
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_repeated_points_are_evaluated_once(self, order):
@@ -688,7 +746,7 @@ def ref_truncate_tensor(exact, bound):
         elif exact.ndim == 1:
             fits = float(np.linalg.norm(err)) <= bound
         else:
-            fits = frobenius_norm(err) <= bound
+            fits = operator_norm(err) <= bound
         if fits:
             return v
     return exact.copy()
@@ -707,6 +765,14 @@ class TestTruncationMatchesTheReference:
                 for bound in [0.0] + [10.0 ** rng.uniform(-16, 1) for _ in range(6)]:
                     ours, ref = _truncate_tensor(t, bound)[0], ref_truncate_tensor(t, bound)
                     assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_an_error_whose_squares_underflow_keeps_its_norm(self, order):
+        # Every grid rounds these entries to 0, an error near 1e-170 in norm
+        # against a demand of 1e-180, although its squares underflow to 0.
+        exact = np.full((2,) * order, 1e-170)
+        rounded, achieved = _truncate_tensor(exact, 1e-180)
+        assert rounded.tobytes() == exact.tobytes() and achieved == 0.0
 
     def test_one_rounding_formula(self):
         # `_DECIMAL_SCALES` reproduces `np.round` at every decimal count.
@@ -749,12 +815,10 @@ class TestAchievedBundleErrors:
         bundle, achieved = oracle.inexact_bundle(np.zeros(n), demand, p)
         for order, (got, exact) in enumerate(zip(bundle.tensors, tensors), start=1):
             err = got - exact
-            # At order 3 `operator_norm` and the achieved error are both
-            # the Frobenius norm.
             assert operator_norm(err) <= achieved[order - 1] * (1.0 + 1e-12)
             assert achieved[order - 1] <= demand[order - 1]
-            if order == 3:
-                assert achieved[2] == frobenius_norm(err)
+            if order != 2:  # a vector or order-3 error is sized in `operator_norm`
+                assert achieved[order - 1] == operator_norm(err)
         for share in (0.0, tighter, 1.0):
             tighter_demand = achieved + share * (demand - achieved)
             again, _ = oracle.inexact_bundle(np.zeros(n), tighter_demand, p)

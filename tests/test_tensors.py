@@ -13,7 +13,6 @@ from arq.tensors import (
     _ModelPoint,
     _norm,
     _regularizer_derivative,
-    frobenius_norm,
     operator_norm,
     symmetrize,
     taylor_decrement,
@@ -203,7 +202,7 @@ class TestOperatorNorm:
         |T[u,u,u]| for every unit u, attained at n = 1."""
         t = random_symmetric(np.random.default_rng(seed), n, 3)
         norm = operator_norm(t)
-        assert norm == frobenius_norm(t)
+        assert norm == tensors.frobenius_norms([t])[0]
         sampled = sampled_norm3(t, seed=seed)
         assert norm >= sampled
         if n == 1:
@@ -270,7 +269,8 @@ class TestStackedNorms:
                 (k,) + (1,) * order)
             ref = np.array([np.sqrt(np.sum(t**2)) for t in stack])
             assert tensors.frobenius_norms(stack).tobytes() == ref.tobytes()
-            assert np.array([frobenius_norm(t) for t in stack]).tobytes() == ref.tobytes()
+            singles = [tensors.frobenius_norms([t])[0] for t in stack]
+            assert np.array(singles).tobytes() == ref.tobytes()
 
     def test_empty_iterable_and_mixed_shapes(self):
         assert tensors.operator_norms([]).shape == (0,)
@@ -430,8 +430,17 @@ class TestKernelsMatchTheReference:
         ((1e155, 1e155), 1.414213562373095e155),
     ])
     def test_norm_where_squares_underflow_or_overflow(self, v, want):
+        # `operator_norm` at orders 1 and 3 scales the same way, alone or
+        # stacked beside a tensor whose squares are in range.
+        v = np.array(v)
+        cube = np.zeros((2, 2, 2))
+        cube[0, 0, 0], cube[1, 1, 1] = v
         with np.errstate(over="ignore"):
-            assert tensors._norm(np.array(v)) == want
+            assert tensors._norm(v) == want
+            assert operator_norm(v) == operator_norm(cube) == want
+            assert tensors.operator_norms([v, np.ones(2)]).tolist() == [want, math.sqrt(2.0)]
+            assert tensors.frobenius_norms([np.ones((2, 2, 2)), cube]).tolist() == [
+                math.sqrt(8.0), want]
 
     def test_model_point_norm_scales_with_its_displacement(self):
         # At 2**-538 s the squares of s are under the normal range.
