@@ -7,8 +7,8 @@ bundle request computes derivatives only, never f, so objective values
 reach the solver through `inexact_value` alone, each one counted.  Noise
 injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.  A
-derivative's error is measured in `tensors.operator_norm`, the one norm of
-its order throughout the package.
+derivative's error is measured in `tensors.operator_norm`, the Frobenius
+norm, the one tensor norm throughout the package; no request eigensolves.
 
 Both requests also report the error they achieved, a bound no larger
 than the one requested: 0 for exact noise or a zero demand, and the
@@ -32,23 +32,13 @@ harness applies it to the region a run visited.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .subsolvers import SolveStoppedError
-from .tensors import (
-    DerivativeBundle,
-    _norm,
-    _row_dots,
-    _stack_operator_norms,
-    frobenius_norms,
-    operator_norm,
-    operator_norms,
-    symmetrize,
-)
+from .tensors import DerivativeBundle, _row_dots, _stack_norms, operator_norm, operator_norms
 
 __all__ = [
     "Problem",
@@ -96,10 +86,10 @@ class NoiseModel:
                             the bound (multi-precision style);
         "bounded_random" -- pseudo-random perturbation of magnitude
                             fill_fraction * bound: a random sign for a
-                            value, a Gaussian direction for a gradient, a
-                            random spectrum in a sign-flipped cosine basis
-                            for a Hessian (see `Oracle._perturb_tensor`),
-                            and a symmetrized Gaussian tensor at order 3.
+                            value, and for a derivative of order i the
+                            rank-one tensor v (x) ... (x) v (i factors) of
+                            a Gaussian v, with a random sign at even
+                            orders (see `Oracle._perturb_tensor`).
     """
 
     kind: str = "exact"
@@ -163,58 +153,6 @@ def _truncate_scalar(exact: float, bound: float) -> tuple:
     return exact, 0.0
 
 
-def _matrix_errors_fit(errs: np.ndarray, bound: float):
-    """For each error matrix in `errs` in turn, the bound on its induced
-    norm that fits `bound`, or None when ``operator_norm(err) > bound``,
-    deciding without the eigensolve where a cheaper bound on the spectral
-    norm of the symmetric part settles it.  Three bounds are tried in turn:
-    its largest |entry| (a lower bound, so a larger one means no fit), then
-    its largest absolute row sum and its Frobenius norm (upper bounds, so a
-    smaller one fits and is the bound yielded).  A rounded diagonal or
-    banded Hessian has an error of the same pattern, whose row sum is its
-    largest entry, so the eigensolve is seldom reached.  The 1e-9 relative
-    margin leaves the rounding-close cases to the eigensolve.  There the
-    least of the three upper bounds is yielded when it fits, so that a
-    bound at or above any yielded norm accepts the same matrix again, also
-    where the eigensolve's rounding reads a few ulps above a row sum or
-    Frobenius norm it equals in real arithmetic.  The largest entries are
-    found for all matrices at once; the rest runs only for the matrices
-    asked for.
-    """
-    margin = 1e-9 * bound
-    sym = 0.5 * (errs + errs.transpose(0, 2, 1))
-    abs_sym = np.abs(sym)
-    peaks = abs_sym.max(axis=(1, 2)).tolist()
-    for err, sym_err, abs_err, peak in zip(errs, sym, abs_sym, peaks):
-        if peak > bound + margin:
-            yield None
-            continue
-        row_sum = float(abs_err.sum(axis=1).max())
-        if row_sum <= bound - margin:
-            yield row_sum
-            continue
-        frobenius = _norm(sym_err.reshape(-1))
-        if frobenius <= bound - margin:
-            yield frobenius
-            continue
-        norm = min(row_sum, frobenius, operator_norm(err))
-        yield norm if norm <= bound else None
-
-
-@functools.lru_cache(maxsize=32)
-def _cosine_basis(n: int) -> np.ndarray:
-    """The orthonormal DCT-II basis of R^n, one basis vector per row:
-    row k is sqrt(2/n) cos(pi (2j + 1) k / (2n)) over j, and row 0 is
-    sqrt(1/n).  No entry exceeds sqrt(2/n) in size, so each basis vector
-    is spread over every coordinate.  Read-only."""
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    basis = math.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
-    basis[0] = math.sqrt(1.0 / n)
-    basis.flags.writeable = False
-    return basis
-
-
 # 10**d for d = 0..16 decimals: the factors `np.round` multiplies by (and
 # divides back by), so ``np.rint(x * 10.0**d) / 10.0**d == np.round(x, d)``.
 _DECIMAL_SCALES = 10.0 ** np.arange(17)
@@ -226,14 +164,11 @@ _GRID_BLOCK = 4
 
 def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
     """``(rounded, achieved)``: `exact` rounded to the coarsest of 0..16
-    decimals whose error has an `operator_norm` at most `bound`, with the
-    norm that accepted that grid, or `exact` itself and 0 when none does.
-    A vector or order-3 error's norm is its `operator_norm`; a matrix
-    error's is the bound `_matrix_errors_fit` yields, which settles most
-    grids without the eigensolve.  The candidate grids are rounded
-    `_GRID_BLOCK` at a time, coarsest first, each block in one array
-    operation, and a block of vector or order-3 errors is normed in one
-    `_stack_operator_norms` call.
+    decimals whose error has an `operator_norm` at most `bound`, with that
+    norm, or `exact` itself and 0 when none does.  The candidate grids are
+    rounded `_GRID_BLOCK` at a time, coarsest first, each block in one
+    array operation, and each block of errors is normed in one
+    `_stack_norms` call, with the bits `operator_norm` gives each error.
 
     A request at any demand from the accepting norm up to `bound` returns
     the same rounding bit for bit: every coarser grid failed at `bound`,
@@ -249,12 +184,8 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
         np.rint(errs, out=errs)
         errs /= scales
         errs -= exact
-        if exact.ndim == 2:
-            norms = _matrix_errors_fit(errs, bound)
-        else:
-            norms = _stack_operator_norms(errs).tolist()
-        for d, norm in enumerate(norms, start=first):
-            if norm is not None and norm <= bound:
+        for d, norm in enumerate(_stack_norms(errs).tolist(), start=first):
+            if norm <= bound:
                 return np.round(exact, d), norm
     return exact.copy(), 0.0
 
@@ -307,33 +238,26 @@ class Oracle:
         `_truncate_tensor`); and for bounded noise moved by ``fill_fraction
         * bound`` along a random direction, with the bound.
 
-        A gradient's direction is Gaussian and an order-3 direction a
-        symmetrized Gaussian tensor, each sized by its `operator_norm` (at
-        order 3 the Frobenius norm, an upper bound on the induced norm).  A
-        Hessian's direction is built with a known induced norm, so no
-        eigensolve sizes it: n Gaussian eigenvalues lam, put into the cosine
-        basis C of `_cosine_basis` with a random sign per coordinate, B = C
-        diag(s).  The direction is the exactly symmetric M + M' for M = B'
-        diag(lam) B, whose eigenvalues are 2 lam, so its size is 2 max|lam|.
-        Its eigenvectors are the cosine vectors with those signs, spread over
-        every coordinate.  Each request draws 2n numbers.
+        Every order follows one rule: a Gaussian v in R^n, and the rank-one
+        direction v (x) ... (x) v, with a random sign at even orders (at odd
+        orders -v already gives it), sized by its `operator_norm`.  On a
+        rank-one tensor the Frobenius norm is the induced norm, so the
+        error is ``fill_fraction * bound`` in both.  Each request draws n
+        numbers, and one more for the sign at order 2.
         """
         if self.noise.kind == "exact" or bound == 0.0:
             return exact.copy(), 0.0
         if self.noise.kind == "truncation":
             return _truncate_tensor(exact, bound)
-        if exact.ndim == 2:
-            lam, signs = self._rng.standard_normal((2, len(exact)))
-            basis = _cosine_basis(len(exact)) * np.copysign(1.0, signs)
-            half = (basis.T * lam) @ basis
-            direction = half + half.T
-            size = 2.0 * float(np.abs(lam).max())
-        else:
-            direction = symmetrize(self._rng.standard_normal(exact.shape))
-            size = operator_norm(direction)
+        v = self._rng.standard_normal(len(exact))
+        direction = v
+        for _ in range(exact.ndim - 1):
+            direction = np.multiply.outer(direction, v)
+        sign = -1.0 if exact.ndim % 2 == 0 and self._rng.random() < 0.5 else 1.0
+        size = operator_norm(direction)
         if size == 0.0:
             return exact.copy(), 0.0
-        return exact + (self.noise.fill_fraction * bound / size) * direction, bound
+        return exact + (sign * self.noise.fill_fraction * bound / size) * direction, bound
 
     def inexact_bundle(self, x, accuracies, p: int) -> tuple:
         """``(bundle, achieved)``: the derivative bundle at x with per-order
@@ -528,8 +452,9 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     trace points and segments, or `estimate_lipschitz`'s samples); floored
     at 1.
 
-    Where the problem has the order-(order + 1) derivative, the largest of
-    its `operator_norm` at the distinct points: over a segment from a to b,
+    Every tensor is measured in `operator_norm`, the Frobenius norm.  Where
+    the problem has the order-(order + 1) derivative, the largest of its
+    norms at the distinct points: over a segment from a to b,
     ||D^order f(a) - D^order f(b)||_F / ||a - b|| is at most the largest
     Frobenius norm of D^(order + 1) f along it.  Otherwise the largest
     difference quotient ||D^order f(a) - D^order f(b)||_F / ||a - b|| over
@@ -539,10 +464,10 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     A derivative of the wrong shape, or a non-finite norm, raises
     `OracleFaultError`.  Points are told apart by their bytes, so each
     distinct point's derivative is evaluated once, in order of first use.
-    The norms are computed over stacks of points (`operator_norms`,
-    `frobenius_norms`) with the same bits as point by point, and an
-    order-`order` derivative is kept only from the first pair that reads it
-    to the last, so memory holds a few tensors at a time, not one per point.
+    The norms are computed over stacks of points (`operator_norms`) with
+    the same bits as point by point, and an order-`order` derivative is
+    kept only from the first pair that reads it to the last, so memory
+    holds a few tensors at a time, not one per point.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
@@ -577,6 +502,6 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
                     del live[s]
             yield difference
 
-    norms = _finite_norms(problem, order, frobenius_norms(differences()),
+    norms = _finite_norms(problem, order, operator_norms(differences()),
                           lambda i: pts[ends[i]:ends[i] + 2])
     return max(1.0, float((norms / gaps[ends]).max()))

@@ -25,22 +25,21 @@ lives as long as its caller holds it.  `_norm` is numpy's own 1-D norm
 formula without its dispatch wherever the sum of squares is in range, and a
 norm of the vector scaled by a power of two elsewhere.
 
-Each tensor order has one norm, `operator_norm`: the induced norm at
-orders 1 and 2 and the Frobenius norm at order 3, an upper bound on the
-induced norm and the norm of the oracle's order-3 contract.  Norms also come
-by the stack: `operator_norms` norms an iterable of same-shape tensors a
-bounded stack at a time, in a few array operations per stack, and
-`operator_norm` is the same computation on a stack of one, so a tensor's
-norm has the same bits alone or stacked.  At order 1 those are `_norm`'s
-bits.  `frobenius_norms` norms the differences behind Lipschitz quotients
-the same way.
+Every derivative tensor is measured in one norm, `operator_norm`: the
+Frobenius norm, the Euclidean norm of its entries, which is the Euclidean
+norm at order 1 and an upper bound on the induced norm at every order, so
+a bound built from it errs upward.  Norms also come by the stack:
+`operator_norms` norms an iterable of same-shape tensors a bounded stack at
+a time, in a few array operations per stack, and `operator_norm` is the
+same computation on a stack of one, so a tensor's norm has the same bits
+alone or stacked: `_norm` of its flattened entries, which is
+`np.linalg.norm` of them wherever their sum of squares is in range.
 
 The regularizer ||s||^(p+1) is differentiated in closed form only to the
 orders the model's derivatives need, 1..max(p, 2).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,19 +49,9 @@ __all__ = [
     "DerivativeBundle",
     "RegularizedModel",
     "taylor_decrement",
-    "symmetrize",
     "operator_norm",
     "operator_norms",
 ]
-
-
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Average over all index permutations."""
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim <= 1:
-        return t
-    perms = list(itertools.permutations(range(t.ndim)))
-    return sum(np.transpose(t, p) for p in perms) / len(perms)
 
 
 # Doubles in one stacked array of tensors normed together.  Small tensors are
@@ -96,22 +85,13 @@ def _in_range(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _stack_frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each tensor of a float stack (leading axis)."""
-    return _in_range(stack, np.sqrt(np.sum(stack**2, axis=tuple(range(1, stack.ndim)))))
-
-
-def _stack_operator_norms(stack: np.ndarray) -> np.ndarray:
+def _stack_norms(stack: np.ndarray) -> np.ndarray:
     """`operator_norm` of each tensor of a float stack (leading axis)."""
     order = stack.ndim - 1
-    if order == 1:
-        return _in_range(stack, np.sqrt(_row_dots(stack, stack)))
-    if order == 2:
-        sym = 0.5 * (stack + stack.transpose(0, 2, 1))
-        return np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
-    if order == 3:
-        return _stack_frobenius_norms(stack)
-    raise ValueError(f"operator norm of order {order}; orders 1..3 only")
+    if not 1 <= order <= 3:
+        raise ValueError(f"operator norm of order {order}; orders 1..3 only")
+    flat = stack.reshape(len(stack), -1)
+    return _in_range(stack, np.sqrt(_row_dots(flat, flat)))
 
 
 def _stacks(tensors):
@@ -139,21 +119,16 @@ def _stacks(tensors):
         yield stack[:k]
 
 
-def _map_stacks(kernel, tensors) -> np.ndarray:
-    parts = [kernel(stack) for stack in _stacks(tensors)]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def operator_norm(tensor: np.ndarray) -> float:
     """The norm a derivative tensor of order 1, 2 or 3 is measured in: the
-    Euclidean-induced norm at orders 1 and 2 (the largest |eigenvalue| of
-    the symmetric part), and the Frobenius norm, an upper bound on the
-    induced norm, at order 3.  That is the norm the oracle's order-3 error
-    contract is stated in, so a bound built from it errs upward.  This is
-    `operator_norms` of a stack of one, so one tensor's norm is the same
-    bit for bit either way.
+    Frobenius norm, an upper bound on the Euclidean-induced (operator) norm,
+    and equal to it at order 1 and on every rank-one tensor.  The analysis
+    holds in any norm at least the induced one.  The name stays because the
+    benchmark's per-layer tracer (`perfbench/tracer.py`) times this function
+    by it.  This is `operator_norms` of a stack of one, so one tensor's norm
+    is the same bit for bit either way.
     """
-    return float(_stack_operator_norms(np.asarray(tensor, dtype=float)[None])[0])
+    return float(_stack_norms(np.asarray(tensor, dtype=float)[None])[0])
 
 
 def operator_norms(tensors) -> np.ndarray:
@@ -165,14 +140,8 @@ def operator_norms(tensors) -> np.ndarray:
     operations, so a generator that makes its tensors as it goes holds one
     stack at a time.
     """
-    return _map_stacks(_stack_operator_norms, tensors)
-
-
-def frobenius_norms(tensors) -> np.ndarray:
-    """The Frobenius (entrywise 2-) norm of each tensor of an iterable of
-    tensors of one shape, an upper bound on its induced norm, in stacks as
-    `operator_norms` makes them."""
-    return _map_stacks(_stack_frobenius_norms, tensors)
+    parts = [_stack_norms(stack) for stack in _stacks(tensors)]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 @dataclass(frozen=True)

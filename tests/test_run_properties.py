@@ -13,12 +13,16 @@ from arq.tensors import operator_norm
 from conftest import assert_bundle_reuse
 
 
+def _norm(t):
+    """The induced norm of a matrix, `operator_norm` (Frobenius) else: a
+    smaller bound on a Hessian, so a higher radius floor."""
+    return float(np.abs(np.linalg.eigvalsh(t)).max()) if t.ndim == 2 else operator_norm(t)
+
+
 def _local_norm_bound(run, rec):
     """Upper bound on the norms of the derivative bundle used at rec.x."""
     p = run.config.p
-    exact = max(
-        operator_norm(run.problem.derivative(rec.x, order)) for order in range(1, p + 1)
-    )
+    exact = max(_norm(run.problem.derivative(rec.x, order)) for order in range(1, p + 1))
     return max(1.0, exact) + float(np.max(rec.acc))
 
 

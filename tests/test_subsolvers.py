@@ -955,9 +955,10 @@ class TestRadiusSearch:
                 continue
             from arq.tensors import operator_norm
 
-            # A sampled lower estimate of the order-3 norm: it gives a
-            # smaller l_bar, so a higher floor, than the Frobenius norm.
-            l_bar = max(operator_norm(tensors[0]), operator_norm(tensors[1]),
+            # The induced norm of the Hessian and a sampled lower estimate
+            # of the order-3 norm: they give a smaller l_bar, so a higher
+            # floor, than the Frobenius norm.
+            l_bar = max(operator_norm(tensors[0]), np.abs(np.linalg.eigvalsh(tensors[1])).max(),
                         sampled_norm3(tensors[2]))
             kappa_delta = (
                 varsigma * theta * (1 - omega) / (8 * (1 + omega) * (3 * l_bar + sigma))
