@@ -37,6 +37,7 @@ from .solver import (
     solve,
 )
 from .subsolvers import SolveStoppedError, solve_trs
+from .tensors import _norm
 
 logger = logging.getLogger("arq")
 
@@ -161,7 +162,7 @@ def exact_phi(problem: Problem, x, j: int, delta: float) -> float:
     """
     x = np.asarray(x, dtype=float)
     if j == 1:
-        return delta * float(np.linalg.norm(problem.derivative(x, 1)))
+        return delta * _norm(problem.derivative(x, 1))
     if j == 2:
         g = problem.derivative(x, 1)
         h = problem.derivative(x, 2)

@@ -9,6 +9,8 @@ injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.  A
 derivative's error is measured in `tensors.operator_norm`, the Frobenius
 norm, the one tensor norm throughout the package; no request eigensolves.
+The truncation and the Lipschitz estimates norm their tensors one at a
+time through its kernel `tensors._frobenius`.
 
 Both requests also report the error they achieved, a bound no larger
 than the one requested: 0 for exact noise or a zero demand, and the
@@ -27,8 +29,8 @@ instead of failing somewhere inside the solver.
 
 The Lipschitz constants L_{f,j} are estimated by one rule over a set of
 points, `lipschitz_over_points`.  `estimate_lipschitz`, the estimate near
-the start point, applies it to x0 and seeded points around it; the
-harness applies it to the region a run visited.
+the start point, applies it to x0 and seeded points around it, for every
+problem alike; the harness applies it to the region a run visited.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .subsolvers import SolveStoppedError
-from .tensors import DerivativeBundle, _row_dots, _stack_norms, operator_norm, operator_norms
+from .tensors import DerivativeBundle, _frobenius, _norm, _row_dots, operator_norm
 
 __all__ = [
     "Problem",
@@ -65,7 +67,6 @@ class Problem:
     f_low: float
     x0: np.ndarray
     p_max: int = 3
-    lipschitz_hint: float | None = None
 
     def value(self, x) -> float:
         return float(self.eval_value(np.asarray(x, dtype=float)))
@@ -159,16 +160,16 @@ _DECIMAL_SCALES = 10.0 ** np.arange(17)
 # Decimal grids rounded per array operation.  Four keep the per-call numpy
 # overhead of small tensors low and waste at most three roundings of a large
 # one; all 17 at once made the truncation of n = 200 Hessians 3-4x slower.
-_GRID_BLOCK = 4
+_GRID_BATCH = 4
 
 
 def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
     """``(rounded, achieved)``: `exact` rounded to the coarsest of 0..16
     decimals whose error has an `operator_norm` at most `bound`, with that
     norm, or `exact` itself and 0 when none does.  The candidate grids are
-    rounded `_GRID_BLOCK` at a time, coarsest first, each block in one
-    array operation, and each block of errors is normed in one
-    `_stack_norms` call, with the bits `operator_norm` gives each error.
+    rounded `_GRID_BATCH` at a time, coarsest first, each batch in one
+    array operation; the errors are then normed one at a time by
+    `operator_norm`'s kernel until one fits.
 
     A request at any demand from the accepting norm up to `bound` returns
     the same rounding bit for bit: every coarser grid failed at `bound`,
@@ -177,14 +178,15 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
     """
     if bound <= 0:
         return exact.copy(), 0.0
-    for first in range(0, len(_DECIMAL_SCALES), _GRID_BLOCK):
-        scales = _DECIMAL_SCALES[first:first + _GRID_BLOCK]
+    for first in range(0, len(_DECIMAL_SCALES), _GRID_BATCH):
+        scales = _DECIMAL_SCALES[first:first + _GRID_BATCH]
         scales = scales.reshape((-1,) + (1,) * exact.ndim)
         errs = exact * scales  # rounded, then turned into the errors, in place
         np.rint(errs, out=errs)
         errs /= scales
         errs -= exact
-        for d, norm in enumerate(_stack_norms(errs).tolist(), start=first):
+        for d, err in enumerate(errs, start=first):
+            norm = _frobenius(err)
             if norm <= bound:
                 return np.round(exact, d), norm
     return exact.copy(), 0.0
@@ -307,7 +309,7 @@ def _quadratic(dim: int) -> Problem:
             return a
         return np.zeros((dim,) * i)
 
-    return Problem("quadratic", dim, value, deriv, 0.0, np.ones(dim), 3, None)
+    return Problem("quadratic", dim, value, deriv, 0.0, np.ones(dim), 3)
 
 
 def _rosenbrock(dim: int) -> Problem:
@@ -341,7 +343,7 @@ def _rosenbrock(dim: int) -> Problem:
         return t
 
     x0 = np.array([-1.2 if k % 2 == 0 else 1.0 for k in range(dim)])
-    return Problem("rosenbrock", dim, value, deriv, 0.0, x0, 3, None)
+    return Problem("rosenbrock", dim, value, deriv, 0.0, x0, 3)
 
 
 def _quartic(dim: int) -> Problem:
@@ -361,7 +363,7 @@ def _quartic(dim: int) -> Problem:
 
     x0 = 0.6 * np.ones(dim)
     x0[1::2] = -0.4
-    return Problem("quartic", dim, value, deriv, 0.0, x0, 3, None)
+    return Problem("quartic", dim, value, deriv, 0.0, x0, 3)
 
 
 def _sineq(dim: int) -> Problem:
@@ -378,7 +380,7 @@ def _sineq(dim: int) -> Problem:
         t[idx, idx, idx] = -np.cos(x)
         return t
 
-    return Problem("sineq", dim, value, deriv, float(-dim), np.ones(dim), 3, 2.0)
+    return Problem("sineq", dim, value, deriv, float(-dim), np.ones(dim), 3)
 
 
 # Built-in problems by name, in the order `PROBLEM_NAMES` and the CLI list them.
@@ -433,14 +435,11 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     The largest `lipschitz_over_points` over orders 0..p at x0 followed by
     48 seeded points in the box of half-width max(1, ||x0|| + 1) around it,
     so the start estimate and the visited-region estimate follow one rule;
-    floored at 1.  A user-supplied `lipschitz_hint` wins outright.  A
-    derivative of the wrong shape, or a non-finite norm, raises
-    `OracleFaultError`.
+    floored at 1.  A derivative of the wrong shape, or a non-finite norm,
+    raises `OracleFaultError`.
     """
-    if problem.lipschitz_hint is not None:
-        return max(1.0, float(problem.lipschitz_hint))
     x0 = np.asarray(x0, dtype=float)
-    radius = max(1.0, float(np.linalg.norm(x0)) + 1.0)
+    radius = max(1.0, _norm(x0) + 1.0)
     rng = np.random.default_rng(_LIPSCHITZ_SEED)
     pts = x0 + radius * rng.uniform(-1.0, 1.0, size=(_LIPSCHITZ_SAMPLES, x0.size))
     pts = np.vstack([x0[None, :], pts])
@@ -464,10 +463,10 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     A derivative of the wrong shape, or a non-finite norm, raises
     `OracleFaultError`.  Points are told apart by their bytes, so each
     distinct point's derivative is evaluated once, in order of first use.
-    The norms are computed over stacks of points (`operator_norms`) with
-    the same bits as point by point, and an order-`order` derivative is
-    kept only from the first pair that reads it to the last, so memory
-    holds a few tensors at a time, not one per point.
+    Each tensor is normed as it is made (`operator_norm`'s kernel), and an
+    order-`order` derivative is kept only from the first pair that reads
+    it to the last, so memory holds a few tensors at a time, not one per
+    point.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
@@ -476,7 +475,8 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     slots = [slot_of.setdefault(x.tobytes(), len(slot_of)) for x in pts]
     distinct = pts[np.unique(slots, return_index=True)[1]]
     if order + 1 <= problem.p_max:
-        norms = operator_norms(_shaped_derivative(problem, x, order + 1) for x in distinct)
+        norms = np.array([_frobenius(_shaped_derivative(problem, x, order + 1))
+                          for x in distinct])
         norms = _finite_norms(problem, order + 1, norms, distinct.__getitem__)
         return max(1.0, float(norms.max()))
 
@@ -489,19 +489,15 @@ def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     for at, i in enumerate(ends):
         last[slots[i]] = last[slots[i + 1]] = at
 
-    def differences():
-        live = {}
-        for at, i in enumerate(ends):
-            pair = (slots[i], slots[i + 1])
-            for s in pair:
-                if s not in live:
-                    live[s] = _shaped_derivative(problem, distinct[s], order)
-            difference = live[pair[0]] - live[pair[1]]
-            for s in pair:
-                if last[s] == at:
-                    del live[s]
-            yield difference
-
-    norms = _finite_norms(problem, order, operator_norms(differences()),
-                          lambda i: pts[ends[i]:ends[i] + 2])
+    live, norms = {}, []
+    for at, i in enumerate(ends):
+        pair = (slots[i], slots[i + 1])
+        for s in pair:
+            if s not in live:
+                live[s] = _shaped_derivative(problem, distinct[s], order)
+        norms.append(_frobenius(live[pair[0]] - live[pair[1]]))
+        for s in pair:
+            if last[s] == at:
+                del live[s]
+    norms = _finite_norms(problem, order, np.array(norms), lambda i: pts[ends[i]:ends[i] + 2])
     return max(1.0, float((norms / gaps[ends]).max()))

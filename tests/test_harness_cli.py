@@ -518,6 +518,15 @@ class TestExactPhi:
             0.5 * np.linalg.norm(problem.derivative(x, 1))
         )
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_order_one_where_the_gradients_squares_underflow_or_overflow(self, scale):
+        # The gradient is x: the unscaled sum of its squares would read 0 or inf.
+        problem = Problem("half_norm_squared", 2, lambda x: 0.5 * float(x @ x),
+                          lambda x, i: x if i == 1 else np.eye(2), 0.0, np.ones(2))
+        with np.errstate(over="ignore", under="ignore"):
+            phi = exact_phi(problem, np.full(2, scale), 1, 0.5)
+        assert phi == pytest.approx(0.5 * math.sqrt(2.0) * scale, rel=1e-15, abs=0)
+
     def test_order_three_polar_grid(self):
         problem = make_problem("quartic", 2)
         x = np.array([0.3, -0.2])

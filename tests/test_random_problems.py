@@ -31,7 +31,7 @@ def random_well_problem(rng, dim):
         return t
 
     x0 = rng.uniform(-1.5, 1.5, dim)
-    return Problem("random_well", dim, value, deriv, 0.0, x0, 3, None)
+    return Problem("random_well", dim, value, deriv, 0.0, x0, 3)
 
 
 @pytest.mark.parametrize("trial", range(10))

@@ -53,7 +53,6 @@ def half_norm_squared(dim):
         0.0,
         np.ones(dim),
         3,
-        1.0,
     )
 
 

@@ -208,64 +208,19 @@ class TestOperatorNorm:
         if n == 1:
             assert norm == sampled
 
-
-def symmetric_stack(rng, count, n, order):
-    """`count` random symmetric order-`order` tensors over R^n, stacked."""
-    t = rng.standard_normal((count,) + (n,) * order)
-    perms = list(itertools.permutations(range(1, order + 1)))
-    return sum(np.transpose(t, (0,) + p) for p in perms) / len(perms)
-
-
-def groupings(n, order):
-    """The lengths of the groups `operator_norms` forms of tensors of this
-    shape: the stacks `_stacks` copies."""
-    return [tensors._BLOCK // n**order if 2 * n**order <= tensors._BLOCK else 1]
-
-
-def stack_sizes(n, order):
-    """Stack lengths on either side of each grouping."""
-    sizes = {1, 2} | {g + d for g in groupings(n, order) for d in (-1, 0, 1)}
-    return sorted(k for k in sizes if k >= 1)
-
-
-def edge_positions(k, n, order):
-    """The first and last tensor of a stack of k and those on either side of
-    a group boundary: the tensors worth norming alone."""
-    cuts = {0, k - 1} | {m + d for m in groupings(n, order) if 1 < m < k for d in (-1, 0)}
-    return sorted(cuts)
-
-
-class TestStackedNorms:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 60])
-    def test_order3_stacked_equals_single_bit_for_bit(self, n):
-        rng = np.random.default_rng(300 + n)
-        for k in stack_sizes(n, 3):
-            stack = symmetric_stack(rng, k, n, 3)
-            stacked = tensors.operator_norms(stack)
-            at = edge_positions(k, n, 3)
-            single = np.array([operator_norm(stack[i]) for i in at])
-            assert stacked[at].tobytes() == single.tobytes()
-
     @pytest.mark.parametrize("shape", [(3,), (60,), (4, 4), (60, 60), (200, 200), (2, 2, 2),
                                        (20, 20, 20), (60, 60, 60)])
     def test_every_order_is_numpys_norm_of_the_entries_bit_for_bit(self, shape):
-        # The Frobenius norm at every order, alone and stacked, at sizes
-        # from 1e-3 to 1e3.
+        # The Frobenius norm at every order, at sizes from 1e-3 to 1e3.
         rng = np.random.default_rng(len(shape) * shape[0])
-        n, order = shape[0], len(shape)
-        for k in stack_sizes(n, order)[:4]:
-            stack = rng.standard_normal((k,) + shape) * 10.0 ** rng.uniform(-3, 3, k).reshape(
-                (k,) + (1,) * order)
-            ref = np.array([np.linalg.norm(t.reshape(-1)) for t in stack])
-            assert tensors.operator_norms(stack).tobytes() == ref.tobytes()
-            assert np.array([operator_norm(t) for t in stack]).tobytes() == ref.tobytes()
+        for scale in 10.0 ** rng.uniform(-3, 3, 4):
+            t = scale * rng.standard_normal(shape)
+            assert same_bits(operator_norm(t), np.linalg.norm(t.reshape(-1)))
 
-    def test_empty_iterable_and_mixed_shapes(self):
-        assert tensors.operator_norms([]).shape == (0,)
-        with pytest.raises(ValueError, match="shape"):
-            tensors.operator_norms([np.zeros((2, 2)), np.zeros((3, 3))])
-        with pytest.raises(ValueError, match="order 4"):
-            operator_norm(np.zeros((2, 2, 2, 2)))
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2, 2)])
+    def test_orders_outside_1_to_3_are_refused(self, shape):
+        with pytest.raises(ValueError, match=f"order {len(shape)}; orders 1..3 only"):
+            operator_norm(np.zeros(shape))
 
 
 # The model arithmetic before the public functions were split into a
@@ -418,18 +373,13 @@ class TestKernelsMatchTheReference:
         ((1e155, 1e155), 1.414213562373095e155),
     ])
     def test_norm_where_squares_underflow_or_overflow(self, v, want):
-        # `operator_norm` at every order scales the same way, alone or
-        # stacked beside a tensor whose squares are in range.
+        # `operator_norm` at every order scales the same way.
         v = np.array(v)
         square, cube = np.diag(v), np.zeros((2, 2, 2))
         cube[0, 0, 0], cube[1, 1, 1] = v
         with np.errstate(over="ignore"):
             assert tensors._norm(v) == want
             assert operator_norm(v) == operator_norm(square) == operator_norm(cube) == want
-            assert tensors.operator_norms([v, np.ones(2)]).tolist() == [want, math.sqrt(2.0)]
-            assert tensors.operator_norms([np.ones((2, 2)), square]).tolist() == [2.0, want]
-            assert tensors.operator_norms([np.ones((2, 2, 2)), cube]).tolist() == [
-                math.sqrt(8.0), want]
 
     def test_model_point_norm_scales_with_its_displacement(self):
         # At 2**-538 s the squares of s are under the normal range.
