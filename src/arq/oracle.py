@@ -9,8 +9,12 @@ injection is pluggable (`NoiseModel`); the bound is a hard contract for
 every model, checked against ground truth in the test suite.  A
 derivative's error is measured in `tensors.operator_norm`, the Frobenius
 norm, the one tensor norm throughout the package; no request eigensolves.
-The truncation and the Lipschitz estimates norm their tensors one at a
-time through its kernel `tensors._frobenius`.
+The Lipschitz estimates norm their tensors one at a time through its
+kernel `tensors._frobenius`.  The truncation rounds as many decimal grids
+per array operation as fit a fixed element budget, into two buffers it
+reuses, norms each batch's errors with one `tensors._row_dots`, and returns
+the rounding it accepted as it is; bounded noise scales its rank-one
+direction and adds the exact tensor to it in place.
 
 Both requests also report the error they achieved, a bound no larger
 than the one requested: 0 for exact noise or a zero demand, and the
@@ -40,7 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .subsolvers import SolveStoppedError
-from .tensors import DerivativeBundle, _frobenius, _norm, _row_dots, operator_norm
+from .tensors import (
+    _LEAST_SQUARES,
+    DerivativeBundle,
+    _frobenius,
+    _norm,
+    _row_dots,
+    operator_norm,
+)
 
 __all__ = [
     "Problem",
@@ -157,19 +168,25 @@ def _truncate_scalar(exact: float, bound: float) -> tuple:
 # 10**d for d = 0..16 decimals: the factors `np.round` multiplies by (and
 # divides back by), so ``np.rint(x * 10.0**d) / 10.0**d == np.round(x, d)``.
 _DECIMAL_SCALES = 10.0 ** np.arange(17)
-# Decimal grids rounded per array operation.  Four keep the per-call numpy
-# overhead of small tensors low and waste at most three roundings of a large
-# one; all 17 at once made the truncation of n = 200 Hessians 3-4x slower.
-_GRID_BATCH = 4
+# Entries rounded per array operation: as many decimal grids as fit, at
+# least one and at most all 17.  A small tensor rounds every grid at once,
+# where numpy's per-call overhead dominates; a tensor of this size or more
+# rounds one grid at a time, so no grid past the accepted one is rounded.
+# Either way a call allocates two buffers of a batch each, the roundings and
+# their errors, and reuses them from batch to batch.
+_GRID_ELEMENTS = 4096
 
 
 def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
     """``(rounded, achieved)``: `exact` rounded to the coarsest of 0..16
     decimals whose error has an `operator_norm` at most `bound`, with that
-    norm, or `exact` itself and 0 when none does.  The candidate grids are
-    rounded `_GRID_BATCH` at a time, coarsest first, each batch in one
-    array operation; the errors are then normed one at a time by
-    `operator_norm`'s kernel until one fits.
+    norm, or a copy of `exact` and 0 when none does.  The candidate grids
+    are rounded coarsest first, ``_GRID_ELEMENTS // exact.size`` of them
+    (1 to 17) in one array operation; the squared norms of a batch's errors
+    are one `_row_dots`, whose square root is `_norm` bit for bit where it
+    is in range, and an error whose squares under- or overflow is normed by
+    `_frobenius` itself.  The rounding returned is the one the accepting
+    norm was taken of, ``np.round(exact, d)`` bit for bit.
 
     A request at any demand from the accepting norm up to `bound` returns
     the same rounding bit for bit: every coarser grid failed at `bound`,
@@ -178,17 +195,21 @@ def _truncate_tensor(exact: np.ndarray, bound: float) -> tuple:
     """
     if bound <= 0:
         return exact.copy(), 0.0
-    for first in range(0, len(_DECIMAL_SCALES), _GRID_BATCH):
-        scales = _DECIMAL_SCALES[first:first + _GRID_BATCH]
-        scales = scales.reshape((-1,) + (1,) * exact.ndim)
-        errs = exact * scales  # rounded, then turned into the errors, in place
-        np.rint(errs, out=errs)
-        errs /= scales
-        errs -= exact
-        for d, err in enumerate(errs, start=first):
-            norm = _frobenius(err)
+    flat = exact.reshape(-1)
+    batch = min(max(_GRID_ELEMENTS // max(flat.size, 1), 1), len(_DECIMAL_SCALES))
+    roundings, errors = np.empty((batch, flat.size)), np.empty((batch, flat.size))
+    for first in range(0, len(_DECIMAL_SCALES), batch):
+        scales = _DECIMAL_SCALES[first:first + batch, None]
+        rounded, errs = roundings[:len(scales)], errors[:len(scales)]
+        np.multiply(flat, scales, out=rounded)
+        np.rint(rounded, out=rounded)
+        rounded /= scales
+        np.subtract(rounded, flat, out=errs)
+        for k, squares in enumerate(_row_dots(errs, errs).tolist()):
+            in_range = _LEAST_SQUARES <= squares < math.inf
+            norm = math.sqrt(squares) if in_range else _frobenius(errs[k])
             if norm <= bound:
-                return np.round(exact, d), norm
+                return rounded[k].reshape(exact.shape), norm
     return exact.copy(), 0.0
 
 
@@ -259,7 +280,9 @@ class Oracle:
         size = operator_norm(direction)
         if size == 0.0:
             return exact.copy(), 0.0
-        return exact + (sign * self.noise.fill_fraction * bound / size) * direction, bound
+        direction *= sign * self.noise.fill_fraction * bound / size
+        direction += exact
+        return direction, bound
 
     def inexact_bundle(self, x, accuracies, p: int) -> tuple:
         """``(bundle, achieved)``: the derivative bundle at x with per-order
@@ -446,6 +469,11 @@ def estimate_lipschitz(problem: Problem, x0, p: int) -> float:
     return max(lipschitz_over_points(problem, pts, j) for j in range(p + 1))
 
 
+# A norm whose sum of squares overflows is rescaled (`_norm`), and an overflow
+# in a derivative or a difference leaves a non-finite norm, which raises:
+# numpy's overflow warnings tell nothing more, so they are ignored, once per
+# call rather than per tensor.
+@np.errstate(over="ignore")
 def lipschitz_over_points(problem: Problem, points, order: int) -> float:
     """Estimate of L_{f,order} over a set of points (a visited region's
     trace points and segments, or `estimate_lipschitz`'s samples); floored

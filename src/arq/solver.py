@@ -328,11 +328,14 @@ def _ray_search(point: _ModelPoint, threshold: float) -> int | None:
     test: it does not scale.  From a finite one the search ends, since
     every term of both sides tends to 0 in m.
     """
-    m = 0
     # At delta0 2**-m, half the termination threshold is threshold 2**(-m-1).
+    dec = point.decrement()  # the decrement at m = 0
+    if dec >= math.ldexp(threshold, -1):
+        return 0
+    if not math.isfinite(dec):
+        return None
+    m = 1
     while not point.decrement_at(m) >= math.ldexp(threshold, -1 - m):  # NaN fails too
-        if not math.isfinite(point.decrement()):
-            return None
         m += 1
     return m
 
@@ -461,7 +464,7 @@ def step2(state: SolverState, model, config: SolverConfig, j_k: int, start):
 
     if step_norm < 1.0:
         for ell in range(1, config.q + 1):
-            acc_model = 3.0 * float(np.max(state.acc[ell - 1 : config.p]))
+            acc_model = 3.0 * float(state.acc[ell - 1 : config.p].max())
             outcome, margins = verdict(
                 float(step_res.radii[ell - 1]),
                 float(step_res.phi_bars[ell - 1]),

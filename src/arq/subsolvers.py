@@ -17,9 +17,10 @@ as its optimality measure and as its progress certificate:
              in one GEMM apiece; the ascent direction reuses the products
              of the last accepted candidates.  It stops early once the
              best decrement over all starts stalls (it rose by at most
-             1e-12 of itself over the last 15 iterations); it claims half
-             the optimum, a heuristic bound the tests check against grid
-             searches at n = 2 and 3.
+             1e-12 of itself over the last 15 iterations), or, inside the
+             radius search, once it exceeds the radius's bar; it claims
+             half the optimum, a heuristic bound the tests check against
+             grid searches at n = 2 and 3.
 
 `minimize_model` returns a step of the regularized Taylor model that is
 either long (norm >= 1) or at which the model's own ball measures are
@@ -198,7 +199,8 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("g holds a non-finite entry")
     if not np.isfinite(h).all():
         raise ValueError("h holds a non-finite entry")
-    hs = 0.5 * h + 0.5 * h.T  # h + h.T could overflow
+    hs = 0.5 * h  # halved first: h + h.T could overflow
+    hs = hs + hs.T
     chol, info = dpotrf(hs)
     if info == 0:
         d, _ = dpotrs(chol, -g)
@@ -209,7 +211,7 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
                                                _norm(w))
         if converged:
             return d * (radius / _norm(d))
-    top = max(float(np.max(np.abs(g))), float(np.max(np.abs(h))))
+    top = max(_max_abs(g), _max_abs(h))
     if top > 2.0**500 or not _norm(g) / delta < 2.0**1000:
         e = -math.frexp(top)[1]
         g, h, hs = np.ldexp(g, e), np.ldexp(h, e), np.ldexp(hs, e)
@@ -270,10 +272,12 @@ def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
 
 def _factor_solve(g, hs, mu):
     """`_secular_newton`'s solve by the Cholesky factor U'U of H + mu I,
-    with w = U^-T d; None where H + mu I does not factor."""
+    with w = U^-T d; None where H + mu I does not factor.  H + mu I is
+    symmetric, so its transpose, a Fortran-ordered view of the same
+    entries, is factored in place: one copy of H, not two."""
     a = hs.copy()
     a.reshape(-1)[:: g.size + 1] += mu  # a's diagonal, as a view
-    chol, info = dpotrf(a)
+    chol, info = dpotrf(a.T, overwrite_a=1)
     if info != 0:
         return None
     d, _ = dpotrs(chol, -g)
@@ -359,12 +363,16 @@ def _minimize_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
     comes back infinite.
     """
     e_sigma = math.frexp(sigma)[1]
-    c = max(math.frexp(float(np.max(np.abs(h))))[1],
-            (math.frexp(float(np.max(np.abs(g))))[1] + e_sigma + 1) // 2)
+    c = max(math.frexp(_max_abs(h))[1], (math.frexp(_max_abs(g))[1] + e_sigma + 1) // 2)
     c += c % 2  # even, so that the Cholesky factors of H scale by 2^(-c/2)
     a = c - e_sigma
     u = _solve_cubic(np.ldexp(g, -c - a), np.ldexp(h, -c), math.ldexp(sigma, -e_sigma))
     return np.ldexp(u, a)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| of a finite array, without an |x| temporary."""
+    return max(float(x.max()), -float(x.min()))
 
 
 def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
@@ -385,7 +393,8 @@ def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
     (`_solve_trs_eigen`), whose hard-case and pinched-root completion
     covers a gradient orthogonal to the lowest eigenvector, g = 0 included.
     """
-    hs = 0.5 * h + 0.5 * h.T
+    hs = 0.5 * h
+    hs = hs + hs.T  # 0.5 h' is (0.5 h)' exactly
     rate = 2.0 / sigma
     ng = _norm(g)
     mu = _positive_root(float(g @ (hs @ g)) / ng / ng, 0.5 * sigma * ng) if ng > 0 else 0.0
@@ -443,7 +452,7 @@ def _row_products(d: np.ndarray, h: np.ndarray, t: np.ndarray):
     return d @ h.T, (d[:, :, None] * d[:, None, :]).reshape(k, n * n) @ t.reshape(n, n * n).T
 
 
-def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
+def _measure_order3(bundle: DerivativeBundle, delta: float, stop_above: float) -> MeasureResult:
     """Multi-start projected gradient ascent on the cubic Taylor decrement.
 
     The starts (scaled steepest descent, the trust-region step, the signed
@@ -461,8 +470,10 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     earlier once the best decrement over all rows has risen by at most
     `_ORDER3_STALL_RTOL` of its magnitude over the last
     `_ORDER3_STALL_WINDOW` iterations (the start values count as
-    iteration 0).  The best decrement wins; among equal decrements the
-    lexicographically largest displacement, in start order.
+    iteration 0), or as soon as it exceeds `stop_above`: no row's decrement
+    ever falls, so the result would too.  The best decrement wins; among
+    equal decrements the lexicographically largest displacement, in start
+    order.
     """
     g, h, t = bundle.tensors[0], bundle.tensors[1], bundle.tensors[2]
     n = bundle.dim
@@ -494,6 +505,8 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     live = np.ones(len(d), dtype=bool)
     best = [float(v.max())]  # best decrement over all rows, per iteration
     for _ in range(_ORDER3_ITERS):
+        if best[-1] > stop_above:
+            break
         gr = -(g + hd + 0.5 * tdd)
         ngr = np.sqrt(_row_dots(gr, gr))
         moving = live & (ngr >= 1e-14)
@@ -526,9 +539,15 @@ def _measure_order3(bundle: DerivativeBundle, delta: float) -> MeasureResult:
     return MeasureResult(best_v, best_d.copy())
 
 
-def optimality_measure(bundle: DerivativeBundle, j: int, delta: float) -> MeasureResult:
+def optimality_measure(bundle: DerivativeBundle, j: int, delta: float, *,
+                       stop_above: float = math.inf) -> MeasureResult:
     """Displacement in the delta-ball whose degree-j decrement certifies a
-    fraction of the ball optimum (1, 1 - 1e-8 and 0.5 for orders 1, 2, 3)."""
+    fraction of the ball optimum (1, 1 - 1e-8 and 0.5 for orders 1, 2, 3).
+
+    A caller that only asks whether the measure is at most `stop_above`
+    may pass it: the order-3 ascent then stops once its best decrement
+    exceeds it, and returns a measure above it that is not the optimum's
+    certified fraction.  Orders 1 and 2 ignore it."""
     if not 1 <= j <= bundle.degree:
         raise ValueError(f"order {j} outside 1..{bundle.degree}")
     delta = float(delta)
@@ -538,7 +557,7 @@ def optimality_measure(bundle: DerivativeBundle, j: int, delta: float) -> Measur
         return _measure_order1(bundle, delta)
     if j == 2:
         return _measure_order2(bundle, delta)
-    return _measure_order3(bundle, delta)
+    return _measure_order3(bundle, delta, stop_above)
 
 
 _RADIUS_FLOOR = 1e-8
@@ -551,14 +570,17 @@ def radius_search(bundle: DerivativeBundle, ell: int, target: float, delta_cap: 
     which the order-ell ball measure of `bundle` (the model's derivatives at
     the step, orders 1..ell) is at most ``target * delta**ell / ell!``.
 
-    Only orders >= 3 are searched; orders 1 and 2 keep radius 1.
+    Only orders >= 3 are searched; orders 1 and 2 keep radius 1.  The
+    measure of a radius that fails is not kept, so its ascent stops as soon
+    as it exceeds that radius's bar.
     """
     if ell < 3:
         raise ValueError("radius is fixed at 1 for orders 1 and 2")
     delta = min(1.0, float(delta_cap))
     while delta >= _RADIUS_FLOOR:
-        m = optimality_measure(bundle, ell, delta)
-        if m.phi_bar <= target * delta**ell / math.factorial(ell):
+        bar = target * delta**ell / math.factorial(ell)
+        m = optimality_measure(bundle, ell, delta, stop_above=bar)
+        if m.phi_bar <= bar:
             return delta, m
         delta *= 0.5
     raise SubsolverStallError(

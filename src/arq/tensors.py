@@ -21,7 +21,9 @@ tensor with s once and shares them between the model decrement and its
 derivatives at s.  It also gives the model decrement at 2**-h s
 from those products times powers of two, which in real arithmetic are the
 products at 2**-h s; that is how step 1 searches its order-1 radius.  It
-lives as long as its caller holds it.  `_norm` is numpy's own 1-D norm
+lives as long as its caller holds it.  A derivative at s is one new array:
+its first term is summed onto 0.0, and the others, the regularizer's scaled
+closed form last, are added to it in place.  `_norm` is numpy's own 1-D norm
 formula without its dispatch wherever the sum of squares is in range, and a
 norm of the vector scaled by a power of two elsewhere.
 
@@ -162,13 +164,18 @@ def _full_contraction(tensor: np.ndarray, s: np.ndarray) -> float:
     return float(out)
 
 
+# i! for i = 0..4, the orders a model of degree p <= 3 and its regularizer
+# ||s||^(p+1) reach.
+_FACTORIALS = tuple(math.factorial(i) for i in range(5))
+
+
 def _taylor_drop(fulls, halvings: int = 0) -> float:
     """-sum_i fulls[i-1] / i!, where fulls[i-1] = T_i[s, ..., s]: the drop
     of the Taylor polynomial from 0 to s; with ``halvings`` h, the drop to
     2**-h s, each T_i[s, ..., s] taken times 2**(-i h)."""
     total = 0.0
     for i, c in enumerate(fulls, start=1):
-        total -= math.ldexp(c, -i * halvings) / math.factorial(i)
+        total -= math.ldexp(c, -i * halvings) / _FACTORIALS[i]
     return float(total)
 
 
@@ -233,7 +240,7 @@ class _ModelPoint:
             power = math.ldexp(self.norm, -halvings) ** b
         except OverflowError:  # float powers raise where numpy's products give inf
             power = math.inf
-        return _taylor_drop(self._ends, halvings) - self.model.sigma / math.factorial(b) * power
+        return _taylor_drop(self._ends, halvings) - self.model.sigma / _FACTORIALS[b] * power
 
     def derivative(self, j: int) -> np.ndarray:
         """Order-j derivative tensor of the regularized model at s, for j
@@ -247,15 +254,16 @@ class _ModelPoint:
         out = self._derivs.get(j)
         if out is None:
             p = len(self._chains)
-            # Summed onto 0.0, so no entry is -0.0.
-            out = 0.0
-            for ell in range(j, p + 1):
-                term = self._chains[ell - 1][ell - j]
-                if ell - j > 1:
-                    term = term / math.factorial(ell - j)
-                out = out + term
             reg = _regularizer_derivative(self.s, self.norm, p, j)
-            out = out + self.model.sigma / math.factorial(p + 1) * reg
+            reg *= self.model.sigma / _FACTORIALS[p + 1]
+            # Summed onto 0.0, so no entry is -0.0; that sum is a new array,
+            # and the other terms are added to it in place, in order.
+            out = 0.0 + (self._chains[j - 1][0] if j <= p else reg)
+            for ell in range(j + 1, p + 1):
+                term = self._chains[ell - 1][ell - j]
+                out += term / _FACTORIALS[ell - j] if ell - j > 1 else term
+            if j <= p:
+                out += reg
             self._derivs[j] = out
         return out
 
@@ -284,7 +292,11 @@ def _regularizer_derivative(s: np.ndarray, r: float, p: int, j: int) -> np.ndarr
     if j == 1:
         return b * r ** (b - 2) * s
     if j == 2:
-        out = np.zeros((n, n)) if b == 2.0 else b * (b - 2) * r ** (b - 4) * (s[:, None] * s)
+        if b == 2.0:
+            out = np.zeros((n, n))
+        else:
+            out = s[:, None] * s
+            out *= b * (b - 2) * r ** (b - 4)
         out.reshape(-1)[:: n + 1] += b * r ** (b - 2)
         return out
     idx = np.arange(n)

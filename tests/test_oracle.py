@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -563,9 +564,18 @@ class TestLipschitzEstimates:
         return Problem("huge", 2, lambda x: c / 6 * float(np.sum(x**3)), derivative, 0.0,
                        np.ones(2), p_max)
 
+    def test_a_hessian_whose_squares_overflow_warns_of_nothing(self):
+        # The unscaled sum of squares overflows, and `_norm` rescales it:
+        # numpy's overflow warning must not reach the caller.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_over_points(self.huge_cubic(2), [np.zeros(2), np.ones(2)],
+                                         1) == 1.414213562373095e155
+
     def test_derivatives_whose_squares_overflow_keep_finite_norms(self):
         a, b = np.zeros(2), np.ones(2)
-        with np.errstate(over="ignore"):  # the unscaled sums of squares overflow
+        with warnings.catch_warnings():  # the unscaled sums of squares overflow, silently
+            warnings.simplefilter("error")
             # The next derivative: 1e155 at two entries of the order-3 tensor.
             assert lipschitz_over_points(self.huge_cubic(3), [a, b], 2) == pytest.approx(
                 math.sqrt(2.0) * 1e155, rel=1e-15)
@@ -801,8 +811,10 @@ def ref_truncate_tensor(exact, bound):
 class TestTruncationMatchesTheReference:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_bit_for_bit(self, order):
+        # Sizes on both sides of `_GRID_ELEMENTS`: every grid in one batch,
+        # a batch of 10 grids (n = 20 matrices), and one grid at a time.
         rng = np.random.default_rng(20240809 + order)
-        dims = (1, 2, 4) if order == 3 else (1, 2, 4, 20)
+        dims = {1: (1, 2, 4, 20), 2: (1, 2, 4, 20, 70, 200), 3: (1, 2, 4, 17)}[order]
         for n in dims:
             for _ in range(8):
                 t = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n,) * order)

@@ -237,6 +237,35 @@ class TestOrderThree:
         b = bundle2([1.0, 0.0], np.eye(2))
         with pytest.raises(ValueError):
             optimality_measure(b, 3, 0.5)
+        with pytest.raises(ValueError):  # the radius search keeps the checks
+            radius_search(b, 3, 0.1, 1.0)
+
+    def test_stop_above_ends_the_ascent_once_the_best_exceeds_it(self, monkeypatch):
+        # Under the bar the ascent runs to its own stop, bit for bit; over
+        # it, the ascent stops early with a measure still above the bar.
+        rng = np.random.default_rng(12)
+        contractions = []
+        row_products = subsolvers._row_products
+
+        def counted(*args):
+            contractions.append(1)
+            return row_products(*args)
+
+        monkeypatch.setattr(subsolvers, "_row_products", counted)
+        for n in (2, 3, 5):
+            tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), (0.1, 1.0, 3.0))]
+            b, delta = DerivativeBundle(tensors), 0.5
+            full = optimality_measure(b, 3, delta)
+            iterations = len(contractions)
+            contractions.clear()
+            same = optimality_measure(b, 3, delta, stop_above=full.phi_bar)
+            assert same.phi_bar == full.phi_bar
+            assert same.displacement.tobytes() == full.displacement.tobytes()
+            contractions.clear()
+            stopped = optimality_measure(b, 3, delta, stop_above=0.5 * full.phi_bar)
+            assert 0.5 * full.phi_bar < stopped.phi_bar <= full.phi_bar
+            assert len(contractions) < iterations
+            contractions.clear()
 
     def test_rejects_bad_delta(self):
         b = bundle2([1.0, 0.0], np.eye(2))
@@ -452,8 +481,8 @@ def dpotrf_calls(monkeypatch):
     calls = []
     dpotrf = subsolvers.dpotrf
 
-    def counted(a):
-        chol, info = dpotrf(a)
+    def counted(a, *args, **kwargs):
+        chol, info = dpotrf(a, *args, **kwargs)
         calls.append(info)
         return chol, info
 
@@ -600,8 +629,8 @@ class TestSolveTrs:
         else:
             counted = subsolvers.dpotrf
 
-            def fails_after_the_first(a):
-                chol, info = counted(a)
+            def fails_after_the_first(a, *args, **kwargs):
+                chol, info = counted(a, *args, **kwargs)
                 return chol, info if len(dpotrf_calls) == 1 else 1
 
             monkeypatch.setattr(subsolvers, "dpotrf", fails_after_the_first)
@@ -909,7 +938,35 @@ class TestMinimizeModel:
             minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-13]))
 
 
+def ref_radius_search(bundle, ell, target, delta_cap):
+    """`radius_search` with every radius measured by the full ascent."""
+    delta = min(1.0, float(delta_cap))
+    while delta >= subsolvers._RADIUS_FLOOR:
+        m = optimality_measure(bundle, ell, delta)
+        if m.phi_bar <= target * delta**ell / math.factorial(ell):
+            return delta, m
+        delta *= 0.5
+    raise AssertionError("the reference search hit its floor")
+
+
 class TestRadiusSearch:
+    def test_early_stop_keeps_the_radius_and_measure_bit_for_bit(self):
+        # A failing radius's ascent stops once it exceeds the bar; the
+        # radius that passes never does, so its measure is the full one.
+        # Near a second-order point (tiny g, H positive definite) the
+        # search halves 0-7 times on these bundles.
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            a = rng.standard_normal((n, n))
+            h = 10.0 ** rng.uniform(-2.0, 0.0) * (a @ a.T + 0.1 * np.eye(n))
+            b = DerivativeBundle([1e-6 * rng.standard_normal(n), h, random_symmetric(rng, n, 3)])
+            target, cap = 10.0 ** rng.uniform(-2.0, 0.5), float(rng.uniform(0.1, 1.0))
+            want = ref_radius_search(b, 3, target, cap)
+            delta, m = radius_search(b, 3, target, cap)
+            assert delta == want[0] and m.phi_bar == want[1].phi_bar
+            assert m.displacement.tobytes() == want[1].displacement.tobytes()
+
     def test_low_orders_rejected(self):
         model = convex_model()
         with pytest.raises(ValueError):
