@@ -129,9 +129,12 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
     config : SolverConfig
         Validated run parameters.
     l_f : float
-        Lipschitz-scale constant for the derivatives in play, in [1, inf];
-        used both as the overall derivative bound and for the order-p
-        constant.
+        Lipschitz-scale constant for the derivatives in play, in [1, inf].
+        The formulas use it both as the overall derivative bound and as
+        the order-p constant, so it should bound both.  The start estimate
+        (`arq.oracle.estimate_lipschitz`) does: it takes the maximum over
+        orders 0..p.  The sweep's ``l_visited`` is the order-p constant
+        alone and can read far less (ROADMAP item 7).
     f0_minus_flow : float
         Gap between the starting value and the problem's lower bound, in
         [0, inf].

@@ -567,7 +567,10 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     status, carries the `BoundReport` evaluation counts at its
     ``l_visited``, unless that estimate or f at the start point meets an
     `OracleFaultError`: the row's status is then ``oracle`` and
-    ``l_visited`` and the columns after it are None.  Returns
+    ``l_visited`` and the columns after it are None.  ``l_visited`` is
+    `visited_lipschitz` at order p only, not the maximum over orders 0..p
+    that `compute_bounds` takes its ``l_f`` to be, so it can understate
+    that bound and the counts with it (ROADMAP item 7).  Returns
     ``{"rows": [...], "slope_value": s1, "slope_deriv": s2}`` and writes
     ``summary.csv`` when the spec has an output directory.
     """

@@ -12,15 +12,19 @@ as its optimality measure and as its progress certificate:
              closed form in the eigenbasis;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
-             stop rules, a stopped row masked out) for at most 80
-             iterations, each contracting H and T with the candidate rows
-             in one GEMM apiece; the ascent direction reuses the products
-             of the last accepted candidates.  It stops early once the
-             best decrement over all starts stalls (it rose by at most
+             stop rules, a stopped row masked out, an improved row
+             overwritten in place) for at most 80 iterations, each
+             contracting H and T with the candidate rows in one GEMM
+             apiece; the ascent direction reuses the products of the last
+             accepted candidates.  The starts that depend on n alone (the
+             signed axes and the seeded random draws) come from a table
+             built once per n and scaled by delta.  It stops early once
+             the best decrement over all starts stalls (it rose by at most
              1e-12 of itself over the last 15 iterations), or, inside the
              radius search, once it exceeds the radius's bar; it claims
              half the optimum, a heuristic bound the tests check against
-             grid searches at n = 2 and 3.
+             grid searches at n = 2 and 3 and a 1 000-start ascent at
+             n = 4 to 8.
 
 `minimize_model` returns a step of the regularized Taylor model that is
 either long (norm >= 1) or at which the model's own ball measures are
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -452,16 +456,50 @@ def _row_products(d: np.ndarray, h: np.ndarray, t: np.ndarray):
     return d @ h.T, (d[:, :, None] * d[:, None, :]).reshape(k, n * n) @ t.reshape(n, n * n).T
 
 
+@cache
+def _order3_start_table(n: int):
+    """The part of the order-3 starts that depends on n alone, built once
+    per n as read-only arrays ``(axes, z, a, nz)``.
+
+    ``axes`` holds the signed unit axes +e_0, -e_0, +e_1, ...; ``z``, ``a``
+    and ``nz`` the seeded random draws, each a standard normal vector z,
+    then u ** (1/n) for a uniform u, drawn in that order from
+    ``default_rng(101)``, and ||z||.  One start, the trust-region step,
+    always precedes them, so the table stops at `_ORDER3_STARTS` - 1 rows
+    of axes and draws together.  `_measure_order3` scales an axis by delta
+    and a draw to ``z * ((delta * a) / nz)``, a point in the delta-ball.
+    """
+    rows = _ORDER3_STARTS - 1
+    m = min(2 * n, rows)
+    axes = np.zeros((m, n))
+    axes[np.arange(m), np.arange(m) // 2] = 1.0
+    axes[1::2] *= -1.0  # -e carries -0.0 off its axis, as negating e does
+    k = rows - m
+    rng = np.random.default_rng(101)
+    z, a, nz = np.empty((k, n)), np.empty((k, 1)), np.empty((k, 1))
+    for i in range(k):
+        z[i] = v = rng.standard_normal(n)
+        a[i] = rng.random() ** (1.0 / n)
+        nz[i] = _norm(v)
+    for x in (axes, z, a, nz):
+        x.flags.writeable = False
+    return axes, z, a, nz
+
+
 def _measure_order3(bundle: DerivativeBundle, delta: float, stop_above: float) -> MeasureResult:
     """Multi-start projected gradient ascent on the cubic Taylor decrement.
 
-    The starts (scaled steepest descent, the trust-region step, the signed
-    coordinate axes, then seeded random points in the ball) advance together
-    as the rows of one array.  Each row has its own step size, grown on an
-    accepted move and halved on a rejected one, and stops (leaves the
+    The starts (scaled steepest descent when g is nonzero, the trust-region
+    step, the signed coordinate axes, then seeded random points in the
+    ball, the first 50 of them) advance together as the rows of one array.
+    The axes and the random draws come from `_order3_start_table`, built
+    once per n, and are scaled by delta here, with the arithmetic a draw
+    made at each call would use.  Each row has its own step size, grown on
+    an accepted move and halved on a rejected one, and stops (leaves the
     ``live`` mask) when its gradient vanishes or its step falls below
-    1e-12 delta; every row is computed each iteration and a stopped row's
-    results are masked out.  Each evaluation of the row stack contracts H
+    1e-12 delta; every row is computed each iteration, a stopped row's
+    results are masked out, and a row whose candidate improves is
+    overwritten in place.  Each evaluation of the row stack contracts H
     and T with it in one GEMM apiece (see `_row_products`).  The ascent
     direction at a row, -(g + H d + T[., d, d] / 2), reuses the
     products computed when that row was evaluated as a start or an accepted
@@ -471,13 +509,13 @@ def _measure_order3(bundle: DerivativeBundle, delta: float, stop_above: float) -
     `_ORDER3_STALL_RTOL` of its magnitude over the last
     `_ORDER3_STALL_WINDOW` iterations (the start values count as
     iteration 0), or as soon as it exceeds `stop_above`: no row's decrement
-    ever falls, so the result would too.  The best decrement wins; among
-    equal decrements the lexicographically largest displacement, in start
-    order.
+    ever falls, so the result would too.  The best decrement wins (a NaN
+    row never does); among equal decrements the lexicographically largest
+    displacement, the later row on a full tie (as `_lex_ge` reads it).
     """
     g, h, t = bundle.tensors[0], bundle.tensors[1], bundle.tensors[2]
     n = bundle.dim
-    rng = np.random.default_rng(101)
+    axes, z, a, nz = _order3_start_table(n)
 
     def evaluate(d):
         """The rows of d scaled back onto the delta-ball where they lie
@@ -486,21 +524,21 @@ def _measure_order3(bundle: DerivativeBundle, delta: float, stop_above: float) -
         hd, tdd = _row_products(d, h, t)
         return d, hd, tdd, ((0.0 - d @ g) - _row_dots(hd, d) / 2) - _row_dots(tdd, d) / 6
 
-    starts = []
+    starts = np.empty((_ORDER3_STARTS, n))
+    k = 0
     ng = _norm(g)
     if ng > 0:
-        starts.append(-(delta / ng) * g)
-    starts.append(solve_trs(g, h, delta))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta
-        starts.extend([e, -e])
-    while len(starts) < _ORDER3_STARTS:
-        v = rng.standard_normal(n)
-        v *= delta * rng.random() ** (1.0 / n) / _norm(v)
-        starts.append(v)
+        starts[k] = -(delta / ng) * g
+        k += 1
+    starts[k] = solve_trs(g, h, delta)
+    k += 1
+    m = min(len(axes), _ORDER3_STARTS - k)
+    np.multiply(axes[:m], delta, out=starts[k:k + m])
+    k += m
+    m = _ORDER3_STARTS - k
+    np.multiply(z[:m], (delta * a[:m]) / nz[:m], out=starts[k:])
 
-    d, hd, tdd, v = evaluate(np.array(starts[:_ORDER3_STARTS], dtype=float))
+    d, hd, tdd, v = evaluate(starts)
     step = np.full(len(d), 0.5 * delta)
     live = np.ones(len(d), dtype=bool)
     best = [float(v.max())]  # best decrement over all rows, per iteration
@@ -516,11 +554,11 @@ def _measure_order3(bundle: DerivativeBundle, delta: float, stop_above: float) -
             d + step[:, None] * gr / np.maximum(ngr, 1e-14)[:, None])
         up = moving & (cv > v)
         won = up[:, None]
-        d = np.where(won, cand, d)
-        hd = np.where(won, cand_hd, hd)
-        tdd = np.where(won, cand_tdd, tdd)
-        v = np.where(up, cv, v)
-        step = step * np.where(up, 1.3, 0.5)
+        np.copyto(d, cand, where=won)
+        np.copyto(hd, cand_hd, where=won)
+        np.copyto(tdd, cand_tdd, where=won)
+        np.copyto(v, cv, where=up)
+        step *= np.where(up, 1.3, 0.5)
         live = moving & (up | (step >= 1e-12 * delta))
         if not live.any():
             break
@@ -530,13 +568,14 @@ def _measure_order3(bundle: DerivativeBundle, delta: float, stop_above: float) -
                 <= _ORDER3_STALL_RTOL * abs(best[-1])):
             break
 
-    best_d, best_v = np.zeros(n), 0.0
-    for di, vi in zip(d, v.tolist()):
-        if vi > best_v or (vi == best_v and _lex_ge(di, best_d)):
-            best_d, best_v = di, vi
-    if best_v <= 0.0:
+    top = np.fmax.reduce(v)  # NaN rows are skipped; NaN only if every row is
+    if not top > 0.0:
         return MeasureResult(0.0, np.zeros(n))
-    return MeasureResult(best_v, best_d.copy())
+    best_d = None
+    for i in np.flatnonzero(v == top):
+        if best_d is None or _lex_ge(d[i], best_d):
+            best_d = d[i]
+    return MeasureResult(float(top), best_d.copy())
 
 
 def optimality_measure(bundle: DerivativeBundle, j: int, delta: float, *,

@@ -3,6 +3,7 @@ benchmark runs stubbed out."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,11 @@ def test_a_tie_counts_for_neither(bench_record, monkeypatch):
     out = bench_record.record_workload({"base": "b", "head": "h"}, "scale", SETTINGS,
                                        {"deriv_evals": "lower"})
     assert out["end_to_end"]["deriv_evals"]["head_wins"] == 0
+
+
+def test_every_per_layer_name_is_a_benchmark_metric(bench_record):
+    # A misspelt name would find no value in the traced run's result.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in spec["per_layer"]}
+    assert len(set(bench_record.PER_LAYER)) == len(bench_record.PER_LAYER)
+    assert set(bench_record.PER_LAYER) <= names

@@ -17,7 +17,14 @@ from arq.subsolvers import (
     radius_search,
     solve_trs,
 )
-from arq.tensors import DerivativeBundle, RegularizedModel, _ModelPoint, taylor_decrement
+from arq.tensors import (
+    DerivativeBundle,
+    RegularizedModel,
+    _ModelPoint,
+    _norm,
+    _row_dots,
+    taylor_decrement,
+)
 
 from conftest import polar_grid_phi, random_symmetric, sampled_norm3, sphere_grid_phi
 
@@ -151,6 +158,125 @@ def scalar_measure_order3(bundle, delta):
     return best_v, best_d
 
 
+def ref_measure_order3(bundle, delta, stop_above=math.inf, n_starts=50):
+    """The batched ascent as it was before its starts came from a table:
+    the random starts drawn one at a time from a fresh ``default_rng(101)``
+    on every call, the rows replaced by ``np.where`` copies and the best
+    picked by a loop over all rows.  `optimality_measure` must match it bit
+    for bit at 50 starts.  Returns (phi_bar, displacement, decrements of the
+    final rows)."""
+    g, h, t = bundle.tensors
+    n = bundle.dim
+    rng = np.random.default_rng(101)
+
+    def evaluate(d):
+        d = d * (delta / np.maximum(np.sqrt(_row_dots(d, d)), delta))[:, None]
+        hd, tdd = subsolvers._row_products(d, h, t)
+        return d, hd, tdd, ((0.0 - d @ g) - _row_dots(hd, d) / 2) - _row_dots(tdd, d) / 6
+
+    starts = []
+    ng = _norm(g)
+    if ng > 0:
+        starts.append(-(delta / ng) * g)
+    starts.append(solve_trs(g, h, delta))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = delta
+        starts.extend([e, -e])
+    while len(starts) < n_starts:
+        v = rng.standard_normal(n)
+        v *= delta * rng.random() ** (1.0 / n) / _norm(v)
+        starts.append(v)
+
+    d, hd, tdd, v = evaluate(np.array(starts[:n_starts], dtype=float))
+    step = np.full(len(d), 0.5 * delta)
+    live = np.ones(len(d), dtype=bool)
+    best = [float(v.max())]
+    for _ in range(80):
+        if best[-1] > stop_above:
+            break
+        gr = -(g + hd + 0.5 * tdd)
+        ngr = np.sqrt(_row_dots(gr, gr))
+        moving = live & (ngr >= 1e-14)
+        cand, cand_hd, cand_tdd, cv = evaluate(
+            d + step[:, None] * gr / np.maximum(ngr, 1e-14)[:, None])
+        up = moving & (cv > v)
+        won = up[:, None]
+        d = np.where(won, cand, d)
+        hd = np.where(won, cand_hd, hd)
+        tdd = np.where(won, cand_tdd, tdd)
+        v = np.where(up, cv, v)
+        step = step * np.where(up, 1.3, 0.5)
+        live = moving & (up | (step >= 1e-12 * delta))
+        if not live.any():
+            break
+        best.append(float(v.max()))
+        if len(best) > 15 and best[-1] - best[-16] <= 1e-12 * abs(best[-1]):
+            break
+
+    best_d, best_v = np.zeros(n), 0.0
+    for di, vi in zip(d, v.tolist()):
+        if vi > best_v or (vi == best_v and subsolvers._lex_ge(di, best_d)):
+            best_d, best_v = di, vi
+    if best_v <= 0.0:
+        return 0.0, np.zeros(n), v
+    return best_v, best_d.copy(), v
+
+
+class TestOrderThreeStartTable:
+    @staticmethod
+    def assert_matches_reference(b, delta, stop_above=math.inf):
+        m = optimality_measure(b, 3, delta, stop_above=stop_above)
+        phi, disp, v = ref_measure_order3(b, delta, stop_above)
+        assert type(m.phi_bar) is float
+        assert np.float64(m.phi_bar).tobytes() == np.float64(phi).tobytes()
+        assert m.displacement.tobytes() == disp.tobytes()
+        return phi, v
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 23, 24, 25])
+    @pytest.mark.parametrize("zero_gradient", [False, True])
+    def test_bit_for_bit_against_draws_per_call(self, n, zero_gradient):
+        # n = 24 fills the 50 rows with fixed starts (48 axes, the descent
+        # and trust-region steps) unless the gradient vanishes; n = 25 cuts
+        # the axes short.
+        rng = np.random.default_rng(500 + n)
+        for scales in ((0.1, 1.0, 3.0), (1.0, 0.01, 10.0), (5.0, 2.0, 0.1)):
+            tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), scales)]
+            if zero_gradient:
+                tensors[0] = np.zeros(n)
+            b, delta = DerivativeBundle(tensors), float(rng.uniform(0.05, 1.0))
+            phi, _ = self.assert_matches_reference(b, delta)
+            self.assert_matches_reference(b, delta, stop_above=0.5 * phi)
+
+    def test_tied_best_rows_pick_the_same_row(self):
+        # -H = I, T = 0: every boundary axis decrements by exactly delta^2/2.
+        for n in (1, 2, 3):
+            b = DerivativeBundle([np.zeros(n), -np.eye(n), np.zeros((n, n, n))])
+            phi, v = self.assert_matches_reference(b, 0.5)
+            assert np.count_nonzero(v == phi) >= 2
+
+    def test_inf_and_nan_rows_pick_the_same_row(self):
+        # Entries of +-1e308 in H and +-1.7e308 in T: products of the rows
+        # overflow, and opposite infinities in one row's sum give NaN.
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 5):
+            b = DerivativeBundle([rng.standard_normal(n),
+                                  1e308 * np.sign(random_symmetric(rng, n, 2)),
+                                  1.7e308 * np.sign(random_symmetric(rng, n, 3))])
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, v = self.assert_matches_reference(b, 1.0)
+            assert np.isinf(v).any() and np.isnan(v).any()
+
+    def test_table_is_read_only_and_built_once_per_dimension(self):
+        table = subsolvers._order3_start_table(4)
+        assert subsolvers._order3_start_table(4) is table
+        assert subsolvers._order3_start_table(5) is not table
+        for x in table:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[...] = 0.0
+
+
 class TestOrderThree:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
     @pytest.mark.parametrize("zeroed", [None, 0, 2])
@@ -186,6 +312,18 @@ class TestOrderThree:
         else:
             ref = sphere_grid_phi(tensors, delta)
         assert m.phi_bar >= ORDER_GUARANTEES[3] * ref
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_half_guarantee_against_a_thousand_starts(self, n):
+        # Grids are out of reach beyond n = 3; 1000 starts of the same
+        # ascent stand in for the optimum.
+        rng = np.random.default_rng(600 + n)
+        for _ in range(25):
+            scales = 10.0 ** rng.uniform(-2.0, 1.0, size=3)
+            tensors = [c * random_symmetric(rng, n, i) for i, c in zip((1, 2, 3), scales)]
+            b, delta = DerivativeBundle(tensors), float(rng.uniform(0.05, 1.0))
+            ref, _, _ = ref_measure_order3(b, delta, n_starts=1000)
+            assert optimality_measure(b, 3, delta).phi_bar >= ORDER_GUARANTEES[3] * ref
 
     def test_tracks_polar_grid_well_beyond_its_guarantee(self):
         rng = np.random.default_rng(31)

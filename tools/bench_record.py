@@ -36,6 +36,9 @@ PER_LAYER = (
     "subsolvers.minimize_model.self_s",
     "subsolvers.solve_trs.calls",
     "subsolvers.solve_trs.self_s",
+    "subsolvers.optimality_measure.o3.calls",
+    "subsolvers.optimality_measure.o3.self_s",
+    "subsolvers.radius_search.halvings",
     "oracle.inexact_bundle.calls",
     "oracle.inexact_bundle.self_s",
     "oracle.inexact_value.calls",
@@ -44,6 +47,7 @@ PER_LAYER = (
     "tensors.operator_norm.self_s",
     "harness.visited_lipschitz.calls",
     "harness.visited_lipschitz.self_s",
+    "harness.verify_certificate.self_s",
 )
 
 
