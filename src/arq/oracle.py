@@ -10,19 +10,21 @@ every model, checked against ground truth in the test suite.  A
 derivative's error is measured in `tensors.operator_norm`, the Frobenius
 norm, the one tensor norm throughout the package; no request eigensolves.
 The Lipschitz estimates norm their tensors one at a time through its
-kernel `tensors._frobenius`.  The truncation rounds as many decimal grids
-per array operation as fit a fixed element budget, into two buffers it
-reuses, norms each batch's errors with one `tensors._row_dots`, and returns
-the rounding it accepted as it is; bounded noise scales its rank-one
-direction and adds the exact tensor to it in place.
+kernel `tensors._frobenius`.  The truncation rounds values and tensors
+alike through `_truncate_tensor`, a value as a one-entry array: it rounds
+as many decimal grids per array operation as fit a fixed element budget,
+into two buffers it reuses, norms each batch's errors with one
+`tensors._row_dots`, and returns the rounding it accepted as it is;
+bounded noise scales its rank-one direction and adds the exact tensor to
+it in place.
 
-Both requests also report the error they achieved, a bound no larger
-than the one requested: 0 for exact noise or a zero demand, and the
-requested bound for bounded noise.  For truncation a value reports half a
-unit of the last kept decimal plus one ulp, and each derivative the norm
-that accepted its decimal grid (see `_truncate_tensor`).  The solver
-reuses a value, or a whole bundle at the same x, for as long as those
-achieved errors meet its demands.
+Every request follows one error rule: it reports as `achieved` the
+measured error of what it returns, ``|value - f(x)|`` or the
+`tensors._frobenius` norm of the difference, and that error never exceeds
+the demand.  Where rounding carries bounded noise past its demand, the
+result steps back toward the exact one an ulp at a time, down to the exact
+result and 0.  The solver reuses a value, or a whole bundle at the same x,
+for as long as those errors meet its demands.
 
 Every request is evaluated afresh and counted (`EvalCounters`); reusing a
 bundle is the solver's decision, not the oracle's.  What the problem
@@ -102,6 +104,9 @@ class NoiseModel:
                             rank-one tensor v (x) ... (x) v (i factors) of
                             a Gaussian v, with a random sign at even
                             orders (see `Oracle._perturb_tensor`).
+
+    Whatever the kind, a request reports the error it measured in what it
+    returns, and that error is at most the bound.
     """
 
     kind: str = "exact"
@@ -148,21 +153,6 @@ class EvalCounters:
 
     def snapshot(self) -> tuple:
         return (self.value_evals, self.derivative_evals)
-
-
-def _truncate_scalar(exact: float, bound: float) -> tuple:
-    """`exact` rounded to the coarsest of 0..16 decimals whose actual error
-    fits `bound`, with the error that grid guarantees: ``round(x, d)`` is
-    the decimal rounding (error at most half of 10**-d) converted back to
-    the nearest float (at most half an ulp of the result, which is at most
-    one ulp of x).  When no grid fits, the value is exact."""
-    if bound <= 0:
-        return exact, 0.0
-    for d in range(0, 17):
-        v = round(exact, d)
-        if abs(v - exact) <= bound:
-            return v, min(bound, 0.5 / 10.0**d + math.ulp(exact))
-    return exact, 0.0
 
 
 # 10**d for d = 0..16 decimals: the factors `np.round` multiplies by (and
@@ -228,14 +218,14 @@ class Oracle:
         self._rng = np.random.default_rng(noise.seed)
 
     def inexact_value(self, x, bound: float) -> tuple:
-        """``(value, achieved)``: f at x with ``|value - f(x)| <= achieved
-        <= bound`` (bound >= 0).  Counts one eval.
+        """``(value, achieved)``: f at x with ``achieved = |value - f(x)| <=
+        bound`` (bound >= 0), the error measured.  Counts one eval.
 
-        ``achieved`` is the error the noise model guarantees: 0 for exact
-        noise or a zero bound; for truncation to d decimals
-        ``min(bound, 0.5 * 10**-d + ulp(f(x)))``, and 0 when no grid of
-        0..16 decimals fits (the value is then exact); the requested bound
-        for bounded noise.
+        ``achieved`` is 0 for exact noise or a zero bound.  A truncated
+        value is f(x) rounded through `_truncate_tensor` as a one-entry
+        array, and is f(x) itself when no grid of 0..16 decimals fits.  A
+        bounded value is f(x) moved by ``fill_fraction * bound``, stepped
+        back an ulp at a time where rounding carried it past the bound.
         """
         if not bound >= 0:
             raise ValueError(f"bound must be >= 0, got {bound}")
@@ -247,26 +237,30 @@ class Oracle:
         if self.noise.kind == "exact" or bound == 0.0:
             return exact, 0.0
         if self.noise.kind == "truncation":
-            return _truncate_scalar(exact, bound)
+            rounded, achieved = _truncate_tensor(np.array([exact]), bound)
+            return float(rounded[0]), achieved
         sign = 1.0 if self._rng.random() < 0.5 else -1.0
         value = exact + sign * self.noise.fill_fraction * bound
         while abs(value - exact) > bound:  # rounding carried the fill past the bound
             value = math.nextafter(value, exact)
-        return value, float(bound)
+        return value, abs(value - exact)
 
     def _perturb_tensor(self, exact: np.ndarray, bound: float) -> tuple:
         """``(tensor, achieved)``: `exact` within ``achieved <= bound`` in
-        `operator_norm`: unchanged, with 0, for exact noise or a zero bound;
-        rounded for truncation, with the norm that accepted the grid (see
-        `_truncate_tensor`); and for bounded noise moved by ``fill_fraction
-        * bound`` along a random direction, with the bound.
+        `operator_norm`, ``achieved`` being the measured norm of the error:
+        unchanged, with 0, for exact noise or a zero bound; rounded for
+        truncation (see `_truncate_tensor`); and for bounded noise moved by
+        ``fill_fraction * bound`` along a random direction.
 
         Every order follows one rule: a Gaussian v in R^n, and the rank-one
         direction v (x) ... (x) v, with a random sign at even orders (at odd
         orders -v already gives it), sized by its `operator_norm`.  On a
         rank-one tensor the Frobenius norm is the induced norm, so the
-        error is ``fill_fraction * bound`` in both.  Each request draws n
-        numbers, and one more for the sign at order 2.
+        error is ``fill_fraction * bound`` in both, up to the rounding of
+        ``exact + direction``.  Where that rounding carries it past the
+        bound, every entry steps back an ulp toward `exact` until it fits,
+        which ends at `exact` and 0 where rounding alone exceeds the bound.
+        Each request draws n numbers, and one more for the sign at order 2.
         """
         if self.noise.kind == "exact" or bound == 0.0:
             return exact.copy(), 0.0
@@ -282,12 +276,16 @@ class Oracle:
             return exact.copy(), 0.0
         direction *= sign * self.noise.fill_fraction * bound / size
         direction += exact
-        return direction, bound
+        achieved = _frobenius(direction - exact)
+        while achieved > bound:  # rounding carried the fill past the bound
+            np.nextafter(direction, exact, out=direction)
+            achieved = _frobenius(direction - exact)
+        return direction, achieved
 
     def inexact_bundle(self, x, accuracies, p: int) -> tuple:
         """``(bundle, achieved)``: the derivative bundle at x with per-order
-        error bounds `accuracies`, and per order the error the noise model
-        guarantees, ``achieved <= accuracies`` (see `_perturb_tensor`), as
+        error bounds `accuracies`, and per order the measured `operator_norm`
+        of its error, ``achieved <= accuracies`` (see `_perturb_tensor`), as
         a float array.  Counts one derivative evaluation, and raises
         `OracleFaultError` when a derivative the problem returned has the
         wrong shape or a non-finite entry."""

@@ -32,8 +32,8 @@ exponent is at most k_acc_min - 1 plus the cap, however k is chosen in
 1..cap.
 
 Two evaluations are reused, as the theory's evaluation bounds assume,
-while the errors the oracle achieved for them (at most the bounds they were
-requested at, often less) meet the current demands:
+while the errors the oracle measured in them (never above the bounds they
+were requested at) meet the current demands:
 
   derivatives  at the same x_k: after an unsuccessful iteration (same
                accuracies), and after an accuracy-improving one when every

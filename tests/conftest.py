@@ -126,8 +126,9 @@ def assert_bundle_reuse(trace, noise):
     """A record evaluates no derivative bundle when the previous record is
     unsuccessful and one when it is successful or there is none.  After an
     accuracy-improving record it evaluates none exactly when the errors the
-    oracle achieved meet the tightened demands, which bounded noise, whose
-    achieved error is the demand, never does."""
+    oracle measured meet the tightened demands.  Bounded noise never does:
+    its measured error is about fill_fraction = 0.9 of the demand, and step
+    5 tightens the demand by gamma_acc = 0.25 or less."""
     after_accuracy = (1,) if noise == "bounded_random" else (0, 1)
     previous = [None] + [rec.kind for rec in trace[:-1]]
     for rec, kind in zip(trace, previous):

@@ -64,7 +64,23 @@ def test_a_one_ulp_larger_step_norm_moves_the_digests(trace_digest, monkeypatch)
 DIGESTS = ROOT / "tests" / "trace_digests.txt"
 
 
-def test_traces_match_the_committed_digests(trace_digest):
+def test_moved_report_groups_labels_by_workload_and_noise(trace_digest, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    labels = ["sweep/sineq4/s414562537", "sineq2/exact/s1167422957/p3q3/e0.001",
+              "quartic3/truncation/s1167422957/p2q1/e0.01",
+              "rosenbrock2/truncation/s1167422957/p2q2/e0.001"]
+    assert trace_digest.moved_report(labels, 20240809).splitlines() == [
+        "grid truncation (2):",
+        "  rosenbrock2/truncation/s1167422957/p2q2/e0.001",
+        "  quartic3/truncation/s1167422957/p2q1/e0.01",
+        "order3 exact (1):",
+        "  sineq2/exact/s1167422957/p3q3/e0.001",
+        "sweep bounded_random (1):",
+        "  sweep/sineq4/s414562537",
+    ]
+
+
+def test_traces_match_the_committed_digests(trace_digest, monkeypatch):
     # Digests hash float bits, which depend on the stack as well as the
     # code: on a stack other than the file's the test skips and names the
     # difference.  After a named trace change, regenerate the file with
@@ -89,4 +105,7 @@ def test_traces_match_the_committed_digests(trace_digest):
     got = [line for line in out.splitlines() if not line.startswith("# ")]
     assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
     moved = [g.split()[0] for g, w in zip(got, want) if g != w]
-    assert moved == [], f"{len(moved)} of {len(want)} traces moved"
+    if moved:
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        report = trace_digest.moved_report(moved, int(header["seed"]))
+        pytest.fail(f"{len(moved)} of {len(want)} traces moved:\n{report}", pytrace=False)

@@ -138,6 +138,23 @@ def all_lines(seed: int):
             yield f"{label} {digest}"
 
 
+def moved_report(labels, seed: int) -> str:
+    """`labels`, the tasks whose digests moved, grouped by workload and
+    noise kind in ``--workload all`` order: a ``workload noise (count)``
+    line per group, then its labels, one to a line.  A sweep study's noise
+    kind is its spec's."""
+    import workloads as wl
+
+    moved, groups = set(labels), {}
+    for workload in wl.WORKLOADS:
+        for task in wl.build_tasks(workload, seed):
+            if task.label in moved:
+                noise = task.spec.noise if isinstance(task, wl.SweepTask) else task.noise.kind
+                groups.setdefault(f"{workload} {noise}", []).append(task.label)
+    return "\n".join(f"{group} ({len(members)}):\n" + "\n".join(f"  {m}" for m in members)
+                     for group, members in groups.items())
+
+
 def main(argv=None) -> int:
     _bootstrap()
     import workloads as wl
