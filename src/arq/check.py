@@ -85,6 +85,9 @@ def check(delta, decrement, accuracies, xi, omega) -> CheckOutcome:
         decrement``; otherwise ABSOLUTE if the error sum is at most
         ``omega * xi * delta^r / r!``; otherwise INSUFFICIENT.  The relative
         branch is evaluated first and boundary equality qualifies.
+
+    The package calls `verdict`; this name stays for the benchmark's tracer
+    (`perfbench/tracer.py`), which raises `LookupError` if it is gone.
     """
     delta = float(delta)
     decrement = float(decrement)

@@ -347,20 +347,22 @@ def _rosenbrock(dim: int) -> Problem:
             g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
             g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
             return g
+        # Term k of the sum reaches coordinates k and k + 1 only: row k of a
+        # band view of the flat array, from h[k, k] (t[k, k, k]), holds its
+        # entries.  No entry is -0.0, as none is in a sum onto zeros.
         if i == 2:
             h = np.zeros((n, n))
-            for k in range(n - 1):
-                h[k, k] += -400.0 * x[k + 1] + 1200.0 * x[k] ** 2 + 2.0
-                h[k, k + 1] += -400.0 * x[k]
-                h[k + 1, k] += -400.0 * x[k]
-                h[k + 1, k + 1] += 200.0
+            flat = h.reshape(-1)
+            band = flat[:-1].reshape(n - 1, n + 1)  # row k: h[k, k], h[k, k + 1] ... h[k + 1, k]
+            band[:, 0] = -400.0 * x[1:] + 1200.0 * x[:-1] ** 2 + 2.0
+            flat[n + 1 :: n + 1] += 200.0
+            band[:, 1] = band[:, n] = 0.0 - 400.0 * x[:-1]
             return h
         t = np.zeros((n, n, n))
-        for k in range(n - 1):
-            t[k, k, k] += 2400.0 * x[k]
-            t[k, k, k + 1] += -400.0
-            t[k, k + 1, k] += -400.0
-            t[k + 1, k, k] += -400.0
+        stride = n * n + n + 1
+        band = t.reshape(-1)[: (n - 1) * stride].reshape(n - 1, stride)  # row k: t[k, k, k] ...
+        band[:, 0] = 0.0 + 2400.0 * x[:-1]
+        band[:, 1] = band[:, n] = band[:, n * n] = -400.0  # t[k, k, k + 1] and its permutations
         return t
 
     x0 = np.array([-1.2 if k % 2 == 0 else 1.0 for k in range(dim)])

@@ -71,7 +71,7 @@ from .subsolvers import (
     minimize_model,
     optimality_measure,
 )
-from .tensors import RegularizedModel, _ModelPoint, _norm, taylor_decrement
+from .tensors import RegularizedModel, _ModelPoint, taylor_decrement
 
 logger = logging.getLogger("arq")
 
@@ -438,9 +438,8 @@ def step2(state: SolverState, model, config: SolverConfig, j_k: int, start):
     targets = [coef * eps for eps in config.epsilons]
     caps = np.minimum(1.0, state.delta_start)
     step_res = minimize_model(model, start, targets, delta_caps=caps)
-    s = step_res.step
-    step_norm = _norm(s)
-    dec_p = taylor_decrement(model.bundle, s, config.p)
+    step_norm = step_res.norm
+    dec_p = taylor_decrement(model.bundle, step_res.step, config.p)
 
     delta_1 = float(state.delta[j_k - 1])
     xi_first = (
@@ -462,7 +461,7 @@ def step2(state: SolverState, model, config: SolverConfig, j_k: int, start):
     if outcome is CheckOutcome.INSUFFICIENT:
         shortfalls.append(Shortfall.at("step2 decrement", margins))
 
-    if step_norm < 1.0:
+    if step_res.radii is not None:  # a short step: its own measures are rechecked
         for ell in range(1, config.q + 1):
             acc_model = 3.0 * float(state.acc[ell - 1 : config.p].max())
             outcome, margins = verdict(
@@ -500,14 +499,15 @@ def step3_step4(
     """
     bound = config.omega * dec_p
     request = value_request_bound(config, dec_p)
-    trial = oracle.inexact_value(state.x + step_res.step, request)
+    x_trial = state.x + step_res.step
+    trial = oracle.inexact_value(x_trial, request)
     if state.f_bar is None or state.f_bar[1] > bound:
         state.f_bar = oracle.inexact_value(state.x, request)
     rho = (state.f_bar[0] - trial[0]) / dec_p
     if rho >= config.eta1:
-        state.x = state.x + step_res.step
+        state.x = x_trial
         state.f_bar = trial
-        if not step_res.long_step:
+        if step_res.radii is not None:
             state.delta = step_res.radii.copy()
         # long step: keep the end-of-step-1 radii already in state.delta
     if rho >= config.eta2:
@@ -633,7 +633,7 @@ def solve(
                 record.kind = KIND_SUCCESS if rho >= config.eta1 else KIND_UNSUCCESS
                 record.rho = rho
                 record.step = step_res.step.copy()
-                record.step_norm = _norm(step_res.step)
+                record.step_norm = step_res.norm
                 record.dec_bar = dec_p
                 record.inner_iterations = step_res.inner_iterations
                 record.f_bar_after = state.f_bar[0]

@@ -28,9 +28,10 @@ as its optimality measure and as its progress certificate:
 
 `minimize_model` returns a step of the regularized Taylor model that is
 either long (norm >= 1) or at which the model's own ball measures are
-provably small, the two exits the outer algorithm accepts.  "Small" is per
-order: the caller (step 2 of the solver) passes one smallness target per
-order, and the measure of order ell at radius delta must not exceed
+provably small, the two exits the outer algorithm accepts; only a short
+step carries radii.  "Small" is per order: the caller (step 2 of the
+solver) passes one smallness target per order, and the measure of order
+ell at radius delta must not exceed
 ``target * delta**ell / ell!``.  At p = 2 it first takes the cubic model's
 global minimizer, from the trust-region solve's own secular iteration with
 the radius 2 mu / sigma in place of delta (`_minimize_cubic`); its model
@@ -130,15 +131,15 @@ class MeasureResult:
 class StepResult:
     """Outcome of approximately minimizing the regularized model.
 
-    Either ``long_step`` (norm >= 1, no radii needed) or a short step with
-    per-order radii and ``phi_bars``, the model's ball measure at the step
-    for each order at its radius, certified small.
+    Either a long step (``norm`` = ||step|| >= 1, ``radii`` None) or a short
+    step with per-order radii and ``phi_bars``, the model's ball measure at
+    the step for each order at its radius, certified small.
     """
 
     step: np.ndarray
     radii: np.ndarray | None
     phi_bars: tuple | None
-    long_step: bool
+    norm: float
     inner_iterations: int = 0
 
 
@@ -151,21 +152,9 @@ def _lex_ge(a: np.ndarray, b: np.ndarray) -> bool:
     return True
 
 
-def _pick_candidate(cands, qval):
-    """Best objective value; lexicographically largest vector breaks ties."""
-    best = None
-    best_v = None
-    for d in cands:
-        v = qval(d)
-        if best is None or v < best_v - 1e-14 * (1.0 + abs(best_v)):
-            best, best_v = d, v
-        elif abs(v - best_v) <= 1e-14 * (1.0 + abs(best_v)) and _lex_ge(d, best):
-            best, best_v = d, v
-    return best
-
-
-def _complete_to_boundary(base, u, delta, qval):
-    """Both boundary points of the line base + t u, best-then-lex picked.
+def _complete_to_boundary(base, u, delta, g, hs):
+    """Both boundary points of the line base + t u; the one with the lower
+    g.d + d'(hs)d / 2 wins, within 1e-14 relative the lexicographically larger.
 
     Solves ||base + t u||^2 = delta^2 exactly, so the completion stays on
     the sphere even when base is not orthogonal to u.
@@ -173,7 +162,10 @@ def _complete_to_boundary(base, u, delta, qval):
     bu = float(base @ u)
     disc = bu * bu + delta**2 - float(base @ base)
     root = math.sqrt(max(disc, 0.0))
-    return _pick_candidate([base + (-bu + root) * u, base + (-bu - root) * u], qval)
+    a, b = base + (-bu + root) * u, base + (-bu - root) * u
+    va, vb = (float(g @ d + 0.5 * d @ hs @ d) for d in (a, b))
+    tol = 1e-14 * (1.0 + abs(va))
+    return b if vb < va - tol or (abs(vb - va) <= tol and _lex_ge(b, a)) else a
 
 
 def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
@@ -181,7 +173,7 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
 
     The global minimizer d* satisfies (H + mu I) d* = -g with
     H + mu I >= 0, mu >= 0 and mu (delta - ||d*||) = 0.  As in Moré &
-    Sorensen (1983), a Cholesky factorization of the symmetrized H comes
+    Sorensen (1983), `_factor_solve` at mu = 0 factors the symmetrized H
     first: when it succeeds, H is positive definite, and a Newton step
     d = -H^-1 g with ||d|| <= delta is the solution (mu = 0).  A Newton
     step outside the ball is moved to the boundary by `_secular_newton`
@@ -205,21 +197,19 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("h holds a non-finite entry")
     hs = 0.5 * h  # halved first: h + h.T could overflow
     hs = hs + hs.T
-    chol, info = dpotrf(hs)
-    if info == 0:
-        d, _ = dpotrs(chol, -g)
-        if _norm(d) <= delta:
-            return d
-        w, _ = dtrtrs(chol, d, trans=1)
-        d, radius, converged = _secular_newton(partial(_factor_solve, g, hs), delta, 0.0, d,
-                                               _norm(w))
+    solved = _factor_solve(g, hs, 0.0)
+    if solved is not None:
+        if _norm(solved[0]) <= delta:
+            return solved[0]
+        d, radius, converged = _secular_newton(partial(_factor_solve, g, hs), delta, 0.0,
+                                               *solved)
         if converged:
             return d * (radius / _norm(d))
     top = max(_max_abs(g), _max_abs(h))
     if top > 2.0**500 or not _norm(g) / delta < 2.0**1000:
         e = -math.frexp(top)[1]
-        g, h, hs = np.ldexp(g, e), np.ldexp(h, e), np.ldexp(hs, e)
-    return _solve_trs_eigen(g, h, hs, delta)
+        g, hs = np.ldexp(g, e), np.ldexp(hs, e)
+    return _solve_trs_eigen(g, hs, delta)
 
 
 # Newton steps one secular solve may take.  On 640 seeded positive definite
@@ -289,7 +279,7 @@ def _factor_solve(g, hs, mu):
     return d, _norm(w)
 
 
-def _solve_trs_eigen(g, h, hs, delta, rate=0.0, mu_start=0.0):
+def _solve_trs_eigen(g, hs, delta, rate=0.0, mu_start=0.0):
     """`solve_trs` in the eigenbasis of the symmetrized Hessian `hs`, or,
     with a `rate`, the secular equation of `_secular_newton`'s radius
     r(mu) = delta + rate * mu (see `_minimize_cubic`).
@@ -302,7 +292,8 @@ def _solve_trs_eigen(g, h, hs, delta, rate=0.0, mu_start=0.0):
     The hard case (gradient orthogonal to the minimal eigenspace with the
     pseudo-solution inside r(max(0, -lam_1))), and a root pinched against
     that start, are completed by moving along a minimal eigenvector to the
-    target radius.  The step is scaled onto the radius at the last mu.
+    target radius (`_complete_to_boundary`).  The step is scaled onto the
+    radius at the last mu.
     """
     lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
@@ -310,9 +301,6 @@ def _solve_trs_eigen(g, h, hs, delta, rate=0.0, mu_start=0.0):
     top = float(np.max(np.abs(lam)))
     # mu's own scale: the m with m r(m) = ||gh|| at delta or at rate 0
     scale = max(1.0, top, _norm(gh) / delta if delta else math.sqrt(_norm(gh) / rate))
-
-    def qval(d):
-        return float(g @ d + 0.5 * d @ h @ d)
 
     # Strictly convex interior solution the factorization missed (H at the
     # edge of definiteness, or a Newton step on the sphere within rounding).
@@ -332,7 +320,7 @@ def _solve_trs_eigen(g, h, hs, delta, rate=0.0, mu_start=0.0):
     d0[nz] = -gh[nz] / (lam[nz] + mu_floor)
     radius = delta + rate * mu_floor
     if gh_min <= 1e-11 * scale and _norm(d0) <= radius:
-        return _complete_to_boundary(q @ d0, q[:, 0], radius, qval)
+        return _complete_to_boundary(q @ d0, q[:, 0], radius, g, hs)
 
     def solve(mu):
         shifted = lam + mu
@@ -346,7 +334,7 @@ def _solve_trs_eigen(g, h, hs, delta, rate=0.0, mu_start=0.0):
         # Root is pinched against the floor; the offset solution already
         # sits (numerically) inside the target, so complete as in the hard
         # case.
-        return _complete_to_boundary(q @ e, q[:, 0], radius, qval)
+        return _complete_to_boundary(q @ e, q[:, 0], radius, g, hs)
     e, radius, _ = _secular_newton(solve, delta, lo, e, w_norm, rate)
     d = q @ e
     nd = _norm(d)
@@ -413,7 +401,7 @@ def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
                                                rate)
         if converged:
             return d * (radius / _norm(d))
-    return _solve_trs_eigen(g, h, hs, 0.0, rate, mu)
+    return _solve_trs_eigen(g, hs, 0.0, rate, mu)
 
 
 def _positive_root(b: float, k: float) -> float:
@@ -430,10 +418,6 @@ def _steepest_descent(g: np.ndarray, delta: float):
         return 0.0, np.zeros(g.shape[0])
     d = -(delta / ng) * g
     return _taylor_decrement((g,), d, 1), d
-
-
-def _measure_order1(bundle: DerivativeBundle, delta: float) -> MeasureResult:
-    return MeasureResult(*_steepest_descent(bundle.tensors[0], delta))
 
 
 def _measure_order2(bundle: DerivativeBundle, delta: float) -> MeasureResult:
@@ -593,7 +577,7 @@ def optimality_measure(bundle: DerivativeBundle, j: int, delta: float, *,
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if j == 1:
-        return _measure_order1(bundle, delta)
+        return MeasureResult(*_steepest_descent(bundle.tensors[0], delta))
     if j == 2:
         return _measure_order2(bundle, delta)
     return _measure_order3(bundle, delta, stop_above)
@@ -696,11 +680,11 @@ def minimize_model(
     def finish(current, iterations):
         """StepResult at the point `current`, or None if it fails certification."""
         if current.norm >= 1.0:
-            return StepResult(current.s, None, None, True, iterations)
+            return StepResult(current.s, None, None, current.norm, iterations)
         cert = _certify_step(current, targets, delta_caps)
         if cert is None:
             return None
-        return StepResult(current.s, *cert, False, iterations)
+        return StepResult(current.s, *cert, current.norm, iterations)
 
     if model.bundle.degree == 2 and model.sigma > 0:
         s = _minimize_cubic(*model.bundle.tensors, model.sigma)

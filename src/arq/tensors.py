@@ -186,7 +186,12 @@ def _taylor_decrement(tensors, s: np.ndarray, j: int) -> float:
 
 def taylor_decrement(bundle: DerivativeBundle, s, j: int) -> float:
     """Drop of the degree-j Taylor polynomial from 0 to s,
-    ``-sum_{i<=j} T_i[s, ..., s] / i!``."""
+    ``-sum_{i<=j} T_i[s, ..., s] / i!``.
+
+    Step 2 calls this name, the package's loops the kernel: the benchmark's
+    tracer (`perfbench/tracer.py`) counts calls by this name, raises
+    `LookupError` if it is gone, and its test asserts a solve makes some.
+    """
     s = _check_displacement(bundle.dim, s)
     _check_order(j, bundle.degree)
     return _taylor_decrement(bundle.tensors, s, j)

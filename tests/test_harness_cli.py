@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -548,6 +549,28 @@ class TestExactPhi:
             ref = sphere_grid_phi(tensors, delta)
             assert exact_phi(problem, np.zeros(n), 3, delta) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["quadratic", "quartic", "sineq"])
+    def test_order_three_in_one_dimension_stays_under_the_closed_form(self, name):
+        # At n = 1 the sphere is {+1, -1}.  Along u the decrement at radius
+        # r is -(r a1 + r^2 a2 / 2 + r^3 a3 / 6), a cubic whose maximum on
+        # [0, delta] lies at delta or at a root of a1 + r a2 + r^2 a3 / 2:
+        # the grid's radii can only fall short of it.
+        problem = make_problem(name, 1)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            x = rng.uniform(-2.0, 2.0, 1)
+            delta = float(10.0 ** rng.uniform(-3.0, 0.0))
+            g, h, t = (float(problem.derivative(x, i).item()) for i in (1, 2, 3))
+            best = 0.0
+            for u in (1.0, -1.0):
+                a1, a2, a3 = u * g, h, u * t
+                roots = np.roots([a3 / 2, a2, a1]) if a3 else np.roots([a2, a1])
+                radii = [delta] + [r.real for r in roots
+                                   if r.imag == 0.0 and 0.0 < r.real < delta]
+                best = max([best] + [-(r * a1 + r**2 / 2 * a2 + r**3 / 6 * a3) for r in radii])
+            phi = exact_phi(problem, x, 3, delta)
+            assert 0.0 <= phi <= best * (1.0 + 1e-12)
+
 
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
@@ -638,6 +661,34 @@ class TestCliMain:
         assert data["verified_phi"][2] is None
         assert all(phi <= entry["threshold"]
                    for phi, entry in zip(data["verified_phi"][:2], data["measured"]))
+
+    def test_verify_reports_an_order_beyond_the_exact_recheck_and_exits_zero(self, tmp_path,
+                                                                           capsys):
+        out = tmp_path / "run"
+        assert main(["solve", "--problem", "sineq", "--dim", "4", "--p", "3", "--q", "3",
+                     "--eps", "1e-3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out / "certificate.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["order 1", "order 2", "order 3"]
+        assert all(line.endswith("ok=True") for line in lines[:2])
+        assert lines[2] == "order 3: unsupported at dim 4 (not failed)"
+
+    @pytest.mark.parametrize("flag", ["--problem", "--noise"])
+    def test_unknown_problem_or_noise_exits_one(self, flag, capsys):
+        assert main(["bounds", flag, "bogus"]) == 1
+        assert f"configuration error: unknown {flag[2:]} 'bogus'" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_cli(self):
+        # `python -m arq` runs `arq.__main__`, which exits with `main`'s code.
+        src = str(Path(arq.harness.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "arq", "bounds", "--problem", "quadratic",
+                               "--dim", "2"], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert any(line.startswith("l_f = ") for line in proc.stdout.splitlines())
 
     @pytest.mark.parametrize("flag, value", [
         ("--theta", "2"), ("--sigma0", "inf"), ("--gamma3", "inf"), ("--acc-max", "inf"),

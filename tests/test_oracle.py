@@ -72,6 +72,56 @@ class TestProblems:
             make_problem("bogus", 2)
 
 
+def rosenbrock_loop_tensors(x):
+    """The Rosenbrock Hessian and order-3 tensor summed term by term, each
+    coordinate pair k adding its entries onto zeros in a Python loop."""
+    n = x.size
+    h, t = np.zeros((n, n)), np.zeros((n, n, n))
+    for k in range(n - 1):
+        h[k, k] += -400.0 * x[k + 1] + 1200.0 * x[k] ** 2 + 2.0
+        h[k, k + 1] += -400.0 * x[k]
+        h[k + 1, k] += -400.0 * x[k]
+        h[k + 1, k + 1] += 200.0
+        t[k, k, k] += 2400.0 * x[k]
+        t[k, k, k + 1] += -400.0
+        t[k, k + 1, k] += -400.0
+        t[k + 1, k, k] += -400.0
+    return h, t
+
+
+class TestRosenbrockTensors:
+    @pytest.mark.parametrize("n", [2, 3, 20, 60])
+    def test_band_writes_match_the_loop(self, n):
+        # The loop squares x[k] as a scalar, the band writes square the
+        # array x * x: the Hessian's diagonal may differ by one ulp there.
+        # Every other entry, and the sign of each zero, is the loop's.
+        rng = np.random.default_rng(n)
+        problem = make_problem("rosenbrock", n)
+        off = ~np.eye(n, dtype=bool)
+        for _ in range(50):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            x[rng.random(n) < 0.2] = 0.0
+            x[rng.random(n) < 0.2] = -0.0
+            h, t = problem.derivative(x, 2), problem.derivative(x, 3)
+            ref_h, ref_t = rosenbrock_loop_tensors(x)
+            assert t.tobytes() == ref_t.tobytes()
+            assert h[off].tobytes() == ref_h[off].tobytes()
+            diag, ref_diag = np.diag(h), np.diag(ref_h)
+            assert (np.abs(diag - ref_diag) <= np.spacing(np.abs(ref_diag))).all()
+            squared = np.zeros(n)  # the loop's sums with x[k] ** 2 taken as x[k] * x[k]
+            squared[:-1] = -400.0 * x[1:] + 1200.0 * (x[:-1] * x[:-1]) + 2.0
+            squared[1:] += 200.0
+            assert diag.tobytes() == squared.tobytes()
+
+    def test_hessian_squares_as_the_gradient_does(self):
+        # At x_0 = 0x1.e31cca2ac8b6bp+0 the scalar x_0 ** 2 is one ulp above
+        # x_0 * x_0, the square the gradient takes; the Hessian takes it too.
+        x = np.array([float.fromhex("0x1.e31cca2ac8b6bp+0"), 1.0])
+        h = make_problem("rosenbrock", 2).derivative(x, 2)
+        assert h[0, 0] == -400.0 + 1200.0 * (x[0] * x[0]) + 2.0
+        assert h[0, 0] != rosenbrock_loop_tensors(x)[0][0, 0]
+
+
 class TestValueContract:
     def test_exact_kind(self, problem):
         oracle = Oracle(problem, NoiseModel("exact", seed=0))

@@ -474,7 +474,7 @@ class TestStep2:
     sum is 0.625 a, and the ell=1 check compares 3 a with omega * phi_bar."""
 
     def run(self, monkeypatch, a, phi_bar):
-        step = StepResult(np.array([-0.5]), np.ones(1), (phi_bar,), False, 0)
+        step = StepResult(np.array([-0.5]), np.ones(1), (phi_bar,), 0.5, 0)
         monkeypatch.setattr(arq.solver, "minimize_model", lambda *args, **kw: step)
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0)
         bundle = bundle_1d(1.0, 0.0)
@@ -524,7 +524,8 @@ class ScriptedOracle:
 
 
 def plain_step(s, q=1):
-    return StepResult(np.asarray(s, float), np.ones(q), (), False, 0)
+    s = np.asarray(s, float)
+    return StepResult(s, np.ones(q), (), float(np.linalg.norm(s)), 0)
 
 
 class TestStep3Step4:
@@ -602,7 +603,7 @@ class TestStep3Step4:
         state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
         state.delta[0] = 0.25
         oracle = ScriptedOracle([0.5])
-        res = StepResult(np.array([0.5]), np.array([1.0]), (), False, 0)
+        res = StepResult(np.array([0.5]), np.array([1.0]), (), 0.5, 0)
         step3_step4(state, oracle, cfg, res, 1.0)
         assert state.delta[0] == 1.0
 

@@ -460,6 +460,14 @@ def mp_trs_optima(g, h, deltas):
         return optima
 
 
+def mp_newton_optimum(g, h):
+    """The Newton step -H^-1 g of a positive definite h and its model value
+    g.d / 2, the unconstrained optimum, computed with 50 digits."""
+    with mpmath.workdps(50):
+        newton = mpmath.lu_solve(mpmath.matrix(h.tolist()), mpmath.matrix((-g).tolist()))
+        return newton, mpmath.fsum(float(gi) * x for gi, x in zip(g, newton)) / 2
+
+
 def mp_cubic_optimum(g, h, sigma):
     """The optimal value of min g.s + 0.5 s'Hs + sigma ||s||^3 / 6, computed
     with 50 digits for a symmetric h: the eigendecomposition by
@@ -748,7 +756,7 @@ class TestSolveTrs:
                 if cond <= 1e3:
                     assert len(eigh_calls) == n_eigh
                 assert np.linalg.norm(d) / delta == pytest.approx(1.0, rel=1e-12)
-                eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
+                eigen = subsolvers._solve_trs_eigen(g, h, delta)  # h is symmetric
                 scale = abs(model_ref)
                 worst_gap = max(worst_gap, abs(model_value(g, h, d) - model_ref) / scale)
                 worst_eigen_gap = max(worst_eigen_gap,
@@ -775,8 +783,55 @@ class TestSolveTrs:
         d = solve_trs(g, h, delta)
         assert len(eigh_calls) == 1
         assert len(dpotrf_calls) == 2
-        eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
+        eigen = subsolvers._solve_trs_eigen(g, h, delta)  # h is symmetric
         assert d.tobytes() == eigen.tobytes()
+
+    def test_interior_step_after_a_failed_factorization_matches_a_50_digit_reference(
+            self, monkeypatch, eigh_calls, dpotrf_calls):
+        # Every factorization fails, so a positive definite H whose Newton
+        # step lies in the ball reaches the eigen path's interior return.
+        counted = subsolvers.dpotrf
+
+        def fails(a, *args, **kwargs):
+            chol, _ = counted(a, *args, **kwargs)
+            return chol, 1
+
+        monkeypatch.setattr(subsolvers, "dpotrf", fails)
+        rng = np.random.default_rng(6)
+        for n in (2, 5, 11):
+            for _ in range(3):
+                h = random_positive_definite(rng, n)
+                g = rng.standard_normal(n)
+                delta = 2.0 * float(np.linalg.norm(np.linalg.solve(h, g)))
+                first, eighs = len(dpotrf_calls), len(eigh_calls)
+                d = solve_trs(g, h, delta)
+                assert len(dpotrf_calls) - first == 1  # no secular iteration
+                assert len(eigh_calls) - eighs == 1
+                newton, optimum = mp_newton_optimum(g, h)
+                assert float(abs(mp_model_value(g, h, d) / optimum - 1)) <= 1e-14
+                with mpmath.workdps(50):
+                    gap = mpmath.norm(mpmath.matrix(d.tolist()) - newton)
+                    assert float(gap / mpmath.norm(newton)) <= 1e-13
+
+    def test_root_pinched_against_the_floor_is_completed_to_the_sphere(self, monkeypatch):
+        # lambda_1 = -1 and gh_1 = 2e-11, above the hard-case tolerance of
+        # 1e-11: at the secular start mu = 1 + 1e-13 the step has norm
+        # about 200, inside delta = 1000, so it is completed along e_1.
+        completions = []
+        complete = subsolvers._complete_to_boundary
+
+        def spy(*args):
+            completions.append(complete(*args))
+            return completions[-1]
+
+        monkeypatch.setattr(subsolvers, "_complete_to_boundary", spy)
+        g, h, delta = np.array([2e-11, 1.0]), np.diag([-1.0, 1.0]), 1000.0
+        d = solve_trs(g, h, delta)
+        assert len(completions) == 1 and completions[0] is d
+        assert np.linalg.norm(d) == pytest.approx(delta, rel=1e-12)
+        assert d[0] < 0.0  # the completion that g.d lowers
+        (optimum,) = mp_trs_optima(g, h, [delta])
+        assert float(abs(mp_model_value(g, h, d) / optimum - 1)) <= 1e-14
 
     @pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
     def test_boundary_solve_takes_at_most_the_cap_of_factorizations(self, cond,
@@ -811,7 +866,7 @@ class TestSolveTrs:
                     continue  # converged on the factors
                 stalled += 1
                 assert len(dpotrf_calls) - first <= subsolvers._TRS_NEWTON_STEPS
-                eigen = subsolvers._solve_trs_eigen(g, h, h, delta)  # h is symmetric
+                eigen = subsolvers._solve_trs_eigen(g, h, delta)  # h is symmetric
                 assert d.tobytes() == eigen.tobytes()
         assert stalled >= 6
 
@@ -1002,7 +1057,7 @@ class TestMinimizeModel:
         model = convex_model()
         d0 = cauchy_point(model)
         res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-6]))
-        assert not res.long_step
+        assert res.norm < 1.0
         assert model_dec(model, res.step) >= model_dec(model, d0)
         grid = np.linspace(-2, 2, 401)
         pts = np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2)
@@ -1016,7 +1071,7 @@ class TestMinimizeModel:
         res = minimize_model(model, s_star, targets(0.5, 0.02, 1.0, [0.5]))
         # The cubic model's global minimizer, computed by its own kernel,
         # may replace the start where it is better in the last bits.
-        assert not res.long_step
+        assert res.norm < 1.0
         assert res.inner_iterations == 0
         assert res.radii is not None and res.radii[0] == 1.0
         assert model_dec(model, res.step) >= model_dec(model, s_star)
@@ -1027,7 +1082,7 @@ class TestMinimizeModel:
         b = DerivativeBundle([np.array([0.0]), np.array([[-2.0]])])
         model = RegularizedModel(b, 0.6)
         res = minimize_model(model, np.array([0.5]), targets(0.5, 0.02, 1.0, [0.5]))
-        assert res.long_step
+        assert res.norm == np.linalg.norm(res.step)
         assert np.linalg.norm(res.step) >= 1.0
         assert res.radii is None
         assert 2.0 * 2.0 / 0.6 >= 1.0
@@ -1056,7 +1111,7 @@ class TestMinimizeModel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [0.5]))
-        assert res.long_step
+        assert res.norm >= 1.0
         assert np.all(np.isfinite(res.step))
         assert model_dec(model, res.step) >= model_dec(model, d0)
 
@@ -1146,7 +1201,7 @@ class TestRadiusSearch:
             if model_dec(model, d0) <= 0:
                 continue
             res = minimize_model(model, d0, targets(theta, omega, varsigma, eps))
-            if res.long_step:
+            if res.radii is None:  # a long step
                 continue
             from arq.tensors import operator_norm
 
