@@ -230,6 +230,10 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
     else:
         ln_kse += (ln_kse_core + ln_lf_smax - (q - 1) * ln_kdmin) * ((p + 1.0) / p)
         ln_kae = ln_kse + ln_gamma_ratio
+    # kappa_c: an unsuccessful iteration grows sigma by gamma3 when rho < 0
+    # and by gamma2 otherwise, so by at least gamma2; counting each at
+    # ln gamma2, the least growth, bounds how many fit under sigma_max,
+    # which is built from gamma3, the most.
     # ln(sigma_max / sigma0), from the quotient while it is a float: the
     # difference of logs would cancel when sigma_max is close to sigma0.
     smax_ratio = sigma_max / config.sigma0

@@ -10,7 +10,11 @@ The driver alternates five phases per iteration k:
            measures) for accuracy;
   step 3   evaluate the objective at the trial point to within a fraction
            of the predicted decrease and accept/reject by the usual ratio;
-  step 4   update the regularization weight from the ratio;
+  step 4   update the regularization weight from the ratio: shrink it by
+           gamma1 (not under sigma_min) on a very successful step, keep it
+           on a successful one, and on a rejection grow it by gamma2, or by
+           gamma3 when f rose (rho < 0), inside the theory's interval
+           [gamma2 sigma, gamma3 sigma];
   step 5   when an accuracy check came back insufficient, tighten every
            derivative accuracy demand by gamma_acc^k, where k >= 1 is the
            least exponent, capped, that clears the failed check's
@@ -55,6 +59,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -134,6 +139,7 @@ class SolverConfig:
     eta2: float = 0.9
     gamma1: float = 0.5
     gamma2: float = 2.0
+    # Step 4 reads gamma3 too: a rejected step with rho < 0 grows sigma by it.
     gamma3: float = 4.0
     gamma_acc: float = 0.25
     omega: float = 0.02
@@ -346,6 +352,9 @@ def step1(state: SolverState, model, config: SolverConfig, guard_l_bar):
     Mutates ``state.delta`` in place, and counts its halvings in
     ``state.halvings``; the caller snapshots the entry values.
     Returns the `Certificate` when every order is small enough (terminate),
+    unless an order's certified threshold epsilon_j delta_j**j / j! is 0
+    or subnormal, which no recheck can resolve: that raises
+    `SubsolverStallError`;
     ``(j_k, measure)`` for the order step 2 works on and its measure at the
     final radius, or the `Shortfall` of an accuracy check that came back
     insufficient (go to step 5), with cause ``step1 j=<j>``.
@@ -389,15 +398,15 @@ def step1(state: SolverState, model, config: SolverConfig, guard_l_bar):
                 return Shortfall.at(f"step1 j={j}", margins)
             threshold = _termination_threshold(config, j, delta_j)
             if meas.phi_bar <= threshold:
+                certified = config.epsilons[j - 1] * delta_j**j / math.factorial(j)
+                if not certified >= sys.float_info.min:  # 0 or subnormal
+                    raise SubsolverStallError(
+                        f"order-{j} certificate threshold {certified!r} at step-1 radius "
+                        f"{delta_j!r} is below the normal range at iteration {state.k}"
+                    )
                 measured.append(
-                    {
-                        "order": j,
-                        "phi_bar": meas.phi_bar,
-                        "delta": delta_j,
-                        "threshold": config.epsilons[j - 1]
-                        * delta_j**j
-                        / math.factorial(j),
-                    }
+                    {"order": j, "phi_bar": meas.phi_bar, "delta": delta_j,
+                     "threshold": certified}
                 )
                 break
             point = _ModelPoint(model, meas.displacement)
@@ -496,6 +505,17 @@ def step3_step4(
     f at x is evaluated again (the second value evaluation this
     iteration).  On acceptance the trial value, with its achieved error,
     takes its place.
+
+    Step 4 then sets sigma by the band rho lies in:
+
+        rho >= eta2          max(sigma_min, gamma1 sigma)   very successful
+        eta1 <= rho < eta2   sigma                          successful
+        0 <= rho < eta1      gamma2 sigma                   rejected
+        rho < 0              gamma3 sigma                   rejected, f rose
+
+    A rejection thus grows sigma inside [gamma2 sigma, gamma3 sigma], the
+    interval the theory allows: `compute_bounds`' sigma_max is built from
+    gamma3, and its count of unsuccessful iterations from ln gamma2.
     """
     bound = config.omega * dec_p
     request = value_request_bound(config, dec_p)
@@ -512,6 +532,8 @@ def step3_step4(
         # long step: keep the end-of-step-1 radii already in state.delta
     if rho >= config.eta2:
         state.sigma = max(config.sigma_min, config.gamma1 * state.sigma)
+    elif rho < 0.0:
+        state.sigma = config.gamma3 * state.sigma
     elif rho < config.eta1:
         state.sigma = config.gamma2 * state.sigma
     return rho

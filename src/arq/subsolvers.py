@@ -94,8 +94,9 @@ class SolveStoppedError(RuntimeError):
     """A solve stopped without a certificate.
 
     ``status`` says why: ``budget`` (iterations ran out), ``stall`` (an inner
-    solve hit its iteration or radius floor, or a step-1 radius halved to
-    0), ``invariant`` (a bound the theory guarantees was crossed) or
+    solve hit its iteration or radius floor, a step-1 radius halved to 0,
+    or a step-1 certificate threshold fell below the normal range),
+    ``invariant`` (a bound the theory guarantees was crossed) or
     ``oracle`` (the problem returned a non-finite value or derivative, or
     one of the wrong shape).
     `solve` attaches the run's ``trace`` (ending with the interrupted
@@ -112,9 +113,11 @@ class SolveStoppedError(RuntimeError):
 
 
 class SubsolverStallError(SolveStoppedError):
-    """Inner solve hit its iteration or radius floor, or a step-1 radius
-    halved to 0; the message carries the numbers (iterations, step or
-    gradient norm, radius floor; for step 1 the order, radius and sigma)."""
+    """Inner solve hit its iteration or radius floor, a step-1 radius
+    halved to 0, or a step-1 certificate threshold fell below the normal
+    range; the message carries the numbers (iterations, step or gradient
+    norm, radius floor; for step 1 the order and radius, with sigma or the
+    threshold)."""
 
     status = "stall"
 
@@ -177,7 +180,8 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     first: when it succeeds, H is positive definite, and a Newton step
     d = -H^-1 g with ||d|| <= delta is the solution (mu = 0).  A Newton
     step outside the ball is moved to the boundary by `_secular_newton`
-    from mu = 0, one factorization of H + mu I per step.  Every other case
+    from mu = 0, one factorization of H + mu I per step; only this path
+    solves for the ||w|| that Newton's derivative needs.  Every other case
     (H not positive definite, a failed factorization, or an iteration that
     does not converge) is solved by the same iteration in the eigenbasis of
     H (see `_solve_trs_eigen`), with g and H first scaled by a power of two
@@ -199,10 +203,11 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     hs = hs + hs.T
     solved = _factor_solve(g, hs, 0.0)
     if solved is not None:
-        if _norm(solved[0]) <= delta:
-            return solved[0]
-        d, radius, converged = _secular_newton(partial(_factor_solve, g, hs), delta, 0.0,
-                                               *solved)
+        d, chol = solved
+        if _norm(d) <= delta:
+            return d
+        d, radius, converged = _secular_newton(partial(_secular_solve, g, hs), delta, 0.0,
+                                               d, _w_norm(chol, d))
         if converged:
             return d * (radius / _norm(d))
     top = max(_max_abs(g), _max_abs(h))
@@ -265,18 +270,37 @@ def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
 
 
 def _factor_solve(g, hs, mu):
-    """`_secular_newton`'s solve by the Cholesky factor U'U of H + mu I,
-    with w = U^-T d; None where H + mu I does not factor.  H + mu I is
-    symmetric, so its transpose, a Fortran-ordered view of the same
-    entries, is factored in place: one copy of H, not two."""
+    """d = -(H + mu I)^-1 g and the Cholesky factor U of H + mu I = U'U;
+    None where H + mu I does not factor.  H + mu I is symmetric, so its
+    transpose, a Fortran-ordered view of the same entries, is factored in
+    place: one copy of H, not two.  At mu = 0 the diagonal is left as it
+    is: adding 0.0 could only turn a -0.0 pivot into 0.0, and either
+    fails the factorization."""
     a = hs.copy()
-    a.reshape(-1)[:: g.size + 1] += mu  # a's diagonal, as a view
+    if mu:
+        a.reshape(-1)[:: g.size + 1] += mu  # a's diagonal, as a view
     chol, info = dpotrf(a.T, overwrite_a=1)
     if info != 0:
         return None
     d, _ = dpotrs(chol, -g)
+    return d, chol
+
+
+def _w_norm(chol, d):
+    """||w|| with w = U^-T d, so ||w||^2 = d'(H + mu I)^-1 d for the
+    Cholesky factor U of H + mu I."""
     w, _ = dtrtrs(chol, d, trans=1)
-    return d, _norm(w)
+    return _norm(w)
+
+
+def _secular_solve(g, hs, mu):
+    """`_secular_newton`'s solve by `_factor_solve`: d(mu) and ||w||, or
+    None."""
+    solved = _factor_solve(g, hs, mu)
+    if solved is None:
+        return None
+    d, chol = solved
+    return d, _w_norm(chol, d)
 
 
 def _solve_trs_eigen(g, hs, delta, rate=0.0, mu_start=0.0):
@@ -390,14 +414,14 @@ def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
     rate = 2.0 / sigma
     ng = _norm(g)
     mu = _positive_root(float(g @ (hs @ g)) / ng / ng, 0.5 * sigma * ng) if ng > 0 else 0.0
-    solved = _factor_solve(g, hs, mu) if mu > 0 else None
+    solved = _secular_solve(g, hs, mu) if mu > 0 else None
     if solved is not None and solved[1] > 0:
         nd = _norm(solved[0])
         ratio = (nd / solved[1]) ** 2  # 1/||s|| has the slope 1 / (||s|| ratio)
         mu = _positive_root(ratio - mu, 0.5 * sigma * nd * ratio)
-        solved = _factor_solve(g, hs, mu)
+        solved = _secular_solve(g, hs, mu)
     if solved is not None:
-        d, radius, converged = _secular_newton(partial(_factor_solve, g, hs), 0.0, mu, *solved,
+        d, radius, converged = _secular_newton(partial(_secular_solve, g, hs), 0.0, mu, *solved,
                                                rate)
         if converged:
             return d * (radius / _norm(d))

@@ -101,3 +101,30 @@ def test_per_iteration_counter_breakdown(benchmark_suite):
         assert [k for k, _, _ in per_iteration] == list(range(run.result.iterations))
         assert sum(v for _, v, _ in per_iteration) == counters.value_evals
         assert sum(d for _, _, d in per_iteration) == counters.derivative_evals
+
+
+def _next_sigma(cfg, sigma, rho):
+    """Step 4's regularization update at ratio ``rho``."""
+    if rho >= cfg.eta2:
+        return max(cfg.sigma_min, cfg.gamma1 * sigma)
+    if rho >= cfg.eta1:
+        return sigma
+    return (cfg.gamma2 if rho >= 0.0 else cfg.gamma3) * sigma
+
+
+def test_sigma_follows_the_ratio_band(benchmark_suite):
+    """Every trial record's successor carries the sigma its rho's band
+    gives, and every accuracy-improving record's successor keeps sigma.
+    Every band but 0 <= rho < eta1 is reached on the grid; the unit tests
+    of `step3_step4` cover that one."""
+    bands = set()
+    for run in benchmark_suite.runs:
+        cfg = run.config
+        trace = run.result.trace
+        for rec, nxt in zip(trace[:-1], trace[1:]):
+            if rec.kind == "accuracy_improving":
+                assert nxt.sigma == rec.sigma
+                continue
+            assert nxt.sigma == _next_sigma(cfg, rec.sigma, rec.rho)
+            bands.add(sum(rec.rho >= edge for edge in (0.0, cfg.eta1, cfg.eta2)))
+    assert bands >= {0, 2, 3}

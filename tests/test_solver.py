@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +170,28 @@ class TestStep1:
         assert cert.measured[0]["order"] == 1
         assert cert.measured[0]["phi_bar"] == pytest.approx(1e-6)
         assert cert.measured[0]["threshold"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("delta", [(1e-310,), (1.0, 1e-160)])
+    def test_certificate_threshold_under_the_normal_range_stalls(self, delta):
+        """A zero gradient and Hessian measure 0 at any radius; at these
+        radii the last order's threshold epsilon delta**j / j! is subnormal,
+        so no certificate is issued."""
+        q = len(delta)
+        cfg = SolverConfig(q=q, epsilons=(0.1,) * q, varsigma=1.0)
+        state = make_state(dim=2, q=q)
+        state.delta[:] = delta
+        bundle = DerivativeBundle([np.zeros(2), np.zeros((2, 2))])
+        with pytest.raises(SubsolverStallError,
+                           match=rf"order-{q} certificate threshold .* below the normal range"):
+            step1(state, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+
+    def test_least_normal_certificate_threshold_certifies(self):
+        cfg = SolverConfig(epsilons=(0.5,), varsigma=1.0)
+        state = make_state(dim=2)
+        state.delta[0] = 2.0 * sys.float_info.min
+        bundle = DerivativeBundle([np.zeros(2), np.zeros((2, 2))])
+        out = step1(state, RegularizedModel(bundle, 1.0), cfg, lambda: 3.0)
+        assert out.measured[0]["threshold"] == sys.float_info.min
 
     def test_positive_curvature_forces_halving_before_step2(self):
         cfg = SolverConfig(epsilons=(0.1,), varsigma=1.0, sigma0=0.1)
@@ -556,8 +579,18 @@ class TestStep3Step4:
         oracle = ScriptedOracle([1.2])
         rho = step3_step4(state, oracle, cfg, plain_step([0.5]), 1.0)
         assert rho == pytest.approx(-0.2)
-        assert rho < cfg.eta1
-        assert state.sigma == pytest.approx(4.0)
+        assert rho < 0.0
+        assert state.sigma == 2.0 * cfg.gamma3  # an increase of f: the widest growth
+        assert state.x == pytest.approx([0.0])
+
+    @pytest.mark.parametrize("trial, expected_rho", [(1.0, 0.0), (0.95, 0.05)])
+    def test_rejection_without_increase_doubles_sigma(self, trial, expected_rho):
+        cfg = SolverConfig(epsilons=(0.1,))
+        state = make_state(sigma=2.0, f_bar=(1.0, 0.0))
+        rho = step3_step4(state, ScriptedOracle([trial]), cfg, plain_step([0.5]), 1.0)
+        assert rho == pytest.approx(expected_rho)
+        assert 0.0 <= rho < cfg.eta1
+        assert state.sigma == 2.0 * cfg.gamma2
         assert state.x == pytest.approx([0.0])
 
     def test_stale_cache_triggers_recompute(self):

@@ -32,6 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 PER_LAYER = (
+    "solver.successful_frac",
+    "solver.accuracy_improving_frac",
     "subsolvers.minimize_model.inner_iters",
     "subsolvers.minimize_model.self_s",
     "subsolvers.solve_trs.calls",
