@@ -159,6 +159,13 @@ def exact_phi(problem: Problem, x, j: int, delta: float) -> float:
     `solve_trs` that step 1 and step 2 use, so a fault in that kernel
     would pass its own recheck.  Only the derivatives differ (exact here,
     inexact in the run).
+
+    The order-3 value is a lower bound on the measure, and it is blind
+    below delta / 64: the grid's radii start there, and its two rescans
+    refine around the best of them.  A maximizer closer to x is not seen,
+    so the value reads 0.0 where the decrement is positive only there, as
+    on all four `order3` benchmark certificates, whose maximizers lie at
+    1e-7 to 1e-5 of delta.
     """
     x = np.asarray(x, dtype=float)
     if j == 1:
@@ -190,7 +197,7 @@ def exact_phi(problem: Problem, x, j: int, delta: float) -> float:
         n_radius = 64
         lo, hi = delta / n_radius, delta
         best, best_r = 0.0, delta
-        for _ in range(3):  # radial refinement resolves interior maximizers
+        for _ in range(3):  # rescans refine between the grid's radii, not below delta / 64
             radii = np.linspace(lo, hi, n_radius)
             dec = decrements(radii)
             idx = int(np.argmax(dec))

@@ -38,7 +38,10 @@ the radius 2 mu / sigma in place of delta (`_minimize_cubic`); its model
 gradient is zero and its model Hessian positive semidefinite, so it
 certifies at once unless rounding says otherwise.  From a step that does
 not certify, and at p = 1 and 3 from the warm start, a safeguarded
-trust-region Newton iteration descends until one exit is reached.
+trust-region Newton iteration descends until one exit is reached; at odd p
+it measures each trial's model drop from the model's Taylor series at the
+iterate, which is finite there, rather than as a difference of two
+decrements from 0, which cancels near the model's minimizer.
 
 The public functions validate their arguments; below them one kernel
 computes.  `minimize_model` holds the model at each iterate and trial as
@@ -61,6 +64,7 @@ from .tensors import (
     DerivativeBundle,
     RegularizedModel,
     _ModelPoint,
+    _full_contraction,
     _norm,
     _row_dots,
     _taylor_decrement,
@@ -668,6 +672,26 @@ def _certify_step(point: _ModelPoint, targets, delta_caps):
     return radii, tuple(phi_bars)
 
 
+def _odd_degree_drop(point: _ModelPoint, d: np.ndarray, nd: float, pred: float) -> float:
+    """m(s) - m(s + d) for a model of odd degree p at `point`, given
+    nd = ||d|| and `pred`, the drop of the model's second-order expansion
+    at s along d.
+
+    At odd p the regularized model is a polynomial of degree p + 1, so the
+    drop is its Taylor series at s, which ends at order p + 1: at p = 1
+    `pred` is all of it (the point's Hessian is sigma I), and at p = 3 the
+    orders 3 and 4 add (T[d, d, d] + sigma (s.d) ||d||^2) / 6 and
+    sigma ||d||^4 / 24.  No term is a decrement from 0, so near the model's
+    minimizer, where the decrements at s and s + d agree to their last
+    digits, the drop keeps its own.
+    """
+    if point.model.bundle.degree == 1:
+        return pred
+    sigma, d2 = point.model.sigma, nd * nd
+    third = _full_contraction(point.model.bundle.tensors[2], d) + sigma * float(point.s @ d) * d2
+    return pred - third / 6.0 - sigma * d2 * d2 / 24.0
+
+
 def minimize_model(
     model: RegularizedModel,
     warm_start: np.ndarray,
@@ -688,9 +712,11 @@ def minimize_model(
     decreases the model more.  From that point a trust-region Newton
     iteration descends on the model until a step certifies or is long
     (steepest descent is implicit: the trust-region step degrades to it as
-    the radius shrinks).  Every accepted iterate keeps the model decrement
-    at least that of the warm start, so the descent postcondition holds by
-    monotonicity.
+    the radius shrinks).  A trial is accepted when the model drops from the
+    iterate to it: at odd p by `_odd_degree_drop`, at p = 2 by the
+    difference of their decrements.  Every accepted iterate keeps the
+    model decrement at least that of the warm start, so the descent
+    postcondition holds by monotonicity.
 
     ``warm_start`` is a displacement; the solver's step 2 passes the
     displacement of step 1's measure.
@@ -728,7 +754,7 @@ def minimize_model(
         return out
 
     tr = max(0.25, min(1.0, point.norm))
-    dec_cur = point.decrement()
+    odd = model.bundle.degree % 2 == 1
     for it in range(1, _MAX_INNER_ITERS + 1):
         # The point keeps the derivatives `finish` built, so a rejected
         # trial costs no recomputation at the next Newton step.
@@ -745,10 +771,12 @@ def minimize_model(
                 f"(iteration {it}, gradient norm {_norm(g1):.3e})"
             )
         trial = _ModelPoint(model, point.s + d)
-        dec_new = trial.decrement()
-        actual = dec_new - dec_cur
+        if odd:
+            actual = _odd_degree_drop(point, d, nd, pred)
+        else:
+            actual = trial.decrement() - point.decrement()
         if actual > 0:
-            point, dec_cur = trial, dec_new
+            point = trial
             out = finish(point, it)
             if out is not None:
                 return out

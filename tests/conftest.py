@@ -1,4 +1,6 @@
-"""Shared fixtures: the benchmark run grid and independent reference oracles.
+"""Shared fixtures: the benchmark grid, which is `perfbench/workloads.py`'s
+`grid_tasks` at its default seed, the digest's rule for "bit for bit", and
+independent reference oracles.
 
 The reference evaluators here are deliberately written with explicit loops
 and grids, independent of the package's contraction/solver code paths, so
@@ -6,33 +8,49 @@ they can serve as oracles for it.
 """
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from arq import ConfigError, NoiseModel, Problem, SolverConfig, make_problem, solve
-from arq.harness import ExperimentSpec, _sphere_grid, build_config, expand_seeds
+from arq import ConfigError, Problem, SolverConfig, solve
+from arq.harness import _sphere_grid
 
-BENCH_PROBLEMS = (("quadratic", 4), ("rosenbrock", 2), ("quartic", 3), ("sineq", 4))
-BENCH_NOISES = ("exact", "truncation", "bounded_random")
-BENCH_EPS = (1e-2, 1e-3)
-BENCH_QS = (1, 2)
-MASTER_SEED = 20240809
-N_SEEDS = 5
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's own task lists)
+
+# The 240-task benchmark grid, as `perfbench` and `tools/trace_digest.py` run it.
+GRID_TASKS = workloads.grid_tasks(workloads.DEFAULT_SEED)
 
 
-def bench_seeds():
-    return [s % 2**32 for s in expand_seeds(MASTER_SEED, N_SEEDS)]
+_spec = importlib.util.spec_from_file_location("trace_digest", ROOT / "tools" / "trace_digest.py")
+trace_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_digest)
+# "Bit for bit" as the committed digests judge it: floats by their bits,
+# arrays by dtype, shape and bytes.
+canonical = trace_digest._canonical
 
 
 def bench_config(q: int, eps_min: float, noise: str) -> SolverConfig:
-    return build_config(ExperimentSpec(noise=noise, eps=(eps_min,), p=2, q=q))
+    """The config of the grid's tasks with this q, epsilon and noise kind."""
+    return next(t.config for t in GRID_TASKS
+                if (t.config.q, t.config.epsilons[0], t.noise.kind) == (q, eps_min, noise))
+
+
+def grid_subset(qs=(1, 2)):
+    """The grid's tasks at its first seed and epsilon 1e-3 with q in `qs`,
+    in grid order."""
+    seed = GRID_TASKS[0].noise.seed
+    return [t for t in GRID_TASKS if t.noise.seed == seed and t.config.q in qs
+            and t.config.epsilons[0] == 1e-3]
 
 
 def steep_problem():
@@ -82,11 +100,9 @@ def accepted_configs(draw, max_iters=st.just(1000)):
 @dataclass
 class BenchRun:
     problem_name: str
-    dim: int
     noise: str
     seed: int
     q: int
-    eps_min: float
     problem: object
     config: SolverConfig
     result: object
@@ -104,21 +120,12 @@ class BenchSuite:
 
 @pytest.fixture(scope="session")
 def benchmark_suite():
+    """Every grid task solved, in grid order."""
     import time
 
     start = time.perf_counter()
-    runs = []
-    for name, dim in BENCH_PROBLEMS:
-        problem = make_problem(name, dim)
-        for noise in BENCH_NOISES:
-            for seed in bench_seeds():
-                for q in BENCH_QS:
-                    for eps_min in BENCH_EPS:
-                        config = bench_config(q, eps_min, noise)
-                        result = solve(problem, NoiseModel(noise, 0.9, seed), config)
-                        runs.append(
-                            BenchRun(name, dim, noise, seed, q, eps_min, problem, config, result)
-                        )
+    runs = [BenchRun(t.problem.name, t.noise.kind, t.noise.seed, t.config.q, t.problem,
+                     t.config, solve(t.problem, t.noise, t.config)) for t in GRID_TASKS]
     return BenchSuite(runs, time.perf_counter() - start)
 
 

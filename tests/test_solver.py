@@ -34,12 +34,12 @@ from arq.subsolvers import MeasureResult, StepResult, SubsolverStallError, optim
 from arq.tensors import DerivativeBundle, RegularizedModel, _ModelPoint, taylor_decrement
 
 from conftest import (
-    BENCH_NOISES,
-    BENCH_PROBLEMS,
+    GRID_TASKS,
     accepted_configs,
     assert_bundle_reuse,
     bench_config,
-    bench_seeds,
+    canonical,
+    grid_subset,
     random_symmetric,
     steep_problem,
 )
@@ -326,21 +326,6 @@ def step1_reference(state, model, config, guard_l_bar):
     return Certificate(state.x.copy(), state.delta.copy(), tuple(measured))
 
 
-def bits(value):
-    """A value with every float by its bits and every array by its bytes."""
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex()
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    if isinstance(value, dict):
-        return {k: bits(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return tuple(bits(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__, bits(dataclasses.astuple(value)))
-    return value
-
-
 def run_step1(step, bundle, sigma, config, l_bar):
     """(outcome, radii, halvings, guard calls) of one step 1 from the
     entry radii ``config.delta0``, with the guard's L-bar ``l_bar``."""
@@ -359,7 +344,7 @@ def run_step1(step, bundle, sigma, config, l_bar):
         out = step(state, model, config, guard)
     except InternalInvariantError as exc:
         out = ("invariant", str(exc))
-    return bits(out), state.delta.tobytes(), state.halvings, calls
+    return canonical(out), state.delta.tobytes(), state.halvings, calls
 
 
 @st.composite
@@ -446,7 +431,7 @@ class TestRaySearch:
             measures = count_calls(monkeypatch, "optimality_measure")
             got = run_step1(step1, bundle, 1.0, cfg, 3.0)
         assert got == want
-        assert got[0][0] == "invariant"
+        assert got[0][0] == canonical("invariant")
         assert [args[2] for args in measures] == [1.0, 0.5]
 
     def test_one_measure_and_one_check_whatever_the_halvings(self, monkeypatch):
@@ -461,16 +446,8 @@ class TestRaySearch:
         assert (len(measures), len(checks)) == (1, 1)
 
     def test_solve_traces_match_the_per_halving_loop(self, monkeypatch):
-        seed = bench_seeds()[0]
-        runs = [
-            (make_problem(name, dim), NoiseModel(noise, 0.9, seed), bench_config(q, 1e-3, noise))
-            for name, dim in BENCH_PROBLEMS
-            for noise in BENCH_NOISES
-            for q in (1, 2)
-        ]
-
         def solve_all():
-            return [trace_key(solve(*run).trace) for run in runs]
+            return [canonical(solve(t.problem, t.noise, t.config).trace) for t in grid_subset()]
 
         got = solve_all()
         monkeypatch.setattr(arq.solver, "step1", step1_reference)
@@ -707,8 +684,8 @@ class TestSolve:
         name="rosenbrock", noise="exact", seed=30)
     @given(
         cfg=accepted_configs(max_iters=st.integers(1, 30)),
-        name=st.sampled_from([name for name, _ in BENCH_PROBLEMS]),
-        noise=st.sampled_from(BENCH_NOISES),
+        name=st.sampled_from(list(dict.fromkeys(t.problem.name for t in GRID_TASKS))),
+        noise=st.sampled_from(list(dict.fromkeys(t.noise.kind for t in GRID_TASKS))),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_any_accepted_setting_stops_only_by_documented_errors(self, cfg, name, noise, seed):
@@ -753,27 +730,21 @@ class TestSolve:
     def test_noisy_third_order_solves_on_the_grid_problems(self, noise):
         from arq.harness import verify_certificate
 
-        seed = bench_seeds()[0]
         cfg = SolverConfig(p=3, q=3, epsilons=(1e-3,) * 3)
-        for name, dim in BENCH_PROBLEMS:
-            problem = make_problem(name, dim)
-            res = solve(problem, NoiseModel(noise, 0.9, seed), cfg)
-            checks = verify_certificate(problem, res.certificate)
+        for task in grid_subset(qs=(1,)):
+            if task.noise.kind != noise:
+                continue
+            res = solve(task.problem, task.noise, cfg)
+            checks = verify_certificate(task.problem, res.certificate)
             assert [c["order"] for c in checks] == [1, 2, 3]
             assert all(c["ok"] for c in checks if c["ok"] is not None)
 
-    @pytest.mark.parametrize("noise", BENCH_NOISES)
-    def test_second_order_steps_take_no_inner_iterations(self, noise):
+    def test_second_order_steps_take_no_inner_iterations(self, benchmark_suite):
         # At p = 2 step 2 starts from the cubic model's global minimizer,
         # which certifies before the model minimizer's Newton loop.
-        seed = bench_seeds()[0]
-        for name, dim in BENCH_PROBLEMS:
-            for q in (1, 2):
-                res = solve(make_problem(name, dim), NoiseModel(noise, 0.9, seed),
-                            bench_config(q, 1e-3, noise))
-                steps = [r for r in res.trace if r.kind in ("successful", "unsuccessful")]
-                assert steps
-                assert [r.inner_iterations for r in steps] == [0] * len(steps)
+        for run in benchmark_suite.runs:
+            assert run.t_records
+            assert [r.inner_iterations for r in run.t_records] == [0] * len(run.t_records)
 
     def test_first_order_model(self):
         # p = 1: affine Taylor part, only the regularizer curves
@@ -1025,14 +996,9 @@ def test_cap_one_is_the_fixed_factor(monkeypatch, noisy_run):
     Both sides run at cap 1, since step 2 picks its recorded cause by the
     capped exponent: at cap 1 every check ties, and the first failed one
     is recorded, as a fixed-factor step 5 would be told."""
-    seed = bench_seeds()[0]
     runs = [(make_problem("quartic", 3), NoiseModel("bounded_random", 0.9, 12345),
              bench_config(2, 1e-3, "bounded_random"))]
-    runs += [
-        (make_problem(name, dim), NoiseModel(noise, 0.9, seed), bench_config(2, 1e-3, noise))
-        for name, dim in BENCH_PROBLEMS
-        for noise in BENCH_NOISES
-    ]
+    runs += [(t.problem, t.noise, t.config) for t in grid_subset(qs=(2,))]
 
     def solve_all():
         return [solve(problem, noise, cfg).trace for problem, noise, cfg in runs]
@@ -1048,39 +1014,19 @@ def test_cap_one_is_the_fixed_factor(monkeypatch, noisy_run):
         for rec in trace:
             assert rec.acc_steps == (1 if rec.kind == "accuracy_improving" else None)
             rec.acc_steps = None  # the fixed-factor step 5 records no exponent
-    assert [trace_key(t) for t in capped] == [trace_key(t) for t in fixed]
+    assert canonical(capped) == canonical(fixed)
     assert sum(r.kind == "accuracy_improving" for t in fixed for r in t) > 0
     # uncapped, the noisy run takes fewer accuracy-improving iterations
     assert len(noisy_run.trace) < len(capped[0])
 
 
-def trace_key(trace):
-    """Every IterationRecord field by repr, arrays in full precision."""
-    return [
-        tuple(
-            repr(v.tolist() if isinstance(v, np.ndarray) else v)
-            for v in dataclasses.astuple(rec)
-        )
-        for rec in trace
-    ]
-
-
 def test_guard_never_steers_the_run(monkeypatch, estimate_calls):
     """The guard only arms an invariant: computing it eagerly from the
     real estimate, or lazily from a huge one, leaves every trace alike."""
-    seed = bench_seeds()[0]
-    runs = [
-        (make_problem(name, dim), noise)
-        for name, dim in BENCH_PROBLEMS
-        for noise in BENCH_NOISES
-    ]
+    runs = grid_subset(qs=(2,))
 
     def solve_all():
-        return [
-            trace_key(solve(problem, NoiseModel(noise, 0.9, seed),
-                            bench_config(2, 1e-3, noise)).trace)
-            for problem, noise in runs
-        ]
+        return [canonical(solve(t.problem, t.noise, t.config).trace) for t in runs]
 
     real_step1 = arq.solver.step1
 

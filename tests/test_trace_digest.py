@@ -3,24 +3,21 @@ about a workload's traces rests on."""
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+import conftest
+from conftest import ROOT, workloads
+
+SEED = workloads.DEFAULT_SEED
 
 
 @pytest.fixture(scope="module")
 def trace_digest():
-    spec = importlib.util.spec_from_file_location("trace_digest",
-                                                  ROOT / "tools" / "trace_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return conftest.trace_digest
 
 
 @pytest.mark.parametrize("a, b", [(1.0, np.nextafter(1.0, 2.0)), (0.0, -0.0)])
@@ -41,10 +38,9 @@ def test_canonical_tells_arrays_apart_by_dtype_and_shape(trace_digest):
     assert canonical(np.zeros(4)) == canonical(np.zeros(4))
 
 
-def test_two_runs_of_a_workload_give_the_same_lines(trace_digest, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    first = list(trace_digest.digests("order3", 20240809))
-    second = list(trace_digest.digests("order3", 20240809))
+def test_two_runs_of_a_workload_give_the_same_lines(trace_digest):
+    first = list(trace_digest.digests("order3", SEED))
+    second = list(trace_digest.digests("order3", SEED))
     assert len(first) == 4
     assert len({label for label, _ in first}) == 4
     assert first == second
@@ -53,8 +49,7 @@ def test_two_runs_of_a_workload_give_the_same_lines(trace_digest, monkeypatch):
 def test_a_one_ulp_larger_step_norm_moves_the_digests(trace_digest, monkeypatch):
     import arq.solver
 
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    before = list(trace_digest.digests("order3", 20240809))
+    before = list(trace_digest.digests("order3", SEED))
     minimize = arq.solver.minimize_model
 
     def one_ulp_longer(*args, **kwargs):
@@ -62,7 +57,7 @@ def test_a_one_ulp_larger_step_norm_moves_the_digests(trace_digest, monkeypatch)
         return dataclasses.replace(res, norm=float(np.nextafter(res.norm, np.inf)))
 
     monkeypatch.setattr(arq.solver, "minimize_model", one_ulp_longer)
-    after = list(trace_digest.digests("order3", 20240809))
+    after = list(trace_digest.digests("order3", SEED))
     assert [label for label, _ in after] == [label for label, _ in before]
     assert all(a != b for (_, a), (_, b) in zip(after, before))
 
@@ -70,12 +65,11 @@ def test_a_one_ulp_larger_step_norm_moves_the_digests(trace_digest, monkeypatch)
 DIGESTS = ROOT / "tests" / "trace_digests.txt"
 
 
-def test_moved_report_groups_labels_by_workload_and_noise(trace_digest, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+def test_moved_report_groups_labels_by_workload_and_noise(trace_digest):
     labels = ["sweep/sineq4/s414562537", "sineq2/exact/s1167422957/p3q3/e0.001",
               "quartic3/truncation/s1167422957/p2q1/e0.01",
               "rosenbrock2/truncation/s1167422957/p2q2/e0.001"]
-    assert trace_digest.moved_report(labels, 20240809).splitlines() == [
+    assert trace_digest.moved_report(labels, SEED).splitlines() == [
         "grid truncation (2):",
         "  rosenbrock2/truncation/s1167422957/p2q2/e0.001",
         "  quartic3/truncation/s1167422957/p2q1/e0.01",
@@ -86,7 +80,7 @@ def test_moved_report_groups_labels_by_workload_and_noise(trace_digest, monkeypa
     ]
 
 
-def test_traces_match_the_committed_digests(trace_digest, monkeypatch):
+def test_traces_match_the_committed_digests(trace_digest):
     # Digests hash float bits, which depend on the stack as well as the
     # code: on a stack other than the file's the test skips and names the
     # difference.  After a named trace change, regenerate the file with
@@ -112,6 +106,5 @@ def test_traces_match_the_committed_digests(trace_digest, monkeypatch):
     assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
     moved = [g.split()[0] for g, w in zip(got, want) if g != w]
     if moved:
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         report = trace_digest.moved_report(moved, int(header["seed"]))
         pytest.fail(f"{len(moved)} of {len(want)} traces moved:\n{report}", pytrace=False)

@@ -119,17 +119,20 @@ def record_workload(checkouts: dict, workload: str, settings: dict, better: dict
 
 
 def main(argv=None) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    with open(ROOT / "BENCHMARK.json") as fh:
+        benchmark = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--base", required=True, help="the revision before the change")
     parser.add_argument("--head", default=None, help="the revision after it "
                         "(default: the working tree)")
-    parser.add_argument("--workloads", nargs="+", default=["grid", "scale", "order3", "sweep"])
-    parser.add_argument("--seed", type=int, default=20240809)
+    parser.add_argument("--workloads", nargs="+",
+                        default=[w["name"] for w in benchmark["workloads"]])
+    parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     args = parser.parse_args(argv)
-
-    with open(ROOT / "BENCHMARK.json") as fh:
-        benchmark = json.load(fh)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     settings = {"seed": args.seed, "seconds": benchmark["run_seconds"]}
     revisions = {"base": _resolve(args.base), "head": _resolve(args.head)}

@@ -7,7 +7,7 @@ counters it carries.  A sweep task's digest covers its rows and slopes.
 Floats are hashed by their bits and arrays by their bytes, so two checkouts
 print the same lines exactly when their runs agree bit for bit:
 
-    python tools/trace_digest.py --workload grid --seed 20240809 > new.txt
+    python tools/trace_digest.py --workload grid > new.txt
     (the same command in the other checkout) > old.txt
     diff old.txt new.txt
 
