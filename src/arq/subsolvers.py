@@ -32,15 +32,21 @@ provably small, the two exits the outer algorithm accepts; only a short
 step carries radii.  "Small" is per order: the caller (step 2 of the
 solver) passes one smallness target per order, and the measure of order
 ell at radius delta must not exceed
-``target * delta**ell / ell!``.  At p = 2 it first takes the cubic model's
-global minimizer, from the trust-region solve's own secular iteration with
-the radius 2 mu / sigma in place of delta (`_minimize_cubic`); its model
-gradient is zero and its model Hessian positive semidefinite, so it
-certifies at once unless rounding says otherwise.  From a step that does
-not certify, and at p = 1 and 3 from the warm start, a safeguarded
-trust-region Newton iteration descends until one exit is reached; at odd p
-it measures each trial's model drop from the model's Taylor series at the
-iterate, which is finite there, rather than as a difference of two
+``target * delta**ell / ell!``.  At p >= 2 a long step must also be nearly
+stationary for the model, ||grad m(s)|| <= sigma ||s||^p (the step
+condition of Birgin, Gardenghi, Martinez, Santos & Toint, Math. Program.
+2017, with theta = 1 scaled by sigma); at p = 1 any long point is handed
+on (`minimize_model` says why).  At p = 2 it first takes the cubic
+model's global minimizer, from the trust-region solve's own secular
+iteration with the radius 2 mu / sigma in place of delta
+(`_minimize_cubic`); its model gradient is zero and its model Hessian
+positive semidefinite, so it certifies at once unless rounding says
+otherwise.  From a step that takes neither exit, and at p = 1 and 3 from
+the warm start, a safeguarded trust-region Newton iteration descends
+until one exit is reached; if it stalls or reaches its cap at a long
+point, that point is handed on.  It measures each trial's model drop by
+one rule at every degree (`_model_drop`): from the model's expansion at
+the iterate, which is finite there, rather than as a difference of two
 decrements from 0, which cancels near the model's minimizer.
 
 The public functions validate their arguments; below them one kernel
@@ -68,6 +74,7 @@ from .tensors import (
     _norm,
     _row_dots,
     _taylor_decrement,
+    _times_power,
 )
 
 __all__ = [
@@ -140,7 +147,10 @@ class StepResult:
 
     Either a long step (``norm`` = ||step|| >= 1, ``radii`` None) or a short
     step with per-order radii and ``phi_bars``, the model's ball measure at
-    the step for each order at its radius, certified small.
+    the step for each order at its radius, certified small.  At p >= 2 a
+    long step is one where ||grad m|| <= sigma ||step||^p, or the long point
+    at which the model minimizer's descent stalled or reached its cap; at
+    p = 1 any long point.
     """
 
     step: np.ndarray
@@ -189,10 +199,12 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     (H not positive definite, a failed factorization, or an iteration that
     does not converge) is solved by the same iteration in the eigenbasis of
     H (see `_solve_trs_eigen`), with g and H first scaled by a power of two
-    when an entry exceeds 2**500 (the eigenvalues and the objective could
-    overflow near the largest float) or ||g|| / delta reaches 2**1000 (the
-    eigen path's secular scale would overflow at a tiny delta); that scales
-    the objective, not its minimizer.
+    when an entry exceeds 2**400 (the eigenvalues and the objective could
+    overflow near the largest float, and the eigen path's ||w|| reaches
+    ||g|| 1e-13**-1.5 at its first multiplier, so its square overflows
+    from ||g|| = 3e134) or ||g|| / delta reaches 2**1000 (the eigen path's
+    secular scale would overflow at a tiny delta); that scales the
+    objective, not its minimizer.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -215,7 +227,7 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
         if converged:
             return d * (radius / _norm(d))
     top = max(_max_abs(g), _max_abs(h))
-    if top > 2.0**500 or not _norm(g) / delta < 2.0**1000:
+    if top > 2.0**400 or not _norm(g) / delta < 2.0**1000:
         e = -math.frexp(top)[1]
         g, hs = np.ldexp(g, e), np.ldexp(hs, e)
     return _solve_trs_eigen(g, hs, delta)
@@ -672,24 +684,40 @@ def _certify_step(point: _ModelPoint, targets, delta_caps):
     return radii, tuple(phi_bars)
 
 
-def _odd_degree_drop(point: _ModelPoint, d: np.ndarray, nd: float, pred: float) -> float:
-    """m(s) - m(s + d) for a model of odd degree p at `point`, given
-    nd = ||d|| and `pred`, the drop of the model's second-order expansion
-    at s along d.
+def _model_drop(point: _ModelPoint, trial: _ModelPoint, d: np.ndarray) -> float:
+    """m(s) - m(s + d) for the regularized model m of degree p, from
+    `point` at s and `trial` at s + d.
 
-    At odd p the regularized model is a polynomial of degree p + 1, so the
-    drop is its Taylor series at s, which ends at order p + 1: at p = 1
-    `pred` is all of it (the point's Hessian is sigma I), and at p = 3 the
-    orders 3 and 4 add (T[d, d, d] + sigma (s.d) ||d||^2) / 6 and
-    sigma ||d||^4 / 24.  No term is a decrement from 0, so near the model's
-    minimizer, where the decrements at s and s + d agree to their last
-    digits, the drop keeps its own.
+    The drop is -grad m(s).d minus what lies beyond that first-order term:
+    the Taylor part's orders 2..p at s along d, and sigma / (p+1)! times
+    the regularizer's own remainder a^b - r^b - b r^(b-2) s.d, with b = p + 1,
+    a = ||s + d|| and r = ||s||.  That remainder is
+    (a - r)^2 Q + (b/2) r^(b-2) ||d||^2, where
+    Q = (b/2 - 1) r^(b-2) + sum_{i=1}^{b-2} (b-1-i) a^i r^(b-2-i) has no
+    negative term and a - r = (2 s.d + ||d||^2) / (a + r) (at a + r = 0,
+    s = d = 0, it adds nothing).  No term is a decrement from 0, so near
+    the model's minimizer, where the decrements at s and s + d agree to
+    their last digits, the drop keeps its own; and its first-order term is
+    the one the Newton step was solved from, so its sign follows the
+    step's predicted drop down to the rounding of the gradient.
     """
-    if point.model.bundle.degree == 1:
-        return pred
-    sigma, d2 = point.model.sigma, nd * nd
-    third = _full_contraction(point.model.bundle.tensors[2], d) + sigma * float(point.s @ d) * d2
-    return pred - third / 6.0 - sigma * d2 * d2 / 24.0
+    p = point.model.bundle.degree
+    drop = -float(point.derivative(1) @ d)
+    for j in range(2, p + 1):
+        drop -= _full_contraction(point.taylor_derivative(j), d) / math.factorial(j)
+    a, r, dd = trial.norm, point.norm, float(d @ d)
+    a_pow, r_pow = [1.0], [1.0]  # a^i and r^i, by products: a float power could raise
+    for _ in range(p - 1):
+        a_pow.append(a_pow[-1] * a)
+        r_pow.append(r_pow[-1] * r)
+    rest = (p + 1) / 2 * r_pow[p - 1] * dd
+    if a + r > 0:
+        gap = (2.0 * float(point.s @ d) + dd) / (a + r)
+        q = (p - 1) / 2 * r_pow[p - 1]
+        for i in range(1, p):
+            q += (p - i) * a_pow[i] * r_pow[p - 1 - i]
+        rest += gap * gap * q
+    return drop - point.model.sigma / math.factorial(p + 1) * rest
 
 
 def minimize_model(
@@ -707,15 +735,27 @@ def minimize_model(
     and 2, and at a radius found by `radius_search`, at most
     ``delta_caps[ell-1]``, for order 3.
 
+    A long step is handed on at once at p = 1.  There the model's
+    minimizer is the closed form -g / sigma: taking it raised a 72-solve
+    p = 1 probe's derivative evaluations 873 -> 990, and the stationarity
+    test below lost a stress-net certificate (instance 90293).  At p >= 2
+    a long step is handed on only once the model is nearly stationary
+    there, ||grad m(s)|| <= sigma ||s||^p; a long step far from stationary
+    (step 1's warm start, never minimized, at p = 3) is descended from
+    instead.
+
     At p = 2 (with sigma > 0) the model's global minimizer comes first, by
     `_minimize_cubic`: it replaces the warm start when it is finite and
     decreases the model more.  From that point a trust-region Newton
-    iteration descends on the model until a step certifies or is long
-    (steepest descent is implicit: the trust-region step degrades to it as
-    the radius shrinks).  A trial is accepted when the model drops from the
-    iterate to it: at odd p by `_odd_degree_drop`, at p = 2 by the
-    difference of their decrements.  Every accepted iterate keeps the
-    model decrement at least that of the warm start, so the descent
+    iteration descends on the model until a step takes an exit (steepest
+    descent is implicit: the trust-region step degrades to it as the
+    radius shrinks); a good boundary step doubles the radius.  A trial is
+    accepted when the model drops from the iterate to it, by
+    `_model_drop` at every degree.  If the iteration stalls (no descent at
+    its radius, or the radius collapses) or reaches `_MAX_INNER_ITERS` at a
+    long point, that point is handed on as a long step; at a short one it
+    raises `SubsolverStallError`.  Every accepted iterate keeps the model
+    decrement at least that of the warm start, so the descent
     postcondition holds by monotonicity.
 
     ``warm_start`` is a displacement; the solver's step 2 passes the
@@ -726,17 +766,29 @@ def minimize_model(
         delta_caps = np.ones(len(targets))
     if not point.decrement() > 0:
         raise ValueError("warm start must strictly decrease the model")
+    p = model.bundle.degree
 
     def finish(current, iterations):
-        """StepResult at the point `current`, or None if it fails certification."""
+        """StepResult at the point `current`, or None if the descent goes on
+        from it: a short point that fails certification, or, at p >= 2, a
+        long one at which the model is not yet nearly stationary."""
         if current.norm >= 1.0:
+            if p > 1 and not _norm(current.derivative(1)) <= _times_power(model.sigma, current.norm, p):
+                return None
             return StepResult(current.s, None, None, current.norm, iterations)
         cert = _certify_step(current, targets, delta_caps)
         if cert is None:
             return None
         return StepResult(current.s, *cert, current.norm, iterations)
 
-    if model.bundle.degree == 2 and model.sigma > 0:
+    def stall(current, iterations, message):
+        """The long step at `current`, where the descent stopped, or else
+        the stall `message` raised."""
+        if current.norm >= 1.0:
+            return StepResult(current.s, None, None, current.norm, iterations)
+        raise SubsolverStallError(message)
+
+    if p == 2 and model.sigma > 0:
         s = _minimize_cubic(*model.bundle.tensors, model.sigma)
         if np.isfinite(s).all():
             # At a tiny sigma the minimizer lies about 2 / sigma along the
@@ -754,7 +806,6 @@ def minimize_model(
         return out
 
     tr = max(0.25, min(1.0, point.norm))
-    odd = model.bundle.degree % 2 == 1
     for it in range(1, _MAX_INNER_ITERS + 1):
         # The point keeps the derivatives `finish` built, so a rejected
         # trial costs no recomputation at the next Newton step.
@@ -765,31 +816,22 @@ def minimize_model(
         if pred <= 0 or nd < 1e-16:
             # No descent available at this radius: the iterate is a numerical
             # second-order point of the model, and `finish` already failed
-            # to certify it.
-            raise SubsolverStallError(
-                "model minimizer converged but step certification failed "
-                f"(iteration {it}, gradient norm {_norm(g1):.3e})"
-            )
+            # to certify it or to find it nearly stationary.
+            return stall(point, it, "model minimizer converged but step certification "
+                         f"failed (iteration {it}, gradient norm {_norm(g1):.3e})")
         trial = _ModelPoint(model, point.s + d)
-        if odd:
-            actual = _odd_degree_drop(point, d, nd, pred)
-        else:
-            actual = trial.decrement() - point.decrement()
+        actual = _model_drop(point, trial, d)
         if actual > 0:
             point = trial
             out = finish(point, it)
             if out is not None:
                 return out
             if actual >= 0.75 * pred and nd >= 0.9 * tr:
-                tr = min(2.0 * tr, 1e3)
+                tr *= 2.0
         else:
             tr *= 0.25
             if tr < 1e-14:
-                raise SubsolverStallError(
-                    "trust region collapsed before certification "
-                    f"(iteration {it}, gradient norm {_norm(g1):.3e})"
-                )
-    raise SubsolverStallError(
-        f"inner iteration cap exceeded (iterations {_MAX_INNER_ITERS}, "
-        f"step norm {point.norm:.3e})"
-    )
+                return stall(point, it, "trust region collapsed before certification "
+                             f"(iteration {it}, gradient norm {_norm(g1):.3e})")
+    return stall(point, _MAX_INNER_ITERS, "inner iteration cap exceeded "
+                 f"(iterations {_MAX_INNER_ITERS}, step norm {point.norm:.3e})")

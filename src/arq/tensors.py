@@ -23,7 +23,8 @@ from those products times powers of two, which in real arithmetic are the
 products at 2**-h s; that is how step 1 searches its order-1 radius.  It
 lives as long as its caller holds it.  A derivative at s is one new array:
 its first term is summed onto 0.0, and the others, the regularizer's scaled
-closed form last, are added to it in place.  `_norm` is numpy's own 1-D norm
+closed form last, are added to it in place; `taylor_derivative` is that
+array before the regularizer's term.  `_norm` is numpy's own 1-D norm
 formula without its dispatch wherever the sum of squares is in range, and a
 norm of the vector scaled by a power of two elsewhere.
 
@@ -179,6 +180,18 @@ def _taylor_drop(fulls, halvings: int = 0) -> float:
     return float(total)
 
 
+def _times_power(c: float, r: float, k: int) -> float:
+    """c r^k, by the float power r**k; where that raises OverflowError, one
+    factor of r at a time, since the product may still be finite (a tiny
+    sigma far out)."""
+    try:
+        return c * r**k
+    except OverflowError:
+        for _ in range(k):
+            c *= r
+        return c
+
+
 def _taylor_decrement(tensors, s: np.ndarray, j: int) -> float:
     """Kernel of `taylor_decrement` on float tensors and displacement."""
     return _taylor_drop([_full_contraction(t, s) for t in tensors[:j]])
@@ -241,11 +254,8 @@ class _ModelPoint:
     def decrement_at(self, halvings: int) -> float:
         """The decrement at 2**-halvings s, from the products at s."""
         b = len(self._ends) + 1
-        try:
-            power = math.ldexp(self.norm, -halvings) ** b
-        except OverflowError:  # float powers raise where numpy's products give inf
-            power = math.inf
-        return _taylor_drop(self._ends, halvings) - self.model.sigma / _FACTORIALS[b] * power
+        reg = _times_power(self.model.sigma / _FACTORIALS[b], math.ldexp(self.norm, -halvings), b)
+        return _taylor_drop(self._ends, halvings) - reg
 
     def derivative(self, j: int) -> np.ndarray:
         """Order-j derivative tensor of the regularized model at s, for j
@@ -261,15 +271,24 @@ class _ModelPoint:
             p = len(self._chains)
             reg = _regularizer_derivative(self.s, self.norm, p, j)
             reg *= self.model.sigma / _FACTORIALS[p + 1]
-            # Summed onto 0.0, so no entry is -0.0; that sum is a new array,
-            # and the other terms are added to it in place, in order.
-            out = 0.0 + (self._chains[j - 1][0] if j <= p else reg)
-            for ell in range(j + 1, p + 1):
-                term = self._chains[ell - 1][ell - j]
-                out += term / _FACTORIALS[ell - j] if ell - j > 1 else term
             if j <= p:
+                out = self.taylor_derivative(j)
                 out += reg
+            else:
+                out = 0.0 + reg  # no entry is -0.0
             self._derivs[j] = out
+        return out
+
+    def taylor_derivative(self, j: int) -> np.ndarray:
+        """Order-j derivative tensor of the model's Taylor part alone at s,
+        for j in 1..p, as a new array (not kept)."""
+        p = len(self._chains)
+        # Summed onto 0.0, so no entry is -0.0; that sum is a new array,
+        # and the other terms are added to it in place, in order.
+        out = 0.0 + self._chains[j - 1][0]
+        for ell in range(j + 1, p + 1):
+            term = self._chains[ell - 1][ell - j]
+            out += term / _FACTORIALS[ell - j] if ell - j > 1 else term
         return out
 
 

@@ -34,10 +34,11 @@ NOISES = ("exact", "truncation", "bounded_random")
 # The statuses a stop may carry here: `invariant` would be a bug, and the
 # wells' derivatives are finite everywhere, so `oracle` would be one too.
 STOPS = ("budget", "stall")
-# 160 instances, 58 of them at p = 3, about 2 s.  Before `minimize_model`
-# took its Newton trials' model drop from the model's Taylor series at odd
-# p, five of them (90046, 90074, 90097, 90141, 90156) stopped with "trust
-# region collapsed before certification".
+# 160 instances, 58 of them at p = 3, about 1.5 s.  Before `minimize_model`
+# took its Newton trials' model drop from the model's expansion at the
+# iterate, five of them (90046, 90074, 90097, 90141, 90156) stopped with
+# "trust region collapsed before certification"; so did 90703, outside the
+# slice, at p = 2.
 SLICE = range(160)
 
 
@@ -89,7 +90,7 @@ def test_instance_certifies_or_stops_as_documented(i):
         assert out in ("verified", "unsupported")
     else:
         assert out.status in STOPS, label(out)
-        assert not (config.p == 3 and "trust region collapsed" in str(out)), label(out)
+        assert "trust region collapsed" not in str(out), label(out)
 
 
 def main() -> int:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -945,6 +946,15 @@ class TestSolveTrs:
         assert np.linalg.norm(d / delta) == pytest.approx(1.0, rel=1e-12)
         assert d / delta == pytest.approx(-np.ones(2) / math.sqrt(2.0), rel=1e-9)
 
+    def test_large_gradient_at_a_comparable_radius_is_scaled_before_its_w_norm_overflows(self):
+        # Unscaled, the eigen path's first multiplier sits 1e-13 right of
+        # -lambda_1 = 1, and ||e / sqrt(lam + mu)|| = 2e154 squares past the
+        # largest float.  The solution is the boundary point along -g.
+        g, h, delta = np.array([7e134, 0.0]), np.diag([-1.0, 1.0]), 7e134
+        with np.errstate(over="raise", invalid="raise"):
+            d = solve_trs(g, h, delta)
+        assert d / delta == pytest.approx(np.array([-1.0, 0.0]), abs=1e-12)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 11),
            st.sampled_from(["indefinite", "definite", "hard", "zero_gradient"]))
     @settings(max_examples=300, deadline=None)
@@ -1129,6 +1139,58 @@ class TestMinimizeModel:
         monkeypatch.setattr(subsolvers, "_MAX_INNER_ITERS", 1)
         with pytest.raises(SubsolverStallError, match="inner iteration cap exceeded"):
             minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-13]))
+
+    @staticmethod
+    def long_start_model():
+        """p = 3 model x - x^2/2 + y^2/2 + sigma ||s||^4 / 24 at sigma 0.1,
+        its minimizer near x = -8.2, with a long warm start at x = -1.5 where
+        ||grad m|| = 2.44 exceeds sigma ||s||^3 = 0.34."""
+        g = np.array([1.0, 0.0])
+        b = DerivativeBundle([g, np.diag([-1.0, 1.0]), np.zeros((2, 2, 2))])
+        return RegularizedModel(b, 0.1), np.array([-1.5, 0.0])
+
+    def test_long_warm_start_far_from_stationary_is_minimized(self):
+        model, d0 = self.long_start_model()
+        start = _ModelPoint(model, d0)
+        assert start.norm >= 1.0
+        assert _norm(start.derivative(1)) > model.sigma * start.norm**3
+        res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-6] * 3))
+        point = _ModelPoint(model, res.step)
+        assert res.radii is None and res.norm >= 1.0
+        assert res.inner_iterations > 0
+        assert _norm(point.derivative(1)) <= model.sigma * res.norm**3
+        assert point.decrement() >= start.decrement()
+
+    def test_long_point_at_the_inner_cap_is_handed_on(self, monkeypatch):
+        # One Newton step takes the point to x = -2.5, long but not yet
+        # nearly stationary: at the cap it is the step, and nothing raises.
+        model, d0 = self.long_start_model()
+        monkeypatch.setattr(subsolvers, "_MAX_INNER_ITERS", 1)
+        res = minimize_model(model, d0, targets(0.5, 0.02, 1.0, [1e-6] * 3))
+        point = _ModelPoint(model, res.step)
+        assert res.radii is None and res.norm >= 1.0
+        assert res.inner_iterations == 1
+        assert _norm(point.derivative(1)) > model.sigma * res.norm**3
+        assert point.decrement() >= _ModelPoint(model, d0).decrement()
+
+    def test_second_degree_drop_near_the_minimizer_is_not_lost(self):
+        # m(x) = -x + |x|^3 / 3 has its minimizer at x = 1, where m = -2/3.
+        # A Newton trial 1e-9 long from 1 + 2e-9 drops the model by 3e-18,
+        # under the rounding of m itself: the difference of the two
+        # decrements reads 0, while the drop from the model's expansion at
+        # the iterate keeps its digits.
+        model = RegularizedModel(DerivativeBundle([np.array([-1.0]), np.zeros((1, 1))]), 2.0)
+        s, d = np.array([1.0 + 2e-9]), np.array([-1e-9])
+        point, trial = _ModelPoint(model, s), _ModelPoint(model, s + d)
+
+        def m(x):
+            x = Fraction(float(x[0]))
+            return -x + abs(x) ** 3 / 3
+
+        exact = float(m(s) - m(s + d))
+        assert exact > 0
+        assert trial.decrement() - point.decrement() == 0.0
+        assert subsolvers._model_drop(point, trial, d) == pytest.approx(exact, rel=1e-6)
 
 
 def ref_radius_search(bundle, ell, target, delta_cap):

@@ -93,6 +93,12 @@ class TestModelDecrement:
             assert dec == pytest.approx(expected, rel=1e-12)
             assert dec <= taylor_decrement(b, s, 2)
 
+    def test_regularizer_past_the_float_power_range_stays_finite(self):
+        # ||s||^3 = 1e450 overflows, sigma ||s||^3 / 3! = 1.7e149 does not.
+        model = RegularizedModel(bundle_1d(0.0, 0.0), 1e-300)
+        dec = _ModelPoint(model, np.array([1e150])).decrement()
+        assert dec == pytest.approx(-1e150 / 6.0, rel=1e-12)
+
 
 class TestRegularizerDerivative:
     def test_gradient_closed_form(self):
