@@ -6,10 +6,10 @@ as its optimality measure and as its progress certificate:
 
     order 1  closed form (scaled steepest descent), exact;
     order 2  global trust-region subproblem, near-exact: the Newton step
-             when H is positive definite and it lies in the ball, else one
-             Moré-Sorensen Newton iteration on the secular equation, its
-             solves by Cholesky factors of H + mu I or, for any other H, in
-             closed form in the eigenbasis;
+             when H is positive definite and it lies in the ball, else the
+             secular iteration (`_secular_newton`, here Moré-Sorensen's
+             Newton steps), its solves by Cholesky factors of H + mu I or,
+             for any other H, in closed form in the eigenbasis;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
              stop rules, a stopped row masked out, an improved row
@@ -37,17 +37,18 @@ stationary for the model, ||grad m(s)|| <= sigma ||s||^p (the step
 condition of Birgin, Gardenghi, Martinez, Santos & Toint, Math. Program.
 2017, with theta = 1 scaled by sigma); at p = 1 any long point is handed
 on (`minimize_model` says why).  At p = 2 it first takes the cubic
-model's global minimizer, from the trust-region solve's own secular
-iteration with the radius 2 mu / sigma in place of delta
-(`_minimize_cubic`); its model gradient is zero and its model Hessian
-positive semidefinite, so it certifies at once unless rounding says
-otherwise.  From a step that takes neither exit, and at p = 1 and 3 from
-the warm start, a safeguarded trust-region Newton iteration descends
-until one exit is reached; if it stalls or reaches its cap at a long
-point, that point is handed on.  It measures each trial's model drop by
-one rule at every degree (`_model_drop`): from the model's expansion at
-the iterate, which is finite there, rather than as a difference of two
-decrements from 0, which cancels near the model's minimizer.
+model's global minimizer (`_minimize_cubic`): the trust-region solve's own
+secular iteration, with the radius 2 mu / sigma in place of delta, run
+from a Rayleigh-quotient lower bound on mu by the same tangent-root step;
+its model gradient is zero and its model Hessian positive semidefinite, so
+it certifies at once unless rounding says otherwise.  From a step that
+takes neither exit, and at p = 1 and 3 from the warm start, a safeguarded
+trust-region Newton iteration descends until one exit is reached; if it
+stalls or reaches its cap at a long point, that point is handed on.  It
+measures each trial's model drop by one rule at every degree
+(`_model_drop`): from the model's expansion at the iterate, which is
+finite there, rather than as a difference of two decrements from 0, which
+cancels near the model's minimizer.
 
 The public functions validate their arguments; below them one kernel
 computes.  `minimize_model` holds the model at each iterate and trial as
@@ -194,8 +195,9 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     first: when it succeeds, H is positive definite, and a Newton step
     d = -H^-1 g with ||d|| <= delta is the solution (mu = 0).  A Newton
     step outside the ball is moved to the boundary by `_secular_newton`
-    from mu = 0, one factorization of H + mu I per step; only this path
-    solves for the ||w|| that Newton's derivative needs.  Every other case
+    from mu = 0, whose steps at a fixed radius are Moré-Sorensen's Newton
+    steps, one factorization of H + mu I each; only this path solves for
+    the ||w|| that the step's slope needs.  Every other case
     (H not positive definite, a failed factorization, or an iteration that
     does not converge) is solved by the same iteration in the eigenbasis of
     H (see `_solve_trs_eigen`), with g and H first scaled by a power of two
@@ -233,10 +235,12 @@ def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     return _solve_trs_eigen(g, hs, delta)
 
 
-# Newton steps one secular solve may take.  On 640 seeded positive definite
+# Steps one secular solve may take.  On 640 seeded positive definite
 # boundary instances (n = 2-60, cond(H) = 1-1e12) the Cholesky path converged
 # within 5 at cond(H) <= 1e3 and 13 at 1e8-1e12, or its residual stalled at
-# the rounding of the factors (about 1e-10 at cond(H) = 1e8).
+# the rounding of the factors (about 1e-10 at cond(H) = 1e8).  The cubic
+# model's solves took at most 4, on either path, over the 50-digit reference
+# sets of `tests/test_subsolvers.py::TestMinimizeCubic`.
 _TRS_NEWTON_STEPS = 19
 # Relative residual | ||d(mu)|| - delta | / delta at which the secular
 # iteration stops.
@@ -244,8 +248,8 @@ _TRS_SECULAR_RTOL = 1e-13
 
 
 def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
-    """Newton's method on the secular equation 1/||d(mu)|| = 1/r(mu), with
-    the target radius r(mu) = delta + rate * mu.
+    """The secular equation 1/||d(mu)|| = 1/r(mu), with the target radius
+    r(mu) = delta + rate * mu, solved by tangent roots.
 
     ``solve(mu)`` returns d(mu) = -(H + mu I)^-1 g and ||w||, where
     ||w||^2 = d'(H + mu I)^-1 d, or None; `d` and `w_norm` are its values
@@ -253,15 +257,20 @@ def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
     trust-region subproblem's secular equation.  The radius 2 mu / sigma
     (delta 0, rate 2 / sigma) is that of the cubic model
     g.s + s'Hs / 2 + sigma ||s||^3 / 6, whose minimizer has
-    mu = sigma ||s|| / 2: Newton then runs on 1/||d(mu)|| - sigma / (2 mu),
-    as in Cartis, Gould & Toint (2011, §6.1).  1/||d(mu)|| and -1/r(mu) are
-    both concave in mu, so mu rises monotonically to the root; a residual
-    | ||d|| - r(mu) | that does not fall is rounding.  Returns the last d,
-    r(mu) at its mu, and whether its residual reached `_TRS_SECULAR_RTOL` *
-    r(mu) before `_TRS_NEWTON_STEPS` steps, a residual that stops falling,
-    an ||w|| that underflows to 0, or a failed solve.  The callers scale d
-    onto r(mu): near the hard case ||d(mu)|| can move by a large fraction
-    of itself within one ulp of mu, while r(mu) does not.
+    mu = sigma ||s|| / 2 (Cartis, Gould & Toint 2011, §6.1).  Each step
+    moves mu to where the tangent of 1/||d(mu)|| at mu, of slope
+    ||w||^2 / ||d||^3, meets the exact target 1/r(mu): at a fixed radius
+    that is Newton's step (Moré & Sorensen 1983), and at r = rate * mu the
+    positive root of a quadratic (`_positive_root`).  1/||d(mu)|| is
+    concave, so its tangent lies above it, and 1/r(mu) does not rise: each
+    root stays left of the true root, and mu rises monotonically to it; a
+    residual | ||d|| - r(mu) | that does not fall is rounding.  Callers
+    with a rate pass delta 0.  Returns the last d, r(mu) at its mu, and
+    whether its residual reached `_TRS_SECULAR_RTOL` * r(mu) before
+    `_TRS_NEWTON_STEPS` steps, a residual that stops falling, an ||w|| that
+    underflows to 0, or a failed solve.  The callers scale d onto r(mu):
+    near the hard case ||d(mu)|| can move by a large fraction of itself
+    within one ulp of mu, while r(mu) does not.
     """
     residual = math.inf
     for steps in range(_TRS_NEWTON_STEPS + 1):
@@ -273,11 +282,11 @@ def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
         if steps == _TRS_NEWTON_STEPS or not gap < residual or w_norm == 0.0:
             break
         residual = gap
-        ratio = (nd / w_norm) ** 2
-        step = ratio * (nd - radius) / radius
-        if rate:  # the target's own slope, rate / r(mu)^2, joins the derivative
-            step /= 1.0 + ratio * (nd / radius) * (rate / radius)
-        mu += step
+        ratio = (nd / w_norm) ** 2  # 1/||d|| has the slope 1 / (||d|| ratio)
+        if rate:  # the tangent meets 1 / (rate mu)
+            mu = _positive_root(ratio - mu, nd * ratio / rate)
+        else:
+            mu += ratio * (nd - radius) / radius
         solved = solve(mu)
         if solved is None:
             break
@@ -412,17 +421,14 @@ def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
 
     It solves (H + mu I) s = -g with mu = sigma ||s|| / 2 and H + mu I >= 0
     (Cartis, Gould & Toint 2011, Thm 3.1): `_secular_newton` with the
-    radius 2 mu / sigma, on Cholesky factors of H + mu I.  Newton starts
-    from a lower bound on the root, so that mu rises to it.  The first bound
-    rests on ||s(mu)|| >= ||g|| / (R + mu), R = g'Hg / ||g||^2 the Rayleigh
-    quotient (Cauchy-Schwarz): left of the mu where that equals 2 mu / sigma,
-    ||s(mu)|| exceeds the radius.  The second rests on the tangent of the
-    concave 1/||s(mu)|| at the first, which lies above it: the root is
-    right of the mu where the tangent meets sigma / (2 mu).  Both are the
-    positive root of a quadratic (`_positive_root`).  Where H + mu I does
-    not factor at the first bound, or the iteration does not converge, the
-    same iteration runs in the eigenbasis from the last bound
-    (`_solve_trs_eigen`), whose hard-case and pinched-root completion
+    radius 2 mu / sigma, on Cholesky factors of H + mu I.  It starts from a
+    lower bound on the root, so that mu rises to it.  The bound rests on
+    ||s(mu)|| >= ||g|| / (R + mu), R = g'Hg / ||g||^2 the Rayleigh quotient
+    (Cauchy-Schwarz): left of the mu where that equals 2 mu / sigma, the
+    positive root of a quadratic (`_positive_root`), ||s(mu)|| exceeds the
+    radius.  Where H + mu I does not factor at the bound, or the iteration
+    does not converge, the same iteration runs in the eigenbasis from the
+    bound (`_solve_trs_eigen`), whose hard-case and pinched-root completion
     covers a gradient orthogonal to the lowest eigenvector, g = 0 included.
     """
     hs = 0.5 * h
@@ -431,11 +437,6 @@ def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
     ng = _norm(g)
     mu = _positive_root(float(g @ (hs @ g)) / ng / ng, 0.5 * sigma * ng) if ng > 0 else 0.0
     solved = _secular_solve(g, hs, mu) if mu > 0 else None
-    if solved is not None and solved[1] > 0:
-        nd = _norm(solved[0])
-        ratio = (nd / solved[1]) ** 2  # 1/||s|| has the slope 1 / (||s|| ratio)
-        mu = _positive_root(ratio - mu, 0.5 * sigma * nd * ratio)
-        solved = _secular_solve(g, hs, mu)
     if solved is not None:
         d, radius, converged = _secular_newton(partial(_secular_solve, g, hs), 0.0, mu, *solved,
                                                rate)

@@ -9,9 +9,11 @@ every such well; the others start at b times the well's own start.  The
 solver is configured as the harness configures it (exact noise demands
 exact derivatives), with a budget of `MAX_ITERS` iterations.
 
-Tier-1 solves `SLICE`, a few seconds of the net.  Run as a script, the
-module solves all `COUNT` instances and prints their outcomes by p, then
-every instance that stopped without a certificate:
+Tier-1 solves `SLICE`, a few seconds of the net, and the instances in
+`VERIFIED`.  Run as a script, the module solves all `COUNT` instances and
+prints their outcomes by p, their totals by p (iterations, value and
+derivative evaluations, and the model minimizer's inner iterations, stops
+included), then every instance that stopped without a certificate:
 
     PYTHONPATH=src python tests/test_stress_net.py
 """
@@ -40,6 +42,13 @@ STOPS = ("budget", "stall")
 # "trust region collapsed before certification"; so did 90703, outside the
 # slice, at p = 2.
 SLICE = range(160)
+# Instances outside the slice that verify, p = 2 wells whose runs depend on
+# the cubic model's secular step: with Newton steps on 1/||s(mu)|| -
+# sigma / (2 mu) in place of tangent roots, each stopped with "model
+# minimizer converged but step certification failed".
+VERIFIED = (354, 703, 986)
+# The columns of `main`'s totals table, one per entry of `totals`.
+TOTALS = ("iterations", "value evals", "derivative evals", "inner iterations")
 
 
 def instance(i: int):
@@ -61,18 +70,27 @@ def instance(i: int):
 
 
 def outcome(i: int):
-    """(config, outcome) of instance i: ``verified`` or ``unsupported`` by
-    the exact recheck of its certificate, ``rejected`` when an order fails
-    it, or, for a stop, the `SolveStoppedError` raised."""
+    """(config, outcome, totals) of instance i.  The outcome is ``verified``
+    or ``unsupported`` by the exact recheck of its certificate,
+    ``rejected`` when an order fails it, or, for a stop, the
+    `SolveStoppedError` raised; the totals are `totals` of its run."""
     problem, noise, config = instance(i)
     try:
         result = solve(problem, noise, config)
     except SolveStoppedError as exc:
-        return config, exc
+        return config, exc, totals(exc.trace, exc.counters)
+    run = totals(result.trace, result.counters)
     flags = [c["ok"] for c in verify_certificate(problem, result.certificate)]
     if False in flags:
-        return config, "rejected"
-    return config, "verified" if all(flags) else "unsupported"
+        return config, "rejected", run
+    return config, "verified" if all(flags) else "unsupported", run
+
+
+def totals(trace, counters) -> tuple:
+    """A run's iterations, value and derivative evaluations, and model
+    minimizer inner iterations, in `TOTALS` order."""
+    inner = sum(rec.inner_iterations or 0 for rec in trace)
+    return len(trace), counters.value_evals, counters.derivative_evals, inner
 
 
 def label(out) -> str:
@@ -85,7 +103,7 @@ def label(out) -> str:
 
 @pytest.mark.parametrize("i", SLICE, ids=lambda i: str(FIRST_SEED + i))
 def test_instance_certifies_or_stops_as_documented(i):
-    config, out = outcome(i)
+    config, out, _ = outcome(i)
     if isinstance(out, str):
         assert out in ("verified", "unsupported")
     else:
@@ -93,18 +111,31 @@ def test_instance_certifies_or_stops_as_documented(i):
         assert "trust region collapsed" not in str(out), label(out)
 
 
+@pytest.mark.parametrize("i", VERIFIED, ids=lambda i: str(FIRST_SEED + i))
+def test_instance_verifies(i):
+    assert outcome(i)[1] == "verified"
+
+
 def main() -> int:
     table = collections.defaultdict(collections.Counter)
+    sums = {p: [0] * len(TOTALS) for p in (1, 2, 3)}
     stops = []
     for i in range(COUNT):
-        config, out = outcome(i)
+        config, out, run = outcome(i)
         table[label(out)][config.p] += 1
+        sums[config.p] = [a + b for a, b in zip(sums[config.p], run)]
         if not isinstance(out, str):
             stops.append(f"{FIRST_SEED + i} p={config.p} q={config.q}: {out.status}: {out}")
-    print("| outcome | p = 1 | p = 2 | p = 3 | all |\n|---|---|---|---|---|")
-    for row in sorted(table, key=lambda r: -sum(table[r].values())):
-        counts = [table[row][p] for p in (1, 2, 3)]
-        print(f"| {row} | " + " | ".join(map(str, counts)) + f" | {sum(counts)} |")
+    def print_table(head, rows):
+        print(f"| {head} | p = 1 | p = 2 | p = 3 | all |\n|---|---|---|---|---|")
+        for name, counts in rows:
+            print(f"| {name} | " + " | ".join(map(str, counts)) + f" | {sum(counts)} |")
+
+    print_table("outcome", [(row, [table[row][p] for p in (1, 2, 3)])
+                            for row in sorted(table, key=lambda r: -sum(table[r].values()))])
+    print()
+    print_table("total", [(name, [sums[p][k] for p in (1, 2, 3)])
+                          for k, name in enumerate(TOTALS)])
     print("\n".join(stops))
     return 0
 
