@@ -337,9 +337,10 @@ def certificate_to_json(
 
 
 def certificate_from_json(data: dict) -> tuple:
-    """(certificate, problem name, dim); a missing key, or an ``x_eps``
-    whose length is not ``dim``, is a `ConfigError`.  The stored
-    verification is not read: `verify_certificate` recomputes it."""
+    """(certificate, problem name, dim); a missing key, a ``delta`` or
+    ``threshold`` that is not a finite number > 0, or an ``x_eps`` whose
+    length is not ``dim``, is a `ConfigError`.  The stored verification is
+    not read: `verify_certificate` recomputes it."""
     try:
         measured = tuple(data["measured"])
         for entry in measured:
@@ -354,6 +355,11 @@ def certificate_from_json(data: dict) -> tuple:
         name, dim = data["problem"], int(data["dim"])
     except KeyError as exc:
         raise ConfigError(f"certificate is missing the key {exc.args[0]!r}") from None
+    for entry in measured:
+        for key in ("delta", "threshold"):
+            value = entry[key]
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ConfigError(f"certificate {key} must be finite and > 0, got {value!r}")
     if cert.x_eps.shape != (dim,):
         raise ConfigError(
             f"certificate x_eps has {cert.x_eps.size} entries but dim is {dim}"

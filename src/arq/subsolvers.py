@@ -5,11 +5,14 @@ decrement over a Euclidean ball, the quantity the outer algorithm uses both
 as its optimality measure and as its progress certificate:
 
     order 1  closed form (scaled steepest descent), exact;
-    order 2  global trust-region subproblem, near-exact: the Newton step
-             when H is positive definite and it lies in the ball, else the
-             secular iteration (`_secular_newton`, here Moré-Sorensen's
-             Newton steps), its solves by Cholesky factors of H + mu I or,
-             for any other H, in closed form in the eigenbasis;
+    order 2  global trust-region subproblem, near-exact (`solve_trs`),
+             scaled to order one by powers of two and solved by
+             `_solve_secular`: the Newton step when H is positive definite
+             and it lies in the ball, else the secular iteration
+             (`_secular_newton`, here Moré-Sorensen's Newton steps) from a
+             Rayleigh-quotient lower bound on mu, its solves by Cholesky
+             factors of H + mu I or, where H + mu I does not factor at that
+             bound or the iteration stalls, in closed form in the eigenbasis;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
              stop rules, a stopped row masked out, an improved row
@@ -37,9 +40,9 @@ stationary for the model, ||grad m(s)|| <= sigma ||s||^p (the step
 condition of Birgin, Gardenghi, Martinez, Santos & Toint, Math. Program.
 2017, with theta = 1 scaled by sigma); at p = 1 any long point is handed
 on (`minimize_model` says why).  At p = 2 it first takes the cubic
-model's global minimizer (`_minimize_cubic`): the trust-region solve's own
-secular iteration, with the radius 2 mu / sigma in place of delta, run
-from a Rayleigh-quotient lower bound on mu by the same tangent-root step;
+model's global minimizer (`_minimize_cubic`): the model scaled to order one
+as the trust-region step is, and solved by the same `_solve_secular`, from
+the same lower bound on mu, with the radius 2 mu / sigma in place of delta;
 its model gradient is zero and its model Hessian positive semidefinite, so
 it certifies at once unless rounding says otherwise.  From a step that
 takes neither exit, and at p = 1 and 3 from the warm start, a safeguarded
@@ -182,72 +185,94 @@ def _complete_to_boundary(base, u, delta, g, hs):
     root = math.sqrt(max(disc, 0.0))
     a, b = base + (-bu + root) * u, base + (-bu - root) * u
     va, vb = (float(g @ d + 0.5 * d @ hs @ d) for d in (a, b))
-    tol = 1e-14 * (1.0 + abs(va))
+    tol = 1e-14 * abs(va)
     return b if vb < va - tol or (abs(vb - va) <= tol and _lex_ge(b, a)) else a
 
 
 def solve_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
-    """Global solution of min g.d + 0.5 d'Hd subject to ||d|| <= delta.
+    """Global solution of min g.d + 0.5 d'Hd subject to ||d|| <= delta,
+    for a finite delta > 0.
 
-    The global minimizer d* satisfies (H + mu I) d* = -g with
-    H + mu I >= 0, mu >= 0 and mu (delta - ||d*||) = 0.  As in Moré &
-    Sorensen (1983), `_factor_solve` at mu = 0 factors the symmetrized H
-    first: when it succeeds, H is positive definite, and a Newton step
-    d = -H^-1 g with ||d|| <= delta is the solution (mu = 0).  A Newton
-    step outside the ball is moved to the boundary by `_secular_newton`
-    from mu = 0, whose steps at a fixed radius are Moré-Sorensen's Newton
-    steps, one factorization of H + mu I each; only this path solves for
-    the ||w|| that the step's slope needs.  Every other case
-    (H not positive definite, a failed factorization, or an iteration that
-    does not converge) is solved by the same iteration in the eigenbasis of
-    H (see `_solve_trs_eigen`), with g and H first scaled by a power of two
-    when an entry exceeds 2**400 (the eigenvalues and the objective could
-    overflow near the largest float, and the eigen path's ||w|| reaches
-    ||g|| 1e-13**-1.5 at its first multiplier, so its square overflows
-    from ||g|| = 3e134) or ||g|| / delta reaches 2**1000 (the eigen path's
-    secular scale would overflow at a tiny delta); that scales the
-    objective, not its minimizer.
+    The problem is first scaled by powers of two: d = 2^k u, where u solves
+    it for 2^(-c-k) g, 2^-c H and the radius 2^-k delta in [1/2, 1), with
+    no entry of 2^-k g or H of magnitude 2^c or more, and c even.  That
+    problem's step and multiplier are of order one, and `_solve_secular`
+    solves it.  The scaling moves the objective, not its minimizer, and
+    g, H and delta times 2^(2i+j), 2^(2i) and 2^j reach `_solve_secular` as
+    the same problem, so the step moves by exactly 2^j.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     delta = float(delta)
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if not np.isfinite(g).all():
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
+    top_g, top_h = _max_abs(g), _max_abs(h)
+    if not math.isfinite(top_g):
         raise ValueError("g holds a non-finite entry")
-    if not np.isfinite(h).all():
+    if not math.isfinite(top_h):
         raise ValueError("h holds a non-finite entry")
-    hs = 0.5 * h  # halved first: h + h.T could overflow
-    hs = hs + hs.T
-    solved = _factor_solve(g, hs, 0.0)
-    if solved is not None:
-        d, chol = solved
-        if _norm(d) <= delta:
-            return d
-        d, radius, converged = _secular_newton(partial(_secular_solve, g, hs), delta, 0.0,
-                                               d, _w_norm(chol, d))
-        if converged:
-            return d * (radius / _norm(d))
-    top = max(_max_abs(g), _max_abs(h))
-    if top > 2.0**400 or not _norm(g) / delta < 2.0**1000:
-        e = -math.frexp(top)[1]
-        g, hs = np.ldexp(g, e), np.ldexp(hs, e)
-    return _solve_trs_eigen(g, hs, delta)
+    k = math.frexp(delta)[1]
+    c = max(math.frexp(top_h)[1], math.frexp(top_g)[1] - k)
+    c += c % 2  # even, so that the Cholesky factors of H scale by 2^(-c/2)
+    u = _solve_secular(np.ldexp(g, -c - k), np.ldexp(h, -c), math.ldexp(delta, -k), 0.0)
+    return np.ldexp(u, k)
 
 
 # Steps one secular solve may take.  On 640 seeded positive definite
-# boundary instances (n = 2-60, cond(H) = 1-1e12) the Cholesky path converged
-# within 5 at cond(H) <= 1e3 and 13 at 1e8-1e12, or its residual stalled at
-# the rounding of the factors (about 1e-10 at cond(H) = 1e8).  The cubic
-# model's solves took at most 4, on either path, over the 50-digit reference
-# sets of `tests/test_subsolvers.py::TestMinimizeCubic`.
+# trust-region instances (n = 2, 5, 20 and 60; cond(H) = 1, 1e3, 1e8 and
+# 1e12; radii 0.01-0.9 of the Newton step's), run from the secular start,
+# the Cholesky path converged within 6 factorizations at cond(H) <= 1e3 (1
+# at cond(H) = 1, where the start is the root).  At 1e8 and 1e12 its
+# residual stalled at the rounding of the factors (about 1e-10 at
+# cond(H) = 1e8) on all but one instance, after at most 9 and 19
+# factorizations, and the eigen path finished them.  The cubic model's
+# solves took at most 4, on either path, over the 50-digit reference sets of
+# `tests/test_subsolvers.py::TestMinimizeCubic`.
 _TRS_NEWTON_STEPS = 19
 # Relative residual | ||d(mu)|| - delta | / delta at which the secular
 # iteration stops.
 _TRS_SECULAR_RTOL = 1e-13
 
 
-def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
+def _solve_secular(g, h, delta, rate):
+    """d with (H + mu I) d = -g, H + mu I >= 0 and mu >= 0, where
+    ||d|| = r(mu) = delta + rate * mu, or mu = 0 and ||d|| <= delta: the
+    trust-region step (rate 0; Moré & Sorensen 1983) or, at delta 0 and
+    rate 2 / sigma, the minimizer of g.d + d'Hd / 2 + sigma ||d||^3 / 6
+    (Cartis, Gould & Toint 2011, Thm 3.1), for g, H and r of order one.
+
+    It starts from a lower bound on the root mu*: ||d(mu)|| >=
+    ||g|| / (R + mu) where H + mu I > 0, with R = g'Hg / ||g||^2
+    (Cauchy-Schwarz), so ||d(mu)|| exceeds r(mu) left of the mu0 with
+    (R + mu0) r(mu0) = ||g||: mu0 = max(0, ||g|| / delta - R) at rate 0,
+    the positive root of a quadratic (`_positive_root`) at delta 0, and
+    mu0 = 0 at g = 0.  H + mu0 I is factored; at mu0 = 0 a Newton step
+    inside the ball is the solution, and otherwise `_secular_newton` rises
+    from mu0 to the root on Cholesky factors.  Where H + mu0 I does not
+    factor, or the iteration does not converge, the same iteration runs in
+    the eigenbasis from mu0 (`_solve_trs_eigen`), whose hard-case
+    completion covers a gradient orthogonal to the lowest eigenvector.
+    """
+    hs = 0.5 * h
+    hs = hs + hs.T  # 0.5 h' is (0.5 h)' exactly
+    ng = _norm(g)
+    mu = 0.0
+    if ng > 0:
+        rayleigh = float(g @ (hs @ g)) / ng / ng
+        mu = _positive_root(rayleigh, ng / rate) if rate else max(0.0, ng / delta - rayleigh)
+    solved = _secular_solve(g, hs, mu)
+    if solved is not None:
+        d, w_norm = solved
+        if not mu and _norm(d) <= delta:
+            return d
+        d, radius, converged = _secular_newton(partial(_secular_solve, g, hs), delta, mu,
+                                               d, w_norm, rate)
+        if converged:
+            return d * (radius / _norm(d))
+    return _solve_trs_eigen(g, hs, delta, rate, mu)
+
+
+def _secular_newton(solve, delta, mu, d, w_norm, rate):
     """The secular equation 1/||d(mu)|| = 1/r(mu), with the target radius
     r(mu) = delta + rate * mu, solved by tangent roots.
 
@@ -294,9 +319,10 @@ def _secular_newton(solve, delta, mu, d, w_norm, rate=0.0):
     return d, radius, False
 
 
-def _factor_solve(g, hs, mu):
-    """d = -(H + mu I)^-1 g and the Cholesky factor U of H + mu I = U'U;
-    None where H + mu I does not factor.  H + mu I is symmetric, so its
+def _secular_solve(g, hs, mu):
+    """d(mu) = -(H + mu I)^-1 g and ||w||, w = U^-T d for the Cholesky
+    factor U of H + mu I = U'U (so ||w||^2 = d'(H + mu I)^-1 d), or None
+    where H + mu I does not factor.  H + mu I is symmetric, so its
     transpose, a Fortran-ordered view of the same entries, is factored in
     place: one copy of H, not two.  At mu = 0 the diagonal is left as it
     is: adding 0.0 could only turn a -0.0 pivot into 0.0, and either
@@ -308,41 +334,24 @@ def _factor_solve(g, hs, mu):
     if info != 0:
         return None
     d, _ = dpotrs(chol, -g)
-    return d, chol
-
-
-def _w_norm(chol, d):
-    """||w|| with w = U^-T d, so ||w||^2 = d'(H + mu I)^-1 d for the
-    Cholesky factor U of H + mu I."""
     w, _ = dtrtrs(chol, d, trans=1)
-    return _norm(w)
+    return d, _norm(w)
 
 
-def _secular_solve(g, hs, mu):
-    """`_secular_newton`'s solve by `_factor_solve`: d(mu) and ||w||, or
-    None."""
-    solved = _factor_solve(g, hs, mu)
-    if solved is None:
-        return None
-    d, chol = solved
-    return d, _w_norm(chol, d)
-
-
-def _solve_trs_eigen(g, hs, delta, rate=0.0, mu_start=0.0):
-    """`solve_trs` in the eigenbasis of the symmetrized Hessian `hs`, or,
-    with a `rate`, the secular equation of `_secular_newton`'s radius
-    r(mu) = delta + rate * mu (see `_minimize_cubic`).
+def _solve_trs_eigen(g, hs, delta, rate, mu_start):
+    """`_solve_secular` in the eigenbasis of the symmetrized Hessian `hs`,
+    from `mu_start`, a lower bound on the root.
 
     A strictly convex interior solution, ||H^-1 g|| <= r(0), is the Newton
     step.  Otherwise the multiplier comes from `_secular_newton`, started
-    just right of max(0, -lam_1), or at `mu_start` when that is larger (a
-    lower bound on the root the caller knows), its solves closed form in
-    the eigenbasis: e = -gh / (lam + mu) and ||w|| = ||e / sqrt(lam + mu)||.
-    The hard case (gradient orthogonal to the minimal eigenspace with the
-    pseudo-solution inside r(max(0, -lam_1))), and a root pinched against
-    that start, are completed by moving along a minimal eigenvector to the
-    target radius (`_complete_to_boundary`).  The step is scaled onto the
-    radius at the last mu.
+    just right of max(0, -lam_1), or at `mu_start` when that is larger, its
+    solves closed form in the eigenbasis: e = -gh / (lam + mu) and
+    ||w|| = ||e / sqrt(lam + mu)||.  The hard case (gradient orthogonal to
+    the minimal eigenspace with the pseudo-solution inside
+    r(max(0, -lam_1))), and a root pinched against that start, are
+    completed by moving along a minimal eigenvector to the target radius
+    (`_complete_to_boundary`).  The step is scaled onto the radius at the
+    last mu.
     """
     lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
@@ -399,50 +408,23 @@ def _minimize_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
     The model is first scaled by powers of two: s = 2^a u, where u
     minimizes the model of 2^(-c-a) g, 2^-c H and 2^(a-c) sigma, with
     sigma then in [1/2, 1), no entry of g or H of magnitude 1 or more, and
-    c even.  That model's minimizer and multiplier are of order one, so
-    `_solve_cubic` stays inside the float range; a minimizer beyond it
-    comes back infinite.
+    c even.  That model's minimizer and multiplier are of order one, and
+    `_solve_secular` solves it with the radius 2 mu / sigma; a minimizer
+    beyond the float range comes back infinite.
     """
     e_sigma = math.frexp(sigma)[1]
     c = max(math.frexp(_max_abs(h))[1], (math.frexp(_max_abs(g))[1] + e_sigma + 1) // 2)
     c += c % 2  # even, so that the Cholesky factors of H scale by 2^(-c/2)
     a = c - e_sigma
-    u = _solve_cubic(np.ldexp(g, -c - a), np.ldexp(h, -c), math.ldexp(sigma, -e_sigma))
+    u = _solve_secular(np.ldexp(g, -c - a), np.ldexp(h, -c), 0.0,
+                       2.0 / math.ldexp(sigma, -e_sigma))
     return np.ldexp(u, a)
 
 
 def _max_abs(x: np.ndarray) -> float:
-    """max |x| of a finite array, without an |x| temporary."""
+    """max |x| of an array, without an |x| temporary: NaN or inf where x
+    holds a non-finite entry."""
     return max(float(x.max()), -float(x.min()))
-
-
-def _solve_cubic(g: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
-    """`_minimize_cubic` of a model scaled to order one.
-
-    It solves (H + mu I) s = -g with mu = sigma ||s|| / 2 and H + mu I >= 0
-    (Cartis, Gould & Toint 2011, Thm 3.1): `_secular_newton` with the
-    radius 2 mu / sigma, on Cholesky factors of H + mu I.  It starts from a
-    lower bound on the root, so that mu rises to it.  The bound rests on
-    ||s(mu)|| >= ||g|| / (R + mu), R = g'Hg / ||g||^2 the Rayleigh quotient
-    (Cauchy-Schwarz): left of the mu where that equals 2 mu / sigma, the
-    positive root of a quadratic (`_positive_root`), ||s(mu)|| exceeds the
-    radius.  Where H + mu I does not factor at the bound, or the iteration
-    does not converge, the same iteration runs in the eigenbasis from the
-    bound (`_solve_trs_eigen`), whose hard-case and pinched-root completion
-    covers a gradient orthogonal to the lowest eigenvector, g = 0 included.
-    """
-    hs = 0.5 * h
-    hs = hs + hs.T  # 0.5 h' is (0.5 h)' exactly
-    rate = 2.0 / sigma
-    ng = _norm(g)
-    mu = _positive_root(float(g @ (hs @ g)) / ng / ng, 0.5 * sigma * ng) if ng > 0 else 0.0
-    solved = _secular_solve(g, hs, mu) if mu > 0 else None
-    if solved is not None:
-        d, radius, converged = _secular_newton(partial(_secular_solve, g, hs), 0.0, mu, *solved,
-                                               rate)
-        if converged:
-            return d * (radius / _norm(d))
-    return _solve_trs_eigen(g, hs, 0.0, rate, mu)
 
 
 def _positive_root(b: float, k: float) -> float:

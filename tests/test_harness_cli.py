@@ -757,6 +757,25 @@ class TestCliMain:
         assert f"configuration error: certificate is missing the key '{key}'" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("delta", math.inf), ("threshold", math.inf), ("delta", 0.0), ("threshold", math.nan),
+    ])
+    def test_certificate_radius_or_threshold_not_finite_and_positive_exits_one(
+            self, key, value, tmp_path, capsys):
+        # x = 0 is a maximum of quartic2 (H = -4 I): the order-2 measure at
+        # radius 1 is 2.0, but an infinite radius once verified there with 0.
+        entry = {"order": 2, "delta": 1.0, "threshold": 0.1, key: value}
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps({
+            "x_eps": [0.0, 0.0], "delta_eps": [1.0, 1.0], "problem": "quartic", "dim": 2,
+            "measured": [{"order": 1, "delta": 1.0, "threshold": 0.1}, entry],
+        }))
+        assert main(["verify", "--cert", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (f"configuration error: certificate {key} must be finite and > 0, got {value!r}"
+                in captured.err)
+        assert "Traceback" not in captured.err
+
     def test_certificate_point_of_wrong_length_exits_one(self, tmp_path, capsys):
         path = tmp_path / "certificate.json"
         path.write_text(json.dumps({

@@ -42,11 +42,13 @@ STOPS = ("budget", "stall")
 # "trust region collapsed before certification"; so did 90703, outside the
 # slice, at p = 2.
 SLICE = range(160)
-# Instances outside the slice that verify, p = 2 wells whose runs depend on
-# the cubic model's secular step: with Newton steps on 1/||s(mu)|| -
-# sigma / (2 mu) in place of tangent roots, each stopped with "model
-# minimizer converged but step certification failed".
-VERIFIED = (354, 703, 986)
+# Instances outside the slice that verify.  354, 703 and 986 are p = 2 wells
+# whose runs depend on the cubic model's secular step: with Newton steps on
+# 1/||s(mu)|| - sigma / (2 mu) in place of tangent roots, each stopped with
+# "model minimizer converged but step certification failed".  328 and 384
+# are p = q = 1 wells whose model-minimizer steps come from `solve_trs`:
+# when it started every solve at mu = 0, unscaled, each stopped so too.
+VERIFIED = (328, 354, 384, 703, 986)
 # The columns of `main`'s totals table, one per entry of `totals`.
 TOTALS = ("iterations", "value evals", "derivative evals", "inner iterations")
 

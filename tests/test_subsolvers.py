@@ -623,6 +623,43 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigen_runs(monkeypatch):
+    """The arguments of every `_solve_trs_eigen` call so far in the test."""
+    runs = []
+    eigen = subsolvers._solve_trs_eigen
+
+    def recorded(*args):
+        runs.append(args)
+        return eigen(*args)
+
+    monkeypatch.setattr(subsolvers, "_solve_trs_eigen", recorded)
+    return runs
+
+
+def secular_start(g, h, delta, rate=0.0):
+    """The secular solve's start, the mu with (R + mu) (delta + rate mu)
+    = ||g|| for R = g'Hg / ||g||^2, written out as `_solve_secular` writes
+    it: max(0, ||g|| / delta - R) at rate 0, else the positive root at
+    delta 0; 0 at g = 0."""
+    ng = subsolvers._norm(g)
+    if not ng > 0:
+        return 0.0
+    rayleigh = float(g @ (h @ g)) / ng / ng
+    if rate:
+        return subsolvers._positive_root(rayleigh, ng / rate)
+    return max(0.0, ng / delta - rayleigh)
+
+
+def eigen_path_rerun(run, delta):
+    """The eigen path rerun from the arguments `run` recorded by
+    `eigen_runs`, its start checked against `secular_start`, and scaled
+    back by the power of two that `solve_trs` scaled `delta` by."""
+    g, hs, radius, rate, mu = run
+    assert rate == 0.0 and mu == secular_start(g, hs, radius)
+    return np.ldexp(subsolvers._solve_trs_eigen(g, hs, radius, rate, mu), math.frexp(delta)[1])
+
+
+@pytest.fixture
 def dpotrf_calls(monkeypatch):
     """The `info` of every Cholesky factorization `solve_trs` has made so far."""
     calls = []
@@ -757,7 +794,9 @@ class TestSolveTrs:
                 if cond <= 1e3:
                     assert len(eigh_calls) == n_eigh
                 assert np.linalg.norm(d) / delta == pytest.approx(1.0, rel=1e-12)
-                eigen = subsolvers._solve_trs_eigen(g, h, delta)  # h is symmetric
+                # h is symmetric
+                eigen = subsolvers._solve_trs_eigen(g, h, delta, 0.0,
+                                                    secular_start(g, h, delta))
                 scale = abs(model_ref)
                 worst_gap = max(worst_gap, abs(model_value(g, h, d) - model_ref) / scale)
                 worst_eigen_gap = max(worst_eigen_gap,
@@ -766,7 +805,8 @@ class TestSolveTrs:
 
     @pytest.mark.parametrize("stop", ["cap", "failed factorization"])
     def test_unconverged_boundary_solve_takes_the_eigen_path(self, stop, monkeypatch,
-                                                             eigh_calls, dpotrf_calls):
+                                                             eigh_calls, dpotrf_calls,
+                                                             eigen_runs):
         rng = np.random.default_rng(8)
         h, _ = conditioned_positive_definite(rng, 20, 1e3)
         g = rng.standard_normal(20)
@@ -784,8 +824,9 @@ class TestSolveTrs:
         d = solve_trs(g, h, delta)
         assert len(eigh_calls) == 1
         assert len(dpotrf_calls) == 2
-        eigen = subsolvers._solve_trs_eigen(g, h, delta)  # h is symmetric
-        assert d.tobytes() == eigen.tobytes()
+        # the eigen path from the secular start, on the problem solve_trs scaled
+        (run,) = eigen_runs
+        assert d.tobytes() == eigen_path_rerun(run, delta).tobytes()
 
     def test_interior_step_after_a_failed_factorization_matches_a_50_digit_reference(
             self, monkeypatch, eigh_calls, dpotrf_calls):
@@ -816,8 +857,12 @@ class TestSolveTrs:
 
     def test_root_pinched_against_the_floor_is_completed_to_the_sphere(self, monkeypatch):
         # lambda_1 = -1 and gh_1 = 2e-11, above the hard-case tolerance of
-        # 1e-11: at the secular start mu = 1 + 1e-13 the step has norm
-        # about 200, inside delta = 1000, so it is completed along e_1.
+        # 1e-11: on the eigen path at this scale, the secular start
+        # mu = 1 + 1e-13 gives a step of norm about 200, inside
+        # delta = 1000, so it is completed along e_1.  `solve_trs` first
+        # scales delta to [1/2, 1), where gh_1 falls under the tolerance;
+        # the hard case completes the same way, and the completion is
+        # scaled back by 2^10.
         completions = []
         complete = subsolvers._complete_to_boundary
 
@@ -827,12 +872,15 @@ class TestSolveTrs:
 
         monkeypatch.setattr(subsolvers, "_complete_to_boundary", spy)
         g, h, delta = np.array([2e-11, 1.0]), np.diag([-1.0, 1.0]), 1000.0
-        d = solve_trs(g, h, delta)
-        assert len(completions) == 1 and completions[0] is d
-        assert np.linalg.norm(d) == pytest.approx(delta, rel=1e-12)
-        assert d[0] < 0.0  # the completion that g.d lowers
         (optimum,) = mp_trs_optima(g, h, [delta])
-        assert float(abs(mp_model_value(g, h, d) / optimum - 1)) <= 1e-14
+        pinched = subsolvers._solve_trs_eigen(g, h, delta, 0.0, secular_start(g, h, delta))
+        d = solve_trs(g, h, delta)
+        assert len(completions) == 2 and completions[0] is pinched
+        assert d.tobytes() == np.ldexp(completions[1], 10).tobytes()
+        for step in (pinched, d):
+            assert np.linalg.norm(step) == pytest.approx(delta, rel=1e-12)
+            assert step[0] < 0.0  # the completion that g.d lowers
+            assert float(abs(mp_model_value(g, h, step) / optimum - 1)) <= 1e-14
 
     @pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
     def test_boundary_solve_takes_at_most_the_cap_of_factorizations(self, cond,
@@ -853,7 +901,7 @@ class TestSolveTrs:
         assert min(counts) >= 1
 
     def test_stalled_boundary_solve_stops_early_on_the_eigen_path(self, eigh_calls,
-                                                                   dpotrf_calls):
+                                                                   dpotrf_calls, eigen_runs):
         rng = np.random.default_rng(18)
         stalled = 0
         for n in (5, 20, 60):
@@ -867,8 +915,7 @@ class TestSolveTrs:
                     continue  # converged on the factors
                 stalled += 1
                 assert len(dpotrf_calls) - first <= subsolvers._TRS_NEWTON_STEPS
-                eigen = subsolvers._solve_trs_eigen(g, h, delta)  # h is symmetric
-                assert d.tobytes() == eigen.tobytes()
+                assert d.tobytes() == eigen_path_rerun(eigen_runs[-1], delta).tobytes()
         assert stalled >= 6
 
     def test_indefinite_hessian_with_interior_saddle_goes_to_boundary(self, eigh_calls):
@@ -885,8 +932,12 @@ class TestSolveTrs:
         assert dec >= ref * (1.0 - 1e-6)
 
     def test_eigen_path_matches_a_50_digit_reference(self, eigh_calls):
+        # Indefinite H.  Where the secular start lies right of -lambda_1,
+        # H + mu I factors there and the solve stays on Cholesky factors;
+        # the eigen path itself is run from the same start on every
+        # instance, and both meet the reference.
         rng = np.random.default_rng(24)
-        worst = 0.0
+        worst, eigen_solves = 0.0, 0
         for _ in range(60):
             n = int(rng.integers(2, 12))
             h = random_indefinite(rng, n)
@@ -896,10 +947,14 @@ class TestSolveTrs:
             for delta, optimum in zip(deltas, mp_trs_optima(g, h, deltas)):
                 n_eigh = len(eigh_calls)
                 d = solve_trs(g, h, delta)
-                assert len(eigh_calls) == n_eigh + 1
-                assert np.linalg.norm(d) <= delta * (1.0 + 1e-12)
-                worst = max(worst, float(abs(mp_model_value(g, h, d) / optimum - 1)))
+                eigen_solves += len(eigh_calls) - n_eigh
+                # h is symmetric
+                eigen = subsolvers._solve_trs_eigen(g, h, delta, 0.0, secular_start(g, h, delta))
+                for step in (d, eigen):
+                    assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
+                    worst = max(worst, float(abs(mp_model_value(g, h, step) / optimum - 1)))
         assert worst <= 1e-14
+        assert 0 < eigen_solves < 180  # both paths are taken: 50 solves took the eigen path
 
     SMALL_RADII = (1e-9, 1e-13, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300)
 
@@ -976,6 +1031,8 @@ class TestSolveTrs:
             ([1.0, 1.0], [[1.0, 0.0], [0.0, 2.0]], float("nan"), "^delta must be > 0"),
             ([float("nan"), 1.0], [[1.0, 0.0], [0.0, 2.0]], 1.0, "^g holds a non-finite entry"),
             ([1.0, 1.0], [[float("inf"), 0.0], [0.0, 1.0]], 1.0, "^h holds a non-finite entry"),
+            # at H = diag(-1, 1) an infinite radius gave the step (inf, nan)
+            ([0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]], math.inf, "^delta must be > 0 and finite"),
         ],
     )
     def test_non_finite_input_rejected_by_name(self, g, h, delta, match):
@@ -1033,23 +1090,39 @@ class TestMinimizeCubic:
 
     def test_multipliers_rise_to_the_root_by_tangent_roots(self, monkeypatch, eigh_calls,
                                                            dpotrf_calls):
-        # Every secular step is the root of the tangent of 1/||s(mu)|| against
-        # the exact target sigma / (2 mu), so each mu stays left of the root.
+        # Both radius kinds start from one lower bound on the root, and every
+        # secular step is the root of the tangent of 1/||d(mu)|| against the
+        # exact target 1/r(mu), so each mu stays left of the root.  The root
+        # is the multiplier of the returned step: ||d|| / rate on the cubic
+        # radius, and at a fixed one mu with (H + mu I) d = -g, read off as
+        # -(g.d + d'Hd) / ||d||^2, which the fixed-radius instances keep to
+        # rounding by radii that put mu near ||H||.
         mus, roots = [], []
-        secular_solve, solve_cubic = subsolvers._secular_solve, subsolvers._solve_cubic
+        secular_solve, solve_secular = subsolvers._secular_solve, subsolvers._solve_secular
 
         def recorded_solve(g, hs, mu):
             mus[-1].append(mu)
             return secular_solve(g, hs, mu)
 
-        def recorded_cubic(g, h, sigma):
+        def recorded_secular(g, h, delta, rate):
             mus.append([])
-            u = solve_cubic(g, h, sigma)
-            roots.append(0.5 * sigma * float(np.linalg.norm(u)))
-            return u
+            d = solve_secular(g, h, delta, rate)
+            hs = 0.5 * (h + h.T)
+            roots.append(_norm(d) / rate if rate else -float(g @ d + d @ hs @ d) / float(d @ d))
+            return d
+
+        def check(solve):
+            eighs = len(eigh_calls)
+            solve()
+            mu, root = mus[-1], roots[-1]
+            # a step taken within rounding of the root may go back by as much
+            assert all(b >= a * (1.0 - 1e-12) for a, b in zip(mu, mu[1:])), mu
+            assert max(mu) <= root * (1.0 + 1e-12)
+            if len(eigh_calls) == eighs:  # converged on the Cholesky path
+                assert mu[-1] == pytest.approx(root, rel=1e-14)
 
         monkeypatch.setattr(subsolvers, "_secular_solve", recorded_solve)
-        monkeypatch.setattr(subsolvers, "_solve_cubic", recorded_cubic)
+        monkeypatch.setattr(subsolvers, "_solve_secular", recorded_secular)
         rng = np.random.default_rng(47)
         for n in (2, 5, 20, 60):
             for indefinite in (False, True):
@@ -1058,19 +1131,48 @@ class TestMinimizeCubic:
                     if indefinite:  # the lowest eigenvalue's sign flipped
                         h -= 2.0 * float(v @ h @ v) * np.outer(v, v)
                     g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
-                    eighs = len(eigh_calls)
-                    subsolvers._minimize_cubic(g, h, float(10.0 ** rng.uniform(-3, 3)))
-                    mu, root = mus[-1], roots[-1]
-                    # a step taken within rounding of the root may go back by
-                    # as much
-                    assert all(b >= a * (1.0 - 1e-12) for a, b in zip(mu, mu[1:])), mu
-                    assert max(mu) <= root * (1.0 + 1e-12)
-                    if len(eigh_calls) == eighs:  # converged on the Cholesky path
-                        assert mu[-1] == pytest.approx(root, rel=1e-14)
+                    sigma = float(10.0 ** rng.uniform(-3, 3))
+                    check(lambda: subsolvers._minimize_cubic(g, h, sigma))
         # 80 models, 29 of them finished in the eigenbasis: 237 factorizations,
         # against 269 when one tangent root was followed by Newton steps on
         # 1/||s(mu)|| - sigma / (2 mu).
         assert len(dpotrf_calls) <= 250
+        rng = np.random.default_rng(49)
+        starts = []
+        for n in (2, 5, 20, 60):
+            for indefinite in (False, True):
+                for _ in range(10):
+                    h, v = conditioned_positive_definite(rng, n, 1e4)
+                    if indefinite:
+                        h -= 2.0 * float(v @ h @ v) * np.outer(v, v)
+                    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                    delta = float(np.linalg.norm(g) / np.linalg.norm(h, 2)
+                                  * 10.0 ** rng.uniform(-1, 1))
+                    check(lambda: solve_trs(g, h, delta))
+                    starts.append(mus[-1][0])
+        # the fixed radius starts right of 0 on 68 of its 80 instances
+        assert sum(mu > 0 for mu in starts) >= 60
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "hard", "zero_gradient"])
+    def test_power_of_two_scaling_moves_the_minimizer_by_that_power(self, kind):
+        # Both solves scale their problem to order one by powers of two, so
+        # a problem scaled by them reaches `_solve_secular` as the same
+        # problem, and the step moves by exactly 2^j.
+        rng = np.random.default_rng(4901)
+        for _ in range(25):
+            n = int(rng.integers(2, 8))
+            g, h, delta = trs_instance(rng, n, kind)
+            sigma = float(10.0 ** rng.uniform(-3, 3))
+            d, s = solve_trs(g, h, delta), subsolvers._minimize_cubic(g, h, sigma)
+            for i in range(-2, 4):
+                for j in range(-3, 3):
+                    scaled = solve_trs(np.ldexp(g, 2 * i + j), np.ldexp(h, 2 * i),
+                                       math.ldexp(delta, j))
+                    assert scaled.tobytes() == np.ldexp(d, j).tobytes(), (i, j)
+                    scaled = subsolvers._minimize_cubic(
+                        np.ldexp(g, 2 * i - j), np.ldexp(h, 2 * i - 2 * j),
+                        math.ldexp(sigma, 2 * i - 3 * j))
+                    assert scaled.tobytes() == np.ldexp(s, j).tobytes(), (i, j)
 
 
 def convex_model():
