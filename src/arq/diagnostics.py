@@ -77,8 +77,7 @@ def _ln_pow(ln_x: float, k: int) -> float:
 class BoundReport:
     """Constants derived from a configuration and problem-scale estimates.
 
-    ``kappa_delta`` is the non-increasing radius-floor function of sigma;
-    the rest are scalars (per-order tuples where indicated, index j-1 for
+    All are scalars (per-order tuples where indicated, index j-1 for
     order j).
 
     Every value is true, never NaN or negative.  One whose exact value lies
@@ -93,7 +92,6 @@ class BoundReport:
     l_bar_f: float
     sigma_max: float
     kappa_s: float
-    kappa_delta: object  # sigma -> float
     kappa_delta_min: float
     kappa_dm: float
     pi: tuple
@@ -113,7 +111,7 @@ class BoundReport:
         out = {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("kappa_delta", "pi", "step_lower_bounds")
+            if f.name not in ("pi", "step_lower_bounds")
         }
         for j, (pi_j, slb) in enumerate(zip(self.pi, self.step_lower_bounds), start=1):
             out[f"pi_{j}"] = pi_j
@@ -174,14 +172,8 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
     ln_base_s = ln(2.0) + ln_lbar + ln_fact[p + 1] - ln_smin
     ln_ks = max(ln_base_s, ln_base_s / p)
 
-    def kappa_delta(sigma: float) -> float:
-        return (
-            varsigma
-            * theta
-            * (1.0 - omega)
-            / (8.0 * (1.0 + omega) * (3.0 * l_bar + sigma))
-        )
-
+    # kappa_delta(sigma) = varsigma theta (1 - omega) / (8 (1 + omega)(3 l_bar + sigma)),
+    # the radius floor, falls as sigma rises: its least value is at sigma_max.
     ln_kdmin = (ln_vs + ln_th + ln_1mw - ln(8.0) - ln_1pw
                 - _ln_sum(ln(3.0) + ln_lbar, ln_smax))
     # c = varsigma (1 - theta)(1 - omega) / (2 (l_f + sigma_max)(1 + omega))
@@ -268,7 +260,6 @@ def compute_bounds(config: SolverConfig, l_f: float, f0_minus_flow: float) -> Bo
         l_bar_f=l_bar,
         sigma_max=sigma_max,
         kappa_s=_exp(ln_ks),
-        kappa_delta=kappa_delta,
         kappa_delta_min=_exp(ln_kdmin),
         kappa_dm=_exp(ln_kdm),
         pi=pi,

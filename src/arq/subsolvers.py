@@ -12,7 +12,9 @@ as its optimality measure and as its progress certificate:
              (`_secular_newton`, here Moré-Sorensen's Newton steps) from a
              Rayleigh-quotient lower bound on mu, its solves by Cholesky
              factors of H + mu I or, where H + mu I does not factor at that
-             bound or the iteration stalls, in closed form in the eigenbasis;
+             bound or the iteration stalls, in closed form in the eigenbasis,
+             where one rule completes a root at the floor max(0, -lambda_1),
+             the hard case included, along a lowest eigenvector;
     order 3  projected gradient ascent from 50 starts, advanced together
              as the rows of one array (each row with its own step size and
              stop rules, a stopped row masked out, an improved row
@@ -250,8 +252,9 @@ def _solve_secular(g, h, delta, rate):
     inside the ball is the solution, and otherwise `_secular_newton` rises
     from mu0 to the root on Cholesky factors.  Where H + mu0 I does not
     factor, or the iteration does not converge, the same iteration runs in
-    the eigenbasis from mu0 (`_solve_trs_eigen`), whose hard-case
-    completion covers a gradient orthogonal to the lowest eigenvector.
+    the eigenbasis from mu0 (`_solve_trs_eigen`), which completes a root at
+    the floor max(0, -lambda_1) along a lowest eigenvector: the hard case,
+    a gradient orthogonal to that eigenvector, among them.
     """
     hs = 0.5 * h
     hs = hs + hs.T  # 0.5 h' is (0.5 h)' exactly
@@ -343,22 +346,26 @@ def _solve_trs_eigen(g, hs, delta, rate, mu_start):
     from `mu_start`, a lower bound on the root.
 
     A strictly convex interior solution, ||H^-1 g|| <= r(0), is the Newton
-    step.  Otherwise the multiplier comes from `_secular_newton`, started
-    just right of max(0, -lam_1), or at `mu_start` when that is larger, its
+    step.  Otherwise the iteration starts at lo, 1e-10 of mu's scale right
+    of the floor max(0, -lam_1), or at `mu_start` when that is larger, its
     solves closed form in the eigenbasis: e = -gh / (lam + mu) and
-    ||w|| = ||e / sqrt(lam + mu)||.  The hard case (gradient orthogonal to
-    the minimal eigenspace with the pseudo-solution inside
-    r(max(0, -lam_1))), and a root pinched against that start, are
-    completed by moving along a minimal eigenvector to the target radius
-    (`_complete_to_boundary`).  The step is scaled onto the radius at the
-    last mu.
+    ||w|| = ||e / sqrt(lam + mu)||.  One rule completes a root at the
+    floor: where ||e(lo)|| <= r(lo), the root lies between the floor and lo
+    (the hard case, a gradient orthogonal to the lowest eigenvector, among
+    them), and e(lo) is moved along a lowest eigenvector to the sphere of
+    radius r(lo) (`_complete_to_boundary`).  Otherwise `_secular_newton`
+    runs from lo, and the step is scaled onto the radius at its last mu.
     """
     lam, q = np.linalg.eigh(hs)
     gh = q.T @ g
     lam1 = float(lam[0])
-    top = float(np.max(np.abs(lam)))
-    # mu's own scale: the m with m r(m) = ||gh|| at delta or at rate 0
-    scale = max(1.0, top, _norm(gh) / delta if delta else math.sqrt(_norm(gh) / rate))
+    # mu's own scale: the largest |lam|, or the m with m r(m) = ||gh|| at
+    # delta or at rate 0 where that is larger.  It has no absolute term, so
+    # lo scales with the problem.
+    scale = max(float(np.max(np.abs(lam))),
+                _norm(gh) / delta if delta else math.sqrt(_norm(gh) / rate))
+    if not scale:  # g = 0 and H = 0: any point of the ball, 0 at delta 0
+        return delta * q[:, 0]
 
     # Strictly convex interior solution the factorization missed (H at the
     # edge of definiteness, or a Newton step on the sphere within rounding).
@@ -367,31 +374,19 @@ def _solve_trs_eigen(g, hs, delta, rate, mu_start):
         if _norm(d) <= delta:
             return d
 
-    mu_floor = max(0.0, -lam1)
-    # Relative to the spectrum alone, so a power-of-two rescale of g and H
-    # leaves the mask as it is.
-    min_mask = lam - lam1 <= 1e-12 * top
-    gh_min = float(np.max(np.abs(gh[min_mask]), initial=0.0))
-
-    nz = ~min_mask
-    d0 = np.zeros_like(g)
-    d0[nz] = -gh[nz] / (lam[nz] + mu_floor)
-    radius = delta + rate * mu_floor
-    if gh_min <= 1e-11 * scale and _norm(d0) <= radius:
-        return _complete_to_boundary(q @ d0, q[:, 0], radius, g, hs)
-
     def solve(mu):
         shifted = lam + mu
         e = -gh / shifted
         return e, _norm(e / np.sqrt(shifted))
 
-    lo = max(mu_floor + max(1e-14, 1e-13 * scale), mu_start)
+    # mu is resolved only to ulp(mu), a large part of lam_1 + mu at a root a
+    # few offsets right of the floor: at an offset of 1e-11 such roots lost
+    # up to 1e-12 of the model value.  A larger offset moves e(lo) off the
+    # root where lam_2 is near lam_1.
+    lo = max(max(0.0, -lam1) + 1e-10 * scale, mu_start)
     e, w_norm = solve(lo)
     radius = delta + rate * lo
     if _norm(e) <= radius:
-        # Root is pinched against the floor; the offset solution already
-        # sits (numerically) inside the target, so complete as in the hard
-        # case.
         return _complete_to_boundary(q @ e, q[:, 0], radius, g, hs)
     e, radius, _ = _secular_newton(solve, delta, lo, e, w_norm, rate)
     d = q @ e

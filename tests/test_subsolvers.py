@@ -508,6 +508,44 @@ def mp_cubic_optimum(g, h, sigma):
                 + sigma * mpmath.norm(s) ** 3 / 6)
 
 
+def mp_diagonal_optimum(g, lam, delta, sigma=0.0):
+    """The optimal value of min g.d + 0.5 d'Hd over ||d|| <= delta, or at
+    delta 0 of g.d + 0.5 d'Hd + sigma ||d||^3 / 6, for H = diag(lam),
+    computed with 50 digits, hard case included.  The multiplier mu solves
+    ||d(mu)|| = r(mu) = delta + 2 mu / sigma by bisection right of the floor
+    max(0, -lambda_1), or is the floor where ||d|| there, over the
+    components with g_i != 0, does not exceed r: d is then completed along
+    e_1 to the radius r.  Either way the value is
+    -sum g_i^2 / (lam_i + mu) / 2 - mu r^2 / 2, plus sigma r^3 / 6 =
+    mu r^2 / 3 at delta 0."""
+    with mpmath.workdps(50):
+        g = [mpmath.mpf(float(x)) for x in g]
+        lam = [mpmath.mpf(float(x)) for x in lam]
+        rate = 2 / mpmath.mpf(sigma) if sigma else 0
+        floor = max(mpmath.mpf(0), -min(lam))
+
+        def excess(mu):  # ||d(mu)|| - r(mu), falling in mu right of the floor
+            if any(x and l + mu == 0 for x, l in zip(g, lam)):
+                return mpmath.inf
+            return mpmath.norm([x / (l + mu) for x, l in zip(g, lam) if x]) - delta - rate * mu
+
+        mu = floor
+        if excess(floor) > 0:
+            lo, hi = floor, floor + 1
+            while excess(hi) > 0:
+                lo, hi = hi, floor + 2 * (hi - floor)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if excess(mid) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            mu = hi
+        r = delta + rate * mu
+        value = -mpmath.fsum(x * x / (l + mu) for x, l in zip(g, lam) if x) / 2 - mu * r * r / 2
+        return value + mu * r * r / 3 if sigma else value
+
+
 def mp_model_value(g, h, d, sigma=0.0):
     """g.d + 0.5 d'Hd (+ sigma ||d||^3 / 6) of float inputs with 50 digits,
     as an mpf."""
@@ -856,13 +894,13 @@ class TestSolveTrs:
                     assert float(gap / mpmath.norm(newton)) <= 1e-13
 
     def test_root_pinched_against_the_floor_is_completed_to_the_sphere(self, monkeypatch):
-        # lambda_1 = -1 and gh_1 = 2e-11, above the hard-case tolerance of
-        # 1e-11: on the eigen path at this scale, the secular start
-        # mu = 1 + 1e-13 gives a step of norm about 200, inside
-        # delta = 1000, so it is completed along e_1.  `solve_trs` first
-        # scales delta to [1/2, 1), where gh_1 falls under the tolerance;
-        # the hard case completes the same way, and the completion is
-        # scaled back by 2^10.
+        # lambda_1 = -1 and gh_1 = 2e-11: on the eigen path at this scale
+        # (mu's scale is 1), the start mu = 1 + 1e-10 gives the step
+        # (-0.2, -0.5), of norm about 0.54, inside delta = 1000, so it is
+        # completed along e_1.  `solve_trs` first scales delta to
+        # 1000 / 2^10, H by 2^-2 and g by 2^-12; there the start
+        # mu = (1 + 1e-10) / 4 gives a step of norm about 5.3e-4, the same
+        # rule completes it, and the completion is scaled back by 2^10.
         completions = []
         complete = subsolvers._complete_to_boundary
 
@@ -881,6 +919,47 @@ class TestSolveTrs:
             assert np.linalg.norm(step) == pytest.approx(delta, rel=1e-12)
             assert step[0] < 0.0  # the completion that g.d lowers
             assert float(abs(mp_model_value(g, h, step) / optimum - 1)) <= 1e-14
+
+    # H = diag(-1/2, 1/4, 3/4) and g = (g_1, 2/5, 2/5) reach the eigen path
+    # unscaled: the entries of H, g, the radii and sigma all lie under 1 and
+    # those of H and the radii at or over 1/2.  At mu = 1/2 the components
+    # of d off e_1 have norm 0.622, so the radius 0.55 puts the root right of
+    # the floor even at g_1 = 0, and 0.9 and the cubic radius 2 mu / sigma
+    # (sigma = 3/4) put it at the floor there, the hard case.  g_1 runs over
+    # multiples of mu's scale max(3/4, ||g|| / delta or sqrt(||g|| sigma / 2))
+    # on both sides of 1e-11, the tolerance of an earlier hard-case test,
+    # and of 1e-10, the eigen path's start offset.
+    @pytest.mark.parametrize("ratio", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-8])
+    @pytest.mark.parametrize("radius", [0.55, 0.9, "cubic"])
+    def test_roots_near_the_floor_match_a_50_digit_reference(self, ratio, radius, eigh_calls):
+        lam = np.array([-0.5, 0.25, 0.75])
+        g, h = np.array([0.0, 0.4, 0.4]), np.diag(lam)
+        sigma = 0.75 if radius == "cubic" else 0.0
+        delta = 0.0 if sigma else radius
+        scale = max(0.75, math.sqrt(_norm(g) * sigma / 2) if sigma else _norm(g) / delta)
+        g[0] = ratio * scale
+        optimum = mp_diagonal_optimum(g, lam, delta, sigma)
+        if sigma:
+            steps = (subsolvers._minimize_cubic(g, h, sigma),
+                     subsolvers._solve_trs_eigen(g, h, 0.0, 2.0 / sigma,
+                                                 secular_start(g, h, 0.0, 2.0 / sigma)))
+        else:
+            steps = (solve_trs(g, h, delta),
+                     subsolvers._solve_trs_eigen(g, h, delta, 0.0, secular_start(g, h, delta)))
+        assert len(eigh_calls) == (1 if radius == 0.55 else 2)  # H + mu I factors at 0.55
+        for step in steps:
+            assert float(abs(mp_model_value(g, h, step, sigma) / optimum - 1)) <= 1e-14
+            assert sigma or np.linalg.norm(step) <= delta * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_zero_problem_steps_onto_the_sphere_and_its_cubic_model_to_zero(self, n):
+        # Every point of the ball minimizes 0; the step is delta e_1, bit for
+        # bit, and the cubic model sigma ||s||^3 / 6 has its minimizer at 0.
+        g, h = np.zeros(n), np.zeros((n, n))
+        for delta in (1e-300, 0.3, 1.0, 1e5):
+            assert solve_trs(g, h, delta).tobytes() == (delta * np.eye(n)[0]).tobytes()
+        for sigma in (1e-8, 0.75, 3.0):
+            assert not subsolvers._minimize_cubic(g, h, sigma).any()
 
     @pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
     def test_boundary_solve_takes_at_most_the_cap_of_factorizations(self, cond,

@@ -2,12 +2,13 @@
 
 For one pass of a workload (the tasks of ``perfbench/workloads.py``,
 imported as it is) the tool prints the pass's iterations, value and
-derivative evaluations, certified and verified solves, and how often
-`arq.subsolvers` called its two dense kernels: ``dpotrf``, a Cholesky
-factorization, and ``np.linalg.eigh``, an eigendecomposition.  Both are
-counted by wrapping the names the module calls them by.  The factorization
-and eigendecomposition counts are what a change to the secular solves is
-judged on:
+derivative evaluations, certified and verified solves, how often
+`arq.subsolvers` called its two dense kernels, ``dpotrf``, a Cholesky
+factorization, and ``np.linalg.eigh``, an eigendecomposition, and how often
+its eigen path completed a root at the floor along a lowest eigenvector
+(``_complete_to_boundary``).  Each is counted by wrapping the name the
+module calls it by.  These counts are what a change to the secular solves
+is judged on:
 
     python tools/kernel_counts.py
     python tools/kernel_counts.py --seed 7 --workload grid order3
@@ -28,9 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# The columns of a row, after the workload; `Outcome` fields, then kernels.
+# The columns of a row, after the workload; `Outcome` fields, then calls.
 OUTCOME_COLUMNS = ("iterations", "value_evals", "deriv_evals", "certified", "verified")
-KERNELS = ("dpotrf", "eigh")
+CALLS = ("dpotrf", "eigh", "completions")
 
 
 def _bootstrap() -> None:
@@ -41,34 +42,36 @@ def _bootstrap() -> None:
 
 @contextmanager
 def _counted(total: dict):
-    """Add one to ``total["dpotrf"]`` or ``total["eigh"]`` at every call of
-    that kernel by `arq.subsolvers`, until the block ends."""
+    """Add one to ``total[column]`` at every call `arq.subsolvers` makes of
+    the function counted in that column of `CALLS`, until the block ends."""
     import numpy as np
 
     import arq.subsolvers as subsolvers
 
-    dpotrf, eigh = subsolvers.dpotrf, np.linalg.eigh
+    names = {"dpotrf": (subsolvers, "dpotrf"), "eigh": (np.linalg, "eigh"),
+             "completions": (subsolvers, "_complete_to_boundary")}
+    originals = {column: getattr(owner, name) for column, (owner, name) in names.items()}
 
-    def counted_dpotrf(*args, **kwargs):
-        total["dpotrf"] += 1
-        return dpotrf(*args, **kwargs)
+    def counter(column):
+        def counted(*args, **kwargs):
+            total[column] += 1
+            return originals[column](*args, **kwargs)
+        return counted
 
-    def counted_eigh(*args, **kwargs):
-        total["eigh"] += 1
-        return eigh(*args, **kwargs)
-
-    subsolvers.dpotrf, np.linalg.eigh = counted_dpotrf, counted_eigh
+    for column, (owner, name) in names.items():
+        setattr(owner, name, counter(column))
     try:
         yield
     finally:
-        subsolvers.dpotrf, np.linalg.eigh = dpotrf, eigh
+        for column, (owner, name) in names.items():
+            setattr(owner, name, originals[column])
 
 
 def counts(workload: str, seed: int, smoke: bool = False) -> dict:
-    """`OUTCOME_COLUMNS` and `KERNELS` summed over one pass of `workload`."""
+    """`OUTCOME_COLUMNS` and `CALLS` summed over one pass of `workload`."""
     import workloads as wl
 
-    total = dict.fromkeys(OUTCOME_COLUMNS + KERNELS, 0)
+    total = dict.fromkeys(OUTCOME_COLUMNS + CALLS, 0)
     with _counted(total):
         for task in wl.build_tasks(workload, seed, smoke):
             if isinstance(task, wl.SweepTask):
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="the workloads' smoke task lists, as `perfbench/run.py --smoke`")
     args = parser.parse_args(argv)
-    columns = OUTCOME_COLUMNS + KERNELS
+    columns = OUTCOME_COLUMNS + CALLS
     print(f"| workload | {' | '.join(columns)} |\n|---|" + "---|" * len(columns))
     for workload in args.workload:
         row = counts(workload, args.seed, args.smoke)
